@@ -3,14 +3,14 @@
 Equal cardinalities go through an exact one-to-one assignment (minimum
 total cost, deterministic lexicographic tie-break). Mismatched
 cardinalities go through graduated assignment: an annealed softassign with
-alternating row/column normalization, hardened greedily into a one-to-many
-matching where every predicted peak lands on some observed peak.
+alternating row/column normalization, hardened row by row into a
+one-to-many matching where every predicted peak lands on some observed peak.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -58,11 +58,23 @@ def shift_cost(pred, obs, c_scale: float = DEFAULT_C_SCALE) -> float:
     return abs(pred.delta_h - obs.delta_h) + abs(pred.delta_c - obs.delta_c) / c_scale
 
 
+def _shifts(peaks) -> tuple[np.ndarray, np.ndarray]:
+    """(proton, carbon) shift arrays of a peak list."""
+    pairs = np.array([(p.delta_h, p.delta_c) for p in peaks], dtype=np.float64)
+    pairs = pairs.reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def cost_matrix(preds, observations, c_scale: float = DEFAULT_C_SCALE) -> np.ndarray:
-    mat = np.empty((len(preds), len(observations)))
-    for i, p in enumerate(preds):
-        for j, o in enumerate(observations):
-            mat[i, j] = shift_cost(p, o, c_scale)
+    """``shift_cost`` of every (prediction, observation) pair."""
+    if c_scale <= 0:
+        raise ValueError("c_scale must be positive")
+    pred_h, pred_c = _shifts(preds)
+    obs_h, obs_c = _shifts(observations)
+    mat = (
+        np.abs(pred_h[:, None] - obs_h[None, :])
+        + np.abs(pred_c[:, None] - obs_c[None, :]) / c_scale
+    )
     if not np.all(np.isfinite(mat)):
         raise MatchingError("non-finite entries in cost matrix")
     return mat
@@ -155,8 +167,8 @@ def graduated_assignment(
 ) -> np.ndarray:
     """One-to-many matching of N predicted peaks onto M observed peaks.
 
-    Every predicted row is assigned exactly once (greedy hardening in
-    descending soft-match confidence); observed columns may take several
+    Every predicted row is assigned exactly once, to its most confident
+    column of the final soft matrix; observed columns may take several
     rows, which is what symmetry collapse and signal overlap produce.
     """
     if len(observations) == 0:
@@ -169,11 +181,8 @@ def graduated_assignment(
     for _beta, soft in softassign_rounds(sim, settings, on_sweep=on_sweep):
         pass
     assert soft is not None  # beta0 < beta_max by construction
-    n, m = soft.shape
-    assignment = np.zeros((n, m), dtype=np.int8)
-    order = sorted(range(n), key=lambda u: (-soft[u].max(), u))
-    for u in order:
-        assignment[u, int(np.argmax(soft[u]))] = 1
+    assignment = np.zeros(soft.shape, dtype=np.int8)
+    assignment[np.arange(soft.shape[0]), np.argmax(soft, axis=1)] = 1
     return assignment
 
 
@@ -226,16 +235,7 @@ def pseudo_annotate(
         )
         return None
     n, m = len(predictions), len(observations)
-    ga = settings.ga
-    if ga.c_scale != settings.c_scale:
-        ga = GASettings(
-            epsilon=ga.epsilon,
-            beta0=ga.beta0,
-            rate=ga.rate,
-            beta_max=ga.beta_max,
-            sweeps=ga.sweeps,
-            c_scale=settings.c_scale,
-        )
+    ga = replace(settings.ga, c_scale=settings.c_scale)
     if n == m:
         provenance = "hungarian"
         assignment = hungarian(cost_matrix(predictions, observations, settings.c_scale))

@@ -2,9 +2,12 @@
 
 Everything is float64. Forward primitives record their adjoints on the
 active ComputeRecord; ``backward`` replays the record in reverse and
-accumulates gradients into the participating Parameters. The op set is
-exactly what the cross-peak model needs: embedding lookup, affine maps,
-relu, concatenation, neighbor sums, and L1-style reductions.
+accumulates gradients into the participating Parameters. Ops work on row
+batches, and the op set is exactly what the matrix-form message-passing
+model needs: ``gather`` (rows or elements, e.g. embedding lookups and
+edge-source reads), ``affine`` maps, ``relu``, ``concat``, ``segment_sum``
+(edge messages back onto nodes), ``scale`` by a constant, and the fused L1
+loss ``mean_abs_error``.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ class Parameter(Tensor):
         super().__init__(values)
         self.grad = np.zeros_like(self.values)
         self.name = name
-
-    @property
-    def tensor(self) -> Tensor:
-        return self
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -94,18 +93,19 @@ def backward(loss: Tensor, record: ComputeRecord) -> None:
         raise ValueError("empty compute record")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
 
-    def accumulate(target: Tensor, grad: np.ndarray, row: int | None = None) -> None:
+    def accumulate(target: Tensor, grad: np.ndarray, index=None) -> None:
+        """Add ``grad`` onto ``target``, or scatter-add it at ``index``."""
+        if index is not None:
+            if isinstance(target, Parameter):
+                np.add.at(target.grad, index, grad)
+                return
+            full = np.zeros_like(target.values)
+            np.add.at(full, index, grad)
+            grad = full
         if isinstance(target, Parameter):
-            if row is None:
-                target.grad += grad
-            else:
-                target.grad[row] += grad
+            target.grad += grad
             return
         key = id(target)
-        if row is not None:  # lookup from a plain tensor: widen to full shape
-            full = np.zeros_like(target.values)
-            full[row] = grad
-            grad = full
         if key in grads:
             grads[key] = grads[key] + grad
         else:
@@ -128,23 +128,36 @@ def zero_gradients(params) -> None:
 # ---------------------------------------------------------------------------
 
 
-def embedding_lookup(table: Parameter, index: int) -> Tensor:
-    rows = table.values.shape[0]
-    if not 0 <= index < rows:
-        raise IndexError(f"embedding index {index} out of range [0, {rows})")
-    out = Tensor(table.values[index].copy())
+def gather(x: Tensor, index) -> Tensor:
+    """Rows of ``x`` at an integer index (scalar or array), or its elements
+    at a tuple of index arrays, one per leading axis. Repeated indices
+    scatter-add their gradients."""
+    index = tuple(
+        np.asarray(i, dtype=np.intp) for i in (index if isinstance(index, tuple) else (index,))
+    )
+    if len(index) > x.values.ndim:
+        raise DimensionError(f"{len(index)} index arrays for a tensor of shape {x.shape}")
+    for axis, idx in enumerate(index):
+        size = x.values.shape[axis]
+        if idx.size and (idx.min() < 0 or idx.max() >= size):
+            raise IndexError(f"gather index out of range [0, {size}) on axis {axis}")
+    if len(index) == 1:
+        out = Tensor(np.take(x.values, index[0], axis=0))
+    else:
+        out = Tensor(x.values[index])
     tape = _tape()
     if tape is not None:
-        tape._push(out, lambda g, acc: acc(table, g, row=index))
+        tape._push(out, lambda g, acc: acc(x, g, index=index))
     return out
 
 
 def affine(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
-    if x.values.ndim != 1 or weight.values.ndim != 2:
+    """``x @ weight.T + bias`` for one input vector or a batch of rows."""
+    if x.values.ndim not in (1, 2) or weight.values.ndim != 2:
         raise DimensionError(
-            f"affine expects vector and matrix, got {x.shape} and {weight.shape}"
+            f"affine expects vector or rows and matrix, got {x.shape} and {weight.shape}"
         )
-    if weight.values.shape[1] != x.values.shape[0]:
+    if weight.values.shape[1] != x.values.shape[-1]:
         raise DimensionError(
             f"affine shape mismatch: weight {weight.shape} vs input {x.shape}"
         )
@@ -152,15 +165,16 @@ def affine(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
         raise DimensionError(
             f"affine bias shape {bias.shape} does not match weight {weight.shape}"
         )
-    out = Tensor(weight.values @ x.values + bias.values)
+    out = Tensor(x.values @ weight.values.T + bias.values)
     tape = _tape()
     if tape is not None:
-        xv = x.values
+        rows = x.values.reshape(-1, x.values.shape[-1])
 
         def adjoint(g, acc):
-            acc(weight, np.outer(g, xv))
-            acc(bias, g)
-            acc(x, weight.values.T @ g)
+            g_rows = g.reshape(-1, g.shape[-1])
+            acc(weight, g_rows.T @ rows)
+            acc(bias, g_rows.sum(axis=0))
+            acc(x, g @ weight.values)
 
         tape._push(out, adjoint)
     return out
@@ -175,125 +189,91 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def concat(parts: list[Tensor]) -> Tensor:
+def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
+    """Join tensors along ``axis``: features with -1, row batches with 0."""
     if not parts:
         raise DimensionError("concat of empty list")
-    out = Tensor(np.concatenate([p.values for p in parts]))
+    try:
+        out = Tensor(np.concatenate([p.values for p in parts], axis=axis))
+    except ValueError as exc:
+        shapes = [p.shape for p in parts]
+        raise DimensionError(f"concat shape mismatch on axis {axis}: {shapes}") from exc
     tape = _tape()
     if tape is not None:
-        sizes = [p.values.shape[0] for p in parts]
+        splits = np.cumsum([p.values.shape[axis] for p in parts])[:-1]
 
         def adjoint(g, acc):
-            offset = 0
-            for p, size in zip(parts, sizes):
-                acc(p, g[offset : offset + size])
-                offset += size
+            for p, piece in zip(parts, np.split(g, splits, axis=axis)):
+                acc(p, piece)
 
         tape._push(out, adjoint)
     return out
 
 
-def neighbor_sum(node_tensors: list[Tensor], width: int | None = None) -> Tensor:
-    """Elementwise sum over a (possibly empty) list of same-shape tensors.
-
-    An empty list yields a zero vector of ``width`` (the isolated-node
-    convention); width is then required.
-    """
-    if not node_tensors:
-        if width is None:
-            raise DimensionError("neighbor_sum of empty list needs an explicit width")
-        return Tensor(np.zeros(width))
-    shape = node_tensors[0].values.shape
-    for t in node_tensors[1:]:
-        if t.values.shape != shape:
-            raise DimensionError(
-                f"neighbor_sum shape mismatch: {t.values.shape} vs {shape}"
-            )
-    out = Tensor(np.sum([t.values for t in node_tensors], axis=0))
+def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
+    """Sum the rows of ``x`` into ``num_segments`` rows: row i adds onto row
+    ``segments[i]``, in row order. A segment no row names stays zero (the
+    isolated-node convention)."""
+    segments = np.asarray(segments, dtype=np.intp)
+    if segments.shape != x.values.shape[:1]:
+        raise DimensionError(
+            f"segment_sum needs one segment id per row: {segments.shape} vs {x.shape}"
+        )
+    if segments.size and (segments.min() < 0 or segments.max() >= num_segments):
+        raise IndexError(f"segment id out of range [0, {num_segments})")
+    values = np.zeros((num_segments,) + x.values.shape[1:])
+    np.add.at(values, segments, x.values)
+    out = Tensor(values)
     tape = _tape()
     if tape is not None:
-
-        def adjoint(g, acc):
-            for t in node_tensors:
-                acc(t, g)
-
-        tape._push(out, adjoint)
+        tape._push(out, lambda g, acc: acc(x, np.take(g, segments, axis=0)))
     return out
 
 
-def scale(x: Tensor, alpha: float) -> Tensor:
-    out = Tensor(x.values * alpha)
+def scale(x: Tensor, alpha) -> Tensor:
+    """Multiply by a constant: a scalar, or an array that broadcasts onto x."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    values = x.values * alpha
+    if values.shape != x.values.shape:
+        raise DimensionError(f"scale factor {alpha.shape} reshapes input {x.shape}")
+    out = Tensor(values)
     tape = _tape()
     if tape is not None:
         tape._push(out, lambda g, acc: acc(x, g * alpha))
     return out
 
 
-def shift(x: Tensor, offset) -> Tensor:
-    """Add a constant (scalar or array) to a tensor; no gradient to offset."""
-    out = Tensor(x.values + np.asarray(offset, dtype=np.float64))
+def mean_abs_error(preds: list[Tensor], targets, scale=1.0, center=0.0) -> Tensor:
+    """Mean |pred - target| over every entry of ``preds`` (flattened in
+    order) against a flat sequence of constant targets; the L1 training
+    loss.
+
+    Targets may be given in output units (scalar or per-entry ``scale`` and
+    ``center``): each residual is then ``center + scale * pred - target``,
+    divided by ``scale``, so a target computed as ``center + scale * pred``
+    gives an exactly zero residual and no gradient.
+    """
+    sizes = [p.values.size for p in preds]
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
+    if sum(sizes) != targets.size:
+        raise DimensionError(f"{sum(sizes)} predictions vs {targets.size} targets")
+    if not sizes:
+        raise DimensionError("mean_abs_error of no predictions")
+    flat = np.concatenate([p.values.reshape(-1) for p in preds])
+    diff = (center + scale * flat - targets) / scale
+    out = Tensor(np.mean(np.abs(diff)))
     tape = _tape()
     if tape is not None:
-        tape._push(out, lambda g, acc: acc(x, g))
-    return out
-
-
-def component(x: Tensor, i: int) -> Tensor:
-    if x.values.ndim != 1:
-        raise DimensionError(f"component expects a vector, got shape {x.shape}")
-    out = Tensor(x.values[i])
-    tape = _tape()
-    if tape is not None:
+        sign = np.sign(diff)
+        splits = np.cumsum(sizes)[:-1]
 
         def adjoint(g, acc):
-            full = np.zeros_like(x.values)
-            full[i] = g
-            acc(x, full)
+            flat = g / diff.size * sign
+            for p, piece in zip(preds, np.split(flat, splits)):
+                acc(p, piece.reshape(p.values.shape))
 
         tape._push(out, adjoint)
     return out
-
-
-def stack(scalars: list[Tensor]) -> Tensor:
-    if not scalars:
-        raise DimensionError("stack of empty list")
-    out = Tensor(np.array([s.values for s in scalars]))
-    tape = _tape()
-    if tape is not None:
-
-        def adjoint(g, acc):
-            for k, s in enumerate(scalars):
-                acc(s, g[k])
-
-        tape._push(out, adjoint)
-    return out
-
-
-def absolute(x: Tensor) -> Tensor:
-    out = Tensor(np.abs(x.values))
-    tape = _tape()
-    if tape is not None:
-        sign = np.sign(x.values)
-        tape._push(out, lambda g, acc: acc(x, g * sign))
-    return out
-
-
-def mean(x: Tensor) -> Tensor:
-    out = Tensor(np.mean(x.values))
-    tape = _tape()
-    if tape is not None:
-        n = x.values.size
-        tape._push(out, lambda g, acc: acc(x, np.full_like(x.values, g / n)))
-    return out
-
-
-def mean_abs_error(preds: list[Tensor], targets: list[float]) -> Tensor:
-    """Mean |pred - target| over scalar predictions; the L1 training loss."""
-    if len(preds) != len(targets):
-        raise DimensionError(
-            f"{len(preds)} predictions vs {len(targets)} targets"
-        )
-    return mean(absolute(shift(stack(preds), [-t for t in targets])))
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,11 @@ def _load_config(args) -> tuple[ModelConfig, TrainConfig, MatchSettings]:
     if "mlp_hidden" in model_kw:
         model_kw["mlp_hidden"] = tuple(model_kw["mlp_hidden"])
     ga_kw = match_kw.pop("ga", {})
-    match = MatchSettings(ga=GASettings(**ga_kw), **match_kw)
-    return ModelConfig(**model_kw), TrainConfig(**train_kw), match
+    try:
+        match = MatchSettings(ga=GASettings(**ga_kw), **match_kw)
+        return ModelConfig(**model_kw), TrainConfig(**train_kw), match
+    except TypeError as exc:  # a misspelled or unknown key
+        raise ValueError(f"{args.config}: {exc}") from exc
 
 
 def _read_peaks(spec: str):
@@ -183,6 +186,7 @@ def _dispatch(args) -> int:
 
     checkpoint = load_checkpoint(args.checkpoint)
     model = checkpoint.build_model()
+    _, _, match = _load_config(args)
 
     if args.command == "predict":
         molecule = prepare_molecule(args.smiles)
@@ -205,7 +209,7 @@ def _dispatch(args) -> int:
         solvent = normalize_solvent(args.solvent)
         observations = _read_peaks(args.peaks)
         preds = model.predict_cross_peaks(molecule, solvent)
-        labels = pseudo_annotate(molecule, preds, observations)
+        labels = pseudo_annotate(molecule, preds, observations, match)
         if labels is None:
             raise MatchingError("nothing to assign (no peaks)")
         rows = [
@@ -235,7 +239,9 @@ def _dispatch(args) -> int:
         if not testset:
             raise DataFormatError(f"{args.test}: no usable annotated records")
         seed = args.seed if args.seed is not None else 0
-        report = evaluate(model, testset, solvent_mode=args.solvent_mode, seed=seed)
+        report = evaluate(
+            model, testset, solvent_mode=args.solvent_mode, seed=seed, match=match
+        )
         _emit(report.to_dict())
         return EXIT_OK
 
@@ -245,7 +251,7 @@ def _dispatch(args) -> int:
         observations = _read_peaks(args.peaks)
         preds = model.predict_cross_peaks(molecule, solvent)
         fmt = args.format or ("csv" if args.out.suffix.lower() == ".csv" else "svg")
-        export_overlay(preds, observations, args.out, fmt=fmt)
+        export_overlay(preds, observations, args.out, fmt=fmt, match=match)
         if not args.quiet:
             print(f"wrote {args.out}")
         return EXIT_OK

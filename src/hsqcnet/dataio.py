@@ -20,7 +20,8 @@ import numpy as np
 
 from .assign import ingest_peaks
 from .model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
-from .smiles import SmilesParseError, canonical_smiles, parse_smiles
+from .smiles import SmilesParseError, canonical_smiles
+from .smiles import parse_smiles  # noqa: F401  (benchmarks/tracing.py wraps dataio.parse_smiles)
 from .train import Sample1D, SampleHSQC
 
 log = logging.getLogger(__name__)
@@ -148,7 +149,7 @@ def _build_sample(record: dict, kind: str):
         raise DataFormatError("record has no smiles field")
     molecule = prepare_molecule(smiles)
     solvent = normalize_solvent(record.get("solvent"))
-    canon = canonical_smiles(parse_smiles(smiles))
+    canon = canonical_smiles(molecule.graph)
 
     if kind == "1d":
         c_targets = _shift_map(record.get("c_shifts"), molecule, element="C")

@@ -192,8 +192,7 @@ def evaluate(
                 peaks_agreeing=agree,
             )
         )
-    report = _aggregate(rows, solvent_mode, seed)
-    report.molecules_total = len(testset)
+    report = _aggregate(rows, solvent_mode, seed, len(testset))
     report.rejected = rejected
     report.per_solvent = {
         solvent.value: _subreport([r for r in rows if r.solvent is solvent])
@@ -217,7 +216,9 @@ def _subreport(rows: list[RecordEval]) -> dict:
     }
 
 
-def _aggregate(rows: list[RecordEval], solvent_mode: str, seed: int) -> EvalReport:
+def _aggregate(
+    rows: list[RecordEval], solvent_mode: str, seed: int, molecules_total: int
+) -> EvalReport:
     c = [e for r in rows for e in r.c_errors]
     h = [e for r in rows for e in r.h_errors]
     disagreeing = [r for r in rows if not r.all_correct]
@@ -233,7 +234,7 @@ def _aggregate(rows: list[RecordEval], solvent_mode: str, seed: int) -> EvalRepo
         seed=seed,
         mae_c=_mae(c),
         mae_h=_mae(h),
-        molecules_total=len(rows),
+        molecules_total=molecules_total,
         molecules_evaluated=len(rows),
         molecules_all_correct=correct,
         all_correct_fraction=correct / len(rows) if rows else float("nan"),
@@ -278,7 +279,6 @@ def export_overlay(
     path: str | Path,
     fmt: str = "svg",
     assignment: dict[tuple[int, int], int] | None = None,
-    c_scale: float = 10.0,
     match: MatchSettings | None = None,
 ) -> Path:
     """Write a prediction/observation overlay.
@@ -288,19 +288,21 @@ def export_overlay(
     distinct glyphs, matched pairs linked. CSV: one row per matched pair
     with full-precision values. ``assignment`` maps (carbon, slot) to an
     observed index; when omitted it is computed by the standard router.
+    The CSV cost column weighs carbon differences by ``match.c_scale``.
     """
     if fmt not in ("svg", "csv"):
         raise ValueError(f"format must be svg or csv, got {fmt!r}")
     if not predictions or not observations:
         raise ValueError("need at least one predicted and one observed peak")
+    match = match or MatchSettings()
     if assignment is None:
-        labels = pseudo_annotate(None, predictions, observations, match or MatchSettings())
+        labels = pseudo_annotate(None, predictions, observations, match)
         assignment = {
             (e.carbon_index, e.slot): e.obs_index for e in labels.entries
         }
     path = Path(path)
     if fmt == "csv":
-        _write_csv(predictions, observations, assignment, path, c_scale)
+        _write_csv(predictions, observations, assignment, path, match.c_scale)
     else:
         _write_svg(predictions, observations, assignment, path)
     return path

@@ -1,15 +1,21 @@
 """Cross-peak prediction network.
 
 A message-passing graph network over atoms (hydrogens included as nodes)
-feeds two MLP heads: one predicting the carbon shift of each C-H unit from
-the carbon embedding, one predicting a pair of proton shifts from the
-carbon embedding, the mean of its bonded-hydrogen embeddings, and a learned
+in matrix form (Gilmer et al. 2017): each layer gathers the rows of the
+directed edges' source atoms, turns them with the edge features into
+messages by one affine map, sums the messages onto the destination atoms,
+and updates every atom by a second affine map. One head evaluation over an
+array of carbons feeds two MLP heads: one predicts the carbon shift from
+the carbon embedding, one a pair of proton shifts from the carbon
+embedding, the mean of its bonded-hydrogen embeddings, and a learned
 solvent vector. Symmetry-equivalent units emit through one representative;
-methylene units may emit two peaks.
+methylene units may emit two peaks, and ``proton_outputs`` is the one rule
+for which proton output a (carbon, slot) target reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -134,18 +140,6 @@ def prepare_molecule(source: str | MolecularGraph) -> Molecule:
     )
 
 
-@dataclass
-class PeakTensors:
-    """Raw-head outputs for one emitted peak, kept for gradient flow."""
-
-    unit: CHUnit
-    slot: int
-    raw_c: Tensor
-    raw_h: Tensor
-    delta_c: float
-    delta_h: float
-
-
 def _parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     d = config.atom_dim
     shapes: list[tuple[str, tuple[int, ...], int]] = [
@@ -183,13 +177,23 @@ def _parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], i
 
 def count_parameters(config: ModelConfig) -> int:
     """Total scalar parameter count implied by a config."""
-    total = 0
-    for _, shape, _ in _parameter_shapes(config):
-        n = 1
-        for s in shape:
-            n *= s
-        total += n
-    return total
+    return sum(math.prod(shape) for _, shape, _ in _parameter_shapes(config))
+
+
+def proton_outputs(raw_h: Tensor, rows, slots, two_peak) -> Tensor:
+    """The proton output each (carbon, slot) target reads, from the
+    (k, 2) proton-pair outputs: the slot's own column when its carbon emits
+    two peaks, else the mean of the pair. ``rows`` picks each target's row
+    of ``raw_h``; ``two_peak`` says whether its carbon emits two peaks."""
+    n = len(rows)
+    columns = np.tile([0, 1], n)
+    weight = np.where(
+        np.repeat(np.asarray(two_peak, dtype=bool), 2),
+        columns == np.repeat(np.asarray(slots, dtype=np.intp) - 1, 2),
+        0.5,
+    )
+    picked = ad.gather(raw_h, (np.repeat(np.asarray(rows, dtype=np.intp), 2), columns))
+    return ad.segment_sum(ad.scale(picked, weight), np.repeat(np.arange(n), 2), n)
 
 
 class CrossPeakModel:
@@ -228,62 +232,72 @@ class CrossPeakModel:
     def count_parameters(self) -> int:
         return count_parameters(self.config)
 
-    # -- encoders -----------------------------------------------------------
+    # -- forward pass -------------------------------------------------------
 
-    def encode_atoms(self, graph: MolecularGraph) -> list[list[Tensor]]:
-        """Per-layer node embeddings, layers 0..L; hydrogens are nodes."""
-        p = self.params
-        d = self.config.atom_dim
-        h: list[Tensor] = []
-        for atom in graph.atoms:
+    def _embedding_sum(self, lookups: list[tuple[str, list[int]]], rows: int) -> Tensor:
+        """Row-wise sum of embedding rows, one table per (name, row ids) pair."""
+        parts = [ad.gather(self.params[name], ids) for name, ids in lookups]
+        segments = np.tile(np.arange(rows), len(parts))
+        return ad.segment_sum(ad.concat(parts, axis=0), segments, rows)
+
+    def encode_atoms(self, graph: MolecularGraph) -> list[Tensor]:
+        """Node embeddings of layers 0..L, each an (atoms, atom_dim) row
+        batch; hydrogens are nodes.
+
+        Each layer gathers the source rows of the directed edges, maps
+        them with their edge features to messages, sums the messages onto
+        the destination nodes and maps each node with its message sum.
+        """
+        atoms = graph.atoms
+        for atom in atoms:
             if atom.hybridization is Hybridization.UNSPECIFIED:
                 raise ValueError(
                     f"atom {atom.index} has uninferred hybridization; run "
                     "infer_hybridization first"
                 )
-            h.append(
-                ad.neighbor_sum(
-                    [
-                        ad.embedding_lookup(p["embed.element"], SYMBOL_INDEX[atom.element]),
-                        ad.embedding_lookup(p["embed.chirality"], _CHIRALITY_INDEX[atom.chirality]),
-                        ad.embedding_lookup(p["embed.hybridization"], _HYBRID_INDEX[atom.hybridization]),
-                    ]
-                )
-            )
-        edge: dict[frozenset[int], Tensor] = {}
-        for bond in graph.bonds:
-            edge[frozenset(bond.endpoints)] = ad.neighbor_sum(
-                [
-                    ad.embedding_lookup(p["embed.bond_type"], _BOND_INDEX[bond.bond_type]),
-                    ad.embedding_lookup(p["embed.direction"], _DIRECTION_INDEX[bond.direction]),
-                ]
-            )
+        n = len(atoms)
+        src = [u for v in range(n) for u in graph.adjacency[v]]
+        dst = [v for v in range(n) for _ in graph.adjacency[v]]
+        bonds = [graph.bond_between(u, v) for u, v in zip(src, dst)]
+        h = self._embedding_sum(
+            [
+                ("embed.element", [SYMBOL_INDEX[a.element] for a in atoms]),
+                ("embed.chirality", [_CHIRALITY_INDEX[a.chirality] for a in atoms]),
+                ("embed.hybridization", [_HYBRID_INDEX[a.hybridization] for a in atoms]),
+            ],
+            n,
+        )
+        edge = self._embedding_sum(
+            [
+                ("embed.bond_type", [_BOND_INDEX[b.bond_type] for b in bonds]),
+                ("embed.direction", [_DIRECTION_INDEX[b.direction] for b in bonds]),
+            ],
+            len(bonds),
+        )
+        p = self.params
         layers = [h]
         for layer in range(1, self.config.num_layers + 1):
-            w_msg, b_msg = p[f"layer{layer}.msg.w"], p[f"layer{layer}.msg.b"]
-            w_upd, b_upd = p[f"layer{layer}.upd.w"], p[f"layer{layer}.upd.b"]
-            prev = layers[-1]
-            nxt: list[Tensor] = []
-            for atom in graph.atoms:
-                v = atom.index
-                messages = [
-                    ad.relu(
-                        ad.affine(
-                            ad.concat([prev[u], edge[frozenset((u, v))]]), w_msg, b_msg
-                        )
-                    )
-                    for u in graph.adjacency[v]
-                ]
-                m = ad.neighbor_sum(messages, width=d)
-                pre = ad.affine(ad.concat([prev[v], m]), w_upd, b_upd)
-                nxt.append(pre if layer == self.config.num_layers else ad.relu(pre))
-            layers.append(nxt)
+            messages = ad.relu(
+                ad.affine(
+                    ad.concat([ad.gather(h, src), edge]),
+                    p[f"layer{layer}.msg.w"],
+                    p[f"layer{layer}.msg.b"],
+                )
+            )
+            pre = ad.affine(
+                ad.concat([h, ad.segment_sum(messages, dst, n)]),
+                p[f"layer{layer}.upd.w"],
+                p[f"layer{layer}.upd.b"],
+            )
+            h = pre if layer == self.config.num_layers else ad.relu(pre)
+            layers.append(h)
         return layers
 
-    def encode_solvent(self, solvent: SolventClass) -> Tensor:
-        return ad.embedding_lookup(
-            self.params["embed.solvent_h"], SOLVENT_INDEX[solvent]
-        )
+    def encode_solvent(
+        self, solvent: SolventClass, rows: int = 1, table: str = "embed.solvent_h"
+    ) -> Tensor:
+        """The solvent's learned vector from ``table``, repeated on ``rows`` rows."""
+        return ad.gather(self.params[table], np.full(rows, SOLVENT_INDEX[solvent]))
 
     def _mlp(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
@@ -291,64 +305,73 @@ class CrossPeakModel:
         h2 = ad.relu(ad.affine(h1, p[f"{prefix}.w2"], p[f"{prefix}.b2"]))
         return ad.affine(h2, p[f"{prefix}.w3"], p[f"{prefix}.b3"])
 
-    # -- heads --------------------------------------------------------------
+    def head_outputs(
+        self, molecule: Molecule, solvent: SolventClass, carbons
+    ) -> tuple[Tensor, Tensor]:
+        """One forward pass: raw carbon outputs (k,) and raw proton-pair
+        outputs (k, 2) for an array of k carbon indices.
 
-    def _unit_head_tensors(
-        self, molecule: Molecule, solvent: SolventClass
-    ) -> list[tuple[CHUnit, Tensor, Tensor]]:
-        """(unit, raw carbon scalar, raw 2-vector of proton outputs) per
-        representative C-H unit."""
-        final = self.encode_atoms(molecule.graph)[-1]
-        s_h = self.encode_solvent(solvent)
-        out = []
-        for unit in molecule.units:
-            if not unit.is_representative:
-                continue
-            h_c = final[unit.carbon_index]
-            if self.config.solvent_dim_c > 0:
-                s_c = ad.embedding_lookup(
-                    self.params["embed.solvent_c"], SOLVENT_INDEX[solvent]
-                )
-                c_in = ad.concat([h_c, s_c])
-            else:
-                c_in = h_c
-            raw_c = ad.component(self._mlp("c_head", c_in), 0)
-            h_mean = ad.scale(
-                ad.neighbor_sum([final[j] for j in unit.hydrogen_indices]),
-                1.0 / len(unit.hydrogen_indices),
-            )
-            raw_h = self._mlp("h_head", ad.concat([h_c, h_mean, s_h]))
-            out.append((unit, raw_c, raw_h))
-        return out
-
-    def peak_tensors(
-        self, molecule: Molecule, solvent: SolventClass
-    ) -> list[PeakTensors]:
-        """Emitted peaks with live tensors; the training path."""
-        cfg = self.config
-        peaks: list[PeakTensors] = []
-        for unit, raw_c, raw_h in self._unit_head_tensors(molecule, solvent):
-            delta_c = cfg.c_center + cfg.c_scale * raw_c.item()
-            slot_a = ad.component(raw_h, 0)
-            slot_b = ad.component(raw_h, 1)
-            ppm_a = cfg.h_center + cfg.h_scale * slot_a.item()
-            ppm_b = cfg.h_center + cfg.h_scale * slot_b.item()
-            merged = ad.scale(ad.neighbor_sum([slot_a, slot_b]), 0.5)
-            if unit.max_peaks == 1 or abs(ppm_a - ppm_b) < cfg.merge_tolerance_h:
-                peaks.append(
-                    PeakTensors(unit, 1, raw_c, merged, delta_c, (ppm_a + ppm_b) / 2)
-                )
-            else:
-                peaks.append(PeakTensors(unit, 1, raw_c, slot_a, delta_c, ppm_a))
-                peaks.append(PeakTensors(unit, 2, raw_c, slot_b, delta_c, ppm_b))
-        return peaks
+        The carbon head reads the carbon's final embedding (plus the carbon
+        solvent vector when configured); the proton head reads the carbon
+        embedding, the mean embedding of its bonded hydrogens, and the
+        proton solvent vector.
+        """
+        graph = molecule.graph
+        final = self.encode_atoms(graph)[-1]
+        carbons = np.asarray(carbons, dtype=np.intp)
+        k = len(carbons)
+        hydrogens = [
+            (nb, row)
+            for row, carbon in enumerate(carbons)
+            for nb in graph.adjacency[carbon]
+            if graph.atoms[nb].element == "H"
+        ]
+        h_index = np.array([nb for nb, _ in hydrogens], dtype=np.intp)
+        h_row = np.array([row for _, row in hydrogens], dtype=np.intp)
+        # a carbon without hydrogens (a 1D carbon target) gets a zero mean
+        counts = np.maximum(np.bincount(h_row, minlength=k), 1)
+        h_c = ad.gather(final, carbons)
+        c_in = h_c
+        if self.config.solvent_dim_c > 0:
+            c_in = ad.concat([h_c, self.encode_solvent(solvent, k, "embed.solvent_c")])
+        raw_c = ad.gather(self._mlp("c_head", c_in), (np.arange(k), np.zeros(k, np.intp)))
+        h_mean = ad.scale(
+            ad.segment_sum(ad.gather(final, h_index), h_row, k), 1.0 / counts[:, None]
+        )
+        raw_h = self._mlp(
+            "h_head", ad.concat([h_c, h_mean, self.encode_solvent(solvent, k)])
+        )
+        return raw_c, raw_h
 
     def predict_cross_peaks(
         self, molecule: Molecule, solvent: SolventClass
     ) -> list[PredictedPeak]:
+        """Peaks of the representative C-H units. A methylene emits both
+        proton outputs as separate peaks unless they lie within
+        ``merge_tolerance_h`` ppm; every other unit emits one peak."""
+        cfg = self.config
+        units = [u for u in molecule.units if u.is_representative]
+        raw_c, raw_h = self.head_outputs(
+            molecule, solvent, [u.carbon_index for u in units]
+        )
+        pair_ppm = cfg.h_center + cfg.h_scale * raw_h.values
+        rows: list[int] = []
+        slots: list[int] = []
+        split: list[bool] = []
+        for row, unit in enumerate(units):
+            two = unit.max_peaks == 2 and not (
+                abs(pair_ppm[row, 0] - pair_ppm[row, 1]) < cfg.merge_tolerance_h
+            )
+            for slot in (1, 2) if two else (1,):
+                rows.append(row)
+                slots.append(slot)
+                split.append(two)
+        protons = proton_outputs(raw_h, rows, slots, split)
         peaks = [
-            PredictedPeak(pt.unit, pt.delta_c, pt.delta_h, pt.slot)
-            for pt in self.peak_tensors(molecule, solvent)
+            PredictedPeak(
+                units[row], self.ppm_c(float(raw_c.values[row])), self.ppm_h(float(h)), slot
+            )
+            for row, slot, h in zip(rows, slots, protons.values)
         ]
         for peak in peaks:
             if not (np.isfinite(peak.delta_c) and np.isfinite(peak.delta_h)):
@@ -372,51 +395,31 @@ class CrossPeakModel:
         the model cannot cover raises ValueError.
         """
         graph = molecule.graph
-        final = self.encode_atoms(graph)[-1]
-        s_h = self.encode_solvent(solvent)
-        c_out: dict[int, Tensor] = {}
+        atoms = graph.atoms
         for idx in need_c:
-            if idx >= len(graph.atoms) or graph.atoms[idx].element != "C":
+            if idx >= len(atoms) or atoms[idx].element != "C":
                 raise ValueError(f"carbon target index {idx} is not a carbon atom")
-            h_c = final[idx]
-            if self.config.solvent_dim_c > 0:
-                s_c = ad.embedding_lookup(
-                    self.params["embed.solvent_c"], SOLVENT_INDEX[solvent]
-                )
-                c_in = ad.concat([h_c, s_c])
-            else:
-                c_in = h_c
-            c_out[idx] = ad.component(self._mlp("c_head", c_in), 0)
-        h_out: dict[int, Tensor] = {}
-        carbon_cache: dict[int, Tensor] = {}
+        carbon_of: dict[int, int] = {}
         for idx in need_h:
-            if idx >= len(graph.atoms) or graph.atoms[idx].element != "H":
+            if idx >= len(atoms) or atoms[idx].element != "H":
                 raise ValueError(f"proton target index {idx} is not a hydrogen atom")
-            carbons = [
-                nb for nb in graph.adjacency[idx] if graph.atoms[nb].element == "C"
-            ]
+            carbons = [nb for nb in graph.adjacency[idx] if atoms[nb].element == "C"]
             if not carbons:
                 raise ValueError(
                     f"no prediction covers hydrogen {idx}: not bonded to carbon"
                 )
-            carbon = carbons[0]
-            if carbon not in carbon_cache:
-                hydrogens = [
-                    nb
-                    for nb in graph.adjacency[carbon]
-                    if graph.atoms[nb].element == "H"
-                ]
-                h_mean = ad.scale(
-                    ad.neighbor_sum([final[j] for j in hydrogens]),
-                    1.0 / len(hydrogens),
-                )
-                raw_h = self._mlp("h_head", ad.concat([final[carbon], h_mean, s_h]))
-                carbon_cache[carbon] = ad.scale(
-                    ad.neighbor_sum([ad.component(raw_h, 0), ad.component(raw_h, 1)]),
-                    0.5,
-                )
-            h_out[idx] = carbon_cache[carbon]
-        return c_out, h_out
+            carbon_of[idx] = carbons[0]
+        proton_carbons = list(dict.fromkeys(carbon_of.values()))
+        carbons = list(dict.fromkeys([*need_c, *proton_carbons]))
+        row = {carbon: r for r, carbon in enumerate(carbons)}
+        raw_c, raw_h = self.head_outputs(molecule, solvent, carbons)
+        c_out = {idx: ad.gather(raw_c, row[idx]) for idx in need_c}
+        n = len(proton_carbons)
+        means = proton_outputs(
+            raw_h, [row[c] for c in proton_carbons], [1] * n, [False] * n
+        )
+        h_at = {carbon: ad.gather(means, k) for k, carbon in enumerate(proton_carbons)}
+        return c_out, {idx: h_at[carbon] for idx, carbon in carbon_of.items()}
 
     # -- unit conversions ----------------------------------------------------
 

@@ -127,12 +127,6 @@ class MolecularGraph:
             if atom.element not in ATOMIC_MASS:
                 raise ValueError(f"unknown element {atom.element!r} at atom {i}")
 
-    def bond_order_sum(self, atom: int) -> float:
-        return sum(
-            BOND_ORDER[self.bonds[self._bond_at[(atom, nb)]].bond_type]
-            for nb in self.adjacency[atom]
-        )
-
     def bonding_number(self, atom: int) -> int:
         """Integer bond-order total used for implicit-H inference.
 

@@ -10,7 +10,7 @@ targets, until the assignments stop moving or the iteration cap hits.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,13 @@ from .assign import (
     pseudo_annotate,
 )
 from .autodiff import Adam, ComputeRecord, Tensor, backward, zero_gradients
-from .model import CrossPeakModel, ModelConfig, Molecule, SolventClass
+from .model import (
+    CrossPeakModel,
+    ModelConfig,
+    Molecule,
+    SolventClass,
+    proton_outputs,
+)
 
 log = logging.getLogger(__name__)
 
@@ -38,10 +44,6 @@ class Sample1D:
     c_targets: dict[int, float]
     h_targets: dict[int, float]
 
-    @property
-    def graph(self):
-        return self.molecule.graph
-
     def __post_init__(self) -> None:
         if not self.c_targets and not self.h_targets:
             raise ValueError(f"sample {self.molecule.smiles!r} has no shift targets")
@@ -53,10 +55,6 @@ class SampleHSQC:
     solvent: SolventClass
     peaks: list[ObservedPeak]
     saccharide: bool = False
-
-    @property
-    def graph(self):
-        return self.molecule.graph
 
 
 @dataclass(frozen=True)
@@ -303,33 +301,26 @@ def _finetune_loss(
     two proton outputs were emitted separately at annotation time,
     otherwise the single label trains the slot mean. This keeps the loss
     well-defined even if the merge decision flips during the iteration.
+    Residuals are taken in ppm, as the peaks were emitted, so labels equal
+    to the model's own predictions give exactly zero loss and gradient.
     """
-    heads = {
-        unit.carbon_index: (raw_c, raw_h)
-        for unit, raw_c, raw_h in model._unit_head_tensors(sample.molecule, sample.solvent)
-    }
-    by_carbon: dict[int, list] = {}
-    for entry in labels.entries:
-        by_carbon.setdefault(entry.carbon_index, []).append(entry)
-    terms: list[Tensor] = []
-    targets: list[float] = []
-    for carbon in sorted(by_carbon):
-        raw_c, raw_h = heads[carbon]
-        entries = sorted(by_carbon[carbon], key=lambda e: e.slot)
-        two_slot = any(e.slot == 2 for e in entries)
-        for entry in entries:
-            terms.append(raw_c)
-            targets.append(model.normalize_c(entry.delta_c))
-            if two_slot:
-                h_tensor = ad.component(raw_h, entry.slot - 1)
-            else:
-                h_tensor = ad.scale(
-                    ad.neighbor_sum([ad.component(raw_h, 0), ad.component(raw_h, 1)]),
-                    0.5,
-                )
-            terms.append(h_tensor)
-            targets.append(model.normalize_h(entry.delta_h))
-    return ad.mean_abs_error(terms, targets)
+    entries = sorted(labels.entries, key=lambda e: (e.carbon_index, e.slot))
+    carbons = sorted({e.carbon_index for e in entries})
+    split = {e.carbon_index for e in entries if e.slot == 2}
+    row = {carbon: r for r, carbon in enumerate(carbons)}
+    rows = [row[e.carbon_index] for e in entries]
+    raw_c, raw_h = model.head_outputs(sample.molecule, sample.solvent, carbons)
+    protons = proton_outputs(
+        raw_h, rows, [e.slot for e in entries], [e.carbon_index in split for e in entries]
+    )
+    cfg = model.config
+    n = len(entries)
+    return ad.mean_abs_error(
+        [ad.gather(raw_c, rows), protons],
+        [e.delta_c for e in entries] + [e.delta_h for e in entries],
+        scale=np.repeat([cfg.c_scale, cfg.h_scale], n),
+        center=np.repeat([cfg.c_center, cfg.h_center], n),
+    )
 
 
 def pseudo_label_training_loss(
@@ -440,12 +431,7 @@ def finetune_unsupervised(
     iterations_run = 0
 
     for iteration in range(1, config.max_iterations + 1):
-        settings = MatchSettings(
-            c_scale=match.c_scale,
-            reject_threshold=match.reject_threshold,
-            ga=match.ga,
-            iteration=iteration,
-        )
+        settings = replace(match, iteration=iteration)
         labels = annotate_dataset(model, dataset, settings)
         usable = [
             (sample, lab)

@@ -53,7 +53,7 @@ def test_backward_dot_product_gradient_is_input():
     w = Parameter(np.array([[0.5, -1.0, 2.0]]), "w")
     b = p([0.0], "b")
     with ComputeRecord() as rec:
-        loss = ad.component(ad.affine(Tensor(x), w, b), 0)
+        loss = ad.gather(ad.affine(Tensor(x), w, b), 0)
     backward(loss, rec)
     assert np.allclose(w.grad, x.reshape(1, 3))
     assert np.allclose(b.grad, [1.0])
@@ -62,7 +62,7 @@ def test_backward_dot_product_gradient_is_input():
 def test_relu_blocks_gradient():
     x = p([-5.0], "x")
     with ComputeRecord() as rec:
-        loss = ad.component(ad.relu(x), 0)
+        loss = ad.gather(ad.relu(x), 0)
     backward(loss, rec)
     assert x.grad[0] == 0.0
     assert float(ad.relu(Tensor([-5.0])).values[0]) == 0.0
@@ -70,35 +70,48 @@ def test_relu_blocks_gradient():
 
 def test_embedding_lookup_row_and_scatter():
     table = p(np.arange(12.0).reshape(4, 3), "table")
-    row = ad.embedding_lookup(table, 2)
+    row = ad.gather(table, 2)
     assert np.array_equal(row.values, [6.0, 7.0, 8.0])
+    rows = ad.gather(table, [3, 0])
+    assert np.array_equal(rows.values, [[9.0, 10.0, 11.0], [0.0, 1.0, 2.0]])
     with ComputeRecord() as rec:
-        a = ad.embedding_lookup(table, 1)
-        b = ad.embedding_lookup(table, 1)
-        loss = ad.mean(ad.neighbor_sum([a, b]))
+        both = ad.gather(table, [1, 1])  # a repeated row scatter-adds
+        loss = ad.mean_abs_error([both], np.full(6, -100.0))
     backward(loss, rec)
-    assert np.allclose(table.grad[1], 2.0 / 3.0)  # two lookups double the row grad
+    assert np.allclose(table.grad[1], 2.0 / 6.0)  # two reads double the row grad
     assert np.all(table.grad[0] == 0.0)
     assert np.all(table.grad[2:] == 0.0)
 
 
 def test_embedding_lookup_out_of_range():
+    table = p(np.zeros((2, 3)), "t")
     with pytest.raises(IndexError):
-        ad.embedding_lookup(p(np.zeros((2, 3)), "t"), 2)
+        ad.gather(table, 2)
+    with pytest.raises(IndexError):
+        ad.gather(table, [0, -1])  # no silent wrap-around
+    with pytest.raises(IndexError):
+        ad.gather(table, ([0], [3]))
+    with pytest.raises(IndexError):
+        ad.segment_sum(Tensor(np.ones((2, 3))), [0, 2], 2)
 
 
 def test_neighbor_sum_conventions():
     width = 4
-    zero = ad.neighbor_sum([], width=width)
-    assert np.array_equal(zero.values, np.zeros(width))
-    v = Tensor([1.0, -2.0])
-    assert np.array_equal(ad.neighbor_sum([v]).values, v.values)
-    cancel = ad.neighbor_sum([v, Tensor([-1.0, 2.0])])
-    assert np.array_equal(cancel.values, np.zeros(2))
+    zero = ad.segment_sum(Tensor(np.zeros((0, width))), [], 3)
+    assert np.array_equal(zero.values, np.zeros((3, width)))
+    v = Tensor([[1.0, -2.0]])
+    assert np.array_equal(ad.segment_sum(v, [0], 1).values, v.values)
+    rows = Tensor([[1.0, -2.0], [5.0, 5.0], [-1.0, 2.0]])
+    summed = ad.segment_sum(rows, [0, 2, 0], 3)  # node 1 has no neighbours
+    assert np.array_equal(summed.values, [[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
     with pytest.raises(DimensionError):
-        ad.neighbor_sum([v, Tensor([1.0, 2.0, 3.0])])
+        ad.segment_sum(rows, [0, 1], 3)  # one segment id per row
     with pytest.raises(DimensionError):
-        ad.neighbor_sum([])
+        ad.concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))], axis=1)
+    with pytest.raises(DimensionError):
+        ad.concat([])
+    with pytest.raises(DimensionError):
+        ad.mean_abs_error([Tensor([1.0, 2.0])], [0.0])
 
 
 def test_non_scalar_loss_rejected():
@@ -111,23 +124,29 @@ def test_non_scalar_loss_rejected():
 
 def test_finite_difference_on_composed_function():
     rng = np.random.default_rng(42)
-    w1 = p(rng.normal(size=(5, 3)) * 0.5, "w1")
+    w1 = p(rng.normal(size=(5, 6)) * 0.5, "w1")
     b1 = p(rng.normal(size=5) * 0.1, "b1")
     w2 = p(rng.normal(size=(2, 5)) * 0.5, "w2")
     b2 = p(rng.normal(size=2) * 0.1, "b2")
-    x = rng.normal(size=3)
-    targets = [0.3, -0.7]
+    table = p(rng.normal(size=(4, 3)), "table")
+    rows = rng.normal(size=(2, 3))
+    targets = [0.3, -0.7, 0.1, 0.9, -0.2, 0.4]
 
     def forward():
-        hidden = ad.relu(ad.affine(Tensor(x), w1, b1))
-        out = ad.affine(hidden, w2, b2)
-        return ad.mean_abs_error([ad.component(out, 0), ad.component(out, 1)], targets)
+        # a toy batched message pass: gather, concat, two affine maps, a
+        # segment sum onto three nodes, a per-row scale, and the L1 loss
+        # against targets in output units
+        x = ad.concat([ad.gather(table, [2, 0, 2, 1]), Tensor(rows[[0, 1, 1, 0]])])
+        hidden = ad.relu(ad.affine(x, w1, b1))
+        nodes = ad.segment_sum(hidden, [0, 2, 0, 1], 3)
+        out = ad.affine(ad.scale(nodes, [[1.0], [0.5], [2.0]]), w2, b2)
+        return ad.mean_abs_error([out], targets, scale=2.0, center=0.5)
 
     with ComputeRecord() as rec:
         loss = forward()
     backward(loss, rec)
     step = 1e-5
-    for param in (w1, b1, w2, b2):
+    for param in (table, w1, b1, w2, b2):
         flat = param.values.reshape(-1)
         grad = param.grad.reshape(-1)
         for k in range(0, flat.size, max(1, flat.size // 4)):
@@ -149,7 +168,7 @@ def test_determinism_same_seed_bit_identical():
         b = ad.uniform_init(rng, (4,), 4, "b")
         with ComputeRecord() as rec:
             out = ad.relu(ad.affine(Tensor([1.0, 2.0, 3.0, 4.0]), w, b))
-            loss = ad.mean(out)
+            loss = ad.mean_abs_error([out], np.zeros(4))
         backward(loss, rec)
         return loss.item(), w.grad.copy()
 
@@ -171,7 +190,7 @@ def test_gradients_accumulate_across_backwards():
     b = p(np.zeros(1), "b")
     for _ in range(2):
         with ComputeRecord() as rec:
-            loss = ad.component(ad.affine(Tensor([3.0]), w, b), 0)
+            loss = ad.gather(ad.affine(Tensor([3.0]), w, b), 0)
         backward(loss, rec)
     assert w.grad[0, 0] == pytest.approx(6.0)
 
@@ -182,7 +201,7 @@ def test_adam_reduces_simple_objective():
     for _ in range(200):
         opt.zero_grad()
         with ComputeRecord() as rec:
-            loss = ad.mean(ad.absolute(ad.shift(w, -1.0)))
+            loss = ad.mean_abs_error([w], [1.0])
         backward(loss, rec)
         opt.step()
     assert abs(w.values[0] - 1.0) < 0.2
@@ -193,4 +212,7 @@ def test_concat_and_component_round_trip():
     b = Tensor([3.0])
     cat = ad.concat([a, b])
     assert np.array_equal(cat.values, [1.0, 2.0, 3.0])
-    assert ad.component(cat, 2).item() == 3.0
+    assert ad.gather(cat, 2).item() == 3.0
+    rows = ad.concat([Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])], axis=0)
+    assert np.array_equal(rows.values, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(ad.gather(rows, ([1, 0], [0, 1])).values, [3.0, 2.0])

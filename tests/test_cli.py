@@ -104,6 +104,25 @@ def test_assign_json_and_text(tiny_checkpoint, tmp_path):
     assert "matcher: hungarian" in proc.stdout
 
 
+def test_assign_reads_match_section_of_config(tiny_checkpoint, tmp_path):
+    config = tmp_path / "match.json"
+    config.write_text(json.dumps({"match": {"c_scale": 1000}}))
+    peaks = json.dumps([[128.0, 7.3]])
+    costs = []
+    for extra in ((), ("--config", str(config))):
+        proc = run_cli("--quiet", *extra, "assign", "c1ccccc1",
+                       "--checkpoint", str(tiny_checkpoint), "--peaks", peaks,
+                       "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        costs.append(json.loads(proc.stdout)["mean_cost"])
+    assert costs[0] != costs[1]
+    config.write_text(json.dumps({"match": {"c_scal": 1000}}))
+    proc = run_cli("--quiet", "--config", str(config), "assign", "c1ccccc1",
+                   "--checkpoint", str(tiny_checkpoint), "--peaks", peaks)
+    assert proc.returncode == 1
+    assert "c_scal" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_assign_accepts_peaks_file(tiny_checkpoint, tmp_path):
     peaks_file = tmp_path / "peaks.json"
     peaks_file.write_text(json.dumps([[18.0, 1.2], [58.0, 3.6]]))

@@ -1,0 +1,109 @@
+"""The public names benchmarks/tracing.py wraps to time each layer.
+
+The traced benchmark replaces module and class attributes with timing
+wrappers, so a call that stops going through one of these names (or a name
+that disappears) silently zeroes a per-layer metric. Each test wraps the
+names with counters and checks that the library's own calls reach them.
+"""
+
+from __future__ import annotations
+
+import importlib
+
+from hsqcnet import assign, autodiff, dataio, model, train
+from hsqcnet.assign import MatchSettings, ObservedPeak
+from hsqcnet.model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
+from hsqcnet.train import Sample1D, SampleHSQC, TrainConfig
+
+# by import path: the package attribute ``hsqcnet.evaluate`` is the function
+evaluate = importlib.import_module("hsqcnet.evaluate")
+
+TINY = ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4, mlp_hidden=(6, 5), seed=3)
+
+
+def counting(monkeypatch, owner, name, calls: list, record=None):
+    """Replace ``owner.name`` with a wrapper that appends one entry per call."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(record(args, kwargs) if record is not None else args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_every_traced_name_exists():
+    for owner, name in [
+        (model, "parse_smiles"), (dataio, "parse_smiles"),
+        (model, "prepare_molecule"), (dataio, "prepare_molecule"),
+        (model.CrossPeakModel, "encode_atoms"), (model.CrossPeakModel, "predict_cross_peaks"),
+        (model.CrossPeakModel, "atom_shift_tensors"),
+        (train, "backward"), (autodiff.Adam, "step"),
+        (assign, "cost_matrix"), (assign, "hungarian"), (assign, "graduated_assignment"),
+        (assign, "pseudo_annotate"), (train, "pseudo_annotate"), (evaluate, "pseudo_annotate"),
+        (train, "annotate_dataset"), (train, "matched_mae"), (train, "dataset_mae"),
+        (train, "mtt_pretrain"), (train, "finetune_unsupervised"),
+        (dataio, "load_dataset"), (dataio, "load_checkpoint"), (dataio, "save_checkpoint"),
+        (evaluate, "evaluate"),
+    ]:
+        assert callable(getattr(owner, name)), f"{owner.__name__}.{name}"
+
+
+def test_encode_atoms_reached_from_prediction_and_1d_targets(monkeypatch):
+    calls: list = []
+    counting(monkeypatch, CrossPeakModel, "encode_atoms", calls)
+    net = CrossPeakModel(TINY)
+    molecule = prepare_molecule("CCO")
+    net.predict_cross_peaks(molecule, SolventClass.DMSO)
+    assert len(calls) == 1
+    net.atom_shift_tensors(molecule, SolventClass.DMSO, [0], [3])
+    assert len(calls) == 2
+
+
+def test_training_reaches_backward_and_adam_step(monkeypatch):
+    tapes: list = []
+    steps: list = []
+    counting(monkeypatch, train, "backward", tapes, lambda a, k: a[1])
+    counting(monkeypatch, autodiff.Adam, "step", steps)
+    samples = [Sample1D(prepare_molecule("CCO"), SolventClass.UNKNOWN,
+                        {0: 18.0, 1: 58.0}, {3: 1.2})]
+    config = TrainConfig(epochs=1, batch_size=1, oversample_factor=2,
+                         validation_split=0.0, max_iterations=1)
+    pre = train.mtt_pretrain(samples, config, model_config=TINY)
+    assert len(tapes) == 2 and len(steps) == 2
+    hsqc = [SampleHSQC(prepare_molecule("CC"), SolventClass.UNKNOWN,
+                       [ObservedPeak(7.0, 0.9, 0)])]
+    train.finetune_unsupervised(pre.final_state, hsqc, None, config, model_config=TINY,
+                                match=MatchSettings(reject_threshold=1e9))
+    assert len(tapes) == 3 and len(steps) == 3
+    for record in tapes:
+        assert isinstance(record, autodiff.ComputeRecord)
+        assert len(record) > 0  # the traced tape size
+
+
+def test_pseudo_annotate_reaches_the_matchers(monkeypatch):
+    costs: list = []
+    exact: list = []
+    graduated: list = []
+    counting(monkeypatch, assign, "cost_matrix", costs)
+    counting(monkeypatch, assign, "hungarian", exact)
+    original = assign.graduated_assignment
+
+    def traced(preds, observations, settings=None, on_sweep=None):
+        sweeps: list = []
+        graduated.append(sweeps)
+        return original(preds, observations, settings, on_sweep=sweeps.append)
+
+    monkeypatch.setattr(assign, "graduated_assignment", traced)
+    net = CrossPeakModel(TINY)
+    molecule = prepare_molecule("c1ccccc1")
+    preds = net.predict_cross_peaks(molecule, SolventClass.UNKNOWN)
+    assert len(preds) == 1
+    assign.pseudo_annotate(molecule, preds, [ObservedPeak(128.0, 7.3, 0)])
+    assert (len(costs), len(exact), len(graduated)) == (1, 1, 0)
+    two = [ObservedPeak(128.0, 7.3, 0), ObservedPeak(120.0, 7.1, 1)]
+    labels = assign.pseudo_annotate(molecule, preds, two)
+    assert labels.provenance == "graduated"
+    assert (len(costs), len(exact), len(graduated)) == (2, 1, 1)
+    assert len(graduated[0]) > 0  # softassign sweeps reported through on_sweep
+

@@ -68,9 +68,9 @@ def test_benzene_embeddings_identical(tiny_config):
     mol = prepare_molecule("c1ccccc1")
     layers = model.encode_atoms(mol.graph)
     for layer in layers:
-        first = layer[0].values
+        first = layer.values[0]
         for i in range(1, 6):
-            assert np.allclose(layer[i].values, first, atol=1e-12, rtol=0)
+            assert np.allclose(layer.values[i], first, atol=1e-12, rtol=0)
 
 
 def test_single_atom_graph_message_is_zero(tiny_config):
@@ -78,7 +78,7 @@ def test_single_atom_graph_message_is_zero(tiny_config):
     mol = prepare_molecule("[Na+]")
     layers = model.encode_atoms(mol.graph)
     assert len(layers) == tiny_config.num_layers + 1
-    assert np.all(np.isfinite(layers[-1][0].values))
+    assert np.all(np.isfinite(layers[-1].values[0]))
 
 
 def test_uninferred_hybridization_rejected(tiny_config):
@@ -101,7 +101,7 @@ def test_permutation_equivariance_embeddings(tiny_config):
     layers = model.encode_atoms(permuted)[-1]
     for v in range(n):
         assert np.allclose(
-            layers[perm[v]].values, base[v].values, atol=1e-12, rtol=0
+            layers.values[perm[v]], base.values[v], atol=1e-12, rtol=0
         )
 
 
@@ -145,7 +145,8 @@ def test_solvent_rows_independent(tiny_config):
     model = CrossPeakModel(tiny_config)
     table = model.params["embed.solvent_h"]
     with ad.ComputeRecord() as rec:
-        loss = ad.mean(model.encode_solvent(SolventClass.DMSO))
+        vec = model.encode_solvent(SolventClass.DMSO)
+        loss = ad.mean_abs_error([vec], np.zeros(vec.values.size))
     ad.backward(loss, rec)
     dmso_row = list(SolventClass).index(SolventClass.DMSO)
     for row in range(table.values.shape[0]):

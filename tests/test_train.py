@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from hsqcnet import autodiff as ad
-from hsqcnet.assign import MatchSettings, ObservedPeak
+from hsqcnet.assign import MatchSettings, ObservedPeak, PseudoLabel, PseudoLabels
 from hsqcnet.model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
 from hsqcnet.train import (
     ConvergenceError,
     Sample1D,
     SampleHSQC,
     TrainConfig,
+    _finetune_loss,
     annotate_dataset,
     dataset_mae,
     finetune_unsupervised,
@@ -280,3 +281,48 @@ def test_oversampling_never_mutates_targets():
     mtt_pretrain(data, config, model_config=TINY)
     after = [(dict(s.c_targets), dict(s.h_targets)) for s in data]
     assert before == after
+
+
+@pytest.mark.parametrize("merge_tolerance_h", [0.0, 1e9])
+def test_one_head_path_for_prediction_1d_targets_and_finetuning(merge_tolerance_h):
+    config = ModelConfig(num_layers=2, atom_dim=10, solvent_dim_h=4, mlp_hidden=(8, 6),
+                         seed=5, merge_tolerance_h=merge_tolerance_h)
+    model = CrossPeakModel(config)
+    molecule = prepare_molecule("CCC(C)=O")  # carbon 1 is a methylene
+    solvent = SolventClass.DMSO
+    peaks = model.predict_cross_peaks(molecule, solvent)
+    slots = {(p.ch_unit.carbon_index, p.peak_slot): p for p in peaks}
+    assert ((1, 2) in slots) == (merge_tolerance_h == 0.0)
+
+    carbons = [u.carbon_index for u in molecule.units if u.is_representative]
+    methylene = next(u for u in molecule.units if u.carbon_index == 1)
+    raw_c, raw_h = model.head_outputs(molecule, solvent, carbons)
+    pair = raw_h.values[carbons.index(1)]
+    slot_mean = (pair[0] + pair[1]) * 0.5
+    c_out, h_out = model.atom_shift_tensors(
+        molecule, solvent, carbons, list(methylene.hydrogen_indices)
+    )
+    for hydrogen in methylene.hydrogen_indices:
+        assert h_out[hydrogen].item() == slot_mean
+    for row, carbon in enumerate(carbons):
+        assert c_out[carbon].item() == raw_c.values[row]
+        assert slots[(carbon, 1)].delta_c == model.ppm_c(raw_c.values[row])
+    if (1, 2) in slots:
+        assert slots[(1, 1)].delta_h == model.ppm_h(pair[0])
+        assert slots[(1, 2)].delta_h == model.ppm_h(pair[1])
+    else:
+        assert slots[(1, 1)].delta_h == model.ppm_h(slot_mean)
+
+    labels = PseudoLabels(
+        entries=[PseudoLabel(p.ch_unit.carbon_index, p.peak_slot, k, p.delta_c, p.delta_h)
+                 for k, p in enumerate(peaks)],
+        provenance="hungarian", iteration=1, mean_cost=0.0, rejected=False,
+    )
+    sample = SampleHSQC(molecule, solvent, [])
+    ad.zero_gradients(model.parameters())
+    with ad.ComputeRecord() as record:
+        loss = _finetune_loss(model, sample, labels)
+    ad.backward(loss, record)
+    assert loss.item() == 0.0
+    # a self-label is a fixed point: rounding in ppm conversions adds no gradient
+    assert all(np.all(p.grad == 0.0) for p in model.parameters())
