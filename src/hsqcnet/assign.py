@@ -1,7 +1,11 @@
 """Alignment of predicted cross peaks with observed peak lists.
 
 Equal cardinalities go through an exact one-to-one assignment (minimum
-total cost, deterministic lexicographic tie-break). Mismatched
+total cost, deterministic lexicographic tie-break): one
+``linear_sum_assignment`` solve, optimal dual potentials from shortest
+paths on its residual graph, and a tie-break search confined to the
+zero-reduced-cost edges, whose perfect matchings are exactly the optimal
+assignments (Jonker & Volgenant 1987). Mismatched
 cardinalities go through graduated assignment: an annealed softassign with
 alternating row/column normalization, hardened row by row into a
 one-to-many matching where every predicted peak lands on some observed peak.
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -35,10 +40,23 @@ def ingest_peaks(pairs) -> list[ObservedPeak]:
     """Build ObservedPeaks from [delta_c, delta_h] pairs.
 
     Values outside the loose plausibility windows (carbon 0..250, proton
-    -2..14) are kept but logged; non-finite values are rejected.
+    -2..14) are kept but logged; an entry that is not a pair of numbers is a
+    ``ValueError`` and a non-finite value a ``MatchingError``.
     """
+    if not isinstance(pairs, (list, tuple, np.ndarray)):
+        raise ValueError(
+            f"observed peaks must be a list of [delta_c, delta_h] pairs, got {pairs!r}"
+        )
     peaks = []
-    for i, (dc, dh) in enumerate(pairs):
+    for i, entry in enumerate(pairs):
+        try:
+            dc, dh = entry
+        except (TypeError, ValueError):
+            dc = dh = None
+        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in (dc, dh)):
+            raise ValueError(
+                f"observed peak {i} is not a [delta_c, delta_h] pair of numbers: {entry!r}"
+            )
         dc, dh = float(dc), float(dh)
         if not (np.isfinite(dc) and np.isfinite(dh)):
             raise MatchingError(f"non-finite observed peak at index {i}")
@@ -84,8 +102,13 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost one-to-one assignment of a square cost matrix.
 
     Returns the binary assignment matrix. Among equal-cost optima the
-    lexicographically smallest row-to-column mapping wins, found by fixing
-    rows in order to the smallest column that preserves optimality.
+    lexicographically smallest row-to-column mapping wins. One
+    ``linear_sum_assignment`` solve gives an optimum; shortest paths over
+    its columns give optimal dual potentials, and by complementary slackness
+    the optimal assignments are exactly the perfect matchings inside the
+    tight edges (reduced cost at most tol = 1e-9 * max(1, |optimum|),
+    so costs closer than that tie). The tie-break moves
+    rows, in order, to smaller tight columns along alternating paths.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -96,32 +119,80 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(cost)):
         raise MatchingError("non-finite entries in cost matrix")
     n = cost.shape[0]
-
-    def optimum(mat: np.ndarray) -> float:
-        if mat.size == 0:
-            return 0.0
-        rows, cols = linear_sum_assignment(mat)
-        return float(mat[rows, cols].sum())
-
-    best = optimum(cost)
+    if n <= 1:
+        return np.ones((n, n), dtype=np.int8)
+    rows, cols = linear_sum_assignment(cost)
+    best = float(cost[rows, cols].sum())
     tol = 1e-9 * max(1.0, abs(best))
-    remaining_cols = list(range(n))
+    cols = _lexicographic_first(_reduced_costs(cost, cols, tol) <= tol, cols)
     assignment = np.zeros((n, n), dtype=np.int8)
-    fixed = 0.0
-    for row in range(n):
-        sub_rows = list(range(row + 1, n))
-        for col in remaining_cols:
-            rest_cols = [c for c in remaining_cols if c != col]
-            rest = cost[np.ix_(sub_rows, rest_cols)] if sub_rows else np.empty((0, 0))
-            total = fixed + cost[row, col] + optimum(rest)
-            if total <= best + tol:
-                assignment[row, col] = 1
-                fixed += cost[row, col]
-                remaining_cols.remove(col)
-                break
-        else:  # numerically impossible, but fail loudly rather than silently
-            raise MatchingError("tie-break search failed to extend the assignment")
+    assignment[rows, cols] = 1
     return assignment
+
+
+def _reduced_costs(cost: np.ndarray, cols: np.ndarray, tol: float) -> np.ndarray:
+    """Reduced costs of every edge under dual potentials of the optimum ``cols``.
+
+    The column potentials are shortest-path distances on the residual graph:
+    moving row i from column cols[i] to column j costs
+    cost[i, j] - cost[i, cols[i]]. Each move gets a slack of tol / 4n so a
+    cycle that is negative only by rounding cannot stall the relaxation;
+    the reduced costs are then at least -tol / 4n, zero on ``cols``.
+    """
+    n = len(cols)
+    move = cost - cost[np.arange(n), cols][:, None]
+    step = move + tol / (4 * n)
+    dist = np.zeros(n)
+    for _ in range(n):
+        relaxed = np.minimum(dist, (dist[cols][:, None] + step).min(axis=0))
+        if np.array_equal(relaxed, dist):
+            return move + dist[cols][:, None] - dist[None, :]
+        dist = relaxed
+    raise MatchingError("dual relaxation did not converge: the assignment is not optimal")
+
+
+def _lexicographic_first(tight: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest perfect matching inside ``tight``,
+    starting from the perfect matching ``cols``.
+
+    Rows are fixed in order. Row r moves to the smallest tight column j below
+    its own whose owner can pass its column on, along tight edges of rows
+    after r, until one takes r's old column; the path is then rotated.
+    """
+    n = len(cols)
+    cols = cols.copy()
+    owner = np.empty(n, dtype=np.intp)
+    owner[cols] = np.arange(n)
+    for r in np.flatnonzero(tight.sum(axis=1) > 1):
+        below = np.flatnonzero(tight[r, : cols[r]])
+        below = below[owner[below] > r]
+        if below.size == 0:
+            continue
+        # Search backwards from r's column: a row reaches it when it has a
+        # tight edge to it or to the column of a row that reaches it.
+        target = np.full(n, -1)  # per reaching row, the column it moves to
+        open_rows = np.arange(n) > r
+        frontier = cols[r : r + 1]
+        while frontier.size:
+            hits = tight[:, frontier] & open_rows[:, None]
+            reached = np.flatnonzero(hits.any(axis=1))
+            target[reached] = frontier[hits[reached].argmax(axis=1)]
+            open_rows[reached] = False
+            frontier = cols[reached]
+        below = below[target[owner[below]] >= 0]
+        if below.size == 0:
+            continue
+        j = below[0]
+        row, freed = owner[j], cols[r]
+        cols[r], owner[j] = j, r
+        while True:
+            col = target[row]
+            nxt = owner[col]
+            cols[row], owner[col] = col, row
+            if col == freed:
+                break
+            row = nxt
+    return cols
 
 
 @dataclass(frozen=True)

@@ -166,9 +166,6 @@ def _build_sample(record: dict, kind: str):
     peaks_raw = record.get("peaks")
     if not isinstance(peaks_raw, list) or not peaks_raw:
         raise DataFormatError("record has no peaks")
-    for pair in peaks_raw:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise DataFormatError(f"peak entry {pair!r} is not a [dC, dH] pair")
     peaks = ingest_peaks(peaks_raw)
     saccharide = record.get("saccharide")
     if saccharide is None:

@@ -1,5 +1,6 @@
 """Independent oracles used by the tests: attribute-aware graph isomorphism
-(with tetrahedral parity) and brute-force automorphism orbits."""
+(with tetrahedral parity), brute-force automorphism orbits and the
+brute-force lexicographically smallest optimal assignment."""
 
 from __future__ import annotations
 
@@ -168,3 +169,15 @@ def automorphism_orbits(graph: MolecularGraph) -> list[int]:
     labels = [find(i) for i in range(n)]
     dense = {lab: k for k, lab in enumerate(sorted(set(labels)))}
     return [dense[lab] for lab in labels]
+
+
+def lexicographic_optimum(cost) -> list[int]:
+    """Row -> column map of the lexicographically smallest minimum-cost
+    permutation, by exhaustive search; exact for integer-valued costs."""
+    n = len(cost)
+    best, choice = None, None
+    for perm in itertools.permutations(range(n)):  # lexicographic order
+        total = sum(cost[i][perm[i]] for i in range(n))
+        if best is None or total < best:
+            best, choice = total, perm
+    return list(choice)

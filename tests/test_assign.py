@@ -22,6 +22,7 @@ from hsqcnet.assign import (
     softassign_rounds,
     similarity,
 )
+from helpers import lexicographic_optimum
 
 
 class FakePeak:
@@ -63,6 +64,16 @@ def test_ingest_peaks_warns_but_keeps_out_of_range(caplog):
     assert "outside" in caplog.text
     with pytest.raises(MatchingError):
         ingest_peaks([[float("nan"), 1.0]])
+
+
+@pytest.mark.parametrize("pairs, where", [
+    (5.0, "list of"), ({"a": [1, 2]}, "list of"), ([[1.0, 2.0], [3.0]], "observed peak 1"),
+    ([[True, 2.0]], "observed peak 0"), ([["1", "2"]], "observed peak 0"),
+])
+def test_ingest_peaks_rejects_malformed_input(pairs, where):
+    with pytest.raises(ValueError, match=where) as info:
+        ingest_peaks(pairs)
+    assert not isinstance(info.value, MatchingError)
 
 
 def test_hungarian_zero_diagonal_identity():
@@ -115,6 +126,39 @@ def test_hungarian_scale_invariance(seed, factor):
     rng = np.random.default_rng(seed)
     cost = rng.uniform(0.0, 1.0, size=(4, 4))
     assert np.array_equal(hungarian(cost), hungarian(cost * factor))
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )
+    ),
+    st.floats(min_value=0.01, max_value=100.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_hungarian_tie_break_matches_brute_force(levels, factor):
+    # three cost levels make ties the rule; the oracle works on the exact integers
+    cost = np.array(levels, dtype=np.float64) * factor
+    assignment = hungarian(cost)
+    assert np.all(assignment.sum(axis=0) == 1) and np.all(assignment.sum(axis=1) == 1)
+    assert assignment.argmax(axis=1).tolist() == lexicographic_optimum(levels)
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0, 1e4])  # below an optimum of 1, tol is 1e-9
+def test_hungarian_near_ties_within_tolerance_break_lexicographically(scale):
+    swap = np.array([[1.0, 0.0], [0.0, 1.0]])
+    tied = scale * (1.0 + 1e-12 * swap)  # the identity is dearer by 2e-12 * scale
+    assert np.array_equal(hungarian(tied), np.eye(2, dtype=np.int8))
+    apart = scale * (1.0 + 1e-6 * swap)
+    assert np.array_equal(hungarian(apart), np.eye(2, dtype=np.int8)[::-1])
+
+
+def test_hungarian_empty_and_single():
+    assert hungarian(np.zeros((0, 0))).shape == (0, 0)
+    single = hungarian(np.array([[3.5]]))
+    assert single.dtype == np.int8 and single.tolist() == [[1]]
 
 
 def make_peaks(values):

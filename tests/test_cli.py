@@ -131,6 +131,14 @@ def test_assign_accepts_peaks_file(tiny_checkpoint, tmp_path):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("peaks", ["[1.0]", "[[1.0]]", "[[1,2,3]]"])
+def test_assign_malformed_peaks_is_usage_error(tiny_checkpoint, peaks):
+    proc = run_cli("--quiet", "assign", "CCO",
+                   "--checkpoint", str(tiny_checkpoint), "--peaks", peaks)
+    assert proc.returncode == 1
+    assert "observed peak 0" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_export_svg(tiny_checkpoint, tmp_path):
     out = tmp_path / "overlay.svg"
     proc = run_cli("--quiet", "export", "c1ccccc1",

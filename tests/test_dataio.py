@@ -143,6 +143,20 @@ def test_hsqc_empty_peaks_skipped(tmp_path):
     assert diagnostics[0].status == "skipped"
 
 
+@pytest.mark.parametrize("bad", [[6.0], [6.0, 0.9, 1.0], ["6.0", "0.9"], 6.0])
+def test_hsqc_malformed_peak_skipped_with_index(tmp_path, bad):
+    records = [
+        {"smiles": "CC", "solvent": None, "peaks": [[6.0, 0.9], bad]},
+        {"smiles": "C", "solvent": None, "peaks": [[-2.0, 0.2]]},
+    ]
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, records)
+    samples, diagnostics = scan_dataset(path, "hsqc")
+    assert len(samples) == 1
+    assert diagnostics[0].status == "skipped"
+    assert "observed peak 1" in diagnostics[0].reason
+
+
 def test_out_of_range_target_skipped(tmp_path):
     records = [{"smiles": "C", "c_shifts": {"7": 1.0}}]
     path = tmp_path / "d.jsonl"

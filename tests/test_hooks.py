@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import importlib
 
+import numpy as np
+
 from hsqcnet import assign, autodiff, dataio, model, train
 from hsqcnet.assign import MatchSettings, ObservedPeak
 from hsqcnet.model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
@@ -107,3 +109,14 @@ def test_pseudo_annotate_reaches_the_matchers(monkeypatch):
     assert (len(costs), len(exact), len(graduated)) == (2, 1, 1)
     assert len(graduated[0]) > 0  # softassign sweeps reported through on_sweep
 
+
+def test_hungarian_solves_once_per_call(monkeypatch):
+    # the tie-break works on the dual-tight edges of one optimum, so even a
+    # tie-heavy matrix costs a single linear_sum_assignment call
+    calls: list = []
+    counting(monkeypatch, assign, "linear_sum_assignment", calls)
+    rng = np.random.default_rng(5)
+    for levels in (rng.integers(0, 3, size=(40, 40)), np.ones((40, 40))):
+        before = len(calls)
+        assign.hungarian(levels * 0.37)
+        assert len(calls) == before + 1
