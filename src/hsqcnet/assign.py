@@ -14,7 +14,7 @@ one-to-many matching where every predicted peak lands on some observed peak.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -202,7 +202,6 @@ class GASettings:
     rate: float = 1.5
     beta_max: float = 200.0
     sweeps: int = 30
-    c_scale: float = DEFAULT_C_SCALE
 
 
 def similarity(cost: np.ndarray, epsilon: float) -> np.ndarray:
@@ -233,37 +232,18 @@ def softassign_rounds(sim: np.ndarray, settings: GASettings, on_sweep=None):
         beta *= settings.rate
 
 
-def graduated_assignment(
-    preds, observations, settings: GASettings = GASettings(), on_sweep=None
-) -> np.ndarray:
-    """One-to-many matching of N predicted peaks onto M observed peaks.
-
-    Every predicted row is assigned exactly once, to its most confident
-    column of the final soft matrix; observed columns may take several
-    rows, which is what symmetry collapse and signal overlap produce.
-    """
-    if len(observations) == 0:
-        raise MatchingError("no observed peaks to match against")
-    if len(preds) == 0:
-        raise MatchingError("no predicted peaks to match")
-    cost = cost_matrix(preds, observations, settings.c_scale)
-    sim = similarity(cost, settings.epsilon)
-    soft = None
-    for _beta, soft in softassign_rounds(sim, settings, on_sweep=on_sweep):
-        pass
-    assert soft is not None  # beta0 < beta_max by construction
-    assignment = np.zeros(soft.shape, dtype=np.int8)
-    assignment[np.arange(soft.shape[0]), np.argmax(soft, axis=1)] = 1
-    return assignment
-
-
 @dataclass(frozen=True)
 class PseudoLabel:
+    """One matched (carbon, slot): the observed peak it is assigned to and
+    the predicted shifts that were matched."""
+
     carbon_index: int
     slot: int
     obs_index: int
     delta_c: float
     delta_h: float
+    pred_delta_c: float
+    pred_delta_h: float
 
 
 @dataclass
@@ -272,7 +252,6 @@ class PseudoLabels:
 
     entries: list[PseudoLabel]
     provenance: str
-    iteration: int
     mean_cost: float
     rejected: bool
 
@@ -282,7 +261,32 @@ class MatchSettings:
     c_scale: float = DEFAULT_C_SCALE
     reject_threshold: float = 1.0
     ga: GASettings = field(default_factory=GASettings)
-    iteration: int = 0
+
+
+def graduated_assignment(
+    preds, observations, settings: MatchSettings = MatchSettings(), on_sweep=None
+) -> np.ndarray:
+    """One-to-many matching of N predicted peaks onto M observed peaks.
+
+    Costs weigh carbon differences by ``settings.c_scale``; the annealing
+    schedule is ``settings.ga``. Every predicted row is assigned exactly
+    once, to its most confident column of the final soft matrix; observed
+    columns may take several rows, which is what symmetry collapse and
+    signal overlap produce.
+    """
+    if len(observations) == 0:
+        raise MatchingError("no observed peaks to match against")
+    if len(preds) == 0:
+        raise MatchingError("no predicted peaks to match")
+    cost = cost_matrix(preds, observations, settings.c_scale)
+    sim = similarity(cost, settings.ga.epsilon)
+    soft = None
+    for _beta, soft in softassign_rounds(sim, settings.ga, on_sweep=on_sweep):
+        pass
+    assert soft is not None  # beta0 < beta_max by construction
+    assignment = np.zeros(soft.shape, dtype=np.int8)
+    assignment[np.arange(soft.shape[0]), np.argmax(soft, axis=1)] = 1
+    return assignment
 
 
 def pseudo_annotate(
@@ -306,13 +310,12 @@ def pseudo_annotate(
         )
         return None
     n, m = len(predictions), len(observations)
-    ga = replace(settings.ga, c_scale=settings.c_scale)
     if n == m:
         provenance = "hungarian"
         assignment = hungarian(cost_matrix(predictions, observations, settings.c_scale))
     else:
         provenance = "graduated"
-        assignment = graduated_assignment(predictions, observations, ga)
+        assignment = graduated_assignment(predictions, observations, settings)
     entries = []
     total = 0.0
     for i, pred in enumerate(predictions):
@@ -326,13 +329,14 @@ def pseudo_annotate(
                 obs_index=obs.index,
                 delta_c=obs.delta_c,
                 delta_h=obs.delta_h,
+                pred_delta_c=pred.delta_c,
+                pred_delta_h=pred.delta_h,
             )
         )
     mean_cost = total / n
     return PseudoLabels(
         entries=entries,
         provenance=provenance,
-        iteration=settings.iteration,
         mean_cost=mean_cost,
         rejected=mean_cost > settings.reject_threshold,
     )

@@ -106,24 +106,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> tuple[ModelConfig, TrainConfig, MatchSettings]:
-    model_kw: dict = {}
-    train_kw: dict = {}
-    match_kw: dict = {}
-    if args.config is not None:
-        raw = json.loads(args.config.read_text())
-        model_kw = raw.get("model", {})
-        train_kw = raw.get("train", {})
-        match_kw = raw.get("match", {})
-    if args.seed is not None:
-        model_kw["seed"] = args.seed
-        train_kw["seed"] = args.seed
-    if "mlp_hidden" in model_kw:
-        model_kw["mlp_hidden"] = tuple(model_kw["mlp_hidden"])
-    ga_kw = match_kw.pop("ga", {})
-    try:
-        match = MatchSettings(ga=GASettings(**ga_kw), **match_kw)
+    raw = json.loads(args.config.read_text()) if args.config is not None else {}
+    try:  # a TypeError here is a malformed config: a wrong shape or key
+        if not isinstance(raw, dict):
+            raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+        sections = {name: raw.get(name, {}) for name in ("model", "train", "match")}
+        for name, section in sections.items():
+            if not isinstance(section, dict):
+                raise TypeError(f"section {name!r} must be a JSON object")
+        model_kw, train_kw, match_kw = (dict(section) for section in sections.values())
+        if args.seed is not None:
+            model_kw["seed"] = args.seed
+            train_kw["seed"] = args.seed
+        if "mlp_hidden" in model_kw:
+            if not isinstance(model_kw["mlp_hidden"], list):
+                raise TypeError("model.mlp_hidden must be a list of layer widths")
+            model_kw["mlp_hidden"] = tuple(model_kw["mlp_hidden"])
+        match = MatchSettings(ga=GASettings(**match_kw.pop("ga", {})), **match_kw)
         return ModelConfig(**model_kw), TrainConfig(**train_kw), match
-    except TypeError as exc:  # a misspelled or unknown key
+    except TypeError as exc:
         raise ValueError(f"{args.config}: {exc}") from exc
 
 

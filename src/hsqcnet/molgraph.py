@@ -62,10 +62,6 @@ class BondSpec:
     bond_type: BondType
     direction: BondDirection = BondDirection.NONE
 
-    def other(self, atom: int) -> int:
-        a, b = self.endpoints
-        return b if atom == a else a
-
 
 @dataclass
 class MolecularGraph:
@@ -96,9 +92,6 @@ class MolecularGraph:
             self.adjacency[b].append(a)
             self._bond_at[(a, b)] = bi
             self._bond_at[(b, a)] = bi
-
-    def neighbors(self, atom: int) -> list[int]:
-        return self.adjacency[atom]
 
     def bond_between(self, a: int, b: int) -> BondSpec:
         return self.bonds[self._bond_at[(a, b)]]
@@ -242,7 +235,6 @@ def canonical_equivalence_classes(graph: MolecularGraph) -> EquivalenceClasses:
     (bond type, neighbor label) pairs. Class ids are dense and assigned in
     sorted signature order, so they are stable under atom relabeling.
     """
-    n = len(graph.atoms)
     seeds = [
         (
             a.element,
@@ -252,6 +244,17 @@ def canonical_equivalence_classes(graph: MolecularGraph) -> EquivalenceClasses:
         )
         for a in graph.atoms
     ]
+    labels, iterations = refine_labels(graph, seeds)
+    return EquivalenceClasses(tuple(labels), len(set(labels)), iterations)
+
+
+def refine_labels(graph: MolecularGraph, seeds: list) -> tuple[list[int], int]:
+    """Refine per-atom ``seeds`` to their fixed point; (labels, rounds).
+
+    Each round extends every label with the sorted multiset of
+    (bond type, neighbor label) pairs and re-densifies in sorted order.
+    """
+    n = len(graph.atoms)
     labels = _dense_labels(seeds)
     iterations = 0
     while True:
@@ -265,11 +268,10 @@ def canonical_equivalence_classes(graph: MolecularGraph) -> EquivalenceClasses:
         new_labels = _dense_labels(signatures)
         iterations += 1
         if new_labels == labels:
-            break
+            return labels, iterations
         labels = new_labels
         if iterations > n + 1:  # refinement must fix within |V| rounds
             raise RuntimeError("equivalence refinement failed to converge")
-    return EquivalenceClasses(tuple(labels), len(set(labels)), iterations)
 
 
 def _dense_labels(keys: list) -> list[int]:

@@ -25,6 +25,9 @@ from .molgraph import (
     Chirality,
     Hybridization,
     MolecularGraph,
+    canonical_equivalence_classes,
+    infer_hybridization,
+    refine_labels,
 )
 
 
@@ -330,8 +333,6 @@ def _parse_bracket(body: str, offset: int) -> tuple[AtomSpec, int]:
 
 def canonical_ranks(graph: MolecularGraph) -> list[int]:
     """Total atom order: symmetry refinement plus sequential tie-breaking."""
-    from .molgraph import canonical_equivalence_classes, infer_hybridization
-
     work = infer_hybridization(graph)
     labels = list(canonical_equivalence_classes(work).class_id)
     n = len(labels)
@@ -342,26 +343,8 @@ def canonical_ranks(graph: MolecularGraph) -> list[int]:
         target = min(lab for lab, c in counts.items() if c > 1)
         chosen = min(i for i, lab in enumerate(labels) if lab == target)
         seeds = [(lab, 1 if i == chosen else 2) for i, lab in enumerate(labels)]
-        labels = _refine_from(work, seeds)
+        labels, _ = refine_labels(work, seeds)
     return labels
-
-
-def _refine_from(graph: MolecularGraph, seeds: list) -> list[int]:
-    from .molgraph import _dense_labels
-
-    labels = _dense_labels(seeds)
-    while True:
-        signatures = []
-        for i in range(len(labels)):
-            nbr = sorted(
-                (graph.bond_between(i, j).bond_type.value, labels[j])
-                for j in graph.adjacency[i]
-            )
-            signatures.append((labels[i], tuple(nbr)))
-        new_labels = _dense_labels(signatures)
-        if new_labels == labels:
-            return labels
-        labels = new_labels
 
 
 def canonical_smiles(graph: MolecularGraph) -> str:

@@ -5,12 +5,16 @@ masked L1 losses, over-sampling the proton-bearing minority. Stage two
 fine-tunes on unlabeled peak lists by alternating pseudo-annotation
 (matching predictions to observations) with training on the matched
 targets, until the assignments stop moving or the iteration cap hits.
+Both stages train through one minibatch loop, ``_fit_epoch``, each with its
+own per-sample loss. Without a validation set, the one annotation sweep
+after each fine-tuning round both scores the trained weights (the matched
+MAE is a function of the labels alone) and labels the next round.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,14 +134,22 @@ def masked_mtt_loss(
     return ad.mean_abs_error(terms, targets)
 
 
+def _target_outputs(
+    model: CrossPeakModel, sample: Sample1D
+) -> tuple[dict[int, Tensor], dict[int, Tensor]]:
+    """The model's raw outputs for the atoms the sample carries targets for."""
+    return model.atom_shift_tensors(
+        sample.molecule, sample.solvent, sorted(sample.c_targets), sorted(sample.h_targets)
+    )
+
+
+def _pretrain_loss(model: CrossPeakModel, sample: Sample1D) -> Tensor:
+    return masked_mtt_loss(sample, _target_outputs(model, sample), model)
+
+
 def _sample_errors(model: CrossPeakModel, sample: Sample1D) -> tuple[list, list]:
     """Absolute errors in ppm for one 1D sample, per modality."""
-    c_preds, h_preds = model.atom_shift_tensors(
-        sample.molecule,
-        sample.solvent,
-        sorted(sample.c_targets),
-        sorted(sample.h_targets),
-    )
+    c_preds, h_preds = _target_outputs(model, sample)
     c_err = [
         abs(model.ppm_c(c_preds[i].item()) - ppm)
         for i, ppm in sorted(sample.c_targets.items())
@@ -167,6 +179,29 @@ def _selection_metric(mae_c: float, mae_h: float, config: ModelConfig) -> float:
     c = 0.0 if np.isnan(mae_c) else mae_c / config.c_scale
     h = 0.0 if np.isnan(mae_h) else mae_h / config.h_scale
     return max(c, h)
+
+
+def _fit_epoch(model: CrossPeakModel, optimizer: Adam, items: list, batch_size: int,
+               loss_of) -> list[float]:
+    """One pass over ``items`` in order, one optimizer step per minibatch.
+
+    ``loss_of(model, item)`` gives an item's loss; each is scaled by
+    1 / batch length, so a batch's gradient is the mean over its items.
+    Returns the batch losses (sums of the scaled item losses), in order.
+    """
+    losses: list[float] = []
+    for lo in range(0, len(items), batch_size):
+        batch = items[lo : lo + batch_size]
+        zero_gradients(model.parameters())
+        batch_loss = 0.0
+        for item in batch:
+            with ComputeRecord() as record:
+                loss = ad.scale(loss_of(model, item), 1.0 / len(batch))
+            backward(loss, record)
+            batch_loss += loss.item()
+        optimizer.step()
+        losses.append(batch_loss)
+    return losses
 
 
 def mtt_pretrain(
@@ -213,32 +248,13 @@ def mtt_pretrain(
     for epoch in range(start_epoch, start_epoch + config.epochs):
         rng = np.random.default_rng([config.seed, 7, epoch])
         order = [base_order[k] for k in rng.permutation(len(base_order))]
+        batch_losses = _fit_epoch(
+            model, optimizer, [train_samples[i] for i in order], config.batch_size,
+            _pretrain_loss,
+        )
         epoch_loss = 0.0
-        first_batch_loss = float("nan")
-        batches = 0
-        for lo in range(0, len(order), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            zero_gradients(model.parameters())
-            batch_loss = 0.0
-            for i in batch:
-                sample = train_samples[i]
-                with ComputeRecord() as record:
-                    preds = model.atom_shift_tensors(
-                        sample.molecule,
-                        sample.solvent,
-                        sorted(sample.c_targets),
-                        sorted(sample.h_targets),
-                    )
-                    loss = ad.scale(
-                        masked_mtt_loss(sample, preds, model), 1.0 / len(batch)
-                    )
-                backward(loss, record)
-                batch_loss += loss.item()
-            optimizer.step()
-            if batches == 0:
-                first_batch_loss = batch_loss
+        for batch_loss in batch_losses:  # in order, as the batches ran
             epoch_loss += batch_loss
-            batches += 1
         eval_set = val_samples if val_samples else train_samples
         mae_c, mae_h = dataset_mae(model, eval_set)
         metric = _selection_metric(mae_c, mae_h, model.config)
@@ -249,8 +265,8 @@ def mtt_pretrain(
         line = {
             "stage": "pretrain",
             "epoch": epoch,
-            "loss": epoch_loss / max(batches, 1),
-            "first_batch_loss": first_batch_loss,
+            "loss": epoch_loss / len(batch_losses),
+            "first_batch_loss": batch_losses[0],
             "mae_c": mae_c,
             "mae_h": mae_h,
             "validation": bool(val_samples),
@@ -273,21 +289,10 @@ def mtt_pretrain(
 
 
 @dataclass
-class ArchiveEntry:
-    """Everything needed to replay one fine-tuning iteration exactly."""
-
-    iteration: int
-    labels: list[PseudoLabels | None]
-    state: dict[str, np.ndarray]
-    initial_loss: float
-
-
-@dataclass
 class FinetuneResult:
     best_state: dict[str, np.ndarray]
     final_state: dict[str, np.ndarray]
     history: list[dict]
-    archive: list[ArchiveEntry]
     iterations_run: int
     converged: bool
 
@@ -323,26 +328,6 @@ def _finetune_loss(
     )
 
 
-def pseudo_label_training_loss(
-    state: dict[str, np.ndarray],
-    model_config: ModelConfig,
-    dataset: list[SampleHSQC],
-    labels: list[PseudoLabels | None],
-) -> float:
-    """Mean per-molecule loss of ``state`` on a frozen label set; the
-    replay path for archived iterations."""
-    model = CrossPeakModel(model_config)
-    model.load_state(state)
-    losses = [
-        _finetune_loss(model, sample, lab).item()
-        for sample, lab in zip(dataset, labels)
-        if lab is not None and not lab.rejected
-    ]
-    if not losses:
-        raise ConvergenceError("every molecule was rejected by the cost threshold")
-    return float(np.mean(losses))
-
-
 def annotate_dataset(
     model: CrossPeakModel,
     dataset: list[SampleHSQC],
@@ -375,25 +360,18 @@ def assignment_change_fraction(
     return changed / len(cur)
 
 
-def matched_mae(
-    model: CrossPeakModel,
-    dataset: list[SampleHSQC],
-    settings: MatchSettings,
-) -> tuple[float, float]:
-    """(carbon, proton) MAE in ppm over matched prediction/observation
-    pairs; the label-free quality signal available on HSQC data."""
+def matched_mae(labels: list[PseudoLabels | None]) -> tuple[float, float]:
+    """(carbon, proton) MAE in ppm between the matched predictions and the
+    observed peaks they were assigned to; the label-free quality signal
+    available on HSQC data."""
     c_err: list[float] = []
     h_err: list[float] = []
-    for sample in dataset:
-        preds = model.predict_cross_peaks(sample.molecule, sample.solvent)
-        labels = pseudo_annotate(sample.molecule, preds, sample.peaks, settings)
-        if labels is None:
+    for lab in labels:
+        if lab is None:
             continue
-        by_key = {(p.ch_unit.carbon_index, p.peak_slot): p for p in preds}
-        for entry in labels.entries:
-            pred = by_key[(entry.carbon_index, entry.slot)]
-            c_err.append(abs(pred.delta_c - entry.delta_c))
-            h_err.append(abs(pred.delta_h - entry.delta_h))
+        for entry in lab.entries:
+            c_err.append(abs(entry.pred_delta_c - entry.delta_c))
+            h_err.append(abs(entry.pred_delta_h - entry.delta_h))
     mae = lambda xs: float(np.mean(xs)) if xs else float("nan")
     return mae(c_err), mae(h_err)
 
@@ -413,6 +391,10 @@ def finetune_unsupervised(
     trains on the accepted labels, and stops once fewer than
     ``convergence_fraction`` of the assignments change between iterations
     (or at ``max_iterations``). The best-validation checkpoint is retained.
+    Without a validation set, the sweep that scores an iteration's weights
+    on the training set also gives the next iteration's labels, so N
+    iterations take N + 1 sweeps; with one, the training set is labelled at
+    the top of each iteration and the validation set is swept after it.
     """
     if not dataset:
         raise ValueError("empty fine-tuning dataset")
@@ -423,16 +405,16 @@ def finetune_unsupervised(
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
 
     history: list[dict] = []
-    archive: list[ArchiveEntry] = []
     best_metric = float("inf")
     best_state = model.state_arrays()
+    labels: list[PseudoLabels | None] | None = None
     previous: list[PseudoLabels | None] | None = None
     converged = False
     iterations_run = 0
 
     for iteration in range(1, config.max_iterations + 1):
-        settings = replace(match, iteration=iteration)
-        labels = annotate_dataset(model, dataset, settings)
+        if labels is None:
+            labels = annotate_dataset(model, dataset, match)
         usable = [
             (sample, lab)
             for sample, lab in zip(dataset, labels)
@@ -463,36 +445,20 @@ def finetune_unsupervised(
         previous = labels
         iterations_run = iteration
 
-        state_before = model.state_arrays()
         initial_loss = float(
             np.mean([_finetune_loss(model, s, lab).item() for s, lab in usable])
         )
-        archive.append(
-            ArchiveEntry(
-                iteration=iteration,
-                labels=labels,
-                state=state_before,
-                initial_loss=initial_loss,
-            )
-        )
-
         for epoch in range(config.epochs):
             rng = np.random.default_rng([config.seed, 13, iteration, epoch])
             order = rng.permutation(len(usable))
-            for lo in range(0, len(order), config.batch_size):
-                batch = order[lo : lo + config.batch_size]
-                zero_gradients(model.parameters())
-                for k in batch:
-                    sample, lab = usable[k]
-                    with ComputeRecord() as record:
-                        loss = ad.scale(
-                            _finetune_loss(model, sample, lab), 1.0 / len(batch)
-                        )
-                    backward(loss, record)
-                optimizer.step()
+            _fit_epoch(
+                model, optimizer, [usable[k] for k in order], config.batch_size,
+                lambda m, pair: _finetune_loss(m, *pair),
+            )
 
-        eval_set = valset if valset else dataset
-        mae_c, mae_h = matched_mae(model, eval_set, settings)
+        swept = annotate_dataset(model, valset or dataset, match)
+        labels = None if valset else swept
+        mae_c, mae_h = matched_mae(swept)
         metric = _selection_metric(mae_c, mae_h, model.config)
         if metric < best_metric:
             best_metric = metric
@@ -515,7 +481,6 @@ def finetune_unsupervised(
         best_state=best_state,
         final_state=model.state_arrays(),
         history=history,
-        archive=archive,
         iterations_run=iterations_run,
         converged=converged,
     )

@@ -198,6 +198,20 @@ def test_graduated_single_pair_matches():
     assert assignment[0, 0] == 1
 
 
+def test_graduated_reads_c_scale_from_match_settings():
+    # row 0 sits 0.5 ppm off peak 0 in proton and 3 ppm off peak 1 in carbon:
+    # the carbon weight 1 / c_scale decides which is nearer
+    preds = [FakePeak(100.0, 5.0, carbon=0), FakePeak(60.0, 2.0, carbon=1),
+             FakePeak(20.0, 1.0, carbon=2)]
+    obs = [ObservedPeak(100.0, 5.5, 0), ObservedPeak(103.0, 5.0, 1)]
+    default = graduated_assignment(preds, obs)
+    assert np.array_equal(default, graduated_assignment(preds, obs, MatchSettings()))
+    assert default[0].argmax() == 1
+    carbon_heavy = graduated_assignment(preds, obs, MatchSettings(c_scale=1.0))
+    assert carbon_heavy[0].argmax() == 0
+    assert np.all(carbon_heavy.sum(axis=1) == 1)
+
+
 def test_graduated_rejects_empty_observations():
     with pytest.raises(MatchingError):
         graduated_assignment([FakePeak(1, 1)], [])

@@ -116,11 +116,29 @@ def test_assign_reads_match_section_of_config(tiny_checkpoint, tmp_path):
         assert proc.returncode == 0, proc.stderr
         costs.append(json.loads(proc.stdout)["mean_cost"])
     assert costs[0] != costs[1]
-    config.write_text(json.dumps({"match": {"c_scal": 1000}}))
+    # a misspelled key, a removed setting, and the carbon weight outside match
+    for bad, key in (({"c_scal": 1000}, "c_scal"), ({"iteration": 2}, "iteration"),
+                     ({"ga": {"c_scale": 3.0}}, "c_scale")):
+        config.write_text(json.dumps({"match": bad}))
+        proc = run_cli("--quiet", "--config", str(config), "assign", "c1ccccc1",
+                       "--checkpoint", str(tiny_checkpoint), "--peaks", peaks)
+        assert proc.returncode == 1
+        assert key in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"model": {"mlp_hidden": 5}}, "mlp_hidden"),
+    ([1, 2], "JSON object"),
+    ({"match": 5}, "'match'"),
+])
+def test_malformed_config_is_usage_error(tiny_checkpoint, tmp_path, raw, message):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw))
     proc = run_cli("--quiet", "--config", str(config), "assign", "c1ccccc1",
-                   "--checkpoint", str(tiny_checkpoint), "--peaks", peaks)
+                   "--checkpoint", str(tiny_checkpoint), "--peaks", "[[128.0, 7.3]]")
     assert proc.returncode == 1
-    assert "c_scal" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_assign_accepts_peaks_file(tiny_checkpoint, tmp_path):

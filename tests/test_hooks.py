@@ -120,3 +120,41 @@ def test_hungarian_solves_once_per_call(monkeypatch):
         before = len(calls)
         assign.hungarian(levels * 0.37)
         assert len(calls) == before + 1
+
+
+def test_finetune_sweeps_the_training_set_once_per_iteration(monkeypatch):
+    # without a validation set the sweep that scores iteration i also labels
+    # iteration i + 1: two iterations that do not converge take three sweeps
+    teacher = CrossPeakModel(ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4,
+                                         mlp_hidden=(6, 5), seed=9))
+    rng = np.random.default_rng(0)
+
+    def peak_list(smiles):
+        molecule = prepare_molecule(smiles)
+        preds = teacher.predict_cross_peaks(molecule, SolventClass.UNKNOWN)
+        order = rng.permutation(len(preds))
+        return SampleHSQC(molecule, SolventClass.UNKNOWN, [
+            ObservedPeak(preds[k].delta_c, preds[k].delta_h, j) for j, k in enumerate(order)
+        ])
+
+    samples = [peak_list(s) for s in ("CO", "CCO", "CC", "c1ccccc1", "CCC", "CC(C)O")]
+    valset = [peak_list(s) for s in ("CCCC", "OCCO")]
+    config = TrainConfig(epochs=1, batch_size=1, learning_rate=1e-2, max_iterations=2,
+                         convergence_fraction=1e-9, seed=0)
+    sweeps = {}
+    for val in (None, valset):
+        calls: list = []
+        counting(monkeypatch, CrossPeakModel, "predict_cross_peaks", calls,
+                 lambda a, k: a[1])
+        result = train.finetune_unsupervised(
+            CrossPeakModel(TINY).state_arrays(), samples, val, config, model_config=TINY,
+            match=MatchSettings(reject_threshold=1e9),
+        )
+        monkeypatch.undo()
+        assert not result.converged and result.iterations_run == 2
+        sweeps[val is None] = tuple(
+            sum(m is s.molecule for m in calls for s in group) / len(group)
+            for group in (samples, valset)
+        )
+    assert sweeps[True] == (3, 0)
+    assert sweeps[False] == (2, 2)  # training set at the top, valset after training

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ from hsqcnet.train import (
     dataset_mae,
     finetune_unsupervised,
     masked_mtt_loss,
+    matched_mae,
     mtt_pretrain,
-    pseudo_label_training_loss,
 )
 
 TINY = ModelConfig(num_layers=2, atom_dim=10, solvent_dim_h=4, mlp_hidden=(8, 6), seed=5)
@@ -229,17 +231,43 @@ def test_finetune_all_rejected_is_convergence_error():
                               model_config=TINY, match=impossible)
 
 
-def test_finetune_archive_replay_matches_recorded_loss():
+def test_matched_mae_is_error_between_matched_predictions_and_peaks():
     model = CrossPeakModel(TINY)
-    samples, _ = hsqc_from_model(model, ["CO", "CCO", "CC", "c1ccccc1"])
-    config = TrainConfig(epochs=2, batch_size=2, learning_rate=1e-3,
-                         max_iterations=3, convergence_fraction=0.001, seed=6)
-    result = finetune_unsupervised(model.state_arrays(), samples, None, config,
-                                   model_config=TINY)
-    assert result.archive
-    for entry in result.archive:
-        replayed = pseudo_label_training_loss(entry.state, TINY, samples, entry.labels)
-        assert replayed == pytest.approx(entry.initial_loss, abs=1e-10)
+    teacher = CrossPeakModel(replace(TINY, seed=9))
+    samples, _ = hsqc_from_model(teacher, ["CO", "CCO", "c1ccccc1", "CC(C)O"])
+    samples.append(SampleHSQC(prepare_molecule("CC"), SolventClass.UNKNOWN, []))
+    labels = annotate_dataset(model, samples, MatchSettings(reject_threshold=0.0))
+    assert labels[-1] is None and all(lab.rejected for lab in labels[:-1])
+    c_err, h_err = [], []
+    for sample, lab in zip(samples[:-1], labels):
+        preds = model.predict_cross_peaks(sample.molecule, sample.solvent)
+        by_key = {(p.ch_unit.carbon_index, p.peak_slot): p for p in preds}
+        for entry in lab.entries:
+            pred = by_key[(entry.carbon_index, entry.slot)]
+            peak = sample.peaks[entry.obs_index]
+            c_err.append(abs(pred.delta_c - peak.delta_c))
+            h_err.append(abs(pred.delta_h - peak.delta_h))
+    # rejected molecules still count: the MAE scores the weights, not the labels kept
+    assert matched_mae(labels) == (np.mean(c_err), np.mean(h_err))
+    assert np.isnan(matched_mae([None])).all()
+
+
+def test_finetune_scores_iterations_on_the_validation_set():
+    teacher = CrossPeakModel(replace(TINY, seed=9))
+    samples, _ = hsqc_from_model(teacher, ["CO", "CCO", "CC", "c1ccccc1"])
+    valset, _ = hsqc_from_model(teacher, ["CCC", "CC(C)O"], shuffle_seed=1)
+    config = TrainConfig(epochs=1, batch_size=2, learning_rate=1e-2,
+                         max_iterations=1, seed=3)
+    match = MatchSettings(reject_threshold=1e9)
+    result = finetune_unsupervised(CrossPeakModel(TINY).state_arrays(), samples, valset,
+                                   config, model_config=TINY, match=match)
+    trained = CrossPeakModel(TINY)
+    trained.load_state(result.final_state)
+    line = result.history[-1]
+    assert line["validation"] is True
+    on_valset = matched_mae(annotate_dataset(trained, valset, match))
+    assert (line["mae_c"], line["mae_h"]) == on_valset
+    assert on_valset != matched_mae(annotate_dataset(trained, samples, match))
 
 
 def test_finetune_recovers_teacher_assignments():
@@ -314,9 +342,10 @@ def test_one_head_path_for_prediction_1d_targets_and_finetuning(merge_tolerance_
         assert slots[(1, 1)].delta_h == model.ppm_h(slot_mean)
 
     labels = PseudoLabels(
-        entries=[PseudoLabel(p.ch_unit.carbon_index, p.peak_slot, k, p.delta_c, p.delta_h)
+        entries=[PseudoLabel(p.ch_unit.carbon_index, p.peak_slot, k, p.delta_c, p.delta_h,
+                             p.delta_c, p.delta_h)
                  for k, p in enumerate(peaks)],
-        provenance="hungarian", iteration=1, mean_cost=0.0, rejected=False,
+        provenance="hungarian", mean_cost=0.0, rejected=False,
     )
     sample = SampleHSQC(molecule, solvent, [])
     ad.zero_gradients(model.parameters())
