@@ -4,8 +4,8 @@ Aligning predictions with an observed peak list
 
 When the model emits as many peaks as the spectrum shows, an exact
 minimum-cost one-to-one assignment does the matching. When symmetry or
-overlap leaves fewer observed peaks than predictions, the annealed
-softassign matcher distributes predictions over peaks one-to-many.
+overlap leaves fewer observed peaks than predictions, a softassign at one
+temperature distributes predictions over peaks one-to-many.
 """
 
 import numpy as np

@@ -6,16 +6,18 @@ total cost, deterministic lexicographic tie-break): one
 paths on its residual graph, and a tie-break search confined to the
 zero-reduced-cost edges, whose perfect matchings are exactly the optimal
 assignments (Jonker & Volgenant 1987). Mismatched
-cardinalities go through graduated assignment: an annealed softassign with
-alternating row/column normalization, hardened row by row into a
-one-to-many matching where every predicted peak lands on some observed peak.
+cardinalities go through graduated assignment: a softassign at one
+temperature (alternating row/column normalization of exp(beta * similarity)),
+hardened row by row into a one-to-many matching where every predicted peak
+lands on some observed peak. The cost is linear, so annealing (Gold &
+Rangarajan 1996) would have nothing to carry between temperatures.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -197,15 +199,21 @@ def _lexicographic_first(tight: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GASettings:
+    """Softassign at temperature ``beta`` over the similarity
+    1 / (cost + epsilon), normalized ``sweeps`` times."""
+
     epsilon: float = 1e-6
-    beta0: float = 1.0
-    rate: float = 1.5
-    beta_max: float = 200.0
+    beta: float = 1.5**13
     sweeps: int = 30
 
-
-def similarity(cost: np.ndarray, epsilon: float) -> np.ndarray:
-    return 1.0 / (cost + epsilon)
+    def __post_init__(self) -> None:
+        for name in ("beta", "epsilon"):
+            value = getattr(self, name)
+            if not 0 < value < float("inf"):
+                raise ValueError(f"ga.{name} must be positive and finite, got {value!r}")
+        sweeps = self.sweeps
+        if isinstance(sweeps, bool) or not isinstance(sweeps, Integral) or sweeps < 1:
+            raise ValueError(f"ga.sweeps must be an integer >= 1, got {sweeps!r}")
 
 
 def _log_normalize(log_q: np.ndarray, axis: int) -> np.ndarray:
@@ -213,23 +221,17 @@ def _log_normalize(log_q: np.ndarray, axis: int) -> np.ndarray:
     return log_q - (peak + np.log(np.exp(log_q - peak).sum(axis=axis, keepdims=True)))
 
 
-def softassign_rounds(sim: np.ndarray, settings: GASettings, on_sweep=None):
-    """Yield (beta, soft matrix) after each annealing round.
-
-    Each round starts from exp(beta * sim) and applies ``sweeps`` rounds of
-    row-then-column normalization (in log space for stability). ``on_sweep``
-    receives the matrix after every column normalization when given.
-    """
-    beta = settings.beta0
-    while beta < settings.beta_max:
-        log_q = beta * sim
-        for _ in range(settings.sweeps):
-            log_q = _log_normalize(log_q, axis=1)
-            log_q = _log_normalize(log_q, axis=0)
-            if on_sweep is not None:
-                on_sweep(np.exp(log_q))
-        yield beta, np.exp(log_q)
-        beta *= settings.rate
+def softassign(cost: np.ndarray, settings: GASettings, on_sweep=None) -> np.ndarray:
+    """Soft matrix after ``settings.sweeps`` row-then-column normalizations
+    of exp(beta / (cost + epsilon)), in log space for stability.
+    ``on_sweep`` receives the matrix after every column normalization."""
+    log_q = settings.beta * (1.0 / (cost + settings.epsilon))
+    for _ in range(settings.sweeps):
+        log_q = _log_normalize(log_q, axis=1)
+        log_q = _log_normalize(log_q, axis=0)
+        if on_sweep is not None:
+            on_sweep(np.exp(log_q))
+    return np.exp(log_q)
 
 
 @dataclass(frozen=True)
@@ -268,22 +270,18 @@ def graduated_assignment(
 ) -> np.ndarray:
     """One-to-many matching of N predicted peaks onto M observed peaks.
 
-    Costs weigh carbon differences by ``settings.c_scale``; the annealing
-    schedule is ``settings.ga``. Every predicted row is assigned exactly
-    once, to its most confident column of the final soft matrix; observed
-    columns may take several rows, which is what symmetry collapse and
-    signal overlap produce.
+    Costs weigh carbon differences by ``settings.c_scale``; the softassign
+    temperature and sweeps are ``settings.ga``. Every predicted row is
+    assigned exactly once, to its most confident column of the soft matrix;
+    observed columns may take several rows, which is what symmetry collapse
+    and signal overlap produce.
     """
     if len(observations) == 0:
         raise MatchingError("no observed peaks to match against")
     if len(preds) == 0:
         raise MatchingError("no predicted peaks to match")
     cost = cost_matrix(preds, observations, settings.c_scale)
-    sim = similarity(cost, settings.ga.epsilon)
-    soft = None
-    for _beta, soft in softassign_rounds(sim, settings.ga, on_sweep=on_sweep):
-        pass
-    assert soft is not None  # beta0 < beta_max by construction
+    soft = softassign(cost, settings.ga, on_sweep)
     assignment = np.zeros(soft.shape, dtype=np.int8)
     assignment[np.arange(soft.shape[0]), np.argmax(soft, axis=1)] = 1
     return assignment

@@ -110,7 +110,11 @@ def _load_config(args) -> tuple[ModelConfig, TrainConfig, MatchSettings]:
     try:  # a TypeError here is a malformed config: a wrong shape or key
         if not isinstance(raw, dict):
             raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
-        sections = {name: raw.get(name, {}) for name in ("model", "train", "match")}
+        names = ("model", "train", "match")
+        unknown = sorted(set(raw) - set(names))
+        if unknown:
+            raise TypeError(f"unknown config section(s) {unknown}; expected {list(names)}")
+        sections = {name: raw.get(name, {}) for name in names}
         for name, section in sections.items():
             if not isinstance(section, dict):
                 raise TypeError(f"section {name!r} must be a JSON object")
@@ -316,14 +320,15 @@ def _train_command(args) -> int:
     if not dataset:
         raise DataFormatError(f"{args.data}: no usable records")
     valset = load_dataset(args.val, "hsqc") if args.val else None
-    source = args.checkpoint
-    if args.resume and args.checkpoint_out.exists():
-        source = args.checkpoint_out
+    resuming = args.resume and args.checkpoint_out.exists()
+    source = args.checkpoint_out if resuming else args.checkpoint
+    if resuming:
         log.info("resuming fine-tuning from %s", source)
     start = load_checkpoint(source)
-    verify_checkpoint_config(start, model_config)
-    if args.resume and source == args.checkpoint_out:
+    if resuming:
         _check_resume_config(start, model_config)
+    else:
+        verify_checkpoint_config(start, model_config)
     result = finetune_unsupervised(
         start.arrays,
         dataset,

@@ -11,15 +11,18 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .assign import ingest_peaks
 from .model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
+from .model import _parameter_shapes
 from .smiles import SmilesParseError, canonical_smiles
 from .smiles import parse_smiles  # noqa: F401  (benchmarks/tracing.py wraps dataio.parse_smiles)
 from .train import Sample1D, SampleHSQC
@@ -89,8 +92,8 @@ def scan_dataset(path: str | Path, kind: str) -> tuple[list, list[RecordDiagnost
     """Parse and validate a JSONL dataset.
 
     Returns (samples, per-record diagnostics). Records with unusable
-    content (bad SMILES, empty peak lists, out-of-range target indices)
-    are skipped and reported; duplicates (same canonical SMILES, solvent,
+    content (bad SMILES, empty peak lists, out-of-range target indices,
+    shifts that are not finite numbers, malformed expert maps) are skipped and reported; duplicates (same canonical SMILES, solvent,
     and targets) are dropped and reported; a malformed JSON line is an
     error, not a skip.
     """
@@ -113,7 +116,7 @@ def scan_dataset(path: str | Path, kind: str) -> tuple[list, list[RecordDiagnost
             smiles = record.get("smiles", "")
             try:
                 sample, key = _build_sample(record, kind)
-            except (SmilesParseError, DataFormatError, ValueError) as exc:
+            except (SmilesParseError, DataFormatError, ValueError, OverflowError) as exc:
                 diagnostics.append(
                     RecordDiagnostic(lineno, "skipped", str(exc), smiles)
                 )
@@ -192,12 +195,15 @@ def _build_sample(record: dict, kind: str):
         obs_index = int(obs_key)
         if not 0 <= obs_index < len(peaks):
             raise DataFormatError(f"expert map names missing peak {obs_index}")
-        entry = []
+        if not isinstance(units, list):
+            raise DataFormatError(
+                f"expert entry for peak {obs_index} is not a list of [carbon, slot] pairs"
+            )
         for unit in units:
-            if not (isinstance(unit, list) and len(unit) == 2):
+            if not (isinstance(unit, list) and len(unit) == 2
+                    and all(isinstance(v, Integral) and not isinstance(v, bool) for v in unit)):
                 raise DataFormatError(f"expert unit {unit!r} is not [carbon, slot]")
-            entry.append((int(unit[0]), int(unit[1])))
-        expert[obs_index] = entry
+        expert[obs_index] = [(unit[0], unit[1]) for unit in units]
     return AnnotatedTestRecord(sample, expert), key
 
 
@@ -222,6 +228,8 @@ def _shift_map(raw, molecule, element: str) -> dict[int, float]:
             raise DataFormatError(
                 f"proton target {idx} is not bonded to carbon"
             )
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise DataFormatError(f"shift of atom {idx} is not a finite number: {value!r}")
         out[idx] = float(value)
     return out
 
@@ -290,18 +298,30 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(blob[start : start + header_len])
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: corrupt header") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version!r} "
             f"(this build reads version {FORMAT_VERSION})"
         )
-    config = ModelConfig.from_dict(header["config"])
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad model config in header ({exc})") from exc
+    provenance = header.get("provenance")
+    manifest = header.get("params")
+    if not isinstance(provenance, dict) or not isinstance(manifest, list):
+        raise CheckpointError(f"{path}: header lacks a provenance object or a params list")
     arrays: dict[str, np.ndarray] = {}
     offset = start + header_len
-    for entry in header["params"]:
+    for entry in manifest:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and _is_shape(entry.get("shape"))):
+            raise CheckpointError(f"{path}: malformed parameter manifest entry {entry!r}")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(blob):
             raise CheckpointError(
@@ -313,22 +333,32 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
-    return Checkpoint(config=config, arrays=arrays, provenance=header["provenance"])
+    checkpoint = Checkpoint(config=config, arrays=arrays, provenance=provenance)
+    try:
+        verify_checkpoint_config(checkpoint, config)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: arrays do not fit the stored config: {exc}") from exc
+    return checkpoint
+
+
+def _is_shape(shape) -> bool:
+    return isinstance(shape, list) and all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
+    )
 
 
 def verify_checkpoint_config(checkpoint: Checkpoint, config: ModelConfig) -> None:
     """Raise CheckpointError naming the first parameter whose shape under
     ``config`` disagrees with the stored arrays (resume guard)."""
-    expected = CrossPeakModel(config)
-    for name, param in expected.params.items():
+    expected = {name: shape for name, shape, _ in _parameter_shapes(config)}
+    for name, want in expected.items():
         if name not in checkpoint.arrays:
             raise CheckpointError(f"checkpoint is missing parameter {name}")
         got = checkpoint.arrays[name].shape
-        want = param.values.shape
         if got != want:
             raise CheckpointError(
                 f"shape mismatch for {name}: checkpoint {got} vs config {want}"
             )
-    extra = set(checkpoint.arrays) - set(expected.params)
+    extra = set(checkpoint.arrays) - set(expected)
     if extra:
         raise CheckpointError(f"checkpoint has unexpected parameters {sorted(extra)}")

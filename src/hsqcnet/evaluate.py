@@ -97,14 +97,6 @@ def _pick_solvent(
     return candidates[int(rng.integers(len(candidates)))]
 
 
-def _expert_pairs(record: AnnotatedTestRecord) -> set[tuple[int, int, int]]:
-    return {
-        (carbon, slot, obs)
-        for obs, units in record.expert.items()
-        for carbon, slot in units
-    }
-
-
 def _validate_expert(record: AnnotatedTestRecord) -> str | None:
     sample = record.sample
     rep_units = {u.carbon_index: u for u in sample.molecule.units if u.is_representative}

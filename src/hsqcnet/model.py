@@ -84,6 +84,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
+        if len(self.mlp_hidden) != 2:
+            raise ValueError("mlp_hidden must list two layer widths")
         if min(self.atom_dim, self.solvent_dim_h, *self.mlp_hidden) <= 0:
             raise ValueError("dimensions must be positive")
         if self.solvent_dim_c < 0:

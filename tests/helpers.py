@@ -1,10 +1,15 @@
 """Independent oracles used by the tests: attribute-aware graph isomorphism
-(with tetrahedral parity), brute-force automorphism orbits and the
-brute-force lexicographically smallest optimal assignment."""
+(with tetrahedral parity), brute-force automorphism orbits, the
+brute-force lexicographically smallest optimal assignment and the annealed
+graduated assignment that the one-temperature softassign replaced; and a
+checkpoint header rewriter with the malformed headers it is given."""
 
 from __future__ import annotations
 
 import itertools
+import json
+
+import numpy as np
 
 from hsqcnet.molgraph import (
     BondDirection,
@@ -181,3 +186,74 @@ def lexicographic_optimum(cost) -> list[int]:
         if best is None or total < best:
             best, choice = total, perm
     return list(choice)
+
+
+def annealed_graduated_assignment(cost, epsilon=1e-6, beta0=1.0, rate=1.5,
+                                  beta_max=200.0, sweeps=30) -> np.ndarray:
+    """The annealed softassign graduated assignment used to run: one round
+    of ``sweeps`` row/column normalizations of exp(beta / (cost + epsilon))
+    per temperature beta0, beta0 * rate, ... below beta_max, each round
+    started afresh, the last round hardened by a row-wise argmax."""
+
+    def log_normalize(log_q, axis):
+        peak = log_q.max(axis=axis, keepdims=True)
+        return log_q - (peak + np.log(np.exp(log_q - peak).sum(axis=axis, keepdims=True)))
+
+    sim = 1.0 / (np.asarray(cost, dtype=np.float64) + epsilon)
+    soft = None
+    beta = beta0
+    while beta < beta_max:
+        log_q = beta * sim
+        for _ in range(sweeps):
+            log_q = log_normalize(log_normalize(log_q, axis=1), axis=0)
+        soft = np.exp(log_q)
+        beta *= rate
+    assignment = np.zeros(soft.shape, dtype=np.int8)
+    assignment[np.arange(soft.shape[0]), np.argmax(soft, axis=1)] = 1
+    return assignment
+
+
+def final_temperature(beta0: float, rate: float, beta_max: float) -> float:
+    """The last temperature of the schedule beta0, beta0 * rate, ... below beta_max."""
+    beta = last = beta0
+    while beta < beta_max:
+        last = beta
+        beta *= rate
+    return last
+
+
+def rewrite_checkpoint_header(path, edit) -> None:
+    """Replace the JSON header of the checkpoint file at ``path`` by
+    ``edit(header)``, keeping the magic bytes and the parameter blocks."""
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[8:12], "little")
+    header = json.dumps(edit(json.loads(blob[12 : 12 + header_len]))).encode()
+    path.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header
+                     + blob[12 + header_len:])
+
+
+def _set(section, key, value):
+    def edit(header):
+        (header if section is None else header[section])[key] = value
+        return header
+    return edit
+
+
+def _first_shape(value):
+    def edit(header):
+        header["params"][0]["shape"] = value
+        return header
+    return edit
+
+
+# header edits that make a saved checkpoint unreadable, by name
+BAD_CHECKPOINT_HEADERS = {
+    "json list": lambda header: [header],
+    "no config": lambda header: {k: v for k, v in header.items() if k != "config"},
+    "unknown config key": _set("config", "atom_dims", 8),
+    "bad config value": _set("config", "mlp_hidden", [6, 5, 4]),
+    "string shape": _first_shape("ab"),
+    "bool in shape": _first_shape([True, 8]),
+    "no provenance": _set(None, "provenance", None),
+    "arrays do not fit the config": _set("config", "atom_dim", 16),
+}

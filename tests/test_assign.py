@@ -19,10 +19,9 @@ from hsqcnet.assign import (
     ingest_peaks,
     pseudo_annotate,
     shift_cost,
-    softassign_rounds,
-    similarity,
+    softassign,
 )
-from helpers import lexicographic_optimum
+from helpers import annealed_graduated_assignment, final_temperature, lexicographic_optimum
 
 
 class FakePeak:
@@ -236,29 +235,88 @@ def test_graduated_more_observations_than_predictions():
 def test_soft_matrix_bounded_after_column_normalization():
     rng = np.random.default_rng(3)
     cost = rng.uniform(0.0, 5.0, size=(4, 4))
-    sim = similarity(cost, 1e-6)
     seen = []
-    for _beta, _q in softassign_rounds(sim, GASettings(), on_sweep=seen.append):
-        pass
-    assert seen, "sweep callback must fire"
+    soft = softassign(cost, GASettings(), on_sweep=seen.append)
+    assert len(seen) == GASettings().sweeps
+    assert np.array_equal(seen[-1], soft)
     for q in seen:
         assert np.all(q >= 0.0) and np.all(q <= 1.0 + 1e-12)
 
 
-def test_row_sums_approach_one_with_annealing():
+def test_row_sums_near_one_at_default_beta():
     rng = np.random.default_rng(21)
     for _ in range(5):
         n = int(rng.integers(3, 6))
         base = np.linspace(0, 150, n)
         cost = np.abs(base[:, None] - base[None, :]) / 10.0 + rng.uniform(0, 0.01, (n, n))
-        sim = similarity(cost, 1e-6)
-        deviations = [
-            float(np.abs(q.sum(axis=1) - 1.0).max())
-            for _beta, q in softassign_rounds(sim, GASettings())
-        ]
-        for earlier, later in zip(deviations, deviations[1:]):
-            assert later <= earlier + 1e-9
-        assert deviations[-1] < 1e-6
+        soft = softassign(cost, GASettings())
+        assert float(np.abs(soft.sum(axis=1) - 1.0).max()) < 1e-6
+
+
+def test_default_beta_is_last_temperature_of_the_old_schedule():
+    assert GASettings().beta == final_temperature(1.0, 1.5, 200.0) == 194.6195068359375
+
+
+@pytest.mark.parametrize("bad", [
+    {"beta": 0.0}, {"beta": -1.0}, {"beta": float("nan")}, {"beta": float("inf")},
+    {"epsilon": 0.0}, {"sweeps": 0}, {"sweeps": 2.5}, {"sweeps": True},
+])
+def test_ga_settings_reject_bad_values(bad):
+    with pytest.raises(ValueError, match=f"ga.{next(iter(bad))}"):
+        GASettings(**bad)
+
+
+peak_grids = st.sampled_from([
+    (0.0, 10.0, 20.0), (1.0, 1.5, 2.0, 2.5),  # tie-heavy shift levels
+])
+
+
+@st.composite
+def peak_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        grid = draw(peak_grids)
+        value = st.sampled_from(grid)
+        carbon, proton = st.builds(lambda v: 10.0 * v, value), value
+    else:
+        carbon = st.floats(min_value=0.0, max_value=200.0)
+        proton = st.floats(min_value=0.0, max_value=10.0)
+    peak = st.tuples(carbon, proton)
+    preds = draw(st.lists(peak, min_size=n, max_size=n))
+    obs = draw(st.lists(peak, min_size=m, max_size=m))
+    if draw(st.booleans()):  # observed peaks duplicated from the predictions
+        obs = [preds[draw(st.integers(min_value=0, max_value=n - 1))] for _ in range(m)]
+    return preds, obs
+
+
+@given(
+    peak_lists(),
+    st.sampled_from(["default", "c_scale 1", "custom"]),
+    st.floats(min_value=0.2, max_value=5.0),
+    st.floats(min_value=1.05, max_value=3.0),
+    st.floats(min_value=1.01, max_value=200.0),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([1e-6, 1e-3, 0.1]),
+)
+@settings(max_examples=150, deadline=None)
+def test_graduated_equals_the_annealed_schedule(lists, case, beta0, rate, span, sweeps, eps):
+    # each annealing round restarted from beta * similarity, so only the last
+    # temperature ever reached the result
+    preds = [FakePeak(c, h, carbon=i) for i, (c, h) in enumerate(lists[0])]
+    obs = [ObservedPeak(c, h, j) for j, (c, h) in enumerate(lists[1])]
+    if case == "default":
+        match, schedule = MatchSettings(), {}
+    elif case == "c_scale 1":
+        match, schedule = MatchSettings(c_scale=1.0), {}
+    else:
+        schedule = dict(epsilon=eps, beta0=beta0, rate=rate, beta_max=beta0 * span,
+                        sweeps=sweeps)
+        beta = final_temperature(beta0, rate, beta0 * span)
+        match = MatchSettings(ga=GASettings(epsilon=eps, beta=beta, sweeps=sweeps))
+    expected = annealed_graduated_assignment(cost_matrix(preds, obs, match.c_scale), **schedule)
+    got = graduated_assignment(preds, obs, match)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 class FakeMol:

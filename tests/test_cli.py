@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from hsqcnet import cli
 from hsqcnet.dataio import save_checkpoint
 from hsqcnet.model import CrossPeakModel, ModelConfig
+from helpers import BAD_CHECKPOINT_HEADERS, rewrite_checkpoint_header
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -116,13 +118,16 @@ def test_assign_reads_match_section_of_config(tiny_checkpoint, tmp_path):
         assert proc.returncode == 0, proc.stderr
         costs.append(json.loads(proc.stdout)["mean_cost"])
     assert costs[0] != costs[1]
-    # a misspelled key, a removed setting, and the carbon weight outside match
+    # a misspelled key, removed settings (the iteration counter, the carbon
+    # weight outside match, the annealing schedule) and a bad temperature
     for bad, key in (({"c_scal": 1000}, "c_scal"), ({"iteration": 2}, "iteration"),
-                     ({"ga": {"c_scale": 3.0}}, "c_scale")):
+                     ({"ga": {"c_scale": 3.0}}, "c_scale"), ({"ga": {"beta0": 1.0}}, "beta0"),
+                     ({"ga": {"beta_max": 0.5}}, "beta_max"), ({"ga": {"beta": 0}}, "beta")):
         config.write_text(json.dumps({"match": bad}))
         proc = run_cli("--quiet", "--config", str(config), "assign", "c1ccccc1",
                        "--checkpoint", str(tiny_checkpoint), "--peaks", peaks)
         assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
         assert key in proc.stderr and "Traceback" not in proc.stderr
 
 
@@ -130,6 +135,7 @@ def test_assign_reads_match_section_of_config(tiny_checkpoint, tmp_path):
     ({"model": {"mlp_hidden": 5}}, "mlp_hidden"),
     ([1, 2], "JSON object"),
     ({"match": 5}, "'match'"),
+    ({"mach": {"c_scale": 1000}}, "'mach'"),
 ])
 def test_malformed_config_is_usage_error(tiny_checkpoint, tmp_path, raw, message):
     config = tmp_path / "bad.json"
@@ -139,6 +145,41 @@ def test_malformed_config_is_usage_error(tiny_checkpoint, tmp_path, raw, message
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_HEADERS))
+def test_bad_checkpoint_header_is_data_error(tiny_checkpoint, tmp_path, case):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(tiny_checkpoint.read_bytes())
+    rewrite_checkpoint_header(path, BAD_CHECKPOINT_HEADERS[case])
+    proc = run_cli("--quiet", "predict", "CCO", "--checkpoint", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_finetune_verifies_the_checkpoint_once(tiny_checkpoint, tmp_path, monkeypatch):
+    calls: list = []
+    original = cli.verify_checkpoint_config
+
+    def counted(checkpoint, config):
+        calls.append(config)
+        return original(checkpoint, config)
+
+    monkeypatch.setattr(cli, "verify_checkpoint_config", counted)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "model": TINY.to_dict(),
+        "train": {"epochs": 1, "batch_size": 2, "max_iterations": 1},
+        "match": {"reject_threshold": 1000.0},  # the untrained model matches badly
+    }))
+    out = tmp_path / "tuned.ckpt"
+    for resume in ((), ("--resume",)):  # a fresh start, then a resume from ``out``
+        calls.clear()
+        assert cli.main(["--quiet", "--config", str(config), "finetune", *resume,
+                         "--data", str(REPO / "data" / "toy_hsqc.jsonl"),
+                         "--checkpoint", str(tiny_checkpoint),
+                         "--checkpoint-out", str(out)]) == 0
+        assert calls == [TINY]
 
 
 def test_assign_accepts_peaks_file(tiny_checkpoint, tmp_path):

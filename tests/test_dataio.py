@@ -19,6 +19,7 @@ from hsqcnet.dataio import (
     verify_checkpoint_config,
 )
 from hsqcnet.model import CrossPeakModel, ModelConfig, SolventClass
+from helpers import BAD_CHECKPOINT_HEADERS, rewrite_checkpoint_header
 
 
 @pytest.mark.parametrize(
@@ -157,6 +158,39 @@ def test_hsqc_malformed_peak_skipped_with_index(tmp_path, bad):
     assert "observed peak 1" in diagnostics[0].reason
 
 
+@pytest.mark.parametrize("kind, bad, reason", [
+    ("1d", {"smiles": "CCO", "c_shifts": {"0": None}}, "not a finite number"),
+    ("1d", {"smiles": "CCO", "c_shifts": {"0": True}}, "not a finite number"),
+    ("1d", {"smiles": "CCO", "c_shifts": {"0": "18.3"}}, "not a finite number"),
+    ("1d", {"smiles": "CCO", "h_shifts": {"3": [1.2]}}, "not a finite number"),
+    ("annotated", {"smiles": "C", "peaks": [[-2.0, 0.2]], "expert": {"0": 5}},
+     "not a list of [carbon, slot] pairs"),
+    ("annotated", {"smiles": "C", "peaks": [[-2.0, 0.2]], "expert": {"0": [[0, None]]}},
+     "not [carbon, slot]"),
+    ("annotated", {"smiles": "C", "peaks": [[-2.0, 0.2]], "expert": {"0": [[0, True]]}},
+     "not [carbon, slot]"),
+])
+def test_malformed_values_skipped_with_reason(tmp_path, kind, bad, reason):
+    good = ({"smiles": "CC", "c_shifts": {"0": 6.0}} if kind == "1d" else
+            {"smiles": "CC", "peaks": [[6.0, 0.9]], "expert": {"0": [[0, 1]]}})
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [bad, good])
+    samples, diagnostics = scan_dataset(path, kind)
+    assert len(samples) == 1
+    assert diagnostics[0].status == "skipped" and reason in diagnostics[0].reason
+
+
+@pytest.mark.parametrize("value", ["NaN", "1e400", "1" + "0" * 400],
+                         ids=["NaN", "1e400", "401 digits"])
+def test_non_finite_shift_skipped(tmp_path, value):
+    # JSON reads NaN and 1e400 as non-finite floats, and the 401-digit
+    # integer has no float at all
+    path = tmp_path / "d.jsonl"
+    path.write_text(f'{{"smiles": "CCO", "c_shifts": {{"0": {value}}}}}\n')
+    samples, diagnostics = scan_dataset(path, "1d")
+    assert not samples and diagnostics[0].status == "skipped"
+
+
 def test_out_of_range_target_skipped(tmp_path):
     records = [{"smiles": "C", "c_shifts": {"7": 1.0}}]
     path = tmp_path / "d.jsonl"
@@ -239,3 +273,13 @@ def test_config_hash_stable_and_sensitive():
     a = ModelConfig()
     assert config_hash(a) == config_hash(ModelConfig())
     assert config_hash(a) != config_hash(ModelConfig(atom_dim=32))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_HEADERS))
+def test_checkpoint_bad_header_rejected(tmp_path, case):
+    config = ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4, mlp_hidden=(6, 5))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(CrossPeakModel(config).state_arrays(), config, {}, path)
+    rewrite_checkpoint_header(path, BAD_CHECKPOINT_HEADERS[case])
+    with pytest.raises(CheckpointError, match=str(path)):
+        load_checkpoint(path)

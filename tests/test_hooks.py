@@ -110,6 +110,18 @@ def test_pseudo_annotate_reaches_the_matchers(monkeypatch):
     assert len(graduated[0]) > 0  # softassign sweeps reported through on_sweep
 
 
+def test_graduated_reports_one_temperature_of_sweeps():
+    # one softassign at one temperature: on_sweep fires once per sweep, so the
+    # traced assign.softassign_sweeps count is ga.sweeps per call
+    rng = np.random.default_rng(11)
+    preds = [ObservedPeak(float(c), float(h), i)
+             for i, (c, h) in enumerate(rng.uniform(0, 10, (9, 2)))]
+    for match in (MatchSettings(), MatchSettings(ga=assign.GASettings(sweeps=7))):
+        sweeps: list = []
+        assign.graduated_assignment(preds, preds[:5], match, on_sweep=sweeps.append)
+        assert len(sweeps) == match.ga.sweeps
+
+
 def test_hungarian_solves_once_per_call(monkeypatch):
     # the tie-break works on the dual-tight edges of one optimum, so even a
     # tie-heavy matrix costs a single linear_sum_assignment call

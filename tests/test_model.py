@@ -22,6 +22,8 @@ def test_config_validation():
         ModelConfig(atom_dim=0)
     with pytest.raises(ValueError):
         ModelConfig(solvent_dim_c=-1)
+    with pytest.raises(ValueError, match="two layer widths"):
+        ModelConfig(mlp_hidden=(6, 5, 4))
 
 
 def test_solvent_class_has_nine_members():
