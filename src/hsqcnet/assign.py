@@ -16,6 +16,7 @@ Rangarajan 1996) would have nothing to carry between temperatures.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -36,6 +37,17 @@ class ObservedPeak:
     delta_c: float
     delta_h: float
     index: int
+
+
+def is_finite_real(value) -> bool:
+    """True for a real number that is not a bool and is finite as a float;
+    an integer too large for a float counts as non-finite."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def ingest_peaks(pairs) -> list[ObservedPeak]:
@@ -59,9 +71,9 @@ def ingest_peaks(pairs) -> list[ObservedPeak]:
             raise ValueError(
                 f"observed peak {i} is not a [delta_c, delta_h] pair of numbers: {entry!r}"
             )
-        dc, dh = float(dc), float(dh)
-        if not (np.isfinite(dc) and np.isfinite(dh)):
+        if not (is_finite_real(dc) and is_finite_real(dh)):
             raise MatchingError(f"non-finite observed peak at index {i}")
+        dc, dh = float(dc), float(dh)
         if not 0.0 <= dc <= 250.0 or not -2.0 <= dh <= 14.0:
             log.warning(
                 "observed peak %d (%.2f, %.2f) outside the usual shift range",

@@ -7,11 +7,19 @@ batches, and the op set is exactly what the matrix-form message-passing
 model needs: ``gather`` (rows or elements, e.g. embedding lookups and
 edge-source reads), ``affine`` maps, ``relu``, ``concat``, ``segment_sum``
 (edge messages back onto nodes), ``scale`` by a constant, and the fused L1
-loss ``mean_abs_error``.
+loss ``mean_abs_error``. Scatter-adds onto fresh arrays (the ``segment_sum``
+forward, gather adjoints of intermediate tensors) go through one
+``bincount``, which sums in input order exactly as ``np.add.at`` does.
+
+``Adam`` packs its parameters into one flat value buffer and one flat
+gradient buffer and makes each Parameter's ``values`` and ``grad`` views
+into them, so a step and a gradient reset are a few whole-buffer
+operations; build one optimizer per parameter set.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -99,9 +107,7 @@ def backward(loss: Tensor, record: ComputeRecord) -> None:
             if isinstance(target, Parameter):
                 np.add.at(target.grad, index, grad)
                 return
-            full = np.zeros_like(target.values)
-            np.add.at(full, index, grad)
-            grad = full
+            grad = _scatter_add(index, grad, target.values.shape)
         if isinstance(target, Parameter):
             target.grad += grad
             return
@@ -121,6 +127,26 @@ def backward(loss: Tensor, record: ComputeRecord) -> None:
 def zero_gradients(params) -> None:
     for p in params:
         p.zero_grad()
+
+
+def _scatter_add(index: tuple[np.ndarray, ...], values: np.ndarray, shape) -> np.ndarray:
+    """A zero array of ``shape`` with ``values`` added at ``index`` (one
+    integer array per leading axis), repeats summed in input order.
+
+    The bits equal ``np.add.at`` onto zeros: ``bincount`` adds each weight
+    in input order onto +0, one flat slot per (index, trailing column).
+    """
+    lead = len(index)
+    flat = index[0]
+    for axis in range(1, lead):
+        flat = flat * shape[axis] + index[axis]
+    flat = flat.reshape(-1)
+    width = math.prod(shape[lead:])
+    if width != 1:
+        flat = (flat[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(
+        flat, weights=values.reshape(-1), minlength=math.prod(shape)
+    ).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +226,12 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
         raise DimensionError(f"concat shape mismatch on axis {axis}: {shapes}") from exc
     tape = _tape()
     if tape is not None:
-        splits = np.cumsum([p.values.shape[axis] for p in parts])[:-1]
+        lead = (slice(None),) * (axis % out.values.ndim)
+        bounds = [0, *itertools.accumulate(p.values.shape[axis] for p in parts)]
 
         def adjoint(g, acc):
-            for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-                acc(p, piece)
+            for p, lo, hi in zip(parts, bounds, bounds[1:]):
+                acc(p, g[lead + (slice(lo, hi),)])
 
         tape._push(out, adjoint)
     return out
@@ -221,9 +248,7 @@ def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
         )
     if segments.size and (segments.min() < 0 or segments.max() >= num_segments):
         raise IndexError(f"segment id out of range [0, {num_segments})")
-    values = np.zeros((num_segments,) + x.values.shape[1:])
-    np.add.at(values, segments, x.values)
-    out = Tensor(values)
+    out = Tensor(_scatter_add((segments,), x.values, (num_segments,) + x.values.shape[1:]))
     tape = _tape()
     if tape is not None:
         tape._push(out, lambda g, acc: acc(x, np.take(g, segments, axis=0)))
@@ -265,12 +290,12 @@ def mean_abs_error(preds: list[Tensor], targets, scale=1.0, center=0.0) -> Tenso
     tape = _tape()
     if tape is not None:
         sign = np.sign(diff)
-        splits = np.cumsum(sizes)[:-1]
+        bounds = [0, *itertools.accumulate(sizes)]
 
         def adjoint(g, acc):
             flat = g / diff.size * sign
-            for p, piece in zip(preds, np.split(flat, splits)):
-                acc(p, piece.reshape(p.values.shape))
+            for p, lo, hi in zip(preds, bounds, bounds[1:]):
+                acc(p, flat[lo:hi].reshape(p.values.shape))
 
         tape._push(out, adjoint)
     return out
@@ -290,7 +315,18 @@ def uniform_init(
 
 
 class Adam:
-    """Adam with the usual defaults; operates in place on Parameters."""
+    """Adam with the usual defaults, over one flat buffer.
+
+    The constructor packs the parameters' values and grads, in list order,
+    into one flat ``theta`` and one flat ``grad`` buffer and rebinds each
+    ``Parameter.values`` and ``.grad`` to a view into them, so code that
+    reads or writes a parameter in place works on the live buffer. The
+    moments ``m`` and ``v`` are flat too. ``step`` applies the per-array
+    expression sequence element-wise and in place (two work buffers),
+    so its results equal per-array updates bit for bit. Build one
+    optimizer per parameter set: a second one would rebind the views to
+    its own buffers and leave the first updating a detached copy.
+    """
 
     def __init__(
         self,
@@ -306,21 +342,40 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.values) for p in self.params]
-        self._v = [np.zeros_like(p.values) for p in self.params]
+        size = sum(p.values.size for p in self.params)
+        self._theta = np.empty(size)
+        self._grad = np.empty(size)
+        lo = 0
+        for p in self.params:
+            hi = lo + p.values.size
+            self._theta[lo:hi] = p.values.reshape(-1)
+            self._grad[lo:hi] = p.grad.reshape(-1)
+            p.values = self._theta[lo:hi].reshape(p.values.shape)
+            p.grad = self._grad[lo:hi].reshape(p.values.shape)
+            lo = hi
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._work = (np.empty(size), np.empty(size))
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, m, v = self._grad, self._m, self._v
+        update, denom = self._work
+        m *= b1
+        np.multiply(1 - b1, g, out=update)
+        m += update
+        v *= b2
+        np.multiply(1 - b2, g, out=update)
+        update *= g
+        v += update
+        np.divide(m, 1 - b1**self.t, out=update)  # m_hat
+        np.multiply(self.lr, update, out=update)
+        np.divide(v, 1 - b2**self.t, out=denom)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        self._theta -= update
 
     def zero_grad(self) -> None:
-        zero_gradients(self.params)
+        self._grad.fill(0.0)

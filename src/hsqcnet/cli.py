@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -133,9 +134,10 @@ def _load_config(args) -> tuple[ModelConfig, TrainConfig, MatchSettings]:
 
 
 def _read_peaks(spec: str):
-    candidate = Path(spec)
-    if candidate.exists():
-        return ingest_peaks(json.loads(candidate.read_text()))
+    """Peaks from the file named ``spec`` if there is one, else from ``spec``
+    as inline JSON (which may be longer than any file name can be)."""
+    if os.path.exists(spec):
+        return ingest_peaks(json.loads(Path(spec).read_text()))
     return ingest_peaks(json.loads(spec))
 
 

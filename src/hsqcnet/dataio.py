@@ -15,12 +15,12 @@ import math
 import struct
 from dataclasses import dataclass
 from importlib import resources
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .assign import ingest_peaks
+from .assign import ingest_peaks, is_finite_real
 from .model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
 from .model import _parameter_shapes
 from .smiles import SmilesParseError, canonical_smiles
@@ -92,8 +92,9 @@ def scan_dataset(path: str | Path, kind: str) -> tuple[list, list[RecordDiagnost
     """Parse and validate a JSONL dataset.
 
     Returns (samples, per-record diagnostics). Records with unusable
-    content (bad SMILES, empty peak lists, out-of-range target indices,
-    shifts that are not finite numbers, malformed expert maps) are skipped and reported; duplicates (same canonical SMILES, solvent,
+    content (a JSON value that is not an object, bad SMILES, empty peak
+    lists, out-of-range target indices, shifts that are not finite numbers,
+    malformed expert maps) are skipped and reported; duplicates (same canonical SMILES, solvent,
     and targets) are dropped and reported; a malformed JSON line is an
     error, not a skip.
     """
@@ -113,7 +114,7 @@ def scan_dataset(path: str | Path, kind: str) -> tuple[list, list[RecordDiagnost
                 raise DataFormatError(
                     f"{path}:{lineno}: malformed JSON line ({exc.msg})"
                 ) from exc
-            smiles = record.get("smiles", "")
+            smiles = record.get("smiles", "") if isinstance(record, dict) else ""
             try:
                 sample, key = _build_sample(record, kind)
             except (SmilesParseError, DataFormatError, ValueError, OverflowError) as exc:
@@ -146,7 +147,9 @@ def load_dataset(path: str | Path, kind: str) -> list:
     return samples
 
 
-def _build_sample(record: dict, kind: str):
+def _build_sample(record, kind: str):
+    if not isinstance(record, dict):
+        raise DataFormatError("record is not a JSON object")
     smiles = record.get("smiles")
     if not isinstance(smiles, str) or not smiles:
         raise DataFormatError("record has no smiles field")
@@ -228,7 +231,7 @@ def _shift_map(raw, molecule, element: str) -> dict[int, float]:
             raise DataFormatError(
                 f"proton target {idx} is not bonded to carbon"
             )
-        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        if not is_finite_real(value):
             raise DataFormatError(f"shift of atom {idx} is not a finite number: {value!r}")
         out[idx] = float(value)
     return out

@@ -122,6 +122,47 @@ class PredictedPeak:
     peak_slot: int
 
 
+@dataclass(frozen=True)
+class GraphIndex:
+    """The integer arrays one forward pass reads from a graph: the directed
+    edges (every atom's adjacency in atom order, as ``src`` -> ``dst``) and
+    the embedding-table row of each atom and edge feature."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    element: np.ndarray
+    chirality: np.ndarray
+    hybridization: np.ndarray
+    bond_type: np.ndarray
+    direction: np.ndarray
+
+
+def graph_index(graph: MolecularGraph) -> GraphIndex:
+    """Edge and embedding-id arrays of a graph whose hybridization has been
+    inferred; an uninferred atom raises ValueError."""
+    atoms = graph.atoms
+    for atom in atoms:
+        if atom.hybridization is Hybridization.UNSPECIFIED:
+            raise ValueError(
+                f"atom {atom.index} has uninferred hybridization; run "
+                "infer_hybridization first"
+            )
+    n = len(atoms)
+    src = [u for v in range(n) for u in graph.adjacency[v]]
+    dst = [v for v in range(n) for _ in graph.adjacency[v]]
+    bonds = [graph.bond_between(u, v) for u, v in zip(src, dst)]
+    ids = lambda values: np.array(values, dtype=np.intp)
+    return GraphIndex(
+        src=ids(src),
+        dst=ids(dst),
+        element=ids([SYMBOL_INDEX[a.element] for a in atoms]),
+        chirality=ids([_CHIRALITY_INDEX[a.chirality] for a in atoms]),
+        hybridization=ids([_HYBRID_INDEX[a.hybridization] for a in atoms]),
+        bond_type=ids([_BOND_INDEX[b.bond_type] for b in bonds]),
+        direction=ids([_DIRECTION_INDEX[b.direction] for b in bonds]),
+    )
+
+
 @dataclass
 class Molecule:
     """A parsed structure with everything the model needs precomputed."""
@@ -130,6 +171,7 @@ class Molecule:
     graph: MolecularGraph  # hydrogens explicit, hybridization inferred
     classes: EquivalenceClasses
     units: list[CHUnit]
+    index: GraphIndex
 
 
 def prepare_molecule(source: str | MolecularGraph) -> Molecule:
@@ -138,7 +180,8 @@ def prepare_molecule(source: str | MolecularGraph) -> Molecule:
     classes = canonical_equivalence_classes(expanded)
     units = enumerate_ch_units(expanded, classes)
     return Molecule(
-        smiles=graph.source_smiles, graph=expanded, classes=classes, units=units
+        smiles=graph.source_smiles, graph=expanded, classes=classes, units=units,
+        index=graph_index(expanded),
     )
 
 
@@ -236,13 +279,13 @@ class CrossPeakModel:
 
     # -- forward pass -------------------------------------------------------
 
-    def _embedding_sum(self, lookups: list[tuple[str, list[int]]], rows: int) -> Tensor:
+    def _embedding_sum(self, lookups: list[tuple[str, np.ndarray]], rows: int) -> Tensor:
         """Row-wise sum of embedding rows, one table per (name, row ids) pair."""
         parts = [ad.gather(self.params[name], ids) for name, ids in lookups]
         segments = np.tile(np.arange(rows), len(parts))
         return ad.segment_sum(ad.concat(parts, axis=0), segments, rows)
 
-    def encode_atoms(self, graph: MolecularGraph) -> list[Tensor]:
+    def encode_atoms(self, index: GraphIndex) -> list[Tensor]:
         """Node embeddings of layers 0..L, each an (atoms, atom_dim) row
         batch; hydrogens are nodes.
 
@@ -250,31 +293,19 @@ class CrossPeakModel:
         them with their edge features to messages, sums the messages onto
         the destination nodes and maps each node with its message sum.
         """
-        atoms = graph.atoms
-        for atom in atoms:
-            if atom.hybridization is Hybridization.UNSPECIFIED:
-                raise ValueError(
-                    f"atom {atom.index} has uninferred hybridization; run "
-                    "infer_hybridization first"
-                )
-        n = len(atoms)
-        src = [u for v in range(n) for u in graph.adjacency[v]]
-        dst = [v for v in range(n) for _ in graph.adjacency[v]]
-        bonds = [graph.bond_between(u, v) for u, v in zip(src, dst)]
+        n = len(index.element)
+        src, dst = index.src, index.dst
         h = self._embedding_sum(
             [
-                ("embed.element", [SYMBOL_INDEX[a.element] for a in atoms]),
-                ("embed.chirality", [_CHIRALITY_INDEX[a.chirality] for a in atoms]),
-                ("embed.hybridization", [_HYBRID_INDEX[a.hybridization] for a in atoms]),
+                ("embed.element", index.element),
+                ("embed.chirality", index.chirality),
+                ("embed.hybridization", index.hybridization),
             ],
             n,
         )
         edge = self._embedding_sum(
-            [
-                ("embed.bond_type", [_BOND_INDEX[b.bond_type] for b in bonds]),
-                ("embed.direction", [_DIRECTION_INDEX[b.direction] for b in bonds]),
-            ],
-            len(bonds),
+            [("embed.bond_type", index.bond_type), ("embed.direction", index.direction)],
+            len(src),
         )
         p = self.params
         layers = [h]
@@ -319,7 +350,7 @@ class CrossPeakModel:
         proton solvent vector.
         """
         graph = molecule.graph
-        final = self.encode_atoms(graph)[-1]
+        final = self.encode_atoms(molecule.index)[-1]
         carbons = np.asarray(carbons, dtype=np.intp)
         k = len(carbons)
         hydrogens = [

@@ -257,6 +257,8 @@ def parse_smiles(text: str) -> MolecularGraph:
         raise SmilesParseError(f"unmatched ring closure {number}", pos)
     if pending.explicit:
         raise SmilesParseError("dangling bond symbol", n - 1)
+    if not atoms:
+        raise SmilesParseError("SMILES has no atoms", 0)
 
     graph = MolecularGraph(atoms=atoms, bonds=bonds, source_smiles=text)
     for idx, atom in enumerate(atoms):

@@ -25,7 +25,7 @@ from .assign import (
     PseudoLabels,
     pseudo_annotate,
 )
-from .autodiff import Adam, ComputeRecord, Tensor, backward, zero_gradients
+from .autodiff import Adam, ComputeRecord, Tensor, backward
 from .model import (
     CrossPeakModel,
     ModelConfig,
@@ -192,7 +192,7 @@ def _fit_epoch(model: CrossPeakModel, optimizer: Adam, items: list, batch_size: 
     losses: list[float] = []
     for lo in range(0, len(items), batch_size):
         batch = items[lo : lo + batch_size]
-        zero_gradients(model.parameters())
+        optimizer.zero_grad()
         batch_loss = 0.0
         for item in batch:
             with ComputeRecord() as record:

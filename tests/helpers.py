@@ -1,8 +1,9 @@
 """Independent oracles used by the tests: attribute-aware graph isomorphism
 (with tetrahedral parity), brute-force automorphism orbits, the
-brute-force lexicographically smallest optimal assignment and the annealed
-graduated assignment that the one-temperature softassign replaced; and a
-checkpoint header rewriter with the malformed headers it is given."""
+brute-force lexicographically smallest optimal assignment, the annealed
+graduated assignment that the one-temperature softassign replaced and the
+per-array Adam that the flat-buffer one replaced; and a checkpoint header
+rewriter with the malformed headers it is given."""
 
 from __future__ import annotations
 
@@ -220,6 +221,26 @@ def final_temperature(beta0: float, rate: float, beta_max: float) -> float:
         last = beta
         beta *= rate
     return last
+
+
+def reference_adam(values, grad_steps, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-array Adam the flat-buffer one replaced, from copies of
+    ``values``: one update per array, a temporary for every intermediate
+    result. ``grad_steps`` gives one gradient per array for each step;
+    yields the arrays after each step."""
+    values = [np.array(v, dtype=np.float64) for v in values]
+    ms = [np.zeros_like(v) for v in values]
+    vs = [np.zeros_like(v) for v in values]
+    for t, grads in enumerate(grad_steps, start=1):
+        for p, m, v, g in zip(values, ms, vs, grads):
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            m_hat = m / (1 - beta1**t)
+            v_hat = v / (1 - beta2**t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        yield values
 
 
 def rewrite_checkpoint_header(path, edit) -> None:

@@ -17,6 +17,7 @@ from hsqcnet.assign import (
     graduated_assignment,
     hungarian,
     ingest_peaks,
+    is_finite_real,
     pseudo_annotate,
     shift_cost,
     softassign,
@@ -63,6 +64,23 @@ def test_ingest_peaks_warns_but_keeps_out_of_range(caplog):
     assert "outside" in caplog.text
     with pytest.raises(MatchingError):
         ingest_peaks([[float("nan"), 1.0]])
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"), 10**400, -(10**400)],
+                         ids=["inf", "-inf", "nan", "401 digits", "-401 digits"])
+def test_ingest_peaks_non_finite_is_matching_error(value):
+    # an integer too large for a float is non-finite, not an OverflowError
+    assert not is_finite_real(value)
+    for pair in ([value, 1.0], [1.0, value]):
+        with pytest.raises(MatchingError, match="non-finite observed peak at index 0"):
+            ingest_peaks([pair])
+
+
+def test_finite_real_rule():
+    assert is_finite_real(1) and is_finite_real(-2.5) and is_finite_real(np.float32(3.0))
+    assert is_finite_real(10**300) and is_finite_real(np.int64(7))
+    for value in (True, False, None, "1.0", [1.0], 1j, float("nan")):
+        assert not is_finite_real(value), value
 
 
 @pytest.mark.parametrize("pairs, where", [

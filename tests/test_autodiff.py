@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsqcnet import autodiff as ad
 from hsqcnet.autodiff import (
@@ -10,9 +12,12 @@ from hsqcnet.autodiff import (
     DimensionError,
     Parameter,
     Tensor,
+    _scatter_add,
     backward,
     zero_gradients,
 )
+from hsqcnet.model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
+from helpers import reference_adam
 
 
 def p(values, name="p"):
@@ -216,3 +221,104 @@ def test_concat_and_component_round_trip():
     rows = ad.concat([Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])], axis=0)
     assert np.array_equal(rows.values, [[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(ad.gather(rows, ([1, 0], [0, 1])).values, [3.0, 2.0])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_scatter_add_equals_add_at_onto_zeros(data):
+    # magnitudes 1e-8..1e8 of either sign make every reordering of a
+    # repeated index's sum show in the bits
+    lead = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=2), label="lead")
+    shape = tuple(lead) + data.draw(st.sampled_from([(), (1,), (2,), (64,)]), label="width")
+    n = data.draw(st.integers(0, 24), label="rows")
+    index = tuple(
+        np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)),
+                 dtype=np.intp)
+        for size in lead
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    size = (n,) + shape[len(lead):]
+    values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 8, size)
+    expected = np.zeros(shape)
+    np.add.at(expected, index, values)
+    assert np.array_equal(_scatter_add(index, values, shape), expected)
+
+
+def test_scatter_add_scalar_and_empty_index():
+    values = np.array([1.5, -2.0, 1e8])
+    expected = np.zeros((4, 3))
+    expected[2] = values
+    got = _scatter_add((np.asarray(2, dtype=np.intp),), values, (4, 3))  # one row
+    assert np.array_equal(got, expected)
+    empty = _scatter_add((np.zeros(0, np.intp),), np.zeros((0, 64)), (3, 64))
+    assert empty.shape == (3, 64) and not empty.any()
+
+
+def test_edge_free_segment_sum_backward():
+    rows = Parameter(np.zeros((0, 3)), "rows")
+    with ComputeRecord() as rec:
+        summed = ad.segment_sum(ad.gather(rows, np.zeros(0, np.intp)), [], 2)
+        loss = ad.mean_abs_error([summed], np.ones(6))
+    backward(loss, rec)
+    assert np.array_equal(summed.values, np.zeros((2, 3)))
+    assert rows.grad.shape == (0, 3)
+
+
+def test_one_atom_molecule_backward():
+    # "[C]" is one atom with no edges: the message sums and the hydrogen
+    # mean read zero rows, and no edge embedding gets a gradient
+    model = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=8, solvent_dim_h=4,
+                                       mlp_hidden=(6, 5), seed=1))
+    molecule = prepare_molecule("[C]")
+    assert molecule.index.src.size == 0
+    with ComputeRecord() as rec:
+        c_out, _ = model.atom_shift_tensors(molecule, SolventClass.DMSO, [0], [])
+        loss = ad.mean_abs_error([c_out[0]], [5.0])
+    backward(loss, rec)
+    grads = {name: p.grad for name, p in model.params.items()}
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    assert not grads["embed.bond_type"].any() and not grads["embed.direction"].any()
+    assert grads["embed.element"].any()
+
+
+def test_flat_adam_matches_per_array_adam_bit_for_bit():
+    rng = np.random.default_rng(3)
+    shapes = [(4, 3), (3,), (1, 1), (5, 2, 2), (16,)]
+    params = [Parameter(rng.normal(size=shape), f"p{k}") for k, shape in enumerate(shapes)]
+    initial = [p.values.copy() for p in params]
+    grad_steps = []
+    for _ in range(300):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2) for shape in shapes]
+        grads[0][rng.integers(0, 4)] = 0.0  # an embedding row no sample read
+        grad_steps.append(grads)
+    opt = Adam(params, lr=3e-3)
+    for grads, expected in zip(grad_steps, reference_adam(initial, grad_steps, lr=3e-3)):
+        opt.zero_grad()
+        for p, g in zip(params, grads):
+            p.grad += g
+        opt.step()
+        for p, e in zip(params, expected):
+            assert np.array_equal(p.values, e)
+    assert opt.t == 300
+
+
+def test_state_io_reads_and_writes_the_optimizer_buffer():
+    model = CrossPeakModel(ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4,
+                                       mlp_hidden=(6, 5), seed=2))
+    opt = Adam(model.parameters(), lr=1e-2)
+    rng = np.random.default_rng(4)
+    loaded = {name: rng.normal(size=a.shape) for name, a in model.state_arrays().items()}
+    model.load_state(loaded)  # after the optimizer packed the parameters
+    grads = [rng.normal(size=p.values.shape) for p in model.parameters()]
+    for p, g in zip(model.parameters(), grads):
+        p.grad[...] = g
+    opt.step()
+    (expected,) = [list(v) for v in reference_adam(list(loaded.values()), [grads], lr=1e-2)]
+    state = model.state_arrays()
+    for (name, got), want in zip(state.items(), expected):
+        assert np.array_equal(got, want), name
+        got += 1.0  # a copy: the model keeps its values
+    for p, want in zip(model.parameters(), expected):
+        assert np.array_equal(p.values, want), p.name
+    opt.zero_grad()
+    assert all(not p.grad.any() for p in model.parameters())

@@ -198,6 +198,31 @@ def test_assign_malformed_peaks_is_usage_error(tiny_checkpoint, peaks):
     assert "observed peak 0" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("peaks", ["[[1e400, 1]]", "[[1, " + "9" * 401 + "]]"],
+                         ids=["1e400", "401 digits"])
+def test_assign_non_finite_peak_is_numeric_error(tiny_checkpoint, capsys, peaks):
+    code = cli.main(["--quiet", "assign", "CCO", "--checkpoint", str(tiny_checkpoint),
+                     "--peaks", peaks])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: non-finite observed peak")
+
+
+def test_assign_accepts_inline_peaks_longer_than_a_file_name(tiny_checkpoint, capsys):
+    peaks = json.dumps([[18.0 + k / 7, 1.2 + k / 70] for k in range(12)])
+    assert len(peaks) > 255
+    code = cli.main(["--quiet", "assign", "CCCCCCCCCCCC", "--checkpoint", str(tiny_checkpoint),
+                     "--peaks", peaks])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["matcher"] in ("hungarian", "graduated")
+
+
+@pytest.mark.parametrize("smiles", ["", ".", ".."])
+def test_predict_without_atoms_is_data_error(tiny_checkpoint, capsys, smiles):
+    code = cli.main(["--quiet", "predict", smiles, "--checkpoint", str(tiny_checkpoint)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_export_svg(tiny_checkpoint, tmp_path):
     out = tmp_path / "overlay.svg"
     proc = run_cli("--quiet", "export", "c1ccccc1",

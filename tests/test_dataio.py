@@ -180,6 +180,28 @@ def test_malformed_values_skipped_with_reason(tmp_path, kind, bad, reason):
     assert diagnostics[0].status == "skipped" and reason in diagnostics[0].reason
 
 
+@pytest.mark.parametrize("kind", ["1d", "hsqc", "annotated"])
+@pytest.mark.parametrize("line", ["[1, 2]", "3.5", '"CCO"', "null", "true"])
+def test_non_object_record_skipped_with_reason(tmp_path, kind, line):
+    good = ({"smiles": "CC", "c_shifts": {"0": 6.0}} if kind == "1d" else
+            {"smiles": "CC", "peaks": [[6.0, 0.9]], "expert": {"0": [[0, 1]]}})
+    path = tmp_path / "d.jsonl"
+    path.write_text(line + "\n" + json.dumps(good) + "\n")
+    samples, diagnostics = scan_dataset(path, kind)
+    assert len(samples) == 1
+    assert diagnostics[0].status == "skipped" and diagnostics[0].smiles == ""
+    assert "not a JSON object" in diagnostics[0].reason
+
+
+def test_validate_data_skips_non_object_line(tmp_path, capsys):
+    from hsqcnet import cli
+
+    path = tmp_path / "d.jsonl"
+    path.write_text("[1,2]\n")
+    assert cli.main(["--quiet", "validate-data", "--kind", "1d", "--data", str(path)]) == 0
+    assert "not a JSON object" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["NaN", "1e400", "1" + "0" * 400],
                          ids=["NaN", "1e400", "401 digits"])
 def test_non_finite_shift_skipped(tmp_path, value):

@@ -9,6 +9,7 @@ from hsqcnet.model import (
     SolventClass,
     _parameter_shapes,
     count_parameters,
+    graph_index,
     prepare_molecule,
 )
 from hsqcnet.molgraph import relabel_atoms
@@ -68,7 +69,7 @@ def test_init_deterministic_by_seed(tiny_config):
 def test_benzene_embeddings_identical(tiny_config):
     model = CrossPeakModel(tiny_config)
     mol = prepare_molecule("c1ccccc1")
-    layers = model.encode_atoms(mol.graph)
+    layers = model.encode_atoms(graph_index(mol.graph))
     for layer in layers:
         first = layer.values[0]
         for i in range(1, 6):
@@ -78,7 +79,7 @@ def test_benzene_embeddings_identical(tiny_config):
 def test_single_atom_graph_message_is_zero(tiny_config):
     model = CrossPeakModel(tiny_config)
     mol = prepare_molecule("[Na+]")
-    layers = model.encode_atoms(mol.graph)
+    layers = model.encode_atoms(graph_index(mol.graph))
     assert len(layers) == tiny_config.num_layers + 1
     assert np.all(np.isfinite(layers[-1].values[0]))
 
@@ -87,20 +88,19 @@ def test_uninferred_hybridization_rejected(tiny_config):
     from hsqcnet.molgraph import add_explicit_hydrogens
 
     graph = add_explicit_hydrogens(parse_smiles("C"))  # no inference step
-    model = CrossPeakModel(tiny_config)
     with pytest.raises(ValueError, match="hybridization"):
-        model.encode_atoms(graph)
+        graph_index(graph)
 
 
 def test_permutation_equivariance_embeddings(tiny_config):
     model = CrossPeakModel(tiny_config)
     mol = prepare_molecule("CCO")
     rng = np.random.default_rng(5)
-    base = model.encode_atoms(mol.graph)[-1]
+    base = model.encode_atoms(graph_index(mol.graph))[-1]
     n = len(mol.graph.atoms)
     perm = list(rng.permutation(n))
     permuted = relabel_atoms(mol.graph, perm)
-    layers = model.encode_atoms(permuted)[-1]
+    layers = model.encode_atoms(graph_index(permuted))[-1]
     for v in range(n):
         assert np.allclose(
             layers.values[perm[v]], base.values[v], atol=1e-12, rtol=0

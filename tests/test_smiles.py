@@ -71,6 +71,12 @@ def test_empty_input():
         parse_smiles("")
 
 
+@pytest.mark.parametrize("text", [".", "..", " . "])
+def test_no_atoms_rejected(text):
+    with pytest.raises(SmilesParseError, match="no atoms"):
+        parse_smiles(text)
+
+
 def test_aromatic_bond_outside_ring_rejected():
     with pytest.raises(SmilesParseError, match="aromatic bond"):
         parse_smiles("CC:C")
