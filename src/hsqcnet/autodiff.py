@@ -5,11 +5,14 @@ active ComputeRecord; ``backward`` replays the record in reverse and
 accumulates gradients into the participating Parameters. Ops work on row
 batches, and the op set is exactly what the matrix-form message-passing
 model needs: ``gather`` (rows or elements, e.g. embedding lookups and
-edge-source reads), ``affine`` maps, ``relu``, ``concat``, ``segment_sum``
-(edge messages back onto nodes), ``scale`` by a constant, and the fused L1
-loss ``mean_abs_error``. Scatter-adds onto fresh arrays (the ``segment_sum``
-forward, gather adjoints of intermediate tensors) go through one
-``bincount``, which sums in input order exactly as ``np.add.at`` does.
+edge-source reads), ``add`` of two same-shape tensors, ``affine`` maps
+(with or without a bias), ``relu``, ``concat``, ``segment_sum`` (edge
+messages back onto nodes), ``scale`` by a constant, and the fused L1 loss
+``mean_abs_error``. ``Parameter.column_block`` lets an ``affine`` map use
+a block of a weight's columns, its gradient landing in the weight's.
+Scatter-adds onto fresh arrays (the ``segment_sum`` forward, gather
+adjoints of intermediate tensors) go through one ``bincount``, which sums
+in input order exactly as ``np.add.at`` does.
 
 ``Adam`` packs its parameters into one flat value buffer and one flat
 gradient buffer and makes each Parameter's ``values`` and ``grad`` views
@@ -56,6 +59,18 @@ class Parameter(Tensor):
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
+
+    def column_block(self, lo: int, hi: int) -> "Parameter":
+        """Columns ``lo:hi`` of this matrix as a Parameter whose ``values``
+        and ``grad`` are views into this one's, so its gradient lands here
+        (and in an optimizer's flat buffer). Take the block when it is used:
+        an ``Adam`` built later rebinds this Parameter's arrays, not the
+        block's."""
+        block = Parameter.__new__(Parameter)
+        block.values = self.values[:, lo:hi]
+        block.grad = self.grad[:, lo:hi]
+        block.name = f"{self.name}[:, {lo}:{hi}]"
+        return block
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.values.shape})"
@@ -177,8 +192,25 @@ def gather(x: Tensor, index) -> Tensor:
     return out
 
 
-def affine(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
-    """``x @ weight.T + bias`` for one input vector or a batch of rows."""
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Element-wise sum of two tensors of one shape."""
+    if a.values.shape != b.values.shape:
+        raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    out = Tensor(a.values + b.values)
+    tape = _tape()
+    if tape is not None:
+
+        def adjoint(g, acc):
+            acc(a, g)
+            acc(b, g)
+
+        tape._push(out, adjoint)
+    return out
+
+
+def affine(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tensor:
+    """``x @ weight.T + bias`` (or ``x @ weight.T`` without a bias) for one
+    input vector or a batch of rows."""
     if x.values.ndim not in (1, 2) or weight.values.ndim != 2:
         raise DimensionError(
             f"affine expects vector or rows and matrix, got {x.shape} and {weight.shape}"
@@ -187,11 +219,14 @@ def affine(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
         raise DimensionError(
             f"affine shape mismatch: weight {weight.shape} vs input {x.shape}"
         )
-    if bias.values.shape != (weight.values.shape[0],):
+    if bias is not None and bias.values.shape != (weight.values.shape[0],):
         raise DimensionError(
             f"affine bias shape {bias.shape} does not match weight {weight.shape}"
         )
-    out = Tensor(x.values @ weight.values.T + bias.values)
+    values = x.values @ weight.values.T
+    if bias is not None:
+        values += bias.values
+    out = Tensor(values)
     tape = _tape()
     if tape is not None:
         rows = x.values.reshape(-1, x.values.shape[-1])
@@ -199,7 +234,8 @@ def affine(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
         def adjoint(g, acc):
             g_rows = g.reshape(-1, g.shape[-1])
             acc(weight, g_rows.T @ rows)
-            acc(bias, g_rows.sum(axis=0))
+            if bias is not None:
+                acc(bias, g_rows.sum(axis=0))
             acc(x, g @ weight.values)
 
         tape._push(out, adjoint)

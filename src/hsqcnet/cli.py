@@ -21,6 +21,7 @@ from .dataio import (
     load_checkpoint,
     load_dataset,
     normalize_solvent,
+    parse_json,
     save_checkpoint,
     scan_dataset,
     verify_checkpoint_config,
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> tuple[ModelConfig, TrainConfig, MatchSettings]:
-    raw = json.loads(args.config.read_text()) if args.config is not None else {}
+    raw = parse_json(args.config.read_text()) if args.config is not None else {}
     try:  # a TypeError here is a malformed config: a wrong shape or key
         if not isinstance(raw, dict):
             raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
@@ -137,8 +138,8 @@ def _read_peaks(spec: str):
     """Peaks from the file named ``spec`` if there is one, else from ``spec``
     as inline JSON (which may be longer than any file name can be)."""
     if os.path.exists(spec):
-        return ingest_peaks(json.loads(Path(spec).read_text()))
-    return ingest_peaks(json.loads(spec))
+        return ingest_peaks(parse_json(Path(spec).read_text()))
+    return ingest_peaks(parse_json(spec))
 
 
 def _emit(obj) -> None:

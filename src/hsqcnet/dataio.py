@@ -58,6 +58,15 @@ def _load_synonyms() -> dict[str, SolventClass]:
 _SYNONYMS = _load_synonyms()
 
 
+def parse_json(text: str | bytes):
+    """``json.loads``, with input nested too deeply for the parser's
+    recursion reported as malformed JSON (a ``json.JSONDecodeError``)."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", "", 0) from None
+
+
 def normalize_solvent(raw: str | None) -> SolventClass:
     """Map a free-text solvent name onto one of the nine classes.
 
@@ -109,7 +118,7 @@ def scan_dataset(path: str | Path, kind: str) -> tuple[list, list[RecordDiagnost
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = parse_json(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(
                     f"{path}:{lineno}: malformed JSON line ({exc.msg})"
@@ -298,7 +307,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if start + header_len > len(blob):
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[start : start + header_len])
+        header = parse_json(blob[start : start + header_len])
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: corrupt header") from exc
     if not isinstance(header, dict):

@@ -1,16 +1,19 @@
 """Cross-peak prediction network.
 
 A message-passing graph network over atoms (hydrogens included as nodes)
-in matrix form (Gilmer et al. 2017): each layer gathers the rows of the
-directed edges' source atoms, turns them with the edge features into
-messages by one affine map, sums the messages onto the destination atoms,
-and updates every atom by a second affine map. One head evaluation over an
-array of carbons feeds two MLP heads: one predicts the carbon shift from
-the carbon embedding, one a pair of proton shifts from the carbon
-embedding, the mean of its bonded-hydrogen embeddings, and a learned
-solvent vector. Symmetry-equivalent units emit through one representative;
-methylene units may emit two peaks, and ``proton_outputs`` is the one rule
-for which proton output a (carbon, slot) target reads.
+in matrix form (Gilmer et al. 2017). Each layer's message on a directed
+edge u -> v is ``relu(W [h_u; x_e] + b)``, computed in factored form:
+``W[:, :d] h + b`` once per atom and ``W[:, d:] x`` once per edge type
+(bond type x direction, 12 rows), then the sum of the source atom's row
+and the edge type's row on every edge. The messages are summed onto the
+destination atoms, and every atom is updated by a second affine map. One
+head evaluation over an array of carbons feeds two MLP heads: one
+predicts the carbon shift from the carbon embedding, one a pair of proton
+shifts from the carbon embedding, the mean of its bonded-hydrogen
+embeddings, and a learned solvent vector. Symmetry-equivalent units emit
+through one representative; methylene units may emit two peaks, and
+``proton_outputs`` is the one rule for which proton output a (carbon,
+slot) target reads.
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ _CHIRALITY_INDEX = {c: i for i, c in enumerate(Chirality)}
 _HYBRID_INDEX = {h: i for i, h in enumerate(Hybridization)}
 _BOND_INDEX = {b: i for i, b in enumerate(BondType)}
 _DIRECTION_INDEX = {d: i for i, d in enumerate(BondDirection)}
+# edge type t is bond type t // len(BondDirection) and direction
+# t % len(BondDirection): the bond and direction embedding rows of each
+_EDGE_BOND, _EDGE_DIRECTION = np.divmod(
+    np.arange(len(BondType) * len(BondDirection)), len(BondDirection)
+)
 
 
 @dataclass(frozen=True)
@@ -125,16 +133,16 @@ class PredictedPeak:
 @dataclass(frozen=True)
 class GraphIndex:
     """The integer arrays one forward pass reads from a graph: the directed
-    edges (every atom's adjacency in atom order, as ``src`` -> ``dst``) and
-    the embedding-table row of each atom and edge feature."""
+    edges (every atom's adjacency in atom order, as ``src`` -> ``dst``), the
+    embedding-table row of each atom feature, and each edge's type
+    ``bond * len(BondDirection) + direction``."""
 
     src: np.ndarray
     dst: np.ndarray
     element: np.ndarray
     chirality: np.ndarray
     hybridization: np.ndarray
-    bond_type: np.ndarray
-    direction: np.ndarray
+    edge_type: np.ndarray
 
 
 def graph_index(graph: MolecularGraph) -> GraphIndex:
@@ -158,8 +166,10 @@ def graph_index(graph: MolecularGraph) -> GraphIndex:
         element=ids([SYMBOL_INDEX[a.element] for a in atoms]),
         chirality=ids([_CHIRALITY_INDEX[a.chirality] for a in atoms]),
         hybridization=ids([_HYBRID_INDEX[a.hybridization] for a in atoms]),
-        bond_type=ids([_BOND_INDEX[b.bond_type] for b in bonds]),
-        direction=ids([_DIRECTION_INDEX[b.direction] for b in bonds]),
+        edge_type=ids([
+            _BOND_INDEX[b.bond_type] * len(BondDirection) + _DIRECTION_INDEX[b.direction]
+            for b in bonds
+        ]),
     )
 
 
@@ -279,46 +289,38 @@ class CrossPeakModel:
 
     # -- forward pass -------------------------------------------------------
 
-    def _embedding_sum(self, lookups: list[tuple[str, np.ndarray]], rows: int) -> Tensor:
-        """Row-wise sum of embedding rows, one table per (name, row ids) pair."""
-        parts = [ad.gather(self.params[name], ids) for name, ids in lookups]
-        segments = np.tile(np.arange(rows), len(parts))
-        return ad.segment_sum(ad.concat(parts, axis=0), segments, rows)
-
     def encode_atoms(self, index: GraphIndex) -> list[Tensor]:
         """Node embeddings of layers 0..L, each an (atoms, atom_dim) row
         batch; hydrogens are nodes.
 
-        Each layer gathers the source rows of the directed edges, maps
-        them with their edge features to messages, sums the messages onto
-        the destination nodes and maps each node with its message sum.
+        Each layer maps every atom by the source half of its message map
+        and every edge type by the edge half, adds the two rows on each
+        directed edge into a message, sums the messages onto the
+        destination nodes and maps each node with its message sum.
         """
-        n = len(index.element)
-        src, dst = index.src, index.dst
-        h = self._embedding_sum(
-            [
-                ("embed.element", index.element),
-                ("embed.chirality", index.chirality),
-                ("embed.hybridization", index.hybridization),
-            ],
-            n,
-        )
-        edge = self._embedding_sum(
-            [("embed.bond_type", index.bond_type), ("embed.direction", index.direction)],
-            len(src),
-        )
         p = self.params
+        d = self.config.atom_dim
+        h = ad.add(
+            ad.add(
+                ad.gather(p["embed.element"], index.element),
+                ad.gather(p["embed.chirality"], index.chirality),
+            ),
+            ad.gather(p["embed.hybridization"], index.hybridization),
+        )
+        edge_table = ad.add(
+            ad.gather(p["embed.bond_type"], _EDGE_BOND),
+            ad.gather(p["embed.direction"], _EDGE_DIRECTION),
+        )
         layers = [h]
         for layer in range(1, self.config.num_layers + 1):
+            w = p[f"layer{layer}.msg.w"]
+            source = ad.affine(h, w.column_block(0, d), p[f"layer{layer}.msg.b"])
+            edge = ad.affine(edge_table, w.column_block(d, 2 * d))
             messages = ad.relu(
-                ad.affine(
-                    ad.concat([ad.gather(h, src), edge]),
-                    p[f"layer{layer}.msg.w"],
-                    p[f"layer{layer}.msg.b"],
-                )
+                ad.add(ad.gather(source, index.src), ad.gather(edge, index.edge_type))
             )
             pre = ad.affine(
-                ad.concat([h, ad.segment_sum(messages, dst, n)]),
+                ad.concat([h, ad.segment_sum(messages, index.dst, len(index.element))]),
                 p[f"layer{layer}.upd.w"],
                 p[f"layer{layer}.upd.b"],
             )

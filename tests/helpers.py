@@ -1,9 +1,10 @@
 """Independent oracles used by the tests: attribute-aware graph isomorphism
 (with tetrahedral parity), brute-force automorphism orbits, the
 brute-force lexicographically smallest optimal assignment, the annealed
-graduated assignment that the one-temperature softassign replaced and the
-per-array Adam that the flat-buffer one replaced; and a checkpoint header
-rewriter with the malformed headers it is given."""
+graduated assignment that the one-temperature softassign replaced, the
+per-array Adam that the flat-buffer one replaced and the per-edge message
+map that the factored one replaced; and a checkpoint header rewriter with
+the malformed headers it is given."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import json
 
 import numpy as np
 
+from hsqcnet import autodiff as ad
 from hsqcnet.molgraph import (
     BondDirection,
     Chirality,
@@ -241,6 +243,36 @@ def reference_adam(values, grad_steps, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8
             v_hat = v / (1 - beta2**t)
             p -= lr * m_hat / (np.sqrt(v_hat) + eps)
         yield values
+
+
+def reference_encode(model, index) -> list:
+    """The per-edge message map the factored one replaced: every layer
+    concatenates each directed edge's source row with its edge features
+    into one (edges, 2 * atom_dim) batch and maps it by the whole
+    ``msg.w``. Node embeddings of layers 0..L, on the active record."""
+    p = model.params
+    n = len(index.element)
+    bond, direction = np.divmod(index.edge_type, len(BondDirection))
+
+    def embedding_sum(lookups, rows):
+        parts = [ad.gather(p[name], ids) for name, ids in lookups]
+        segments = np.tile(np.arange(rows), len(parts))
+        return ad.segment_sum(ad.concat(parts, axis=0), segments, rows)
+
+    h = embedding_sum([("embed.element", index.element),
+                       ("embed.chirality", index.chirality),
+                       ("embed.hybridization", index.hybridization)], n)
+    edge = embedding_sum([("embed.bond_type", bond), ("embed.direction", direction)],
+                         len(index.src))
+    layers = [h]
+    for layer in range(1, model.config.num_layers + 1):
+        messages = ad.relu(ad.affine(ad.concat([ad.gather(h, index.src), edge]),
+                                     p[f"layer{layer}.msg.w"], p[f"layer{layer}.msg.b"]))
+        pre = ad.affine(ad.concat([h, ad.segment_sum(messages, index.dst, n)]),
+                        p[f"layer{layer}.upd.w"], p[f"layer{layer}.upd.b"])
+        h = pre if layer == model.config.num_layers else ad.relu(pre)
+        layers.append(h)
+    return layers
 
 
 def rewrite_checkpoint_header(path, edit) -> None:

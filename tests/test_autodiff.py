@@ -52,6 +52,55 @@ def test_affine_shape_error_names_both_shapes():
         ad.affine(Tensor(np.zeros(2)), p(np.zeros((4, 3)), "w"), p(np.zeros(4), "b"))
 
 
+def test_add_values_and_gradient_reach_both_inputs():
+    a = p([[1.0, -2.0], [3.0, 0.5]], "a")
+    b = p([[0.25, 4.0], [-3.0, 1.0]], "b")
+    with ComputeRecord() as rec:
+        total = ad.add(a, b)
+        loss = ad.mean_abs_error([ad.scale(total, [[1.0, 2.0]])], np.full(4, -10.0))
+    assert np.array_equal(total.values, [[1.25, 2.0], [0.0, 1.5]])
+    backward(loss, rec)
+    expected = np.tile([[0.25, 0.5]], (2, 1))
+    assert np.array_equal(a.grad, expected) and np.array_equal(b.grad, expected)
+    with pytest.raises(DimensionError, match=r"\(2, 2\).*\(2,\)"):
+        ad.add(a, Tensor([1.0, 2.0]))
+
+
+def test_affine_without_bias():
+    rng = np.random.default_rng(1)
+    w = p(rng.normal(size=(3, 2)), "w")
+    x = p(rng.normal(size=(4, 2)), "x")
+    with ComputeRecord() as rec:
+        out = ad.affine(x, w)
+        loss = ad.mean_abs_error([out], np.full(12, -100.0))
+    assert np.array_equal(out.values, x.values @ w.values.T)
+    backward(loss, rec)  # the adjoint accumulates into w and x only
+    assert np.allclose(w.grad, np.tile(x.values.sum(axis=0), (3, 1)) / 12, rtol=1e-14, atol=0)
+    assert np.allclose(x.grad, np.tile(w.values.sum(axis=0), (4, 1)) / 12, rtol=1e-14, atol=0)
+
+
+def test_column_block_gradient_lands_in_the_parent_and_its_adam_columns():
+    rng = np.random.default_rng(2)
+    before = p(rng.normal(size=(2,)), "before")
+    w = p(rng.normal(size=(3, 5)), "w")
+    opt = Adam([before, w], lr=0.1)  # rebinds w's arrays to the flat buffers
+    block = w.column_block(1, 3)
+    assert block.values.shape == (3, 2) and np.shares_memory(block.values, opt._theta)
+    x = Tensor(rng.normal(size=(4, 2)))
+    with ComputeRecord() as rec:
+        loss = ad.mean_abs_error([ad.affine(x, block)], np.full(12, -100.0))
+    backward(loss, rec)
+    assert np.allclose(w.grad[:, 1:3], np.tile(x.values.sum(axis=0), (3, 1)) / 12,
+                       rtol=1e-14, atol=0)
+    assert not w.grad[:, [0, 3, 4]].any() and not before.grad.any()
+    theta = opt._theta.copy()
+    opt.step()
+    moved = opt._theta != theta
+    columns = np.zeros((3, 5), dtype=bool)
+    columns[:, 1:3] = True
+    assert np.array_equal(moved, np.concatenate([[False, False], columns.reshape(-1)]))
+
+
 def test_backward_dot_product_gradient_is_input():
     # loss = w . x with x fixed -> grad(w) = x
     x = np.array([2.0, -3.0, 5.0])

@@ -216,6 +216,48 @@ def test_assign_accepts_inline_peaks_longer_than_a_file_name(tiny_checkpoint, ca
     assert json.loads(capsys.readouterr().out)["matcher"] in ("hungarian", "graduated")
 
 
+NESTED = "[" * 100_000  # deeper than the JSON parser can recurse
+
+
+def test_deeply_nested_dataset_line_is_data_error(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    data.write_text('{"smiles": "C", "c_shifts": {"0": 1.0}}\n' + NESTED + "\n")
+    code = cli.main(["--quiet", "validate-data", "--data", str(data), "--kind", "1d"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deeply_nested_checkpoint_header_is_data_error(tiny_checkpoint, tmp_path, capsys):
+    header = NESTED.encode()
+    path = tmp_path / "nested.ckpt"
+    path.write_bytes(tiny_checkpoint.read_bytes()[:8] + len(header).to_bytes(4, "little")
+                     + header)
+    code = cli.main(["--quiet", "predict", "CCO", "--checkpoint", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deeply_nested_config_is_usage_error(tiny_checkpoint, tmp_path, capsys):
+    config = tmp_path / "nested.json"
+    config.write_text(NESTED)
+    code = cli.main(["--quiet", "--config", str(config), "assign", "CCO",
+                     "--checkpoint", str(tiny_checkpoint), "--peaks", "[[18.0, 1.2]]"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("where", ["file", "inline"])
+def test_deeply_nested_peaks_is_usage_error(tiny_checkpoint, tmp_path, capsys, where):
+    peaks = NESTED
+    if where == "file":
+        peaks = tmp_path / "peaks.json"
+        peaks.write_text(NESTED)
+    code = cli.main(["--quiet", "assign", "CCO", "--checkpoint", str(tiny_checkpoint),
+                     "--peaks", str(peaks)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("smiles", ["", ".", ".."])
 def test_predict_without_atoms_is_data_error(tiny_checkpoint, capsys, smiles):
     code = cli.main(["--quiet", "predict", smiles, "--checkpoint", str(tiny_checkpoint)])

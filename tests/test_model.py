@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hsqcnet import autodiff as ad
 from hsqcnet.model import (
     CrossPeakModel,
     ModelConfig,
@@ -14,6 +15,7 @@ from hsqcnet.model import (
 )
 from hsqcnet.molgraph import relabel_atoms
 from hsqcnet.smiles import parse_smiles
+from helpers import reference_encode
 
 
 def test_config_validation():
@@ -214,3 +216,46 @@ def test_peak_count_formula_over_corpus(parser_corpus, tiny_config):
         assert len(peaks) == classes_with_h + extra
         rep_ch2 = sum(1 for u in mol.units if u.is_representative and u.max_peaks == 2)
         assert extra <= rep_ch2
+
+
+# every bond type and both stereo directions ("/" and "\" as written), and
+# a molecule without edges
+FACTORED_CASES = ["F/C=C/F", "F/C=C\\F", "C#C", "c1ccccc1", "CC(=O)O", "[C]"]
+
+
+def _relative(got, want):
+    return np.abs(got - want).max(initial=0.0) / max(np.abs(want).max(initial=0.0), 1e-300)
+
+
+@pytest.mark.parametrize("smiles", FACTORED_CASES)
+def test_factored_message_map_matches_per_edge_reference(smiles):
+    config = ModelConfig(num_layers=3, atom_dim=16, solvent_dim_h=4, mlp_hidden=(6, 5), seed=9)
+    model = CrossPeakModel(config)
+    index = prepare_molecule(smiles).index
+    rng = np.random.default_rng(13)
+
+    def run(encode, targets=None):
+        ad.zero_gradients(model.parameters())
+        with ad.ComputeRecord() as rec:
+            layers = encode(model, index)
+            if targets is None:  # every residual at least 0.5 from its kink
+                values = np.concatenate([t.values.reshape(-1) for t in layers])
+                targets = values + rng.choice([-1.0, 1.0], values.size) * rng.uniform(
+                    0.5, 1.0, values.size)
+            ad.backward(ad.mean_abs_error(layers, targets), rec)
+        grads = {name: p.grad.copy() for name, p in model.params.items()}
+        return [t.values for t in layers], grads, targets
+
+    want_layers, want_grads, targets = run(reference_encode)
+    got_layers, got_grads, _ = run(CrossPeakModel.encode_atoms, targets)
+    for got, want in zip(got_layers, want_layers, strict=True):
+        assert _relative(got, want) <= 1e-12
+    for name, want in want_grads.items():
+        assert _relative(got_grads[name], want) <= 1e-10, name
+    d = config.atom_dim
+    has_edges = index.src.size > 0
+    for layer in range(1, config.num_layers + 1):
+        w = got_grads[f"layer{layer}.msg.w"]
+        assert w[:, :d].any() == has_edges and w[:, d:].any() == has_edges
+    assert got_grads["embed.bond_type"].any() == has_edges
+    assert got_grads["embed.direction"].any() == has_edges
