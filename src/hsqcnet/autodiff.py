@@ -4,15 +4,15 @@ Everything is float64. Forward primitives record their adjoints on the
 active ComputeRecord; ``backward`` replays the record in reverse and
 accumulates gradients into the participating Parameters. Ops work on row
 batches, and the op set is exactly what the matrix-form message-passing
-model needs: ``gather`` (rows or elements, e.g. embedding lookups and
-edge-source reads), ``add`` of two same-shape tensors, ``affine`` maps
-(with or without a bias), ``relu``, ``concat``, ``segment_sum`` (edge
-messages back onto nodes), ``scale`` by a constant, and the fused L1 loss
-``mean_abs_error``. ``Parameter.column_block`` lets an ``affine`` map use
-a block of a weight's columns, its gradient landing in the weight's.
-Scatter-adds onto fresh arrays (the ``segment_sum`` forward, gather
-adjoints of intermediate tensors) go through one ``bincount``, which sums
-in input order exactly as ``np.add.at`` does.
+model needs: ``gather`` (rows or elements, e.g. embedding lookups),
+``add`` of two same-shape tensors, ``affine`` maps, ``relu``, ``concat``,
+``segment_sum`` (rows summed onto segments), ``scale`` by a constant, the
+fused L1 loss ``mean_abs_error``, and ``message_layer``, one whole
+message-passing layer up to its update activation as a single op with a
+hand-written adjoint. Scatter-adds onto fresh arrays (the ``segment_sum``
+forward, gather adjoints of intermediate tensors, the layer's sums over
+edges) go through one ``bincount``, which sums in input order exactly as
+``np.add.at`` does; the layer reads its flat slots from a per-graph cache.
 
 ``Adam`` packs its parameters into one flat value buffer and one flat
 gradient buffer and makes each Parameter's ``values`` and ``grad`` views
@@ -59,18 +59,6 @@ class Parameter(Tensor):
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
-
-    def column_block(self, lo: int, hi: int) -> "Parameter":
-        """Columns ``lo:hi`` of this matrix as a Parameter whose ``values``
-        and ``grad`` are views into this one's, so its gradient lands here
-        (and in an optimizer's flat buffer). Take the block when it is used:
-        an ``Adam`` built later rebinds this Parameter's arrays, not the
-        block's."""
-        block = Parameter.__new__(Parameter)
-        block.values = self.values[:, lo:hi]
-        block.grad = self.grad[:, lo:hi]
-        block.name = f"{self.name}[:, {lo}:{hi}]"
-        return block
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.values.shape})"
@@ -208,9 +196,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def affine(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tensor:
-    """``x @ weight.T + bias`` (or ``x @ weight.T`` without a bias) for one
-    input vector or a batch of rows."""
+def affine(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
+    """``x @ weight.T + bias`` for one input vector or a batch of rows."""
     if x.values.ndim not in (1, 2) or weight.values.ndim != 2:
         raise DimensionError(
             f"affine expects vector or rows and matrix, got {x.shape} and {weight.shape}"
@@ -219,13 +206,12 @@ def affine(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
         raise DimensionError(
             f"affine shape mismatch: weight {weight.shape} vs input {x.shape}"
         )
-    if bias is not None and bias.values.shape != (weight.values.shape[0],):
+    if bias.values.shape != (weight.values.shape[0],):
         raise DimensionError(
             f"affine bias shape {bias.shape} does not match weight {weight.shape}"
         )
     values = x.values @ weight.values.T
-    if bias is not None:
-        values += bias.values
+    values += bias.values
     out = Tensor(values)
     tape = _tape()
     if tape is not None:
@@ -234,8 +220,7 @@ def affine(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
         def adjoint(g, acc):
             g_rows = g.reshape(-1, g.shape[-1])
             acc(weight, g_rows.T @ rows)
-            if bias is not None:
-                acc(bias, g_rows.sum(axis=0))
+            acc(bias, g_rows.sum(axis=0))
             acc(x, g @ weight.values)
 
         tape._push(out, adjoint)
@@ -288,6 +273,78 @@ def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
     tape = _tape()
     if tape is not None:
         tape._push(out, lambda g, acc: acc(x, np.take(g, segments, axis=0)))
+    return out
+
+
+def message_layer(
+    h: Tensor,
+    edge_table: Tensor,
+    msg_w: Parameter,
+    msg_b: Parameter,
+    upd_w: Parameter,
+    upd_b: Parameter,
+    index,
+) -> Tensor:
+    """One message-passing layer before its update activation, as one op.
+
+    With ``d`` the width of the (atoms, d) node rows ``h``, the message on
+    each directed edge ``src -> dst`` of type ``t`` is
+    ``relu((h @ msg_w[:, :d].T + msg_b)[src] + (edge_table @ msg_w[:, d:].T)[t])``;
+    the messages are summed onto ``dst`` and the result is
+    ``[h, sums] @ upd_w.T + upd_b``. ``edge_table`` has one row per edge
+    type. ``index`` carries the per-edge ``src``, ``dst`` and ``edge_type``
+    arrays, already range-checked, and ``slots(name, width)``, the cached
+    flat ``bincount`` slots of one of them at a row width.
+
+    Forward and adjoint evaluate the same numpy expressions, in the same
+    order, as the equivalent chain of ``affine``, ``gather``, ``add``,
+    ``relu``, ``segment_sum``, ``concat`` and ``affine`` ops, so values and
+    gradients are bit-identical to that chain's.
+    """
+    n, d = len(h.values), h.values.shape[-1]
+    if (h.values.ndim != 2 or msg_w.values.shape != (d, 2 * d) or msg_b.values.shape != (d,)
+            or edge_table.values.shape[1:] != (d,) or upd_w.values.shape[1:] != (2 * d,)
+            or upd_b.values.shape != upd_w.values.shape[:1]):
+        raise DimensionError(
+            f"message_layer shapes do not fit: h {h.shape}, edge table {edge_table.shape}, "
+            f"msg {msg_w.shape} + {msg_b.shape}, upd {upd_w.shape} + {upd_b.shape}"
+        )
+    w_source = msg_w.values[:, :d]
+    w_edge = msg_w.values[:, d:]
+    source = h.values @ w_source.T
+    source += msg_b.values
+    edge = edge_table.values @ w_edge.T
+    pre_message = np.take(source, index.src, axis=0) + np.take(edge, index.edge_type, axis=0)
+    summed = np.bincount(
+        index.slots("dst", d), weights=np.maximum(pre_message, 0.0).reshape(-1), minlength=n * d
+    ).reshape(n, d)
+    joined = np.concatenate([h.values, summed], axis=-1)
+    values = joined @ upd_w.values.T
+    values += upd_b.values
+    out = Tensor(values)
+    tape = _tape()
+    if tape is not None:
+        mask = pre_message > 0.0
+
+        def adjoint(g, acc):
+            acc(upd_w, g.T @ joined)
+            acc(upd_b, g.sum(axis=0))
+            g_joined = g @ upd_w.values
+            acc(h, g_joined[:, :d])
+            g_message = (np.take(g_joined[:, d:], index.dst, axis=0) * mask).reshape(-1)
+            g_edge = np.bincount(
+                index.slots("edge_type", d), weights=g_message, minlength=edge.size
+            ).reshape(edge.shape)
+            g_source = np.bincount(
+                index.slots("src", d), weights=g_message, minlength=n * d
+            ).reshape(n, d)
+            msg_w.grad[:, d:] += g_edge.T @ edge_table.values
+            acc(edge_table, g_edge @ w_edge)
+            msg_w.grad[:, :d] += g_source.T @ h.values
+            acc(msg_b, g_source.sum(axis=0))
+            acc(h, g_source @ w_source)
+
+        tape._push(out, adjoint)
     return out
 
 

@@ -3,7 +3,9 @@
 Datasets are line-delimited JSON (one record per line); see the schema
 files under data/. Checkpoints are a single binary container: magic bytes,
 a JSON header (format version, model config, provenance, parameter
-manifest), then raw little-endian float64 parameter blocks.
+manifest), then raw little-endian float64 parameter blocks. A checkpoint
+is written to a temporary file beside the target and renamed over it, so
+a failed write leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass
 from importlib import resources
@@ -289,12 +292,25 @@ def save_checkpoint(
             "params": manifest,
         }
     ).encode()
-    with Path(path).open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for name in arrays:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+    path = Path(path)
+    # a crash mid-write leaves the previous file whole: write a sibling,
+    # then rename it over the target in one step
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("wb") as fh:
+            _write_checkpoint(fh, header, arrays)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _write_checkpoint(fh, header: bytes, arrays: dict[str, np.ndarray]) -> None:
+    fh.write(_MAGIC)
+    fh.write(struct.pack("<I", len(header)))
+    fh.write(header)
+    for name in arrays:
+        fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -6,7 +6,10 @@ edge u -> v is ``relu(W [h_u; x_e] + b)``, computed in factored form:
 ``W[:, :d] h + b`` once per atom and ``W[:, d:] x`` once per edge type
 (bond type x direction, 12 rows), then the sum of the source atom's row
 and the edge type's row on every edge. The messages are summed onto the
-destination atoms, and every atom is updated by a second affine map. One
+destination atoms, and every atom is updated by a second affine map; the
+whole layer up to its update activation is one tape op
+(``autodiff.message_layer``), which reads the edge arrays and their cached
+scatter slots from the molecule's ``GraphIndex``. One
 head evaluation over an array of carbons feeds two MLP heads: one
 predicts the carbon shift from the carbon embedding, one a pair of proton
 shifts from the carbon embedding, the mean of its bonded-hydrogen
@@ -19,7 +22,7 @@ slot) target reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -62,11 +65,10 @@ _CHIRALITY_INDEX = {c: i for i, c in enumerate(Chirality)}
 _HYBRID_INDEX = {h: i for i, h in enumerate(Hybridization)}
 _BOND_INDEX = {b: i for i, b in enumerate(BondType)}
 _DIRECTION_INDEX = {d: i for i, d in enumerate(BondDirection)}
+EDGE_TYPES = len(BondType) * len(BondDirection)
 # edge type t is bond type t // len(BondDirection) and direction
 # t % len(BondDirection): the bond and direction embedding rows of each
-_EDGE_BOND, _EDGE_DIRECTION = np.divmod(
-    np.arange(len(BondType) * len(BondDirection)), len(BondDirection)
-)
+_EDGE_BOND, _EDGE_DIRECTION = np.divmod(np.arange(EDGE_TYPES), len(BondDirection))
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,14 @@ class GraphIndex:
     """The integer arrays one forward pass reads from a graph: the directed
     edges (every atom's adjacency in atom order, as ``src`` -> ``dst``), the
     embedding-table row of each atom feature, and each edge's type
-    ``bond * len(BondDirection) + direction``."""
+    ``bond * len(BondDirection) + direction``.
+
+    Construction checks that ``src`` and ``dst`` name atoms and that
+    ``edge_type`` names one of the ``EDGE_TYPES`` rows, once per graph, so
+    ``autodiff.message_layer`` reads them unchecked. ``slots`` caches the
+    flat ``bincount`` slots of an edge array per row width: models of
+    different widths may share one graph.
+    """
 
     src: np.ndarray
     dst: np.ndarray
@@ -143,6 +152,26 @@ class GraphIndex:
     chirality: np.ndarray
     hybridization: np.ndarray
     edge_type: np.ndarray
+    _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        atoms = len(self.element)
+        for name, bound in (("src", atoms), ("dst", atoms), ("edge_type", EDGE_TYPES)):
+            ids = getattr(self, name)
+            if ids.shape != self.src.shape:
+                raise ValueError(f"{name} has shape {ids.shape}, src {self.src.shape}")
+            if ids.size and (ids.min() < 0 or ids.max() >= bound):
+                raise IndexError(f"{name} out of range [0, {bound})")
+
+    def slots(self, name: str, width: int) -> np.ndarray:
+        """Flat slots ``ids[:, None] * width + arange(width)`` of the edge
+        array ``name`` (``src``, ``dst`` or ``edge_type``), built on first use."""
+        key = (name, width)
+        flat = self._slots.get(key)
+        if flat is None:
+            flat = (getattr(self, name)[:, None] * width + np.arange(width)).reshape(-1)
+            self._slots[key] = flat
+        return flat
 
 
 def graph_index(graph: MolecularGraph) -> GraphIndex:
@@ -293,13 +322,14 @@ class CrossPeakModel:
         """Node embeddings of layers 0..L, each an (atoms, atom_dim) row
         batch; hydrogens are nodes.
 
-        Each layer maps every atom by the source half of its message map
-        and every edge type by the edge half, adds the two rows on each
-        directed edge into a message, sums the messages onto the
-        destination nodes and maps each node with its message sum.
+        Each layer is one ``autodiff.message_layer`` op, followed by a
+        ``relu`` on every layer but the last: it maps every atom by the
+        source half of its message map and every edge type by the edge
+        half, adds the two rows on each directed edge into a message, sums
+        the messages onto the destination nodes and maps each node with its
+        message sum.
         """
         p = self.params
-        d = self.config.atom_dim
         h = ad.add(
             ad.add(
                 ad.gather(p["embed.element"], index.element),
@@ -313,16 +343,11 @@ class CrossPeakModel:
         )
         layers = [h]
         for layer in range(1, self.config.num_layers + 1):
-            w = p[f"layer{layer}.msg.w"]
-            source = ad.affine(h, w.column_block(0, d), p[f"layer{layer}.msg.b"])
-            edge = ad.affine(edge_table, w.column_block(d, 2 * d))
-            messages = ad.relu(
-                ad.add(ad.gather(source, index.src), ad.gather(edge, index.edge_type))
-            )
-            pre = ad.affine(
-                ad.concat([h, ad.segment_sum(messages, index.dst, len(index.element))]),
-                p[f"layer{layer}.upd.w"],
-                p[f"layer{layer}.upd.b"],
+            pre = ad.message_layer(
+                h, edge_table,
+                p[f"layer{layer}.msg.w"], p[f"layer{layer}.msg.b"],
+                p[f"layer{layer}.upd.w"], p[f"layer{layer}.upd.b"],
+                index,
             )
             h = pre if layer == self.config.num_layers else ad.relu(pre)
             layers.append(h)

@@ -16,7 +16,14 @@ from hsqcnet.autodiff import (
     backward,
     zero_gradients,
 )
-from hsqcnet.model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
+from hsqcnet.model import (
+    EDGE_TYPES,
+    CrossPeakModel,
+    GraphIndex,
+    ModelConfig,
+    SolventClass,
+    prepare_molecule,
+)
 from helpers import reference_adam
 
 
@@ -66,39 +73,88 @@ def test_add_values_and_gradient_reach_both_inputs():
         ad.add(a, Tensor([1.0, 2.0]))
 
 
-def test_affine_without_bias():
-    rng = np.random.default_rng(1)
-    w = p(rng.normal(size=(3, 2)), "w")
-    x = p(rng.normal(size=(4, 2)), "x")
+# atoms 0-2 joined by five directed edges, atom 0 the source of three;
+# atom 3 has no edges; edge types 0, 5, 5, 2, 7 of the twelve rows
+SMALL_GRAPH = GraphIndex(
+    src=np.array([0, 0, 1, 2, 0]), dst=np.array([1, 2, 0, 0, 1]),
+    element=np.zeros(4, np.intp), chirality=np.zeros(4, np.intp),
+    hybridization=np.zeros(4, np.intp), edge_type=np.array([0, 5, 5, 2, 7]),
+)
+
+
+def _layer_params(rng, d):
+    return [p(rng.normal(size=shape), name) for name, shape in (
+        ("msg.w", (d, 2 * d)), ("msg.b", (d,)), ("upd.w", (d, 2 * d)), ("upd.b", (d,)))]
+
+
+def test_message_layer_adjoint_matches_central_differences():
+    rng = np.random.default_rng(5)
+    d = 3
+    nodes = p(rng.normal(size=(4, d)), "h")
+    table = p(rng.normal(size=(EDGE_TYPES, d)), "edge_table")
+    layer = _layer_params(rng, d)
+    weights = rng.normal(size=(4, d))
+    msg_w, msg_b = layer[0].values, layer[1].values
+    pre_message = ((nodes.values @ msg_w[:, :d].T + msg_b)[SMALL_GRAPH.src]
+                   + (table.values @ msg_w[:, d:].T)[SMALL_GRAPH.edge_type])
+    assert np.abs(pre_message).min() > 1e-2  # no step below crosses a relu kink
+
+    def loss():
+        # h and the edge table enter through ``scale`` so their gradients
+        # reach the op as intermediate tensors; the loss is linear in the
+        # output, every residual far from the L1 kink
+        out = ad.message_layer(ad.scale(nodes, 1.0), ad.scale(table, 1.0), *layer, SMALL_GRAPH)
+        return ad.mean_abs_error([ad.scale(out, weights)], np.full(4 * d, -100.0))
+
     with ComputeRecord() as rec:
-        out = ad.affine(x, w)
-        loss = ad.mean_abs_error([out], np.full(12, -100.0))
-    assert np.array_equal(out.values, x.values @ w.values.T)
-    backward(loss, rec)  # the adjoint accumulates into w and x only
-    assert np.allclose(w.grad, np.tile(x.values.sum(axis=0), (3, 1)) / 12, rtol=1e-14, atol=0)
-    assert np.allclose(x.grad, np.tile(w.values.sum(axis=0), (4, 1)) / 12, rtol=1e-14, atol=0)
+        total = loss()
+    backward(total, rec)
+    step = 1e-6
+    for param in (nodes, table, *layer):
+        flat = param.values.reshape(-1)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + step
+            up = loss().item()
+            flat[k] = orig - step
+            down = loss().item()
+            flat[k] = orig
+            assert param.grad.reshape(-1)[k] == pytest.approx(
+                (up - down) / (2 * step), rel=1e-6, abs=1e-9), (param.name, k)
+    unused = np.setdiff1d(np.arange(EDGE_TYPES), SMALL_GRAPH.edge_type)
+    assert not table.grad[unused].any() and table.grad[SMALL_GRAPH.edge_type].all()
+    assert nodes.grad[3].any()  # the isolated atom's own row still feeds its update
 
 
-def test_column_block_gradient_lands_in_the_parent_and_its_adam_columns():
+def test_message_layer_weight_gradient_lands_in_both_adam_column_halves():
     rng = np.random.default_rng(2)
+    d = 3
     before = p(rng.normal(size=(2,)), "before")
-    w = p(rng.normal(size=(3, 5)), "w")
-    opt = Adam([before, w], lr=0.1)  # rebinds w's arrays to the flat buffers
-    block = w.column_block(1, 3)
-    assert block.values.shape == (3, 2) and np.shares_memory(block.values, opt._theta)
-    x = Tensor(rng.normal(size=(4, 2)))
+    layer = _layer_params(rng, d)
+    msg_w = layer[0]
+    opt = Adam([before, *layer], lr=0.1)  # rebinds every array to the flat buffers
+    nodes = Tensor(rng.normal(size=(4, d)))
+    table = Tensor(rng.normal(size=(EDGE_TYPES, d)))
     with ComputeRecord() as rec:
-        loss = ad.mean_abs_error([ad.affine(x, block)], np.full(12, -100.0))
+        out = ad.message_layer(nodes, table, *layer, SMALL_GRAPH)
+        loss = ad.mean_abs_error([out], np.full(4 * d, -100.0))
     backward(loss, rec)
-    assert np.allclose(w.grad[:, 1:3], np.tile(x.values.sum(axis=0), (3, 1)) / 12,
-                       rtol=1e-14, atol=0)
-    assert not w.grad[:, [0, 3, 4]].any() and not before.grad.any()
+    lo, hi = 2, 2 + msg_w.values.size
+    grad = opt._grad[lo:hi].reshape(d, 2 * d)
+    assert grad[:, :d].any() and grad[:, d:].any() and not before.grad.any()
     theta = opt._theta.copy()
     opt.step()
     moved = opt._theta != theta
-    columns = np.zeros((3, 5), dtype=bool)
-    columns[:, 1:3] = True
-    assert np.array_equal(moved, np.concatenate([[False, False], columns.reshape(-1)]))
+    assert np.array_equal(moved[lo:hi].reshape(d, 2 * d), grad != 0.0)
+    assert not moved[:lo].any()
+
+
+def test_message_layer_shape_error_names_the_shapes():
+    rng = np.random.default_rng(3)
+    layer = _layer_params(rng, 3)
+    with pytest.raises(DimensionError, match=r"h \(4, 2\)"):
+        ad.message_layer(Tensor(np.zeros((4, 2))), Tensor(np.zeros((EDGE_TYPES, 3))),
+                         *layer, SMALL_GRAPH)
 
 
 def test_backward_dot_product_gradient_is_input():

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsqcnet import dataio
 from hsqcnet.dataio import (
     CheckpointError,
     DataFormatError,
@@ -305,3 +307,40 @@ def test_checkpoint_bad_header_rejected(tmp_path, case):
     rewrite_checkpoint_header(path, BAD_CHECKPOINT_HEADERS[case])
     with pytest.raises(CheckpointError, match=str(path)):
         load_checkpoint(path)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    config = ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4, mlp_hidden=(6, 5))
+    path = tmp_path / "model.ckpt"
+    old = CrossPeakModel(config).state_arrays()
+    save_checkpoint(old, config, {"stage": "old"}, path)
+    blob = path.read_bytes()
+
+    class FailingFile:
+        """Writes the first 300 bytes, then fails: a disk that fills mid-file."""
+
+        def __init__(self, fh):
+            self.fh, self.room = fh, 300
+
+        def write(self, data):
+            if len(data) > self.room:
+                self.fh.write(data[: self.room])
+                raise OSError("no space left on device")
+            self.room -= len(data)
+            return self.fh.write(data)
+
+    writer = dataio._write_checkpoint
+    monkeypatch.setattr(dataio, "_write_checkpoint",
+                        lambda fh, *args: writer(FailingFile(fh), *args))
+    new = CrossPeakModel(replace(config, seed=5)).state_arrays()
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(new, config, {"stage": "new"}, path)
+    assert path.read_bytes() == blob
+    loaded = load_checkpoint(path)
+    assert loaded.provenance["stage"] == "old"
+    assert all(np.array_equal(loaded.arrays[name], old[name]) for name in old)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]  # no temp file left
+    monkeypatch.undo()
+    save_checkpoint(new, config, {"stage": "new"}, path)
+    assert load_checkpoint(path).provenance["stage"] == "new"
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -5,7 +5,9 @@ import pytest
 
 from hsqcnet import autodiff as ad
 from hsqcnet.model import (
+    EDGE_TYPES,
     CrossPeakModel,
+    GraphIndex,
     ModelConfig,
     SolventClass,
     _parameter_shapes,
@@ -259,3 +261,46 @@ def test_factored_message_map_matches_per_edge_reference(smiles):
         assert w[:, :d].any() == has_edges and w[:, d:].any() == has_edges
     assert got_grads["embed.bond_type"].any() == has_edges
     assert got_grads["embed.direction"].any() == has_edges
+
+
+def _peaks(model, molecule):
+    return [(p.ch_unit.carbon_index, p.peak_slot, p.delta_c, p.delta_h)
+            for p in model.predict_cross_peaks(molecule, SolventClass.DMSO)]
+
+
+def test_shared_molecule_serves_models_of_two_widths():
+    # the scatter slots are cached per (edge array, width) on the molecule's
+    # index; alternating widths must read the right ones
+    narrow = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=16, seed=1))
+    wide = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=64, seed=2))
+    smiles = "CC(=O)OCc1ccccc1"
+    shared = prepare_molecule(smiles)
+    for _ in range(2):
+        for model in (narrow, wide):
+            assert _peaks(model, shared) == _peaks(model, prepare_molecule(smiles))
+    assert {width for _, width in shared.index._slots} == {16, 64}
+
+
+@pytest.mark.parametrize("field", ["src", "dst", "edge_type"])
+@pytest.mark.parametrize("bad", [-1, "bound"])
+def test_graph_index_rejects_out_of_range_edges(field, bad):
+    index = prepare_molecule("CCO").index
+    arrays = {name: getattr(index, name).copy() for name in
+              ("src", "dst", "element", "chirality", "hybridization", "edge_type")}
+    bound = EDGE_TYPES if field == "edge_type" else len(index.element)
+    arrays[field][1] = bound if bad == "bound" else bad
+    with pytest.raises(IndexError, match=field):
+        GraphIndex(**arrays)
+
+
+def test_each_encoder_layer_adds_at_most_two_tape_steps():
+    molecule = prepare_molecule("CC(=O)O")
+    carbons = [0, 1]
+    steps = []
+    for layers in range(1, 5):
+        model = CrossPeakModel(ModelConfig(num_layers=layers, atom_dim=8, solvent_dim_h=4,
+                                           mlp_hidden=(6, 5)))
+        with ad.ComputeRecord() as rec:
+            model.head_outputs(molecule, SolventClass.DMSO, carbons)
+        steps.append(len(rec))
+    assert all(0 < b - a <= 2 for a, b in zip(steps, steps[1:])), steps
