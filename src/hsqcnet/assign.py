@@ -11,6 +11,11 @@ temperature (alternating row/column normalization of exp(beta * similarity)),
 hardened row by row into a one-to-many matching where every predicted peak
 lands on some observed peak. The cost is linear, so annealing (Gold &
 Rangarajan 1996) would have nothing to carry between temperatures.
+
+On a large list almost every soft entry lies hundreds of nats below its row
+or column maximum, where ``exp`` rounds to exactly 0.0 but numpy spends up
+to twenty times longer per entry; softassign evaluates ``exp`` only above
+that cut, so its output is bit-identical to evaluating it everywhere.
 """
 
 from __future__ import annotations
@@ -223,27 +228,63 @@ class GASettings:
             value = getattr(self, name)
             if not 0 < value < float("inf"):
                 raise ValueError(f"ga.{name} must be positive and finite, got {value!r}")
+        # the largest softassign logit, at zero cost; inf there turns the
+        # whole soft matrix into NaN
+        if not math.isfinite(self.beta * (1.0 / (0.0 + self.epsilon))):
+            raise ValueError(
+                f"ga.beta / ga.epsilon must be finite, got {self.beta!r} / {self.epsilon!r}"
+            )
         sweeps = self.sweeps
         if isinstance(sweeps, bool) or not isinstance(sweeps, Integral) or sweeps < 1:
             raise ValueError(f"ga.sweeps must be an integer >= 1, got {sweeps!r}")
 
 
-def _log_normalize(log_q: np.ndarray, axis: int) -> np.ndarray:
-    peak = log_q.max(axis=axis, keepdims=True)
-    return log_q - (peak + np.log(np.exp(log_q - peak).sum(axis=axis, keepdims=True)))
+# exp(x) rounds to exactly 0.0 for x below about -745.133 (half the smallest
+# subnormal), and numpy takes a slow path on every such entry.
+_EXP_ZERO_BELOW = -745.2
+# Skipping those entries costs four numpy calls per normalization; on
+# fewer entries than this the calls cost more than the slow path they skip.
+_MASK_MIN_ENTRIES = 1024
+
+
+def _exp(x: np.ndarray, out: np.ndarray, live: np.ndarray | None) -> np.ndarray:
+    """np.exp(x) into ``out``, bit for bit. With a boolean work array
+    ``live``, exp runs only where x is not at or below ``_EXP_ZERO_BELOW``
+    (NaN included) and ``out`` holds the exact 0.0 elsewhere."""
+    if live is None:
+        return np.exp(x, out)
+    np.logical_not(np.less_equal(x, _EXP_ZERO_BELOW, live), live)
+    out.fill(0.0)
+    return np.exp(x, out, where=live)
 
 
 def softassign(cost: np.ndarray, settings: GASettings, on_sweep=None) -> np.ndarray:
     """Soft matrix after ``settings.sweeps`` row-then-column normalizations
     of exp(beta / (cost + epsilon)), in log space for stability.
-    ``on_sweep`` receives the matrix after every column normalization."""
+    ``on_sweep`` receives the matrix after every column normalization.
+
+    Each normalization is log_q - (peak + log(sum(exp(log_q - peak)))) along
+    the axis, evaluated in place on work arrays allocated once per call. On a
+    matrix of at least ``_MASK_MIN_ENTRIES`` entries, exp skips the entries
+    more than 745.2 below their peak: their exp is exactly 0.0, and writing
+    that 0.0 in place leaves every sum, and so every bit, unchanged.
+    """
     log_q = settings.beta * (1.0 / (cost + settings.epsilon))
+    shifted = np.empty_like(log_q)
+    weights = np.empty_like(log_q)
+    live = np.empty(log_q.shape, dtype=bool) if log_q.size >= _MASK_MIN_ENTRIES else None
     for _ in range(settings.sweeps):
-        log_q = _log_normalize(log_q, axis=1)
-        log_q = _log_normalize(log_q, axis=0)
+        for axis in (1, 0):
+            # out arrays are positional: keywords cost more than a small
+            # matrix's arithmetic
+            peak = np.maximum.reduce(log_q, axis, keepdims=True)
+            _exp(np.subtract(log_q, peak, shifted), weights, live)
+            total = np.add.reduce(weights, axis, keepdims=True)
+            np.add(peak, np.log(total, total), total)
+            np.subtract(log_q, total, log_q)
         if on_sweep is not None:
-            on_sweep(np.exp(log_q))
-    return np.exp(log_q)
+            on_sweep(_exp(log_q, np.empty_like(log_q), live))
+    return _exp(log_q, np.empty_like(log_q), live)
 
 
 @dataclass(frozen=True)
@@ -328,8 +369,7 @@ def pseudo_annotate(
         assignment = graduated_assignment(predictions, observations, settings)
     entries = []
     total = 0.0
-    for i, pred in enumerate(predictions):
-        j = int(np.argmax(assignment[i]))
+    for pred, j in zip(predictions, assignment.argmax(axis=1).tolist()):
         obs = observations[j]
         total += shift_cost(pred, obs, settings.c_scale)
         entries.append(

@@ -41,7 +41,7 @@ from .molgraph import (
     add_explicit_hydrogens,
     canonical_equivalence_classes,
     enumerate_ch_units,
-    infer_hybridization,
+    set_hybridization,
 )
 from .smiles import parse_smiles
 
@@ -215,7 +215,8 @@ class Molecule:
 
 def prepare_molecule(source: str | MolecularGraph) -> Molecule:
     graph = parse_smiles(source) if isinstance(source, str) else source
-    expanded = infer_hybridization(add_explicit_hydrogens(graph))
+    expanded = add_explicit_hydrogens(graph)
+    set_hybridization(expanded)
     classes = canonical_equivalence_classes(expanded)
     units = enumerate_ch_units(expanded, classes)
     return Molecule(
@@ -427,18 +428,17 @@ class CrossPeakModel:
                 slots.append(slot)
                 split.append(two)
         protons = proton_outputs(raw_h, rows, slots, split)
-        peaks = [
-            PredictedPeak(
-                units[row], self.ppm_c(float(raw_c.values[row])), self.ppm_h(float(h)), slot
-            )
-            for row, slot, h in zip(rows, slots, protons.values)
+        # the same operations as ppm_c and ppm_h, once per array
+        delta_c = cfg.c_center + cfg.c_scale * raw_c.values[rows]
+        delta_h = cfg.h_center + cfg.h_scale * protons.values
+        finite = np.isfinite(delta_c) & np.isfinite(delta_h)
+        if not finite.all():
+            bad = units[rows[int(np.argmin(finite))]]
+            raise FloatingPointError(f"non-finite prediction for carbon {bad.carbon_index}")
+        return [
+            PredictedPeak(units[row], c, h, slot)
+            for row, slot, c, h in zip(rows, slots, delta_c.tolist(), delta_h.tolist())
         ]
-        for peak in peaks:
-            if not (np.isfinite(peak.delta_c) and np.isfinite(peak.delta_h)):
-                raise FloatingPointError(
-                    f"non-finite prediction for carbon {peak.ch_unit.carbon_index}"
-                )
-        return peaks
 
     def atom_shift_tensors(
         self,

@@ -146,8 +146,12 @@ class MolecularGraph:
 
     def copy(self) -> "MolecularGraph":
         return MolecularGraph(
-            atoms=[replace(a) for a in self.atoms],
-            bonds=[replace(b) for b in self.bonds],
+            atoms=[
+                AtomSpec(a.element, a.index, a.formal_charge, a.chirality,
+                         a.hybridization, a.is_aromatic, a.implicit_h)
+                for a in self.atoms
+            ],
+            bonds=[BondSpec(b.endpoints, b.bond_type, b.direction) for b in self.bonds],
             source_smiles=self.source_smiles,
             chiral_order={k: list(v) for k, v in self.chiral_order.items()},
         )
@@ -199,7 +203,13 @@ def infer_hybridization(graph: MolecularGraph) -> MolecularGraph:
     double bond -> SP2; everything else (hydrogens included) -> SP3.
     """
     out = graph.copy()
-    for atom in out.atoms:
+    set_hybridization(out)
+    return out
+
+
+def set_hybridization(graph: MolecularGraph) -> None:
+    """``infer_hybridization`` in place, on a graph the caller owns."""
+    for atom in graph.atoms:
         if atom.element == "H":
             atom.hybridization = Hybridization.SP3
             continue
@@ -207,8 +217,8 @@ def infer_hybridization(graph: MolecularGraph) -> MolecularGraph:
             atom.hybridization = Hybridization.SP2
             continue
         doubles = triples = 0
-        for nb in out.adjacency[atom.index]:
-            btype = out.bond_between(atom.index, nb).bond_type
+        for nb in graph.adjacency[atom.index]:
+            btype = graph.bond_between(atom.index, nb).bond_type
             if btype is BondType.DOUBLE:
                 doubles += 1
             elif btype is BondType.TRIPLE:
@@ -219,7 +229,6 @@ def infer_hybridization(graph: MolecularGraph) -> MolecularGraph:
             atom.hybridization = Hybridization.SP2
         else:
             atom.hybridization = Hybridization.SP3
-    return out
 
 
 def _hydrogen_count(graph: MolecularGraph, atom: int) -> int:

@@ -2,9 +2,10 @@
 (with tetrahedral parity), brute-force automorphism orbits, the
 brute-force lexicographically smallest optimal assignment, the annealed
 graduated assignment that the one-temperature softassign replaced, the
-per-array Adam that the flat-buffer one replaced and the per-edge message
-map that the factored one replaced; and a checkpoint header rewriter with
-the malformed headers it is given."""
+softassign that evaluated exp on every entry, the per-row labelling loop
+that pseudo_annotate replaced, the per-array Adam that the flat-buffer one
+replaced and the per-edge message map that the factored one replaced; and a
+checkpoint header rewriter with the malformed headers it is given."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import json
 import numpy as np
 
 from hsqcnet import autodiff as ad
+from hsqcnet.assign import PseudoLabel, PseudoLabels, cost_matrix, hungarian, shift_cost
 from hsqcnet.molgraph import (
     BondDirection,
     Chirality,
@@ -191,24 +193,24 @@ def lexicographic_optimum(cost) -> list[int]:
     return list(choice)
 
 
+def _log_normalize(log_q, axis):
+    peak = log_q.max(axis=axis, keepdims=True)
+    return log_q - (peak + np.log(np.exp(log_q - peak).sum(axis=axis, keepdims=True)))
+
+
 def annealed_graduated_assignment(cost, epsilon=1e-6, beta0=1.0, rate=1.5,
                                   beta_max=200.0, sweeps=30) -> np.ndarray:
     """The annealed softassign graduated assignment used to run: one round
     of ``sweeps`` row/column normalizations of exp(beta / (cost + epsilon))
     per temperature beta0, beta0 * rate, ... below beta_max, each round
     started afresh, the last round hardened by a row-wise argmax."""
-
-    def log_normalize(log_q, axis):
-        peak = log_q.max(axis=axis, keepdims=True)
-        return log_q - (peak + np.log(np.exp(log_q - peak).sum(axis=axis, keepdims=True)))
-
     sim = 1.0 / (np.asarray(cost, dtype=np.float64) + epsilon)
     soft = None
     beta = beta0
     while beta < beta_max:
         log_q = beta * sim
         for _ in range(sweeps):
-            log_q = log_normalize(log_normalize(log_q, axis=1), axis=0)
+            log_q = _log_normalize(_log_normalize(log_q, axis=1), axis=0)
         soft = np.exp(log_q)
         beta *= rate
     assignment = np.zeros(soft.shape, dtype=np.int8)
@@ -223,6 +225,49 @@ def final_temperature(beta0: float, rate: float, beta_max: float) -> float:
         last = beta
         beta *= rate
     return last
+
+
+def reference_softassign(cost, settings, on_sweep=None) -> np.ndarray:
+    """Softassign with exp evaluated on every entry and a fresh array per
+    step: ``settings.sweeps`` row-then-column log-space normalizations of
+    beta * (1 / (cost + epsilon)), ``on_sweep`` after each column one."""
+    log_q = settings.beta * (1.0 / (cost + settings.epsilon))
+    for _ in range(settings.sweeps):
+        log_q = _log_normalize(log_q, axis=1)
+        log_q = _log_normalize(log_q, axis=0)
+        if on_sweep is not None:
+            on_sweep(np.exp(log_q))
+    return np.exp(log_q)
+
+
+def reference_pseudo_annotate(predictions, observations, settings) -> PseudoLabels:
+    """The per-row labelling loop: the exact matcher on equal counts, else
+    the row-wise argmax of ``reference_softassign``; then per predicted row
+    one argmax and one ``shift_cost``, summed into a running float."""
+    n, m = len(predictions), len(observations)
+    cost = cost_matrix(predictions, observations, settings.c_scale)
+    if n == m:
+        provenance = "hungarian"
+        assignment = hungarian(cost)
+    else:
+        provenance = "graduated"
+        soft = reference_softassign(cost, settings.ga)
+        assignment = np.zeros(soft.shape, dtype=np.int8)
+        assignment[np.arange(n), np.argmax(soft, axis=1)] = 1
+    entries = []
+    total = 0.0
+    for i, pred in enumerate(predictions):
+        j = int(np.argmax(assignment[i]))
+        obs = observations[j]
+        total += shift_cost(pred, obs, settings.c_scale)
+        entries.append(PseudoLabel(
+            carbon_index=pred.ch_unit.carbon_index, slot=pred.peak_slot,
+            obs_index=obs.index, delta_c=obs.delta_c, delta_h=obs.delta_h,
+            pred_delta_c=pred.delta_c, pred_delta_h=pred.delta_h,
+        ))
+    mean_cost = total / n
+    return PseudoLabels(entries=entries, provenance=provenance, mean_cost=mean_cost,
+                        rejected=mean_cost > settings.reject_threshold)
 
 
 def reference_adam(values, grad_steps, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):

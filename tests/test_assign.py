@@ -22,7 +22,13 @@ from hsqcnet.assign import (
     shift_cost,
     softassign,
 )
-from helpers import annealed_graduated_assignment, final_temperature, lexicographic_optimum
+from helpers import (
+    annealed_graduated_assignment,
+    final_temperature,
+    lexicographic_optimum,
+    reference_pseudo_annotate,
+    reference_softassign,
+)
 
 
 class FakePeak:
@@ -278,10 +284,81 @@ def test_default_beta_is_last_temperature_of_the_old_schedule():
 @pytest.mark.parametrize("bad", [
     {"beta": 0.0}, {"beta": -1.0}, {"beta": float("nan")}, {"beta": float("inf")},
     {"epsilon": 0.0}, {"sweeps": 0}, {"sweeps": 2.5}, {"sweeps": True},
+    # finite each, but beta / epsilon overflows: every soft entry was NaN
+    {"beta": 1e303}, {"epsilon": 1e-310},
 ])
 def test_ga_settings_reject_bad_values(bad):
     with pytest.raises(ValueError, match=f"ga.{next(iter(bad))}"):
         GASettings(**bad)
+
+
+SOFT_SETTINGS = [GASettings(), GASettings(beta=2.0, sweeps=3), GASettings(epsilon=1e-3, sweeps=7)]
+# shifted logits in (-745.13, -708.4] have subnormal exps; below the band exp is 0.0
+SUBNORMAL_BAND = (-745.13, -708.4)
+
+
+def plant_subnormal_entry(cost, row, low, high, shift, settings=GASettings()):
+    """Make cost[row, low] the row's cheapest entry and give cost[row, high]
+    a logit ``shift`` (in the subnormal band) below it."""
+    cost[row, low] = min(float(cost[row].min()), 0.1)
+    peak = settings.beta * (1.0 / (cost[row, low] + settings.epsilon))
+    cost[row, high] = settings.beta / (peak + shift) - settings.epsilon
+
+
+@st.composite
+def soft_costs(draw):
+    """Cost matrices from 1 x m and n x 1 up to past the size where
+    softassign starts skipping exp, with exact zeros and rows planted with
+    entries whose exps are subnormal."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    m = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cost = rng.uniform(0.0, draw(st.sampled_from([0.05, 1.0, 30.0])), (n, m))
+    cost[rng.random((n, m)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    if m > 1:
+        for row in range(n):
+            if rng.random() < draw(st.sampled_from([0.0, 0.3, 1.0])):
+                low, high = rng.choice(m, 2, replace=False)
+                plant_subnormal_entry(cost, row, low, high, rng.uniform(*SUBNORMAL_BAND))
+    return cost
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True) and got.tobytes() == want.tobytes()
+
+
+@given(soft_costs(), st.sampled_from(SOFT_SETTINGS))
+@settings(max_examples=120, deadline=None)
+def test_softassign_equals_the_reference(cost, ga):
+    got_sweeps, want_sweeps = [], []
+    got = softassign(cost, ga, got_sweeps.append)
+    want = reference_softassign(cost, ga, want_sweeps.append)
+    assert_same_bits(got, want)
+    assert len(got_sweeps) == len(want_sweeps) == ga.sweeps
+    for a, b in zip(got_sweeps, want_sweeps):
+        assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (40, 1), (31, 33), (32, 32), (40, 39)])
+def test_softassign_subnormal_band_on_both_sides_of_the_exp_cut(shape):
+    # 31 x 33 evaluates exp everywhere, 32 x 32 and up skips the zeros
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    cost = rng.uniform(0.0, 1.0, shape)
+    cost[rng.random(shape) < 0.1] = 0.0
+    ga = GASettings()
+    if shape[1] > 1:
+        for row in range(shape[0]):
+            plant_subnormal_entry(cost, row, 0, 1, -720.0 - row % 20)
+        log_q = ga.beta * (1.0 / (cost + ga.epsilon))
+        shifted = log_q - log_q.max(axis=1, keepdims=True)
+        band = (shifted[:, 1] > SUBNORMAL_BAND[0]) & (shifted[:, 1] <= SUBNORMAL_BAND[1])
+        assert band.all() and np.all(np.exp(shifted[:, 1]) < np.finfo(float).tiny)
+    got_sweeps, want_sweeps = [], []
+    assert_same_bits(softassign(cost, ga, got_sweeps.append),
+                     reference_softassign(cost, ga, want_sweeps.append))
+    for a, b in zip(got_sweeps, want_sweeps, strict=True):
+        assert_same_bits(a, b)
 
 
 peak_grids = st.sampled_from([
@@ -392,3 +469,34 @@ def test_pseudo_annotate_deterministic():
 def test_cost_matrix_rejects_non_finite():
     with pytest.raises(MatchingError):
         cost_matrix([FakePeak(np.inf, 1.0)], [ObservedPeak(1.0, 1.0, 0)])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (40, 40)])
+def test_softassign_propagates_nan_like_the_reference(shape):
+    # the exp cut must not drop a NaN: it is not at or below the cut
+    cost = np.random.default_rng(5).uniform(0.0, 1.0, shape)
+    cost[1, 2] = np.nan
+    assert_same_bits(softassign(cost, GASettings()), reference_softassign(cost, GASettings()))
+
+
+@st.composite
+def long_peak_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=45))
+    m = draw(st.integers(min_value=1, max_value=45))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    preds = np.column_stack([rng.uniform(0, 200, n), rng.uniform(0, 10, n)])
+    obs = preds[rng.integers(0, n, m)] + rng.normal(0, draw(st.sampled_from([0.0, 0.05])), (m, 2))
+    return [tuple(p) for p in preds.tolist()], [tuple(o) for o in obs.tolist()]
+
+
+@given(st.one_of(peak_lists(), long_peak_lists()),
+       st.sampled_from([MatchSettings(), MatchSettings(c_scale=1.0, reject_threshold=0.05),
+                        MatchSettings(ga=GASettings(beta=2.0, sweeps=3))]))
+@settings(max_examples=120, deadline=None)
+def test_pseudo_annotate_equals_the_per_row_loop(lists, match):
+    preds = [FakePeak(c, h, carbon=i, slot=1 + i % 2) for i, (c, h) in enumerate(lists[0])]
+    obs = [ObservedPeak(c, h, j) for j, (c, h) in enumerate(lists[1])]
+    got = pseudo_annotate(FakeMol(), preds, obs, match)
+    want = reference_pseudo_annotate(preds, obs, match)
+    assert got == want
+    assert type(got.mean_cost) is float and got.mean_cost.hex() == want.mean_cost.hex()

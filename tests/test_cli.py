@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hsqcnet import cli
@@ -122,7 +123,8 @@ def test_assign_reads_match_section_of_config(tiny_checkpoint, tmp_path):
     # weight outside match, the annealing schedule) and a bad temperature
     for bad, key in (({"c_scal": 1000}, "c_scal"), ({"iteration": 2}, "iteration"),
                      ({"ga": {"c_scale": 3.0}}, "c_scale"), ({"ga": {"beta0": 1.0}}, "beta0"),
-                     ({"ga": {"beta_max": 0.5}}, "beta_max"), ({"ga": {"beta": 0}}, "beta")):
+                     ({"ga": {"beta_max": 0.5}}, "beta_max"), ({"ga": {"beta": 0}}, "beta"),
+                     ({"ga": {"beta": 1e303}}, "beta")):
         config.write_text(json.dumps({"match": bad}))
         proc = run_cli("--quiet", "--config", str(config), "assign", "c1ccccc1",
                        "--checkpoint", str(tiny_checkpoint), "--peaks", peaks)
@@ -263,6 +265,17 @@ def test_predict_without_atoms_is_data_error(tiny_checkpoint, capsys, smiles):
     code = cli.main(["--quiet", "predict", smiles, "--checkpoint", str(tiny_checkpoint)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_finite_prediction_is_numeric_error(tmp_path, capsys):
+    state = CrossPeakModel(TINY).state_arrays()
+    state["c_head.b3"][0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(state, TINY, {"stage": "test", "seed": 0}, path)
+    code = cli.main(["--quiet", "predict", "OCC", "--checkpoint", str(path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite prediction for carbon 1" in err
 
 
 def test_export_svg(tiny_checkpoint, tmp_path):

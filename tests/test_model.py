@@ -180,6 +180,17 @@ def test_predictions_finite_and_deterministic(tiny_config):
     assert all(np.isfinite(p.delta_c) and np.isfinite(p.delta_h) for p in a)
 
 
+@pytest.mark.parametrize("head", ["c_head", "h_head"])
+def test_non_finite_prediction_names_the_first_carbon(tiny_config, head):
+    model = CrossPeakModel(tiny_config)
+    mol = prepare_molecule("OCC(C)C")
+    first = model.predict_cross_peaks(mol, SolventClass.WATER)[0].ch_unit.carbon_index
+    assert first == 1
+    model.params[f"{head}.b3"].values[0] = np.nan
+    with pytest.raises(FloatingPointError, match=f"non-finite prediction for carbon {first}$"):
+        model.predict_cross_peaks(mol, SolventClass.WATER)
+
+
 def test_state_round_trip(tiny_config):
     model = CrossPeakModel(tiny_config)
     state = model.state_arrays()

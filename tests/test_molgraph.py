@@ -11,6 +11,7 @@ from hsqcnet.molgraph import (
     molecular_weight,
     relabel_atoms,
 )
+from hsqcnet.model import prepare_molecule
 from hsqcnet.smiles import parse_smiles
 
 from helpers import automorphism_orbits
@@ -175,3 +176,28 @@ def test_adjacency_symmetric(parser_corpus):
         for v, nbrs in enumerate(g.adjacency):
             for u in nbrs:
                 assert v in g.adjacency[u]
+
+
+def test_infer_hybridization_leaves_its_input_alone():
+    graph = add_explicit_hydrogens(parse_smiles("C[C@H](N)C=O"))
+    before = graph.copy()
+    out = infer_hybridization(graph)
+    assert graph == before
+    assert all(a.hybridization is Hybridization.UNSPECIFIED for a in graph.atoms)
+    assert [a.hybridization for a in out.atoms[:5]] == [
+        Hybridization.SP3, Hybridization.SP3, Hybridization.SP3,
+        Hybridization.SP2, Hybridization.SP2,
+    ]
+    assert not any(a is b for a, b in zip(out.atoms, graph.atoms))
+    assert not any(a is b for a, b in zip(out.bonds, graph.bonds))
+    assert out.chiral_order == graph.chiral_order
+    assert out.chiral_order[1] is not graph.chiral_order[1]
+
+
+def test_prepare_molecule_graph_is_the_two_step_expansion(parser_corpus):
+    # prepare_molecule copies the parsed graph once and fills hybridization
+    # in place on that copy
+    for entry in parser_corpus["molecules"]:
+        graph = parse_smiles(entry["smiles"])
+        assert prepare_molecule(graph).graph == expand(entry["smiles"])
+        assert graph == parse_smiles(entry["smiles"])  # the source is untouched
