@@ -7,13 +7,19 @@ conditioning: the proton axis responds to the solvent class, the carbon
 axis never does (it has no solvent input by default).
 """
 
-from hsqcnet import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
+from hsqcnet import (
+    CrossPeakModel,
+    ModelConfig,
+    SolventClass,
+    count_parameters,
+    prepare_molecule,
+)
 
 # A freshly initialized desk-scale model. Untrained weights produce
 # arbitrary (but finite and symmetric-consistent) shift values; train on
 # real data for meaningful ones — see 04_train_two_stage.py.
 model = CrossPeakModel(ModelConfig(seed=1))
-print(f"parameters: {model.count_parameters()}")
+print(f"parameters: {count_parameters(model.config)}")
 
 for smiles in ["C", "c1ccccc1", "CCO", "OC[C@H]1O[C@@H](O)[C@H](O)[C@@H](O)[C@@H]1O"]:
     molecule = prepare_molecule(smiles)

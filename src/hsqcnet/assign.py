@@ -55,6 +55,25 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
+    if not (is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(name: str, value, positive: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a finite real number (not a
+    bool), and greater than 0 when ``positive``."""
+    if not (is_finite_real(value) and (value > 0 or not positive)):
+        kind = "positive finite" if positive else "finite"
+        raise ValueError(f"{name} must be a {kind} number, got {value!r}")
+
+
 def ingest_peaks(pairs) -> list[ObservedPeak]:
     """Build ObservedPeaks from [delta_c, delta_h] pairs.
 
@@ -224,19 +243,15 @@ class GASettings:
     sweeps: int = 30
 
     def __post_init__(self) -> None:
-        for name in ("beta", "epsilon"):
-            value = getattr(self, name)
-            if not 0 < value < float("inf"):
-                raise ValueError(f"ga.{name} must be positive and finite, got {value!r}")
+        check_real("ga.beta", self.beta, positive=True)
+        check_real("ga.epsilon", self.epsilon, positive=True)
         # the largest softassign logit, at zero cost; inf there turns the
         # whole soft matrix into NaN
         if not math.isfinite(self.beta * (1.0 / (0.0 + self.epsilon))):
             raise ValueError(
                 f"ga.beta / ga.epsilon must be finite, got {self.beta!r} / {self.epsilon!r}"
             )
-        sweeps = self.sweeps
-        if isinstance(sweeps, bool) or not isinstance(sweeps, Integral) or sweeps < 1:
-            raise ValueError(f"ga.sweeps must be an integer >= 1, got {sweeps!r}")
+        check_integer("ga.sweeps", self.sweeps, 1)
 
 
 # exp(x) rounds to exactly 0.0 for x below about -745.133 (half the smallest
@@ -316,6 +331,12 @@ class MatchSettings:
     c_scale: float = DEFAULT_C_SCALE
     reject_threshold: float = 1.0
     ga: GASettings = field(default_factory=GASettings)
+
+    def __post_init__(self) -> None:
+        check_real("c_scale", self.c_scale, positive=True)
+        check_real("reject_threshold", self.reject_threshold)
+        if not isinstance(self.ga, GASettings):
+            raise ValueError(f"ga must be GASettings, got {self.ga!r}")
 
 
 def graduated_assignment(

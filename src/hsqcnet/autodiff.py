@@ -57,9 +57,6 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(self.values)
         self.name = name
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.values.shape})"
 
@@ -96,7 +93,8 @@ def backward(loss: Tensor, record: ComputeRecord) -> None:
 
     The loss must be scalar and must have been produced on ``record``.
     Gradients add onto whatever is already in ``param.grad`` so batches can
-    accumulate across calls; call ``zero_gradients`` between batches.
+    accumulate across calls. Reset them between batches: ``Adam.zero_grad``
+    for the parameters an optimizer holds, ``zero_gradients`` for any list.
     """
     if loss.values.ndim != 0 and loss.values.size != 1:
         raise DimensionError(f"loss must be scalar, got shape {loss.values.shape}")
@@ -129,7 +127,7 @@ def backward(loss: Tensor, record: ComputeRecord) -> None:
 
 def zero_gradients(params) -> None:
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
 
 
 def _scatter_add(index: tuple[np.ndarray, ...], values: np.ndarray, shape) -> np.ndarray:

@@ -16,8 +16,10 @@ from pathlib import Path
 
 from .assign import GASettings, MatchSettings, MatchingError, ingest_peaks, pseudo_annotate
 from .dataio import (
+    KINDS,
     CheckpointError,
     DataFormatError,
+    config_hash,
     load_checkpoint,
     load_dataset,
     normalize_solvent,
@@ -66,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-data", help="per-record dataset diagnostics")
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--kind", choices=("1d", "hsqc", "annotated"), required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
 
     for name in ("pretrain", "finetune"):
         p = sub.add_parser(name, help=f"{name} and write a checkpoint")
@@ -124,10 +126,6 @@ def _load_config(args) -> tuple[ModelConfig, TrainConfig, MatchSettings]:
         if args.seed is not None:
             model_kw["seed"] = args.seed
             train_kw["seed"] = args.seed
-        if "mlp_hidden" in model_kw:
-            if not isinstance(model_kw["mlp_hidden"], list):
-                raise TypeError("model.mlp_hidden must be a list of layer widths")
-            model_kw["mlp_hidden"] = tuple(model_kw["mlp_hidden"])
         match = MatchSettings(ga=GASettings(**match_kw.pop("ga", {})), **match_kw)
         return ModelConfig(**model_kw), TrainConfig(**train_kw), match
     except TypeError as exc:
@@ -196,10 +194,24 @@ def _dispatch(args) -> int:
     model = checkpoint.build_model()
     _, _, match = _load_config(args)
 
+    if args.command == "eval":
+        testset = load_dataset(args.test, "annotated")
+        if not testset:
+            raise DataFormatError(f"{args.test}: no usable annotated records")
+        seed = args.seed if args.seed is not None else 0
+        report = evaluate(
+            model, testset, solvent_mode=args.solvent_mode, seed=seed, match=match
+        )
+        _emit(report.to_dict())
+        return EXIT_OK
+
+    # predict, assign and export: the SMILES's peaks in --solvent
+    molecule = prepare_molecule(args.smiles)
+    solvent = normalize_solvent(args.solvent)
+    observations = None if args.command == "predict" else _read_peaks(args.peaks)
+    preds = model.predict_cross_peaks(molecule, solvent)
+
     if args.command == "predict":
-        molecule = prepare_molecule(args.smiles)
-        solvent = normalize_solvent(args.solvent)
-        peaks = model.predict_cross_peaks(molecule, solvent)
         _emit(
             [
                 {
@@ -207,16 +219,12 @@ def _dispatch(args) -> int:
                     "delta_c": p.delta_c,
                     "delta_h": p.delta_h,
                 }
-                for p in peaks
+                for p in preds
             ]
         )
         return EXIT_OK
 
     if args.command == "assign":
-        molecule = prepare_molecule(args.smiles)
-        solvent = normalize_solvent(args.solvent)
-        observations = _read_peaks(args.peaks)
-        preds = model.predict_cross_peaks(molecule, solvent)
         labels = pseudo_annotate(molecule, preds, observations, match)
         if labels is None:
             raise MatchingError("nothing to assign (no peaks)")
@@ -242,22 +250,7 @@ def _dispatch(args) -> int:
                 )
         return EXIT_OK
 
-    if args.command == "eval":
-        testset = load_dataset(args.test, "annotated")
-        if not testset:
-            raise DataFormatError(f"{args.test}: no usable annotated records")
-        seed = args.seed if args.seed is not None else 0
-        report = evaluate(
-            model, testset, solvent_mode=args.solvent_mode, seed=seed, match=match
-        )
-        _emit(report.to_dict())
-        return EXIT_OK
-
     if args.command == "export":
-        molecule = prepare_molecule(args.smiles)
-        solvent = normalize_solvent(args.solvent)
-        observations = _read_peaks(args.peaks)
-        preds = model.predict_cross_peaks(molecule, solvent)
         fmt = args.format or ("csv" if args.out.suffix.lower() == ".csv" else "svg")
         export_overlay(preds, observations, args.out, fmt=fmt, match=match)
         if not args.quiet:
@@ -268,8 +261,6 @@ def _dispatch(args) -> int:
 
 
 def _check_resume_config(checkpoint, model_config: ModelConfig) -> None:
-    from .dataio import config_hash
-
     verify_checkpoint_config(checkpoint, model_config)
     stored = checkpoint.provenance.get("config_hash")
     if stored is not None and stored != config_hash(model_config):
@@ -287,10 +278,11 @@ def _train_command(args) -> int:
         if not quiet:
             print(json.dumps(line), flush=True)
 
+    dataset = load_dataset(args.data, "1d" if args.command == "pretrain" else "hsqc")
+    if not dataset:
+        raise DataFormatError(f"{args.data}: no usable records")
+
     if args.command == "pretrain":
-        dataset = load_dataset(args.data, "1d")
-        if not dataset:
-            raise DataFormatError(f"{args.data}: no usable records")
         init_state = None
         start_epoch = 0
         if args.resume and args.checkpoint_out.exists():
@@ -313,40 +305,32 @@ def _train_command(args) -> int:
             "best_epoch": result.best_epoch,
             "seed": train_config.seed,
         }
-        save_checkpoint(result.best_state, model_config, provenance, args.checkpoint_out)
-        if not quiet:
-            print(f"wrote {args.checkpoint_out}")
-        return EXIT_OK
-
-    # finetune
-    dataset = load_dataset(args.data, "hsqc")
-    if not dataset:
-        raise DataFormatError(f"{args.data}: no usable records")
-    valset = load_dataset(args.val, "hsqc") if args.val else None
-    resuming = args.resume and args.checkpoint_out.exists()
-    source = args.checkpoint_out if resuming else args.checkpoint
-    if resuming:
-        log.info("resuming fine-tuning from %s", source)
-    start = load_checkpoint(source)
-    if resuming:
-        _check_resume_config(start, model_config)
     else:
-        verify_checkpoint_config(start, model_config)
-    result = finetune_unsupervised(
-        start.arrays,
-        dataset,
-        valset,
-        train_config,
-        model_config=model_config,
-        match=match,
-        log_fn=log_line,
-    )
-    provenance = {
-        "stage": "finetune",
-        "iteration": result.iterations_run,
-        "converged": result.converged,
-        "seed": train_config.seed,
-    }
+        valset = load_dataset(args.val, "hsqc") if args.val else None
+        resuming = args.resume and args.checkpoint_out.exists()
+        source = args.checkpoint_out if resuming else args.checkpoint
+        if resuming:
+            log.info("resuming fine-tuning from %s", source)
+        start = load_checkpoint(source)
+        if resuming:
+            _check_resume_config(start, model_config)
+        else:
+            verify_checkpoint_config(start, model_config)
+        result = finetune_unsupervised(
+            start.arrays,
+            dataset,
+            valset,
+            train_config,
+            model_config=model_config,
+            match=match,
+            log_fn=log_line,
+        )
+        provenance = {
+            "stage": "finetune",
+            "iteration": result.iterations_run,
+            "converged": result.converged,
+            "seed": train_config.seed,
+        }
     save_checkpoint(result.best_state, model_config, provenance, args.checkpoint_out)
     if not quiet:
         print(f"wrote {args.checkpoint_out}")

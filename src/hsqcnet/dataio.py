@@ -18,14 +18,12 @@ import os
 import struct
 from dataclasses import dataclass
 from importlib import resources
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .assign import ingest_peaks, is_finite_real
-from .model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
-from .model import _parameter_shapes
+from .assign import ingest_peaks, is_finite_real, is_integer
+from .model import CrossPeakModel, ModelConfig, SolventClass, check_state, prepare_molecule
 from .smiles import SmilesParseError, canonical_smiles
 from .smiles import parse_smiles  # noqa: F401  (benchmarks/tracing.py wraps dataio.parse_smiles)
 from .train import Sample1D, SampleHSQC
@@ -104,11 +102,12 @@ def scan_dataset(path: str | Path, kind: str) -> tuple[list, list[RecordDiagnost
     """Parse and validate a JSONL dataset.
 
     Returns (samples, per-record diagnostics). Records with unusable
-    content (a JSON value that is not an object, bad SMILES, empty peak
-    lists, out-of-range target indices, shifts that are not finite numbers,
-    malformed expert maps) are skipped and reported; duplicates (same canonical SMILES, solvent,
-    and targets) are dropped and reported; a malformed JSON line is an
-    error, not a skip.
+    content (a JSON value that is not an object, bad SMILES, a solvent that
+    is not a string or null, a saccharide flag that is not a boolean, empty
+    peak lists, out-of-range target indices, shifts that are not finite
+    numbers, malformed expert maps) are skipped and reported; duplicates
+    (same canonical SMILES, solvent, and targets) are dropped and reported;
+    a malformed JSON line is an error, not a skip.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -165,8 +164,11 @@ def _build_sample(record, kind: str):
     smiles = record.get("smiles")
     if not isinstance(smiles, str) or not smiles:
         raise DataFormatError("record has no smiles field")
+    solvent_raw = record.get("solvent")
+    if solvent_raw is not None and not isinstance(solvent_raw, str):
+        raise DataFormatError(f"solvent is not a string or null: {solvent_raw!r}")
     molecule = prepare_molecule(smiles)
-    solvent = normalize_solvent(record.get("solvent"))
+    solvent = normalize_solvent(solvent_raw)
     canon = canonical_smiles(molecule.graph)
 
     if kind == "1d":
@@ -191,7 +193,9 @@ def _build_sample(record, kind: str):
         if kind == "annotated":
             log.info("record %r lacks a saccharide flag; counted as non-saccharide",
                      smiles)
-    sample = SampleHSQC(molecule, solvent, peaks, saccharide=bool(saccharide))
+    elif not isinstance(saccharide, bool):
+        raise DataFormatError(f"saccharide flag is not a boolean: {saccharide!r}")
+    sample = SampleHSQC(molecule, solvent, peaks, saccharide=saccharide)
     key = (
         canon,
         solvent.value,
@@ -216,7 +220,7 @@ def _build_sample(record, kind: str):
             )
         for unit in units:
             if not (isinstance(unit, list) and len(unit) == 2
-                    and all(isinstance(v, Integral) and not isinstance(v, bool) for v in unit)):
+                    and all(is_integer(v) for v in unit)):
                 raise DataFormatError(f"expert unit {unit!r} is not [carbon, slot]")
         expert[obs_index] = [(unit[0], unit[1]) for unit in units]
     return AnnotatedTestRecord(sample, expert), key
@@ -335,7 +339,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"(this build reads version {FORMAT_VERSION})"
         )
     try:
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model config in header ({exc})") from exc
     provenance = header.get("provenance")
@@ -370,23 +374,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def _is_shape(shape) -> bool:
-    return isinstance(shape, list) and all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
-    )
+    return isinstance(shape, list) and all(is_integer(n) and n >= 0 for n in shape)
 
 
 def verify_checkpoint_config(checkpoint: Checkpoint, config: ModelConfig) -> None:
-    """Raise CheckpointError naming the first parameter whose shape under
-    ``config`` disagrees with the stored arrays (resume guard)."""
-    expected = {name: shape for name, shape, _ in _parameter_shapes(config)}
-    for name, want in expected.items():
-        if name not in checkpoint.arrays:
-            raise CheckpointError(f"checkpoint is missing parameter {name}")
-        got = checkpoint.arrays[name].shape
-        if got != want:
-            raise CheckpointError(
-                f"shape mismatch for {name}: checkpoint {got} vs config {want}"
-            )
-    extra = set(checkpoint.arrays) - set(expected)
-    if extra:
-        raise CheckpointError(f"checkpoint has unexpected parameters {sorted(extra)}")
+    """Raise CheckpointError unless the stored arrays are exactly the
+    parameters of ``config`` in their shapes (resume guard)."""
+    try:
+        check_state(config, checkpoint.arrays)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,20 +66,9 @@ class EvalReport:
     segments: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "solvent_mode": self.solvent_mode,
-            "seed": self.seed,
-            "mae_c": self.mae_c,
-            "mae_h": self.mae_h,
-            "molecules_total": self.molecules_total,
-            "molecules_evaluated": self.molecules_evaluated,
-            "molecules_all_correct": self.molecules_all_correct,
-            "all_correct_fraction": self.all_correct_fraction,
-            "peak_agreement_on_disagreeing": self.peak_agreement_on_disagreeing,
-            "rejected": [{"record": i, "reason": r} for i, r in self.rejected],
-            "per_solvent": self.per_solvent,
-            "segments": self.segments,
-        }
+        out = asdict(self)
+        out["rejected"] = [{"record": i, "reason": r} for i, r in self.rejected]
+        return out
 
 
 def _mae(errors: list[float]) -> float:
@@ -211,8 +200,7 @@ def _subreport(rows: list[RecordEval]) -> dict:
 def _aggregate(
     rows: list[RecordEval], solvent_mode: str, seed: int, molecules_total: int
 ) -> EvalReport:
-    c = [e for r in rows for e in r.c_errors]
-    h = [e for r in rows for e in r.h_errors]
+    overall = _subreport(rows)
     disagreeing = [r for r in rows if not r.all_correct]
     if disagreeing:
         pooled = sum(r.peaks_agreeing for r in disagreeing) / sum(
@@ -220,16 +208,15 @@ def _aggregate(
         )
     else:
         pooled = 1.0
-    correct = sum(r.all_correct for r in rows)
     return EvalReport(
         solvent_mode=solvent_mode,
         seed=seed,
-        mae_c=_mae(c),
-        mae_h=_mae(h),
+        mae_c=overall["mae_c"],
+        mae_h=overall["mae_h"],
         molecules_total=molecules_total,
         molecules_evaluated=len(rows),
-        molecules_all_correct=correct,
-        all_correct_fraction=correct / len(rows) if rows else float("nan"),
+        molecules_all_correct=sum(r.all_correct for r in rows),
+        all_correct_fraction=overall["all_correct_fraction"],
         peak_agreement_on_disagreeing=pooled,
         rejected=[],
     )

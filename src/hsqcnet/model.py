@@ -22,12 +22,13 @@ slot) target reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import autodiff as ad
+from .assign import check_integer, check_real
 from .autodiff import Parameter, Tensor
 from .elements import SYMBOL_INDEX
 from .molgraph import (
@@ -92,36 +93,30 @@ class ModelConfig:
     h_scale: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        if len(self.mlp_hidden) != 2:
-            raise ValueError("mlp_hidden must list two layer widths")
-        if min(self.atom_dim, self.solvent_dim_h, *self.mlp_hidden) <= 0:
-            raise ValueError("dimensions must be positive")
-        if self.solvent_dim_c < 0:
-            raise ValueError("solvent_dim_c must be >= 0")
+        hidden = self.mlp_hidden
+        if isinstance(hidden, list):  # as JSON gives it
+            hidden = tuple(hidden)
+            object.__setattr__(self, "mlp_hidden", hidden)
+        if not (isinstance(hidden, tuple) and len(hidden) == 2):
+            raise ValueError(f"mlp_hidden must list two layer widths, got {hidden!r}")
+        for name, value, low in (
+            ("num_layers", self.num_layers, 1),
+            ("atom_dim", self.atom_dim, 1),
+            ("solvent_dim_h", self.solvent_dim_h, 1),
+            ("solvent_dim_c", self.solvent_dim_c, 0),
+            ("mlp_hidden", hidden[0], 1),
+            ("mlp_hidden", hidden[1], 1),
+            ("seed", self.seed, 0),
+        ):
+            check_integer(name, value, low)
+        check_real("merge_tolerance_h", self.merge_tolerance_h)
+        check_real("c_center", self.c_center)
+        check_real("h_center", self.h_center)
+        check_real("c_scale", self.c_scale, positive=True)
+        check_real("h_scale", self.h_scale, positive=True)
 
     def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "atom_dim": self.atom_dim,
-            "solvent_dim_h": self.solvent_dim_h,
-            "solvent_dim_c": self.solvent_dim_c,
-            "mlp_hidden": list(self.mlp_hidden),
-            "merge_tolerance_h": self.merge_tolerance_h,
-            "seed": self.seed,
-            "c_center": self.c_center,
-            "c_scale": self.c_scale,
-            "h_center": self.h_center,
-            "h_scale": self.h_scale,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ModelConfig":
-        data = dict(data)
-        if "mlp_hidden" in data:
-            data["mlp_hidden"] = tuple(data["mlp_hidden"])
-        return ModelConfig(**data)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -265,6 +260,22 @@ def count_parameters(config: ModelConfig) -> int:
     return sum(math.prod(shape) for _, shape, _ in _parameter_shapes(config))
 
 
+def check_state(config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
+    """Raise ValueError unless ``arrays`` holds exactly the parameters of
+    ``config``, each in its shape."""
+    shapes = {name: shape for name, shape, _ in _parameter_shapes(config)}
+    missing = shapes.keys() - arrays.keys()
+    extra = arrays.keys() - shapes.keys()
+    if missing or extra:
+        raise ValueError(
+            f"parameter set mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
+        )
+    for name, want in shapes.items():
+        got = np.shape(arrays[name])
+        if got != want:
+            raise ValueError(f"shape mismatch for {name}: checkpoint {got} vs config {want}")
+
+
 def proton_outputs(raw_h: Tensor, rows, slots, two_peak) -> Tensor:
     """The proton output each (carbon, slot) target reads, from the
     (k, 2) proton-pair outputs: the slot's own column when its carbon emits
@@ -298,24 +309,9 @@ class CrossPeakModel:
         return {name: p.values.copy() for name, p in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self.params) - set(arrays)
-        extra = set(arrays) - set(self.params)
-        if missing or extra:
-            raise ValueError(
-                f"parameter set mismatch: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}"
-            )
+        check_state(self.config, arrays)
         for name, p in self.params.items():
-            incoming = np.asarray(arrays[name], dtype=np.float64)
-            if incoming.shape != p.values.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: checkpoint {incoming.shape} "
-                    f"vs config {p.values.shape}"
-                )
-            p.values[...] = incoming
-
-    def count_parameters(self) -> int:
-        return count_parameters(self.config)
+            p.values[...] = arrays[name]
 
     # -- forward pass -------------------------------------------------------
 
@@ -415,7 +411,7 @@ class CrossPeakModel:
         raw_c, raw_h = self.head_outputs(
             molecule, solvent, [u.carbon_index for u in units]
         )
-        pair_ppm = cfg.h_center + cfg.h_scale * raw_h.values
+        pair_ppm = self.ppm_h(raw_h.values)
         rows: list[int] = []
         slots: list[int] = []
         split: list[bool] = []
@@ -428,9 +424,8 @@ class CrossPeakModel:
                 slots.append(slot)
                 split.append(two)
         protons = proton_outputs(raw_h, rows, slots, split)
-        # the same operations as ppm_c and ppm_h, once per array
-        delta_c = cfg.c_center + cfg.c_scale * raw_c.values[rows]
-        delta_h = cfg.h_center + cfg.h_scale * protons.values
+        delta_c = self.ppm_c(raw_c.values[rows])
+        delta_h = self.ppm_h(protons.values)
         finite = np.isfinite(delta_c) & np.isfinite(delta_h)
         if not finite.all():
             bad = units[rows[int(np.argmin(finite))]]
@@ -489,8 +484,10 @@ class CrossPeakModel:
     def normalize_h(self, ppm: float) -> float:
         return (ppm - self.config.h_center) / self.config.h_scale
 
-    def ppm_c(self, raw: float) -> float:
+    def ppm_c(self, raw):
+        """Carbon ppm of a raw output, a float or an array."""
         return self.config.c_center + self.config.c_scale * raw
 
-    def ppm_h(self, raw: float) -> float:
+    def ppm_h(self, raw):
+        """Proton ppm of a raw output, a float or an array."""
         return self.config.h_center + self.config.h_scale * raw

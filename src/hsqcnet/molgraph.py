@@ -81,9 +81,6 @@ class MolecularGraph:
     _bond_at: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        self.rebuild_adjacency()
-
-    def rebuild_adjacency(self) -> None:
         self.adjacency = [[] for _ in self.atoms]
         self._bond_at = {}
         for bi, bond in enumerate(self.bonds):
@@ -180,20 +177,22 @@ def add_explicit_hydrogens(graph: MolecularGraph) -> MolecularGraph:
     grouped by their heavy atom, in heavy-atom index order. A graph whose
     atoms all have implicit_h == 0 round-trips unchanged in size.
     """
-    out = graph.copy()
-    next_index = len(out.atoms)
-    for heavy in list(out.atoms):
+    atoms = [
+        AtomSpec(a.element, a.index, a.formal_charge, a.chirality, a.hybridization,
+                 a.is_aromatic)
+        for a in graph.atoms
+    ]
+    bonds = [BondSpec(b.endpoints, b.bond_type, b.direction) for b in graph.bonds]
+    chiral_order = {k: list(v) for k, v in graph.chiral_order.items()}
+    for heavy in graph.atoms:
+        order = chiral_order.get(heavy.index)
         for _ in range(heavy.implicit_h):
-            out.atoms.append(AtomSpec(element="H", index=next_index))
-            out.bonds.append(BondSpec((heavy.index, next_index), BondType.SINGLE))
-            if heavy.index in out.chiral_order:
-                order = out.chiral_order[heavy.index]
-                if -1 in order:
-                    order[order.index(-1)] = next_index
-            next_index += 1
-        heavy.implicit_h = 0
-    out.rebuild_adjacency()
-    return out
+            hydrogen = len(atoms)
+            atoms.append(AtomSpec(element="H", index=hydrogen))
+            bonds.append(BondSpec((heavy.index, hydrogen), BondType.SINGLE))
+            if order is not None and -1 in order:
+                order[order.index(-1)] = hydrogen
+    return MolecularGraph(atoms, bonds, graph.source_smiles, chiral_order)
 
 
 def infer_hybridization(graph: MolecularGraph) -> MolecularGraph:

@@ -23,6 +23,8 @@ from .assign import (
     MatchSettings,
     ObservedPeak,
     PseudoLabels,
+    check_integer,
+    check_real,
     pseudo_annotate,
 )
 from .autodiff import Adam, ComputeRecord, Tensor, backward
@@ -73,30 +75,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.epochs, self.batch_size, self.oversample_factor) < 1:
-            raise ValueError("epochs, batch_size, oversample_factor must be >= 1")
-        if self.learning_rate <= 0 or self.max_iterations < 1:
-            raise ValueError("learning_rate and max_iterations must be positive")
+        for name in ("epochs", "batch_size", "oversample_factor", "max_iterations"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0)
+        check_real("learning_rate", self.learning_rate, positive=True)
+        check_real("convergence_fraction", self.convergence_fraction)
+        check_real("validation_split", self.validation_split)
         if not 0.0 < self.convergence_fraction <= 1.0:
             raise ValueError("convergence_fraction must lie in (0, 1]")
         if not 0.0 <= self.validation_split < 1.0:
             raise ValueError("validation_split must lie in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "oversample_factor": self.oversample_factor,
-            "max_iterations": self.max_iterations,
-            "convergence_fraction": self.convergence_fraction,
-            "validation_split": self.validation_split,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "TrainConfig":
-        return TrainConfig(**data)
 
 
 @dataclass
@@ -169,8 +157,12 @@ def dataset_mae(model: CrossPeakModel, dataset: list[Sample1D]) -> tuple[float, 
         c_err, h_err = _sample_errors(model, sample)
         c_all.extend(c_err)
         h_all.extend(h_err)
-    mae = lambda xs: float(np.mean(xs)) if xs else float("nan")
-    return mae(c_all), mae(h_all)
+    return _mae(c_all), _mae(h_all)
+
+
+def _mae(errors: list[float]) -> float:
+    """Mean of absolute errors; NaN for none."""
+    return float(np.mean(errors)) if errors else float("nan")
 
 
 def _selection_metric(mae_c: float, mae_h: float, config: ModelConfig) -> float:
@@ -372,8 +364,7 @@ def matched_mae(labels: list[PseudoLabels | None]) -> tuple[float, float]:
         for entry in lab.entries:
             c_err.append(abs(entry.pred_delta_c - entry.delta_c))
             h_err.append(abs(entry.pred_delta_h - entry.delta_h))
-    mae = lambda xs: float(np.mean(xs)) if xs else float("nan")
-    return mae(c_err), mae(h_err)
+    return _mae(c_err), _mae(h_err)
 
 
 def finetune_unsupervised(

@@ -354,4 +354,5 @@ BAD_CHECKPOINT_HEADERS = {
     "bool in shape": _first_shape([True, 8]),
     "no provenance": _set(None, "provenance", None),
     "arrays do not fit the config": _set("config", "atom_dim", 16),
+    "config value not a number": _set("config", "merge_tolerance_h", "x"),
 }

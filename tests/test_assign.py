@@ -285,11 +285,20 @@ def test_default_beta_is_last_temperature_of_the_old_schedule():
     {"beta": 0.0}, {"beta": -1.0}, {"beta": float("nan")}, {"beta": float("inf")},
     {"epsilon": 0.0}, {"sweeps": 0}, {"sweeps": 2.5}, {"sweeps": True},
     # finite each, but beta / epsilon overflows: every soft entry was NaN
-    {"beta": 1e303}, {"epsilon": 1e-310},
+    {"beta": 1e303}, {"epsilon": 1e-310}, {"beta": "x"},
 ])
 def test_ga_settings_reject_bad_values(bad):
     with pytest.raises(ValueError, match=f"ga.{next(iter(bad))}"):
         GASettings(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"c_scale": 0}, {"c_scale": "x"}, {"c_scale": float("nan")},
+    {"reject_threshold": "x"}, {"reject_threshold": float("nan")}, {"ga": {"beta": 2.0}},
+])
+def test_match_settings_reject_bad_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        MatchSettings(**bad)
 
 
 SOFT_SETTINGS = [GASettings(), GASettings(beta=2.0, sweeps=3), GASettings(epsilon=1e-3, sweeps=7)]

@@ -138,6 +138,15 @@ def test_assign_reads_match_section_of_config(tiny_checkpoint, tmp_path):
     ([1, 2], "JSON object"),
     ({"match": 5}, "'match'"),
     ({"mach": {"c_scale": 1000}}, "'mach'"),
+    ({"train": {"epochs": 1.5}}, "epochs"),
+    ({"train": {"batch_size": 2.5}}, "batch_size"),
+    ({"train": {"learning_rate": float("nan")}}, "learning_rate"),
+    ({"model": {"atom_dim": 8.5}}, "atom_dim"),
+    ({"model": {"num_layers": True}}, "num_layers"),
+    ({"model": {"c_scale": 0}}, "c_scale"),
+    ({"model": {"merge_tolerance_h": "x"}}, "merge_tolerance_h"),
+    ({"match": {"c_scale": "x"}}, "c_scale"),
+    ({"match": {"reject_threshold": "x"}}, "reject_threshold"),
 ])
 def test_malformed_config_is_usage_error(tiny_checkpoint, tmp_path, raw, message):
     config = tmp_path / "bad.json"

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from hsqcnet import dataio
 from hsqcnet.dataio import (
+    KINDS,
+    Checkpoint,
     CheckpointError,
     DataFormatError,
     config_hash,
@@ -195,6 +197,30 @@ def test_non_object_record_skipped_with_reason(tmp_path, kind, line):
     assert "not a JSON object" in diagnostics[0].reason
 
 
+# fields whose JSON type the schema does not allow: (kind, field, reason)
+OFF_SCHEMA_FIELDS = [
+    *((kind, {"solvent": value}, "solvent is not a string or null")
+      for kind in KINDS for value in (5, ["x"])),
+    *((kind, {"saccharide": "false"}, "saccharide flag is not a boolean")
+      for kind in ("hsqc", "annotated")),
+]
+
+
+@pytest.mark.parametrize("kind, field, reason", OFF_SCHEMA_FIELDS)
+def test_off_schema_field_skipped_with_reason(tmp_path, capsys, kind, field, reason):
+    from hsqcnet import cli
+
+    good = ({"smiles": "CC", "c_shifts": {"0": 6.0}} if kind == "1d" else
+            {"smiles": "CC", "peaks": [[6.0, 0.9]], "expert": {"0": [[0, 1]]}})
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{**good, **field}, good])
+    samples, diagnostics = scan_dataset(path, kind)
+    assert len(samples) == 1
+    assert diagnostics[0].status == "skipped" and reason in diagnostics[0].reason
+    assert cli.main(["--quiet", "validate-data", "--kind", kind, "--data", str(path)]) == 0
+    assert reason in capsys.readouterr().out
+
+
 def test_validate_data_skips_non_object_line(tmp_path, capsys):
     from hsqcnet import cli
 
@@ -297,6 +323,38 @@ def test_config_hash_stable_and_sensitive():
     a = ModelConfig()
     assert config_hash(a) == config_hash(ModelConfig())
     assert config_hash(a) != config_hash(ModelConfig(atom_dim=32))
+    assert config_hash(a) == "f9f29a69044a37f781530d1a29d284547f6db31cd3dd0aad9398378824bb187e"
+
+
+def test_checkpoint_header_lists_the_config_fields_in_order(tmp_path):
+    config = ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4, mlp_hidden=(6, 5))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(CrossPeakModel(config).state_arrays(), config, {"stage": "test"}, path)
+    blob = path.read_bytes()
+    header = blob[12 : 12 + int.from_bytes(blob[8:12], "little")].decode()
+    assert header.startswith(
+        '{"version": 1, "config": {"num_layers": 1, "atom_dim": 8, "solvent_dim_h": 4, '
+        '"solvent_dim_c": 0, "mlp_hidden": [6, 5], "merge_tolerance_h": 0.01, "seed": 0, '
+        '"c_center": 70.0, "c_scale": 30.0, "h_center": 4.0, "h_scale": 3.0}, '
+        '"provenance": {"stage": "test", "config_hash": "'
+    )
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda state: state.pop("embed.element"), r"missing \['embed.element'\]"),
+    (lambda state: state.update({"embed.element": np.zeros((2, 8))}),
+     r"shape mismatch for embed.element: checkpoint \(2, 8\)"),
+    (lambda state: state.update({"extra.w": np.zeros(3)}), r"unexpected \['extra.w'\]"),
+], ids=["missing", "shape", "extra"])
+def test_one_state_check_for_models_and_checkpoints(edit, message):
+    config = ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4, mlp_hidden=(6, 5))
+    state = CrossPeakModel(config).state_arrays()
+    edit(state)
+    with pytest.raises(ValueError, match=message) as caught:
+        CrossPeakModel(config).load_state(state)
+    assert type(caught.value) is ValueError
+    with pytest.raises(CheckpointError, match=message):
+        verify_checkpoint_config(Checkpoint(config, state, {}), config)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_HEADERS))

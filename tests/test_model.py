@@ -29,6 +29,19 @@ def test_config_validation():
         ModelConfig(solvent_dim_c=-1)
     with pytest.raises(ValueError, match="two layer widths"):
         ModelConfig(mlp_hidden=(6, 5, 4))
+    for bad in ({"atom_dim": 8.5}, {"num_layers": True}, {"seed": -1}, {"mlp_hidden": 5},
+                {"mlp_hidden": (6, 5.5)}, {"merge_tolerance_h": "x"},
+                {"c_center": float("nan")}, {"c_scale": 0}, {"h_scale": -3.0},
+                {"h_scale": float("inf")}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ModelConfig(**bad)
+
+
+def test_config_reads_mlp_hidden_as_json_gives_it():
+    from_json = ModelConfig(mlp_hidden=[6, 5])
+    assert from_json == ModelConfig(mlp_hidden=(6, 5))
+    assert from_json.mlp_hidden == (6, 5)
+    assert hash(from_json) == hash(ModelConfig(mlp_hidden=(6, 5)))
 
 
 def test_solvent_class_has_nine_members():

@@ -44,6 +44,20 @@ def test_heavy_atoms_keep_prefix_indices():
         assert g.atoms[i].element == atom.element
 
 
+@pytest.mark.parametrize("smiles, chiral_order", [
+    ("N[C@H](C)C(=O)O", {1: [0, 8, 2, 3]}),
+    ("[C@@H](F)(Cl)Br", {0: [4, 1, 2, 3]}),
+])
+def test_expansion_puts_the_hydrogen_into_the_chiral_order(smiles, chiral_order):
+    graph = parse_smiles(smiles)
+    g = add_explicit_hydrogens(graph)
+    assert g.chiral_order == chiral_order
+    ((center, order),) = chiral_order.items()
+    assert all(order[k] in g.adjacency[center] for k in range(4))
+    assert [g.atoms[i].element for i in order].count("H") == 1
+    assert -1 in graph.chiral_order[center]  # the source is untouched
+
+
 @pytest.mark.parametrize(
     "smiles,expected",
     [

@@ -45,6 +45,12 @@ def test_train_config_validation():
     TrainConfig(convergence_fraction=1.0)  # boundary allowed: one iteration
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    for bad in ({"epochs": 1.5}, {"batch_size": 2.5}, {"max_iterations": True},
+                {"oversample_factor": 0}, {"seed": -1}, {"learning_rate": float("nan")},
+                {"learning_rate": "x"}, {"convergence_fraction": "x"},
+                {"validation_split": float("nan")}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
 
 
 def test_sample_requires_targets():
