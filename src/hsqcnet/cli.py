@@ -14,7 +14,9 @@ import os
 import sys
 from pathlib import Path
 
-from .assign import GASettings, MatchSettings, MatchingError, ingest_peaks, pseudo_annotate
+from .assign import (
+    GASettings, MatchSettings, MatchingError, ingest_peaks, is_integer, pseudo_annotate,
+)
 from .dataio import (
     KINDS,
     CheckpointError,
@@ -289,7 +291,10 @@ def _train_command(args) -> int:
             previous = load_checkpoint(args.checkpoint_out)
             _check_resume_config(previous, model_config)
             init_state = previous.arrays
-            start_epoch = int(previous.provenance.get("epoch", -1)) + 1
+            epoch = previous.provenance.get("epoch", -1)
+            if not (is_integer(epoch) and epoch >= -1):
+                raise CheckpointError(f"{args.checkpoint_out}: bad provenance epoch {epoch!r}")
+            start_epoch = epoch + 1
             log.info("resuming from %s at epoch %d", args.checkpoint_out, start_epoch)
         result = mtt_pretrain(
             dataset,

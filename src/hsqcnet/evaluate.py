@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .model import (
     SolventClass,
 )
 from .molgraph import molecular_weight
-from .train import SampleHSQC
+from .train import SampleHSQC, _mae
 
 log = logging.getLogger(__name__)
 
@@ -69,10 +68,6 @@ class EvalReport:
         out = asdict(self)
         out["rejected"] = [{"record": i, "reason": r} for i, r in self.rejected]
         return out
-
-
-def _mae(errors: list[float]) -> float:
-    return math.fsum(errors) / len(errors) if errors else float("nan")
 
 
 def _pick_solvent(

@@ -294,13 +294,17 @@ def proton_outputs(raw_h: Tensor, rows, slots, two_peak) -> Tensor:
 
 class CrossPeakModel:
     def __init__(self, config: ModelConfig, state: dict[str, np.ndarray] | None = None):
+        """Parameters copied from ``state`` after ``check_state`` (the model
+        never writes the caller's arrays), else drawn from ``config.seed``."""
         self.config = config
-        rng = np.random.default_rng(config.seed)
-        self.params: dict[str, Parameter] = {}
-        for name, shape, fan_in in _parameter_shapes(config):
-            self.params[name] = ad.uniform_init(rng, shape, fan_in, name)
         if state is not None:
-            self.load_state(state)
+            check_state(config, state)
+        rng = np.random.default_rng(config.seed)
+        self.params: dict[str, Parameter] = {
+            name: ad.uniform_init(rng, shape, fan_in, name) if state is None
+            else Parameter(np.array(state[name], dtype=np.float64), name)
+            for name, shape, fan_in in _parameter_shapes(config)
+        }
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -441,48 +445,40 @@ class CrossPeakModel:
         solvent: SolventClass,
         need_c: list[int],
         need_h: list[int],
-    ) -> tuple[dict[int, Tensor], dict[int, Tensor]]:
-        """Raw per-atom shift tensors for 1D supervision.
+    ) -> tuple[Tensor, Tensor]:
+        """Raw outputs for 1D supervision from one head evaluation, in
+        argument order: the carbon outputs ``(len(need_c),)`` and the proton
+        outputs ``(len(need_h),)``.
 
         Carbon targets may name any carbon. Proton targets name hydrogen
-        atoms; each resolves to the mean of its carbon's two proton-head
-        outputs (1D references average inequivalent protons). A target atom
-        the model cannot cover raises ValueError.
+        atoms; each reads the mean of its carbon's two proton-head outputs
+        (1D references average inequivalent protons), by the
+        ``proton_outputs`` rule. A target atom the model cannot cover
+        raises ValueError.
         """
         graph = molecule.graph
         atoms = graph.atoms
         for idx in need_c:
-            if idx >= len(atoms) or atoms[idx].element != "C":
+            if not 0 <= idx < len(atoms) or atoms[idx].element != "C":
                 raise ValueError(f"carbon target index {idx} is not a carbon atom")
-        carbon_of: dict[int, int] = {}
+        carbon_of: list[int] = []
         for idx in need_h:
-            if idx >= len(atoms) or atoms[idx].element != "H":
+            if not 0 <= idx < len(atoms) or atoms[idx].element != "H":
                 raise ValueError(f"proton target index {idx} is not a hydrogen atom")
             carbons = [nb for nb in graph.adjacency[idx] if atoms[nb].element == "C"]
             if not carbons:
                 raise ValueError(
                     f"no prediction covers hydrogen {idx}: not bonded to carbon"
                 )
-            carbon_of[idx] = carbons[0]
-        proton_carbons = list(dict.fromkeys(carbon_of.values()))
-        carbons = list(dict.fromkeys([*need_c, *proton_carbons]))
+            carbon_of.append(carbons[0])
+        carbons = list(dict.fromkeys([*need_c, *carbon_of]))
         row = {carbon: r for r, carbon in enumerate(carbons)}
         raw_c, raw_h = self.head_outputs(molecule, solvent, carbons)
-        c_out = {idx: ad.gather(raw_c, row[idx]) for idx in need_c}
-        n = len(proton_carbons)
-        means = proton_outputs(
-            raw_h, [row[c] for c in proton_carbons], [1] * n, [False] * n
-        )
-        h_at = {carbon: ad.gather(means, k) for k, carbon in enumerate(proton_carbons)}
-        return c_out, {idx: h_at[carbon] for idx, carbon in carbon_of.items()}
+        n = len(carbon_of)
+        protons = proton_outputs(raw_h, [row[c] for c in carbon_of], [1] * n, [False] * n)
+        return ad.gather(raw_c, [row[idx] for idx in need_c]), protons
 
     # -- unit conversions ----------------------------------------------------
-
-    def normalize_c(self, ppm: float) -> float:
-        return (ppm - self.config.c_center) / self.config.c_scale
-
-    def normalize_h(self, ppm: float) -> float:
-        return (ppm - self.config.h_center) / self.config.h_scale
 
     def ppm_c(self, raw):
         """Carbon ppm of a raw output, a float or an array."""

@@ -1,12 +1,14 @@
 """Two-stage training.
 
-Stage one pre-trains on atom-annotated 1D shift data with per-modality
-masked L1 losses, over-sampling the proton-bearing minority. Stage two
-fine-tunes on unlabeled peak lists by alternating pseudo-annotation
-(matching predictions to observations) with training on the matched
-targets, until the assignments stop moving or the iteration cap hits.
-Both stages train through one minibatch loop, ``_fit_epoch``, each with its
-own per-sample loss. Without a validation set, the one annotation sweep
+Stage one pre-trains on atom-annotated 1D shift data with masked L1
+losses (an absent modality adds no term), over-sampling the
+proton-bearing minority. Stage two fine-tunes on unlabeled peak lists by
+alternating pseudo-annotation (matching predictions to observations) with
+training on the matched targets, until the assignments stop moving or the
+iteration cap hits. Both stages train through one minibatch loop,
+``_fit_epoch``, and score a sample by one rule, ``_ppm_l1``: the L1 error
+of an array of carbon outputs and an array of proton outputs against
+shifts in ppm. Without a validation set, the one annotation sweep
 after each fine-tuning round both scores the trained weights (the matched
 MAE is a function of the labels alone) and labels the next round.
 """
@@ -96,68 +98,69 @@ class TrainResult:
     best_epoch: int
 
 
+def _ppm_l1(
+    config: ModelConfig, outputs: tuple[Tensor, Tensor], delta_c, delta_h
+) -> Tensor:
+    """The L1 rule of both stages: mean |shift - target| over the raw carbon
+    and proton outputs against targets in ppm, in output order.
+
+    Residuals are taken in ppm and divided by the modality's scale, so a
+    target equal to the model's own prediction in ppm gives exactly zero
+    loss and gradient. An absent modality contributes no term, hence no
+    gradient to its head. A modality whose output and target counts differ
+    raises ``DimensionError``.
+    """
+    counts = [len(delta_c), len(delta_h)]
+    sizes = [out.values.size for out in outputs]
+    if sizes != counts:
+        raise ad.DimensionError(f"(carbon, proton) outputs {sizes} vs targets {counts}")
+    return ad.mean_abs_error(
+        list(outputs),
+        [*delta_c, *delta_h],
+        scale=np.repeat([config.c_scale, config.h_scale], counts),
+        center=np.repeat([config.c_center, config.h_center], counts),
+    )
+
+
+def _ppm_targets(targets: dict[int, float]) -> np.ndarray:
+    """A modality's target shifts in ppm, in atom order."""
+    return np.array([targets[idx] for idx in sorted(targets)], dtype=np.float64)
+
+
 def masked_mtt_loss(
-    sample: Sample1D,
-    predictions: tuple[dict[int, Tensor], dict[int, Tensor]],
-    model: CrossPeakModel,
+    sample: Sample1D, predictions: tuple[Tensor, Tensor], model: CrossPeakModel
 ) -> Tensor:
     """Mean absolute error over the targets the sample actually carries.
 
-    An absent modality contributes no term, hence no gradient to its head.
-    A target atom without a prediction is a contract violation.
+    ``predictions`` are the raw (carbon, proton) outputs that
+    ``atom_shift_tensors`` gives for the sample's target atoms, each
+    modality in atom order; the loss is the rule fine-tuning uses, with
+    residuals in ppm.
     """
-    c_preds, h_preds = predictions
-    terms: list[Tensor] = []
-    targets: list[float] = []
-    for idx, ppm in sorted(sample.c_targets.items()):
-        if idx not in c_preds:
-            raise ValueError(f"no prediction covers carbon target {idx}")
-        terms.append(c_preds[idx])
-        targets.append(model.normalize_c(ppm))
-    for idx, ppm in sorted(sample.h_targets.items()):
-        if idx not in h_preds:
-            raise ValueError(f"no prediction covers proton target {idx}")
-        terms.append(h_preds[idx])
-        targets.append(model.normalize_h(ppm))
-    return ad.mean_abs_error(terms, targets)
-
-
-def _target_outputs(
-    model: CrossPeakModel, sample: Sample1D
-) -> tuple[dict[int, Tensor], dict[int, Tensor]]:
-    """The model's raw outputs for the atoms the sample carries targets for."""
-    return model.atom_shift_tensors(
-        sample.molecule, sample.solvent, sorted(sample.c_targets), sorted(sample.h_targets)
+    return _ppm_l1(
+        model.config, predictions,
+        _ppm_targets(sample.c_targets), _ppm_targets(sample.h_targets),
     )
 
 
 def _pretrain_loss(model: CrossPeakModel, sample: Sample1D) -> Tensor:
-    return masked_mtt_loss(sample, _target_outputs(model, sample), model)
-
-
-def _sample_errors(model: CrossPeakModel, sample: Sample1D) -> tuple[list, list]:
-    """Absolute errors in ppm for one 1D sample, per modality."""
-    c_preds, h_preds = _target_outputs(model, sample)
-    c_err = [
-        abs(model.ppm_c(c_preds[i].item()) - ppm)
-        for i, ppm in sorted(sample.c_targets.items())
-    ]
-    h_err = [
-        abs(model.ppm_h(h_preds[i].item()) - ppm)
-        for i, ppm in sorted(sample.h_targets.items())
-    ]
-    return c_err, h_err
+    outputs = model.atom_shift_tensors(
+        sample.molecule, sample.solvent, sorted(sample.c_targets), sorted(sample.h_targets)
+    )
+    return masked_mtt_loss(sample, outputs, model)
 
 
 def dataset_mae(model: CrossPeakModel, dataset: list[Sample1D]) -> tuple[float, float]:
     """(carbon MAE, proton MAE) in ppm; NaN for an absent modality."""
-    c_all: list[float] = []
-    h_all: list[float] = []
+    c_err: list[float] = []
+    h_err: list[float] = []
     for sample in dataset:
-        c_err, h_err = _sample_errors(model, sample)
-        c_all.extend(c_err)
-        h_all.extend(h_err)
-    return _mae(c_all), _mae(h_all)
+        raw_c, raw_h = model.atom_shift_tensors(
+            sample.molecule, sample.solvent, sorted(sample.c_targets), sorted(sample.h_targets)
+        )
+        c_err.extend(np.abs(model.ppm_c(raw_c.values) - _ppm_targets(sample.c_targets)))
+        h_err.extend(np.abs(model.ppm_h(raw_h.values) - _ppm_targets(sample.h_targets)))
+    return _mae(c_err), _mae(h_err)
 
 
 def _mae(errors: list[float]) -> float:
@@ -213,9 +216,7 @@ def mtt_pretrain(
     if not dataset:
         raise ValueError("empty pre-training dataset")
     model_config = model_config or ModelConfig()
-    model = CrossPeakModel(model_config)
-    if init_state is not None:
-        model.load_state(init_state)
+    model = CrossPeakModel(model_config, state=init_state)
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
 
     split_rng = np.random.default_rng([config.seed, 101])
@@ -298,8 +299,7 @@ def _finetune_loss(
     two proton outputs were emitted separately at annotation time,
     otherwise the single label trains the slot mean. This keeps the loss
     well-defined even if the merge decision flips during the iteration.
-    Residuals are taken in ppm, as the peaks were emitted, so labels equal
-    to the model's own predictions give exactly zero loss and gradient.
+    Residuals are taken in ppm, as the peaks were emitted (``_ppm_l1``).
     """
     entries = sorted(labels.entries, key=lambda e: (e.carbon_index, e.slot))
     carbons = sorted({e.carbon_index for e in entries})
@@ -310,13 +310,9 @@ def _finetune_loss(
     protons = proton_outputs(
         raw_h, rows, [e.slot for e in entries], [e.carbon_index in split for e in entries]
     )
-    cfg = model.config
-    n = len(entries)
-    return ad.mean_abs_error(
-        [ad.gather(raw_c, rows), protons],
-        [e.delta_c for e in entries] + [e.delta_h for e in entries],
-        scale=np.repeat([cfg.c_scale, cfg.h_scale], n),
-        center=np.repeat([cfg.c_center, cfg.h_center], n),
+    return _ppm_l1(
+        model.config, (ad.gather(raw_c, rows), protons),
+        [e.delta_c for e in entries], [e.delta_h for e in entries],
     )
 
 
@@ -391,8 +387,7 @@ def finetune_unsupervised(
         raise ValueError("empty fine-tuning dataset")
     model_config = model_config or ModelConfig()
     match = match or MatchSettings()
-    model = CrossPeakModel(model_config)
-    model.load_state(init_state)
+    model = CrossPeakModel(model_config, state=init_state)
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
 
     history: list[dict] = []

@@ -48,6 +48,8 @@ DATA = REPO / "data"
 def test_criterion_01_gradient_check(desk_config):
     """Analytic vs central finite-difference gradients, relative 1e-4,
     20 sampled parameters, one molecule, under 30 s."""
+    from hsqcnet.train import Sample1D
+
     start = time.monotonic()
     model = CrossPeakModel(desk_config)
     molecule = prepare_molecule("Cc1ccc(C)cc1")
@@ -59,27 +61,21 @@ def test_criterion_01_gradient_check(desk_config):
                  for u in molecule.units if u.is_representative
                  for h in u.hydrogen_indices[:1]}
 
-    def loss_value() -> float:
+    sample = Sample1D(molecule, solvent, targets_c, targets_h)
+
+    def loss() -> ad.Tensor:
         preds = model.atom_shift_tensors(
             molecule, solvent, sorted(targets_c), sorted(targets_h)
         )
-        terms = [abs(preds[0][i].item() - model.normalize_c(t))
-                 for i, t in sorted(targets_c.items())]
-        terms += [abs(preds[1][i].item() - model.normalize_h(t))
-                  for i, t in sorted(targets_h.items())]
-        return float(np.mean(terms))
+        return masked_mtt_loss(sample, preds, model)
+
+    def loss_value() -> float:
+        return loss().item()
 
     ad.zero_gradients(model.parameters())
     with ad.ComputeRecord() as record:
-        preds = model.atom_shift_tensors(
-            molecule, solvent, sorted(targets_c), sorted(targets_h)
-        )
-        tensors = [preds[0][i] for i in sorted(targets_c)]
-        values = [model.normalize_c(targets_c[i]) for i in sorted(targets_c)]
-        tensors += [preds[1][i] for i in sorted(targets_h)]
-        values += [model.normalize_h(targets_h[i]) for i in sorted(targets_h)]
-        loss = ad.mean_abs_error(tensors, values)
-    ad.backward(loss, record)
+        total = loss()
+    ad.backward(total, record)
 
     names = list(model.params)
     step = 1e-5

@@ -329,6 +329,19 @@ def test_resume_with_changed_config_rejected(tmp_path):
     assert "cannot resume" in proc.stderr
 
 
+@pytest.mark.parametrize("epoch", [None, [1], True, "x"])
+def test_resume_with_a_bad_provenance_epoch_is_data_error(tmp_path, capsys, epoch):
+    out = tmp_path / "model.ckpt"
+    save_checkpoint(CrossPeakModel(TINY).state_arrays(), TINY,
+                    {"stage": "pretrain", "epoch": epoch, "seed": 0}, out)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"model": TINY.to_dict(), "train": {"epochs": 1}}))
+    code = cli.main(["--quiet", "--config", str(config), "pretrain", "--resume",
+                     "--data", str(REPO / "data" / "toy_1d.jsonl"), "--checkpoint-out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_resume_continues_training(tmp_path):
     data = REPO / "data" / "toy_1d.jsonl"
     out = tmp_path / "model.ckpt"

@@ -62,6 +62,20 @@ def test_encode_atoms_reached_from_prediction_and_1d_targets(monkeypatch):
     assert len(calls) == 2
 
 
+def test_pretraining_and_its_mae_pass_reach_atom_shift_tensors(monkeypatch):
+    # model.atom_shift_share reads the time spent under this name
+    calls: list = []
+    counting(monkeypatch, CrossPeakModel, "atom_shift_tensors", calls)
+    samples = [Sample1D(prepare_molecule("CCO"), SolventClass.UNKNOWN,
+                        {0: 18.0, 1: 58.0}, {3: 1.2})]
+    net = CrossPeakModel(TINY)
+    train.dataset_mae(net, samples)
+    assert len(calls) == 1
+    config = TrainConfig(epochs=1, batch_size=1, oversample_factor=2, validation_split=0.0)
+    train.mtt_pretrain(samples, config, model_config=TINY)
+    assert len(calls) == 1 + 2 + 1  # two oversampled steps, then the epoch's MAE pass
+
+
 def test_training_reaches_backward_and_adam_step(monkeypatch):
     tapes: list = []
     steps: list = []

@@ -17,6 +17,7 @@ from hsqcnet.model import (
 )
 from hsqcnet.molgraph import relabel_atoms
 from hsqcnet.smiles import parse_smiles
+from hsqcnet.train import Sample1D, TrainConfig, mtt_pretrain
 from helpers import reference_encode
 
 
@@ -217,6 +218,31 @@ def test_state_round_trip(tiny_config):
     bad.pop(next(iter(bad)))
     with pytest.raises(ValueError, match="mismatch"):
         other.load_state(bad)
+
+
+def test_model_built_from_a_state_copies_it(tiny_config):
+    rng = np.random.default_rng(8)
+    state = {name: rng.normal(size=a.shape)
+             for name, a in CrossPeakModel(tiny_config).state_arrays().items()}
+    kept = {name: a.copy() for name, a in state.items()}
+    built = CrossPeakModel(tiny_config, state=state)
+    loaded = CrossPeakModel(tiny_config)
+    loaded.load_state(state)
+    assert list(built.params) == list(loaded.params)
+    for name, p in built.params.items():
+        assert np.array_equal(p.values, loaded.params[name].values), name
+        assert not np.shares_memory(p.values, state[name]), name
+    sample = Sample1D(prepare_molecule("CCO"), SolventClass.DMSO, {0: 18.0}, {3: 1.2})
+    result = mtt_pretrain([sample], TrainConfig(epochs=1, batch_size=1, learning_rate=1e-2,
+                                                validation_split=0.0),
+                          model_config=tiny_config, init_state=state)
+    assert not np.array_equal(result.final_state["c_head.b3"], state["c_head.b3"])
+    for name, a in state.items():
+        assert np.array_equal(a, kept[name]), name
+    bad = dict(state)
+    bad.pop("c_head.b3")
+    with pytest.raises(ValueError, match="mismatch"):
+        CrossPeakModel(tiny_config, state=bad)
 
 
 def test_solvent_dim_c_adds_table():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hsqcnet import autodiff as ad
+from hsqcnet import train
 from hsqcnet.assign import MatchSettings, ObservedPeak, PseudoLabel, PseudoLabels
 from hsqcnet.model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
 from hsqcnet.train import (
@@ -63,30 +64,46 @@ def test_masked_loss_hand_computed():
     sample = sample_1d("CO", {0: 50.0}, {2: 3.3})
     preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0], [2])
     loss = masked_mtt_loss(sample, preds, model)
-    c_raw = preds[0][0].item()
-    h_raw = preds[1][2].item()
+    c_raw, h_raw = preds[0].values[0], preds[1].values[0]
     expected = 0.5 * (
-        abs(c_raw - model.normalize_c(50.0)) + abs(h_raw - model.normalize_h(3.3))
+        abs(model.ppm_c(c_raw) - 50.0) / TINY.c_scale
+        + abs(model.ppm_h(h_raw) - 3.3) / TINY.h_scale
     )
     assert loss.item() == pytest.approx(expected, abs=1e-12)
 
 
 def test_masked_loss_perfect_predictions_zero():
+    # 1D targets equal to the model's own outputs in ppm are a fixed point,
+    # as fine-tuning self-labels are: no residual, no gradient
     model = CrossPeakModel(TINY)
-    sample = sample_1d("CO", {0: 50.0}, {})
-    preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0], [])
-    target = model.ppm_c(preds[0][0].item())
-    sample = sample_1d("CO", {0: target}, {})
-    loss = masked_mtt_loss(sample, preds, model)
-    assert loss.item() == pytest.approx(0.0, abs=1e-12)
+    for smiles in ("CO", "Cc1ccc(C)cc1"):
+        molecule = prepare_molecule(smiles)
+        carbons = [a.index for a in molecule.graph.atoms if a.element == "C"]
+        hydrogens = [h for u in molecule.units for h in u.hydrogen_indices]
+        raw_c, raw_h = model.atom_shift_tensors(molecule, SolventClass.DMSO, carbons, hydrogens)
+        sample = Sample1D(
+            molecule, SolventClass.DMSO,
+            dict(zip(carbons, model.ppm_c(raw_c.values).tolist())),
+            dict(zip(hydrogens, model.ppm_h(raw_h.values).tolist())),
+        )
+        ad.zero_gradients(model.parameters())
+        with ad.ComputeRecord() as rec:
+            preds = model.atom_shift_tensors(molecule, sample.solvent, carbons, hydrogens)
+            loss = masked_mtt_loss(sample, preds, model)
+        ad.backward(loss, rec)
+        assert loss.item() == 0.0, smiles
+        assert all(not p.grad.any() for p in model.parameters()), smiles
 
 
 def test_masked_loss_missing_prediction_is_contract_error():
     model = CrossPeakModel(TINY)
     sample = sample_1d("CO", {0: 50.0}, {2: 3.3})
     preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0], [])
-    with pytest.raises(ValueError, match="no prediction covers"):
+    with pytest.raises(ad.DimensionError, match=r"outputs \[1, 0\] vs targets \[1, 1\]"):
         masked_mtt_loss(sample, preds, model)
+    preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0, 0], [2])
+    with pytest.raises(ad.DimensionError):  # three outputs, three targets, split 2 + 1
+        masked_mtt_loss(sample_1d("CO", {0: 50.0}, {2: 3.3, 3: 3.3}), preds, model)
 
 
 def test_c_only_sample_gives_zero_h_head_gradient():
@@ -120,10 +137,12 @@ def test_h_only_sample_gives_zero_c_head_gradient():
 def test_atom_shift_targets_validated():
     model = CrossPeakModel(TINY)
     mol = prepare_molecule("CO")
-    with pytest.raises(ValueError, match="not a carbon"):
-        model.atom_shift_tensors(mol, SolventClass.UNKNOWN, [1], [])
-    with pytest.raises(ValueError, match="not a hydrogen"):
-        model.atom_shift_tensors(mol, SolventClass.UNKNOWN, [], [0])
+    for carbon in (1, -6, 6):  # -6 names carbon 0 by Python indexing
+        with pytest.raises(ValueError, match="not a carbon"):
+            model.atom_shift_tensors(mol, SolventClass.UNKNOWN, [carbon], [])
+    for hydrogen in (0, -2, 6):
+        with pytest.raises(ValueError, match="not a hydrogen"):
+            model.atom_shift_tensors(mol, SolventClass.UNKNOWN, [], [hydrogen])
     with pytest.raises(ValueError, match="not bonded to carbon"):
         model.atom_shift_tensors(mol, SolventClass.UNKNOWN, [], [5])  # the OH proton
 
@@ -131,6 +150,31 @@ def test_atom_shift_targets_validated():
 def test_pretrain_rejects_empty_dataset():
     with pytest.raises(ValueError, match="empty"):
         mtt_pretrain([], TrainConfig())
+
+
+def test_pretrain_tape_length_does_not_grow_with_targets(monkeypatch, desk_config):
+    # one head evaluation, one carbon gather, one proton rule and one loss
+    # op per sample, however many atoms carry targets
+    tapes: list[int] = []
+    original = train.backward
+
+    def counting_backward(loss, record):
+        tapes.append(len(record))
+        original(loss, record)
+
+    monkeypatch.setattr(train, "backward", counting_backward)
+    methanol = sample_1d("CO", {0: 50.0}, {2: 3.3, 3: 3.3, 4: 3.3})
+    xylene = prepare_molecule("Cc1ccc(C)cc1")
+    targets = Sample1D(
+        xylene, SolventClass.CHLOROFORM,
+        {a.index: 100.0 for a in xylene.graph.atoms if a.element == "C"},
+        {h: 4.0 for u in xylene.units for h in u.hydrogen_indices},
+    )
+    assert (len(targets.c_targets), len(targets.h_targets)) == (8, 10)
+    mtt_pretrain([methanol, targets], TrainConfig(epochs=1, batch_size=1, oversample_factor=1,
+                                                  validation_split=0.0),
+                 model_config=desk_config)
+    assert len(tapes) == 2 and tapes[0] == tapes[1]
 
 
 def test_oversample_factor_one_sees_each_sample_once():
@@ -336,10 +380,9 @@ def test_one_head_path_for_prediction_1d_targets_and_finetuning(merge_tolerance_
     c_out, h_out = model.atom_shift_tensors(
         molecule, solvent, carbons, list(methylene.hydrogen_indices)
     )
-    for hydrogen in methylene.hydrogen_indices:
-        assert h_out[hydrogen].item() == slot_mean
+    assert h_out.values.tolist() == [slot_mean] * len(methylene.hydrogen_indices)
     for row, carbon in enumerate(carbons):
-        assert c_out[carbon].item() == raw_c.values[row]
+        assert c_out.values[row] == raw_c.values[row]
         assert slots[(carbon, 1)].delta_c == model.ppm_c(raw_c.values[row])
     if (1, 2) in slots:
         assert slots[(1, 1)].delta_h == model.ppm_h(pair[0])
