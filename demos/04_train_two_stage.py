@@ -4,7 +4,7 @@ Two-stage training on the bundled toy data
 
 Stage one pre-trains on atom-annotated 1D shifts with masked per-modality
 losses; stage two self-trains on unlabeled peak lists by alternating
-matching and fitting. Scaled down here so it finishes in about a minute;
+matching and fitting. Scaled down here so it finishes in a few seconds;
 raise the epochs for the full desk-scale run.
 """
 

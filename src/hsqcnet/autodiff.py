@@ -5,13 +5,13 @@ active ComputeRecord; ``backward`` replays the record in reverse and
 accumulates gradients into the participating Parameters. Ops work on row
 batches, and the op set is exactly what the matrix-form message-passing
 model needs: ``gather`` (rows or elements, e.g. embedding lookups),
-``add`` of two same-shape tensors, ``affine`` maps, ``relu``, ``concat``,
-``segment_sum`` (rows summed onto segments), ``scale`` by a constant, the
-fused L1 loss ``mean_abs_error``, and ``message_layer``, one whole
-message-passing layer up to its update activation as a single op with a
-hand-written adjoint. Scatter-adds onto fresh arrays (the ``segment_sum``
-forward, gather adjoints of intermediate tensors, the layer's sums over
-edges) go through one ``bincount``, which sums in input order exactly as
+``add`` of two same-shape tensors, ``affine`` maps (of one input, or of
+parts read by weight column block), ``relu``, ``segment_sum`` (rows
+summed onto segments), ``scale`` by a constant, the fused L1 loss
+``mean_abs_error``, and ``message_layer``, one whole message-passing
+layer up to its update activation as a single op with a hand-written
+adjoint. Every scatter-add, a Parameter's gather adjoint included, is one
+``bincount`` onto zeros, which sums in input order exactly as
 ``np.add.at`` does; the layer reads its flat slots from a per-graph cache.
 
 ``Adam`` packs its parameters into one flat value buffer and one flat
@@ -105,9 +105,6 @@ def backward(loss: Tensor, record: ComputeRecord) -> None:
     def accumulate(target: Tensor, grad: np.ndarray, index=None) -> None:
         """Add ``grad`` onto ``target``, or scatter-add it at ``index``."""
         if index is not None:
-            if isinstance(target, Parameter):
-                np.add.at(target.grad, index, grad)
-                return
             grad = _scatter_add(index, grad, target.values.shape)
         if isinstance(target, Parameter):
             target.grad += grad
@@ -194,32 +191,47 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def affine(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
-    """``x @ weight.T + bias`` for one input vector or a batch of rows."""
-    if x.values.ndim not in (1, 2) or weight.values.ndim != 2:
-        raise DimensionError(
-            f"affine expects vector or rows and matrix, got {x.shape} and {weight.shape}"
-        )
-    if weight.values.shape[1] != x.values.shape[-1]:
-        raise DimensionError(
-            f"affine shape mismatch: weight {weight.shape} vs input {x.shape}"
-        )
+def affine(x: Tensor | list[Tensor], weight: Parameter, bias: Parameter) -> Tensor:
+    """``x @ weight.T + bias`` for a vector or a batch of rows, or for a list of
+    parts joined along features, never built: each part meets its own block
+    of weight columns, and a one-dimensional part is a row shared by the batch."""
+    parts = x if isinstance(x, list) else [x]
+    columns, width, batch = [], 0, None
+    for part in parts:
+        shape = part.values.shape
+        if len(shape) not in (1, 2) or len(shape) == 2 and batch not in (None, shape[0]):
+            raise DimensionError(f"affine expects vectors or rows of one batch, "
+                                 f"got {[part.shape for part in parts]}")
+        batch = shape[0] if len(shape) == 2 else batch
+        columns.append(slice(width, width + shape[-1]))
+        width += shape[-1]
+    if weight.values.shape[1:] != (width,):  # a matrix with one column per input feature
+        shapes = " + ".join(str(part.shape) for part in parts)
+        raise DimensionError(f"affine shape mismatch: weight {weight.shape} vs input {shapes}")
     if bias.values.shape != (weight.values.shape[0],):
         raise DimensionError(
             f"affine bias shape {bias.shape} does not match weight {weight.shape}"
         )
-    values = x.values @ weight.values.T
+    values = parts[0].values @ weight.values[:, columns[0]].T
+    for part, cols in zip(parts[1:], columns[1:]):
+        values = values + part.values @ weight.values[:, cols].T
     values += bias.values
     out = Tensor(values)
     tape = _tape()
     if tape is not None:
-        rows = x.values.reshape(-1, x.values.shape[-1])
 
         def adjoint(g, acc):
             g_rows = g.reshape(-1, g.shape[-1])
-            acc(weight, g_rows.T @ rows)
+            g_in = g_rows @ weight.values
+            # blocks go into one array: += into a column block is several times slower
+            g_weight = np.empty_like(weight.values)
+            for part, cols in zip(parts, columns):
+                shared = part.values.ndim == 1  # one row shared by the batch
+                rows = part.values[None].repeat(len(g_rows), 0) if shared else part.values
+                np.matmul(g_rows.T, rows, out=g_weight[:, cols])
+                acc(part, g_in[:, cols].sum(axis=0) if shared else g_in[:, cols])
+            acc(weight, g_weight)
             acc(bias, g_rows.sum(axis=0))
-            acc(x, g @ weight.values)
 
         tape._push(out, adjoint)
     return out
@@ -231,28 +243,6 @@ def relu(x: Tensor) -> Tensor:
     if tape is not None:
         mask = x.values > 0.0
         tape._push(out, lambda g, acc: acc(x, g * mask))
-    return out
-
-
-def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
-    """Join tensors along ``axis``: features with -1, row batches with 0."""
-    if not parts:
-        raise DimensionError("concat of empty list")
-    try:
-        out = Tensor(np.concatenate([p.values for p in parts], axis=axis))
-    except ValueError as exc:
-        shapes = [p.shape for p in parts]
-        raise DimensionError(f"concat shape mismatch on axis {axis}: {shapes}") from exc
-    tape = _tape()
-    if tape is not None:
-        lead = (slice(None),) * (axis % out.values.ndim)
-        bounds = [0, *itertools.accumulate(p.values.shape[axis] for p in parts)]
-
-        def adjoint(g, acc):
-            for p, lo, hi in zip(parts, bounds, bounds[1:]):
-                acc(p, g[lead + (slice(lo, hi),)])
-
-        tape._push(out, adjoint)
     return out
 
 
@@ -295,9 +285,10 @@ def message_layer(
     flat ``bincount`` slots of one of them at a row width.
 
     Forward and adjoint evaluate the same numpy expressions, in the same
-    order, as the equivalent chain of ``affine``, ``gather``, ``add``,
-    ``relu``, ``segment_sum``, ``concat`` and ``affine`` ops, so values and
-    gradients are bit-identical to that chain's.
+    order, as the equivalent chain of ops: a bias-free ``affine``, two
+    ``gather``, ``add``, ``relu``, ``segment_sum``, then ``[h, sums]``
+    joined into one (atoms, 2d) matrix and mapped by one ``affine``.
+    Values and gradients are bit-identical to that chain's.
     """
     n, d = len(h.values), h.values.shape[-1]
     if (h.values.ndim != 2 or msg_w.values.shape != (d, 2 * d) or msg_b.values.shape != (d,)

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 from importlib import resources
@@ -104,10 +105,11 @@ def scan_dataset(path: str | Path, kind: str) -> tuple[list, list[RecordDiagnost
     Returns (samples, per-record diagnostics). Records with unusable
     content (a JSON value that is not an object, bad SMILES, a solvent that
     is not a string or null, a saccharide flag that is not a boolean, empty
-    peak lists, out-of-range target indices, shifts that are not finite
-    numbers, malformed expert maps) are skipped and reported; duplicates
-    (same canonical SMILES, solvent, and targets) are dropped and reported;
-    a malformed JSON line is an error, not a skip.
+    peak lists, index keys that are not canonical decimals, out-of-range
+    target indices, shifts that are not finite numbers, malformed expert
+    maps) are skipped and reported; duplicates (same canonical SMILES,
+    solvent, and targets) are dropped and reported; a malformed JSON line
+    is an error, not a skip.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -211,7 +213,7 @@ def _build_sample(record, kind: str):
         raise DataFormatError("annotated record has no expert map")
     expert: dict[int, list[tuple[int, int]]] = {}
     for obs_key, units in expert_raw.items():
-        obs_index = int(obs_key)
+        obs_index = _index_key(obs_key, "expert map")
         if not 0 <= obs_index < len(peaks):
             raise DataFormatError(f"expert map names missing peak {obs_index}")
         if not isinstance(units, list):
@@ -226,6 +228,13 @@ def _build_sample(record, kind: str):
     return AnnotatedTestRecord(sample, expert), key
 
 
+def _index_key(key: str, where: str) -> int:
+    """An index written as a JSON key: "0", or ASCII digits with no leading zero."""
+    if not re.fullmatch("0|[1-9][0-9]*", key):
+        raise DataFormatError(f"{where} key {key!r} is not a canonical index")
+    return int(key)
+
+
 def _shift_map(raw, molecule, element: str) -> dict[int, float]:
     if raw is None:
         return {}
@@ -234,7 +243,7 @@ def _shift_map(raw, molecule, element: str) -> dict[int, float]:
     graph = molecule.graph
     out: dict[int, float] = {}
     for key, value in raw.items():
-        idx = int(key)
+        idx = _index_key(key, f"{element} shift map")
         if not 0 <= idx < len(graph.atoms):
             raise DataFormatError(f"shift target index {idx} out of range")
         if graph.atoms[idx].element != element:

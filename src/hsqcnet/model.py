@@ -13,10 +13,11 @@ scatter slots from the molecule's ``GraphIndex``. One
 head evaluation over an array of carbons feeds two MLP heads: one
 predicts the carbon shift from the carbon embedding, one a pair of proton
 shifts from the carbon embedding, the mean of its bonded-hydrogen
-embeddings, and a learned solvent vector. Symmetry-equivalent units emit
-through one representative; methylene units may emit two peaks, and
-``proton_outputs`` is the one rule for which proton output a (carbon,
-slot) target reads.
+embeddings, and a learned solvent vector. Each head's first affine map
+reads its inputs by weight column block, so a solvent vector is one row
+shared by every carbon. Symmetry-equivalent units emit through one
+representative; methylene units may emit two peaks, and ``proton_outputs``
+is the one rule for which proton output a (carbon, slot) target reads.
 """
 
 from __future__ import annotations
@@ -179,21 +180,21 @@ def graph_index(graph: MolecularGraph) -> GraphIndex:
                 f"atom {atom.index} has uninferred hybridization; run "
                 "infer_hybridization first"
             )
-    n = len(atoms)
-    src = [u for v in range(n) for u in graph.adjacency[v]]
-    dst = [v for v in range(n) for _ in graph.adjacency[v]]
-    bonds = [graph.bond_between(u, v) for u, v in zip(src, dst)]
+    # two directed edges per bond; sorted by (dst, bond) they are the adjacency
     ids = lambda values: np.array(values, dtype=np.intp)
+    ends = ids([b.endpoints for b in graph.bonds]).reshape(-1, 2)
+    types = ids([_BOND_INDEX[b.bond_type] * len(BondDirection) + _DIRECTION_INDEX[b.direction]
+                 for b in graph.bonds])
+    src, dst = np.concatenate([ends, ends[:, ::-1]]).T
+    bond = np.tile(np.arange(len(ends)), 2)
+    order = np.lexsort((bond, dst))
     return GraphIndex(
-        src=ids(src),
-        dst=ids(dst),
+        src=src[order],
+        dst=dst[order],
         element=ids([SYMBOL_INDEX[a.element] for a in atoms]),
         chirality=ids([_CHIRALITY_INDEX[a.chirality] for a in atoms]),
         hybridization=ids([_HYBRID_INDEX[a.hybridization] for a in atoms]),
-        edge_type=ids([
-            _BOND_INDEX[b.bond_type] * len(BondDirection) + _DIRECTION_INDEX[b.direction]
-            for b in bonds
-        ]),
+        edge_type=types[bond[order]],
     )
 
 
@@ -354,13 +355,11 @@ class CrossPeakModel:
             layers.append(h)
         return layers
 
-    def encode_solvent(
-        self, solvent: SolventClass, rows: int = 1, table: str = "embed.solvent_h"
-    ) -> Tensor:
-        """The solvent's learned vector from ``table``, repeated on ``rows`` rows."""
-        return ad.gather(self.params[table], np.full(rows, SOLVENT_INDEX[solvent]))
+    def encode_solvent(self, solvent: SolventClass, table: str = "embed.solvent_h") -> Tensor:
+        """The solvent's learned vector from ``table``, one row."""
+        return ad.gather(self.params[table], SOLVENT_INDEX[solvent])
 
-    def _mlp(self, prefix: str, x: Tensor) -> Tensor:
+    def _mlp(self, prefix: str, x: list[Tensor]) -> Tensor:
         p = self.params
         h1 = ad.relu(ad.affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
         h2 = ad.relu(ad.affine(h1, p[f"{prefix}.w2"], p[f"{prefix}.b2"]))
@@ -392,16 +391,14 @@ class CrossPeakModel:
         # a carbon without hydrogens (a 1D carbon target) gets a zero mean
         counts = np.maximum(np.bincount(h_row, minlength=k), 1)
         h_c = ad.gather(final, carbons)
-        c_in = h_c
+        c_in = [h_c]
         if self.config.solvent_dim_c > 0:
-            c_in = ad.concat([h_c, self.encode_solvent(solvent, k, "embed.solvent_c")])
+            c_in.append(self.encode_solvent(solvent, "embed.solvent_c"))
         raw_c = ad.gather(self._mlp("c_head", c_in), (np.arange(k), np.zeros(k, np.intp)))
         h_mean = ad.scale(
             ad.segment_sum(ad.gather(final, h_index), h_row, k), 1.0 / counts[:, None]
         )
-        raw_h = self._mlp(
-            "h_head", ad.concat([h_c, h_mean, self.encode_solvent(solvent, k)])
-        )
+        raw_h = self._mlp("h_head", [h_c, h_mean, self.encode_solvent(solvent)])
         return raw_c, raw_h
 
     def predict_cross_peaks(

@@ -263,16 +263,18 @@ def refine_labels(graph: MolecularGraph, seeds: list) -> tuple[list[int], int]:
     (bond type, neighbor label) pairs and re-densifies in sorted order.
     """
     n = len(graph.atoms)
+    # bond types never change between rounds: pair them once per call
+    neighbours = [
+        [(graph.bond_between(i, j).bond_type.value, j) for j in graph.adjacency[i]]
+        for i in range(n)
+    ]
     labels = _dense_labels(seeds)
     iterations = 0
     while True:
-        signatures = []
-        for i in range(n):
-            nbr = sorted(
-                (graph.bond_between(i, j).bond_type.value, labels[j])
-                for j in graph.adjacency[i]
-            )
-            signatures.append((labels[i], tuple(nbr)))
+        signatures = [
+            (labels[i], tuple(sorted((bond, labels[j]) for bond, j in pairs)))
+            for i, pairs in enumerate(neighbours)
+        ]
         new_labels = _dense_labels(signatures)
         iterations += 1
         if new_labels == labels:

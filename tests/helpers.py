@@ -4,8 +4,9 @@ brute-force lexicographically smallest optimal assignment, the annealed
 graduated assignment that the one-temperature softassign replaced, the
 softassign that evaluated exp on every entry, the per-row labelling loop
 that pseudo_annotate replaced, the per-array Adam that the flat-buffer one
-replaced and the per-edge message map that the factored one replaced; and a
-checkpoint header rewriter with the malformed headers it is given."""
+replaced, the per-edge message map that the factored one replaced and the
+heads with their joined input; and a checkpoint header rewriter with the
+malformed headers it is given."""
 
 from __future__ import annotations
 
@@ -13,11 +14,14 @@ import itertools
 import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from hsqcnet import autodiff as ad
 from hsqcnet.assign import PseudoLabel, PseudoLabels, cost_matrix, hungarian, shift_cost
+from hsqcnet.model import SOLVENT_INDEX
 from hsqcnet.molgraph import (
     BondDirection,
+    BondType,
     Chirality,
     MolecularGraph,
     canonical_equivalence_classes,
@@ -291,33 +295,111 @@ def reference_adam(values, grad_steps, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8
 
 
 def reference_encode(model, index) -> list:
-    """The per-edge message map the factored one replaced: every layer
-    concatenates each directed edge's source row with its edge features
-    into one (edges, 2 * atom_dim) batch and maps it by the whole
-    ``msg.w``. Node embeddings of layers 0..L, on the active record."""
+    """The per-edge message map the factored one replaced: every layer maps
+    each directed edge's source row and edge features, read as one
+    (edges, 2 * atom_dim) input, by the whole ``msg.w``. Node embeddings of
+    layers 0..L, on the active record."""
     p = model.params
     n = len(index.element)
     bond, direction = np.divmod(index.edge_type, len(BondDirection))
 
-    def embedding_sum(lookups, rows):
-        parts = [ad.gather(p[name], ids) for name, ids in lookups]
-        segments = np.tile(np.arange(rows), len(parts))
-        return ad.segment_sum(ad.concat(parts, axis=0), segments, rows)
+    def embedding_sum(lookups):
+        total, *rest = [ad.gather(p[name], ids) for name, ids in lookups]
+        for part in rest:
+            total = ad.add(total, part)
+        return total
 
     h = embedding_sum([("embed.element", index.element),
                        ("embed.chirality", index.chirality),
-                       ("embed.hybridization", index.hybridization)], n)
-    edge = embedding_sum([("embed.bond_type", bond), ("embed.direction", direction)],
-                         len(index.src))
+                       ("embed.hybridization", index.hybridization)])
+    edge = embedding_sum([("embed.bond_type", bond), ("embed.direction", direction)])
     layers = [h]
     for layer in range(1, model.config.num_layers + 1):
-        messages = ad.relu(ad.affine(ad.concat([ad.gather(h, index.src), edge]),
+        messages = ad.relu(ad.affine([ad.gather(h, index.src), edge],
                                      p[f"layer{layer}.msg.w"], p[f"layer{layer}.msg.b"]))
-        pre = ad.affine(ad.concat([h, ad.segment_sum(messages, index.dst, n)]),
+        pre = ad.affine([h, ad.segment_sum(messages, index.dst, n)],
                         p[f"layer{layer}.upd.w"], p[f"layer{layer}.upd.b"])
         h = pre if layer == model.config.num_layers else ad.relu(pre)
         layers.append(h)
     return layers
+
+
+def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.ndarray]:
+    """The heads in numpy without the factored first map: each head's
+    input is one joined (k, width) matrix, ``np.concatenate`` of the
+    carbon embeddings, (for the proton head) the mean of each carbon's
+    hydrogen embeddings, and the solvent row repeated k times, then three
+    dense layers. Raw carbon outputs (k,) and proton pairs (k, 2)."""
+    p = {name: param.values for name, param in model.params.items()}
+    final = model.encode_atoms(molecule.index)[-1].values
+    graph = molecule.graph
+    k = len(carbons)
+    h_c = final[np.asarray(carbons, dtype=np.intp)]
+    h_mean = np.zeros_like(h_c)
+    for row, carbon in enumerate(carbons):
+        hydrogens = [nb for nb in graph.adjacency[carbon] if graph.atoms[nb].element == "H"]
+        if hydrogens:
+            h_mean[row] = final[hydrogens].mean(axis=0)
+
+    def solvent_rows(table):
+        return np.repeat(p[table][[SOLVENT_INDEX[solvent]]], k, axis=0)
+
+    def mlp(prefix, parts):
+        x = np.concatenate(parts, axis=1)
+        h1 = np.maximum(x @ p[f"{prefix}.w1"].T + p[f"{prefix}.b1"], 0.0)
+        h2 = np.maximum(h1 @ p[f"{prefix}.w2"].T + p[f"{prefix}.b2"], 0.0)
+        return h2 @ p[f"{prefix}.w3"].T + p[f"{prefix}.b3"]
+
+    c_parts = [h_c] + ([solvent_rows("embed.solvent_c")] if "embed.solvent_c" in p else [])
+    raw_c = mlp("c_head", c_parts)[:, 0]
+    raw_h = mlp("h_head", [h_c, h_mean, solvent_rows("embed.solvent_h")])
+    return raw_c, raw_h
+
+
+def reference_edge_arrays(graph: MolecularGraph) -> tuple[list[int], list[int], list[int]]:
+    """``src``, ``dst`` and ``edge_type`` by a walk over every atom's
+    adjacency, one ``bond_between`` lookup per directed edge."""
+    n = len(graph.atoms)
+    src = [u for v in range(n) for u in graph.adjacency[v]]
+    dst = [v for v in range(n) for _ in graph.adjacency[v]]
+    types = [list(BondType).index(b.bond_type) * len(BondDirection)
+             + list(BondDirection).index(b.direction)
+             for b in (graph.bond_between(u, v) for u, v in zip(src, dst))]
+    return src, dst, types
+
+
+def reference_refine_labels(graph: MolecularGraph, seeds: list) -> tuple[list[int], int]:
+    """Label refinement that looks every bond type up again in each round."""
+    def dense(keys):
+        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        return [order[k] for k in keys]
+
+    labels, rounds = dense(seeds), 0
+    while True:
+        rounds += 1
+        new = dense([(labels[i], tuple(sorted((graph.bond_between(i, j).bond_type.value, labels[j])
+                                             for j in graph.adjacency[i])))
+                     for i in range(len(graph.atoms))])
+        if new == labels:
+            return labels, rounds
+        labels = new
+
+
+@st.composite
+def smiles_strings(draw) -> str:
+    """Parseable SMILES: chains of atoms and rings with branches, double,
+    triple and directional bonds, charges and tetrahedral marks."""
+    chain = st.sampled_from(["C", "C", "N", "[C@@H]", "[C@H]", "c1ccccc1", "C1CC1", "c1ccncc1",
+                             "C1OC1"])
+    end = st.sampled_from(["C", "O", "Cl", "[O-]", "[NH3+]", "C=O", "C#N", "/C=C/C", "\\C=C/O"])
+    atom = draw(chain)
+    text = atom
+    for _ in range(draw(st.integers(0, 6))):
+        if atom in ("C", "[C@@H]", "[C@H]") and draw(st.booleans()):  # room for a branch
+            text += "(" + draw(end) + ")"
+        atom = draw(chain)
+        text += atom
+    return text + draw(end)
 
 
 def rewrite_checkpoint_header(path, edit) -> None:

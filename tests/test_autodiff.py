@@ -191,6 +191,9 @@ def test_embedding_lookup_row_and_scatter():
     assert np.allclose(table.grad[1], 2.0 / 6.0)  # two reads double the row grad
     assert np.all(table.grad[0] == 0.0)
     assert np.all(table.grad[2:] == 0.0)
+    backward(loss, rec)  # the scatter adds onto the grad already there
+    assert np.allclose(table.grad[1], 4.0 / 6.0) and not table.grad[[0, 2, 3]].any()
+    assert np.array_equal(ad.gather(table, ([1, 0], [0, 1])).values, [3.0, 1.0])
 
 
 def test_embedding_lookup_out_of_range():
@@ -217,10 +220,6 @@ def test_neighbor_sum_conventions():
     with pytest.raises(DimensionError):
         ad.segment_sum(rows, [0, 1], 3)  # one segment id per row
     with pytest.raises(DimensionError):
-        ad.concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))], axis=1)
-    with pytest.raises(DimensionError):
-        ad.concat([])
-    with pytest.raises(DimensionError):
         ad.mean_abs_error([Tensor([1.0, 2.0])], [0.0])
 
 
@@ -241,12 +240,15 @@ def test_finite_difference_on_composed_function():
     table = p(rng.normal(size=(4, 3)), "table")
     rows = rng.normal(size=(2, 3))
     targets = [0.3, -0.7, 0.1, 0.9, -0.2, 0.4]
+    w1 = p(np.concatenate([w1.values, rng.normal(size=(5, 2)) * 0.5], axis=1), "w1")
+    shared = p(rng.normal(size=2), "shared")
 
     def forward():
-        # a toy batched message pass: gather, concat, two affine maps, a
-        # segment sum onto three nodes, a per-row scale, and the L1 loss
-        # against targets in output units
-        x = ad.concat([ad.gather(table, [2, 0, 2, 1]), Tensor(rows[[0, 1, 1, 0]])])
+        # a toy batched message pass: an affine map of gathered rows,
+        # constant rows and one row shared by the batch, a segment sum
+        # onto three nodes, a per-row scale, a second affine map, and the
+        # L1 loss against targets in output units
+        x = [ad.gather(table, [2, 0, 2, 1]), Tensor(rows[[0, 1, 1, 0]]), shared]
         hidden = ad.relu(ad.affine(x, w1, b1))
         nodes = ad.segment_sum(hidden, [0, 2, 0, 1], 3)
         out = ad.affine(ad.scale(nodes, [[1.0], [0.5], [2.0]]), w2, b2)
@@ -256,7 +258,7 @@ def test_finite_difference_on_composed_function():
         loss = forward()
     backward(loss, rec)
     step = 1e-5
-    for param in (table, w1, b1, w2, b2):
+    for param in (table, w1, b1, w2, b2, shared):
         flat = param.values.reshape(-1)
         grad = param.grad.reshape(-1)
         for k in range(0, flat.size, max(1, flat.size // 4)):
@@ -317,15 +319,47 @@ def test_adam_reduces_simple_objective():
     assert abs(w.values[0] - 1.0) < 0.2
 
 
-def test_concat_and_component_round_trip():
-    a = Tensor([1.0, 2.0])
-    b = Tensor([3.0])
-    cat = ad.concat([a, b])
-    assert np.array_equal(cat.values, [1.0, 2.0, 3.0])
-    assert ad.gather(cat, 2).item() == 3.0
-    rows = ad.concat([Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])], axis=0)
-    assert np.array_equal(rows.values, [[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(ad.gather(rows, ([1, 0], [0, 1])).values, [3.0, 2.0])
+def _joined_affine(parts, w, b, k):
+    """The unfactored map: the parts joined into one (k, width) matrix, a
+    one-dimensional part repeated on every row."""
+    joined = np.concatenate([x if x.ndim == 2 else np.tile(x, (k, 1)) for x in parts], axis=1)
+    return joined @ w.T + b
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_affine_of_parts_matches_the_joined_input(k):
+    rng = np.random.default_rng(k)
+    parts = [p(rng.normal(size=(k, 3)), "rows"), p(rng.normal(size=2), "shared"),
+             p(rng.normal(size=(k, 4)), "more rows")]
+    w = p(rng.normal(size=(5, 9)), "w")
+    b = p(rng.normal(size=5), "b")
+    g = rng.normal(size=(k, 5))
+    with ComputeRecord() as rec:
+        out = ad.affine(parts, w, b)
+        column_sums = ad.segment_sum(ad.scale(out, g), np.zeros(k, np.intp), 1)
+        backward(ad.mean_abs_error([column_sums], np.full(5, -100.0)), rec)
+    want = _joined_affine([x.values for x in parts], w.values, b.values, k)
+    assert out.shape == (k, 5)
+    assert np.allclose(out.values, want, rtol=1e-13, atol=1e-13)
+    # the loss is sum(g * out) / 5 + const: the joined map's gradients in closed form
+    g = g / 5
+    joined = _joined_affine([x.values for x in parts], np.eye(9), np.zeros(9), k)
+    assert np.allclose(w.grad, g.T @ joined, rtol=1e-12, atol=1e-15)
+    assert np.allclose(b.grad, g.sum(axis=0), rtol=1e-12, atol=1e-15)
+    grad_in = g @ w.values
+    for x, (lo, hi) in zip(parts, [(0, 3), (3, 5), (5, 9)]):
+        want = grad_in[:, lo:hi] if x.values.ndim == 2 else grad_in[:, lo:hi].sum(axis=0)
+        assert np.allclose(x.grad, want, rtol=1e-12, atol=1e-15), x.name
+
+
+def test_affine_of_parts_shape_errors():
+    w, b = p(np.zeros((5, 9)), "w"), p(np.zeros(5), "b")
+    with pytest.raises(DimensionError, match=r"\(5, 9\).*\(2, 3\) \+ \(2,\) \+ \(2, 3\)"):
+        ad.affine([Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros((2, 3)))], w, b)
+    with pytest.raises(DimensionError, match="one batch"):
+        ad.affine([Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros((3, 4)))], w, b)
+    with pytest.raises(DimensionError, match="one batch"):
+        ad.affine([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2, 4)))], w, b)
 
 
 @given(st.data())

@@ -221,6 +221,45 @@ def test_off_schema_field_skipped_with_reason(tmp_path, capsys, kind, field, rea
     assert reason in capsys.readouterr().out
 
 
+# index keys that int() reads but that are not canonical decimals: each
+# would alias another key or a different atom
+NON_CANONICAL_KEYS = [
+    ("1d", {"c_shifts": {"0": 18.0, "00": 99.0}}, "00"),
+    ("1d", {"c_shifts": {" 1": 58.0}}, " 1"),
+    ("1d", {"c_shifts": {"1_0": 58.0}}, "1_0"),
+    ("1d", {"c_shifts": {"+1": 58.0}}, "+1"),
+    ("1d", {"h_shifts": {"\u0663": 1.2}}, "\u0663"),  # ARABIC-INDIC DIGIT THREE
+    ("annotated", {"expert": {"0": [[0, 1]], "00": [[1, 1]]}}, "00"),
+    ("annotated", {"expert": {"0 ": [[0, 1]]}}, "0 "),
+]
+
+
+@pytest.mark.parametrize("kind, field, key", NON_CANONICAL_KEYS)
+def test_non_canonical_index_key_skipped_with_reason(tmp_path, capsys, kind, field, key):
+    from hsqcnet import cli
+
+    good = ({"smiles": "CCO", "c_shifts": {"0": 18.0}} if kind == "1d" else
+            {"smiles": "CC", "peaks": [[6.0, 0.9]], "expert": {"0": [[0, 1]]}})
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{**good, **field}, good])
+    samples, diagnostics = scan_dataset(path, kind)
+    assert len(samples) == 1
+    reason = f"key {key!r} is not a canonical index"
+    assert diagnostics[0].status == "skipped" and reason in diagnostics[0].reason
+    assert cli.main(["--quiet", "validate-data", "--kind", kind, "--data", str(path)]) == 0
+    assert json.dumps(reason)[1:-1] in capsys.readouterr().out  # as the JSON report escapes it
+
+
+@pytest.mark.parametrize("name, kind, usable", [
+    ("toy_1d.jsonl", "1d", 10), ("toy_hsqc.jsonl", "hsqc", 13),
+    ("toy_expert.jsonl", "annotated", 5),
+])
+def test_bundled_datasets_keep_their_usable_counts(data_dir, name, kind, usable):
+    samples, diagnostics = scan_dataset(data_dir / name, kind)
+    assert len(samples) == usable
+    assert all(d.status == "ok" for d in diagnostics)
+
+
 def test_validate_data_skips_non_object_line(tmp_path, capsys):
     from hsqcnet import cli
 

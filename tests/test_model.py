@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hsqcnet import autodiff as ad
 from hsqcnet.model import (
@@ -18,7 +19,7 @@ from hsqcnet.model import (
 from hsqcnet.molgraph import relabel_atoms
 from hsqcnet.smiles import parse_smiles
 from hsqcnet.train import Sample1D, TrainConfig, mtt_pretrain
-from helpers import reference_encode
+from helpers import reference_edge_arrays, reference_encode, reference_heads, smiles_strings
 
 
 def test_config_validation():
@@ -354,3 +355,89 @@ def test_each_encoder_layer_adds_at_most_two_tape_steps():
             model.head_outputs(molecule, SolventClass.DMSO, carbons)
         steps.append(len(rec))
     assert all(0 < b - a <= 2 for a, b in zip(steps, steps[1:])), steps
+
+
+def _assert_edges_match_walk(graph):
+    index = graph_index(graph)
+    src, dst, types = reference_edge_arrays(graph)
+    for name, want in (("src", src), ("dst", dst), ("edge_type", types)):
+        got = getattr(index, name)
+        assert got.dtype == np.intp and got.tolist() == want, name
+
+
+def test_graph_index_matches_per_edge_walk_on_corpus(parser_corpus):
+    for entry in parser_corpus["molecules"]:
+        _assert_edges_match_walk(prepare_molecule(entry["smiles"]).graph)
+    _assert_edges_match_walk(prepare_molecule("[C]").graph)  # no edges
+
+
+@given(smiles_strings())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_graph_index_matches_per_edge_walk_on_drawn_smiles(smiles):
+    _assert_edges_match_walk(prepare_molecule(smiles).graph)
+
+
+HEAD_CASES = [
+    # every carbon, the carbonyl one without hydrogens (a zero hydrogen mean)
+    ("CC(=O)OCc1ccccc1", [0, 1, 4, 5, 6, 7, 8, 9, 10]),
+    ("ClC(Cl)(Cl)Cl", []),  # no C-H unit: k = 0
+]
+
+
+@pytest.mark.parametrize("solvent_dim_c", [0, 3])
+@pytest.mark.parametrize("smiles, carbons", HEAD_CASES)
+def test_head_outputs_match_the_joined_input_reference(smiles, carbons, solvent_dim_c):
+    model = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=16, solvent_dim_h=4,
+                                       solvent_dim_c=solvent_dim_c, mlp_hidden=(6, 5), seed=4))
+    molecule = prepare_molecule(smiles)
+    for solvent in SolventClass:
+        raw_c, raw_h = model.head_outputs(molecule, solvent, carbons)
+        want_c, want_h = reference_heads(model, molecule, solvent, carbons)
+        assert raw_c.shape == want_c.shape == (len(carbons),)
+        assert raw_h.shape == want_h.shape == (len(carbons), 2)
+        assert _relative(raw_c.values, want_c) <= 1e-12
+        assert _relative(raw_h.values, want_h) <= 1e-12
+
+
+def test_head_first_layer_gradient_by_column_block():
+    # every entry of each column block of both heads' first weights (the
+    # carbon rows, the hydrogen means, the shared solvent row), the
+    # biases and the solvent rows against central differences
+    config = ModelConfig(num_layers=1, atom_dim=4, solvent_dim_h=3, solvent_dim_c=3,
+                         mlp_hidden=(6, 5), seed=12)
+    model = CrossPeakModel(config)
+    molecule = prepare_molecule("CC(=O)OC")
+    carbons = [0, 1, 3]
+    weights = np.random.default_rng(6).uniform(0.5, 1.5, size=(len(carbons), 3))
+
+    def outputs():  # per carbon: the carbon output and the proton pair, weighted
+        raw_c, raw_h = model.head_outputs(molecule, SolventClass.METHANOL, carbons)
+        return [ad.scale(raw_c, weights[:, 0]), ad.scale(raw_h, weights[:, 1:])]
+
+    ad.zero_gradients(model.parameters())
+    with ad.ComputeRecord() as rec:
+        out = outputs()
+        # every residual 1 from the L1 kink: the loss is linear in the outputs
+        targets = np.concatenate([t.values.reshape(-1) for t in out]) - 1.0
+        total = ad.mean_abs_error(out, targets)
+    loss = lambda: ad.mean_abs_error(outputs(), targets)
+    ad.backward(total, rec)
+    step = 1e-6
+    for name in ("c_head.w1", "h_head.w1", "c_head.b1", "h_head.b1",
+                 "embed.solvent_c", "embed.solvent_h"):
+        param = model.params[name]
+        flat = param.values.reshape(-1)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + step
+            up = loss().item()
+            flat[k] = orig - step
+            down = loss().item()
+            flat[k] = orig
+            assert param.grad.reshape(-1)[k] == pytest.approx(
+                (up - down) / (2 * step), rel=1e-6, abs=1e-9), (name, k)
+    d = config.atom_dim
+    for name, blocks in (("c_head.w1", [(0, d), (d, d + 3)]),
+                         ("h_head.w1", [(0, d), (d, 2 * d), (2 * d, 2 * d + 3)])):
+        for lo, hi in blocks:
+            assert model.params[name].grad[:, lo:hi].any(), (name, lo)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from hsqcnet.molgraph import (
     Hybridization,
@@ -9,12 +10,13 @@ from hsqcnet.molgraph import (
     enumerate_ch_units,
     infer_hybridization,
     molecular_weight,
+    refine_labels,
     relabel_atoms,
 )
 from hsqcnet.model import prepare_molecule
 from hsqcnet.smiles import parse_smiles
 
-from helpers import automorphism_orbits
+from helpers import automorphism_orbits, reference_refine_labels, smiles_strings
 
 
 def expand(smiles):
@@ -118,6 +120,25 @@ def test_refinement_reaches_fixed_point_quickly(parser_corpus):
         classes = canonical_equivalence_classes(g)
         assert classes.iterations <= len(g.atoms) + 1
         assert 1 <= classes.num_classes <= len(g.atoms)
+
+
+def _assert_refinement_matches_per_round_lookup(graph):
+    classes = canonical_equivalence_classes(graph)
+    seeds = [(a.element, a.is_aromatic, a.hybridization.value) for a in graph.atoms]
+    tie_broken = [(label, 1 if i == 0 else 2) for i, label in enumerate(classes.class_id)]
+    for start in (seeds, tie_broken):
+        assert refine_labels(graph, start) == reference_refine_labels(graph, start)
+
+
+def test_refinement_matches_per_round_bond_lookup_on_corpus(parser_corpus):
+    for entry in parser_corpus["molecules"]:
+        _assert_refinement_matches_per_round_lookup(expand(entry["smiles"]))
+
+
+@given(smiles_strings())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_refinement_matches_per_round_bond_lookup_on_drawn_smiles(smiles):
+    _assert_refinement_matches_per_round_lookup(expand(smiles))
 
 
 def test_ch_unit_hydrogen_conservation(parser_corpus):
