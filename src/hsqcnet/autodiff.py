@@ -284,11 +284,10 @@ def message_layer(
     arrays, already range-checked, and ``slots(name, width)``, the cached
     flat ``bincount`` slots of one of them at a row width.
 
-    Forward and adjoint evaluate the same numpy expressions, in the same
-    order, as the equivalent chain of ops: a bias-free ``affine``, two
-    ``gather``, ``add``, ``relu``, ``segment_sum``, then ``[h, sums]``
-    joined into one (atoms, 2d) matrix and mapped by one ``affine``.
-    Values and gradients are bit-identical to that chain's.
+    Values and gradients equal those of the per-edge chain of ops (the
+    whole ``msg_w`` applied to each edge's ``[h[src]; edge_table[t]]``,
+    ``relu``, ``segment_sum``, then ``affine`` of ``[h, sums]``) to
+    rounding: within 1e-12 relative in values and 1e-10 in gradients.
     """
     n, d = len(h.values), h.values.shape[-1]
     if (h.values.ndim != 2 or msg_w.values.shape != (d, 2 * d) or msg_b.values.shape != (d,)
@@ -327,9 +326,12 @@ def message_layer(
             g_source = np.bincount(
                 index.slots("src", d), weights=g_message, minlength=n * d
             ).reshape(n, d)
-            msg_w.grad[:, d:] += g_edge.T @ edge_table.values
+            # both halves go into one array: += into a column block is several times slower
+            g_msg_w = np.empty_like(msg_w.values)
+            np.matmul(g_edge.T, edge_table.values, out=g_msg_w[:, d:])
             acc(edge_table, g_edge @ w_edge)
-            msg_w.grad[:, :d] += g_source.T @ h.values
+            np.matmul(g_source.T, h.values, out=g_msg_w[:, :d])
+            acc(msg_w, g_msg_w)
             acc(msg_b, g_source.sum(axis=0))
             acc(h, g_source @ w_source)
 
@@ -364,7 +366,7 @@ def mean_abs_error(preds: list[Tensor], targets, scale=1.0, center=0.0) -> Tenso
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     if sum(sizes) != targets.size:
         raise DimensionError(f"{sum(sizes)} predictions vs {targets.size} targets")
-    if not sizes:
+    if not sum(sizes):  # no tensors, or only empty ones: the mean is undefined
         raise DimensionError("mean_abs_error of no predictions")
     flat = np.concatenate([p.values.reshape(-1) for p in preds])
     diff = (center + scale * flat - targets) / scale
@@ -397,7 +399,7 @@ def uniform_init(
 
 
 class Adam:
-    """Adam with the usual defaults, over one flat buffer.
+    """Adam with the usual constants (Kingma & Ba 2015), over one flat buffer.
 
     The constructor packs the parameters' values and grads, in list order,
     into one flat ``theta`` and one flat ``grad`` buffer and rebinds each
@@ -410,19 +412,11 @@ class Adam:
     its own buffers and leave the first updating a detached copy.
     """
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Parameter], lr: float = 1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         size = sum(p.values.size for p in self.params)
         self._theta = np.empty(size)

@@ -250,12 +250,8 @@ def _shift_map(raw, molecule, element: str) -> dict[int, float]:
             raise DataFormatError(
                 f"shift target {idx} is {graph.atoms[idx].element}, expected {element}"
             )
-        if element == "H" and not any(
-            graph.atoms[nb].element == "C" for nb in graph.adjacency[idx]
-        ):
-            raise DataFormatError(
-                f"proton target {idx} is not bonded to carbon"
-            )
+        if element == "H" and idx not in molecule.ch_hydrogen:
+            raise DataFormatError(f"proton target {idx} is not bonded to carbon")
         if not is_finite_real(value):
             raise DataFormatError(f"shift of atom {idx} is not a finite number: {value!r}")
         out[idx] = float(value)

@@ -23,6 +23,7 @@ from .train import SampleHSQC, _mae
 log = logging.getLogger(__name__)
 
 SOLVENT_MODES = ("true", "random", "unknown")
+MW_BOUNDS = (500.0, 1000.0)  # the segment report's small/medium/large cuts, Da
 
 
 @dataclass
@@ -104,7 +105,6 @@ def evaluate(
     solvent_mode: str = "true",
     seed: int = 0,
     match: MatchSettings | None = None,
-    mw_bounds: tuple[float, float] = (500.0, 1000.0),
 ) -> EvalReport:
     """Score predictions and algorithmic assignments against expert ones.
 
@@ -175,7 +175,7 @@ def evaluate(
         for solvent in SolventClass
         if any(r.solvent is solvent for r in rows)
     }
-    report.segments = segment_report(rows, mw_bounds)
+    report.segments = segment_report(rows)
     return report
 
 
@@ -217,14 +217,12 @@ def _aggregate(
     )
 
 
-def segment_report(
-    rows: list[RecordEval], mw_bounds: tuple[float, float] = (500.0, 1000.0)
-) -> dict:
+def segment_report(rows: list[RecordEval]) -> dict:
     """Per-segment metrics: three molecular-weight buckets (boundaries are
-    [low, high) as in 'small < 500 <= medium < 1000 <= large'), the
-    saccharide split, and an equal-weight aggregate over non-empty MW
+    [low, high) as in 'small < 500 <= medium < 1000 <= large', ``MW_BOUNDS``),
+    the saccharide split, and an equal-weight aggregate over non-empty MW
     buckets."""
-    low, high = mw_bounds
+    low, high = MW_BOUNDS
     buckets = {
         "small": [r for r in rows if r.mw < low],
         "medium": [r for r in rows if low <= r.mw < high],

@@ -13,11 +13,13 @@ scatter slots from the molecule's ``GraphIndex``. One
 head evaluation over an array of carbons feeds two MLP heads: one
 predicts the carbon shift from the carbon embedding, one a pair of proton
 shifts from the carbon embedding, the mean of its bonded-hydrogen
-embeddings, and a learned solvent vector. Each head's first affine map
-reads its inputs by weight column block, so a solvent vector is one row
-shared by every carbon. Symmetry-equivalent units emit through one
-representative; methylene units may emit two peaks, and ``proton_outputs``
-is the one rule for which proton output a (carbon, slot) target reads.
+embeddings (read from the molecule's C-H bond arrays, built at prepare:
+no forward pass walks the graph's adjacency lists), and a learned solvent
+vector. Each head's first affine map reads its inputs by weight column
+block, so a solvent vector is one row shared by every carbon.
+Symmetry-equivalent units emit through one representative; methylene
+units may emit two peaks, and ``proton_outputs`` is the one rule for
+which proton output a (carbon, slot) target reads.
 """
 
 from __future__ import annotations
@@ -200,13 +202,17 @@ def graph_index(graph: MolecularGraph) -> GraphIndex:
 
 @dataclass
 class Molecule:
-    """A parsed structure with everything the model needs precomputed."""
+    """A parsed structure with everything the model needs precomputed.
+    ``ch_carbon`` and ``ch_hydrogen`` are the C-H bonds of ``units``, carbons
+    ascending, each carbon's hydrogens in its adjacency order."""
 
     smiles: str
     graph: MolecularGraph  # hydrogens explicit, hybridization inferred
     classes: EquivalenceClasses
     units: list[CHUnit]
     index: GraphIndex
+    ch_carbon: np.ndarray
+    ch_hydrogen: np.ndarray
 
 
 def prepare_molecule(source: str | MolecularGraph) -> Molecule:
@@ -218,6 +224,8 @@ def prepare_molecule(source: str | MolecularGraph) -> Molecule:
     return Molecule(
         smiles=graph.source_smiles, graph=expanded, classes=classes, units=units,
         index=graph_index(expanded),
+        ch_carbon=np.array([u.carbon_index for u in units for _ in u.hydrogen_indices], np.intp),
+        ch_hydrogen=np.array([h for u in units for h in u.hydrogen_indices], np.intp),
     )
 
 
@@ -376,20 +384,18 @@ class CrossPeakModel:
         embedding, the mean embedding of its bonded hydrogens, and the
         proton solvent vector.
         """
-        graph = molecule.graph
         final = self.encode_atoms(molecule.index)[-1]
         carbons = np.asarray(carbons, dtype=np.intp)
         k = len(carbons)
-        hydrogens = [
-            (nb, row)
-            for row, carbon in enumerate(carbons)
-            for nb in graph.adjacency[carbon]
-            if graph.atoms[nb].element == "H"
+        # row r's hydrogens are C-H bonds lo[r], lo[r] + 1, ...; methods, not np.* wrappers
+        lo = molecule.ch_carbon.searchsorted(carbons)
+        counts = molecule.ch_carbon.searchsorted(carbons, "right") - lo
+        h_row = np.arange(k).repeat(counts)
+        h_index = molecule.ch_hydrogen[
+            np.arange(len(h_row)) + (lo - counts.cumsum() + counts).repeat(counts)
         ]
-        h_index = np.array([nb for nb, _ in hydrogens], dtype=np.intp)
-        h_row = np.array([row for _, row in hydrogens], dtype=np.intp)
         # a carbon without hydrogens (a 1D carbon target) gets a zero mean
-        counts = np.maximum(np.bincount(h_row, minlength=k), 1)
+        counts = np.maximum(counts, 1)
         h_c = ad.gather(final, carbons)
         c_in = [h_c]
         if self.config.solvent_dim_c > 0:
@@ -450,24 +456,24 @@ class CrossPeakModel:
         Carbon targets may name any carbon. Proton targets name hydrogen
         atoms; each reads the mean of its carbon's two proton-head outputs
         (1D references average inequivalent protons), by the
-        ``proton_outputs`` rule. A target atom the model cannot cover
-        raises ValueError.
+        ``proton_outputs`` rule. A hydrogen's carbon is the first carbon in its
+        own adjacency (its edges in ``molecule.index`` run in that order). A
+        target atom the model cannot cover raises ValueError.
         """
-        graph = molecule.graph
-        atoms = graph.atoms
+        atoms = molecule.graph.atoms
         for idx in need_c:
             if not 0 <= idx < len(atoms) or atoms[idx].element != "C":
                 raise ValueError(f"carbon target index {idx} is not a carbon atom")
-        carbon_of: list[int] = []
+        index = molecule.index
+        # reversed, so each atom's entry ends at its first edge from a carbon
+        edges = np.flatnonzero(index.element[index.src] == SYMBOL_INDEX["C"])[::-1]
+        first_carbon = dict(zip(index.dst[edges].tolist(), index.src[edges].tolist()))
         for idx in need_h:
             if not 0 <= idx < len(atoms) or atoms[idx].element != "H":
                 raise ValueError(f"proton target index {idx} is not a hydrogen atom")
-            carbons = [nb for nb in graph.adjacency[idx] if atoms[nb].element == "C"]
-            if not carbons:
-                raise ValueError(
-                    f"no prediction covers hydrogen {idx}: not bonded to carbon"
-                )
-            carbon_of.append(carbons[0])
+            if idx not in first_carbon:
+                raise ValueError(f"no prediction covers hydrogen {idx}: not bonded to carbon")
+        carbon_of = [first_carbon[idx] for idx in need_h]
         carbons = list(dict.fromkeys([*need_c, *carbon_of]))
         row = {carbon: r for r, carbon in enumerate(carbons)}
         raw_c, raw_h = self.head_outputs(molecule, solvent, carbons)

@@ -359,12 +359,10 @@ def relabel_atoms(graph: MolecularGraph, permutation: list[int]) -> MolecularGra
 
 
 def graph_to_dict(
-    graph: MolecularGraph,
-    classes: EquivalenceClasses | None = None,
-    units: list[CHUnit] | None = None,
+    graph: MolecularGraph, classes: EquivalenceClasses, units: list[CHUnit]
 ) -> dict:
     """JSON-ready dump used by the CLI ``parse`` subcommand."""
-    out: dict = {
+    return {
         "smiles": graph.source_smiles,
         "num_atoms": len(graph.atoms),
         "num_bonds": len(graph.bonds),
@@ -389,14 +387,11 @@ def graph_to_dict(
             for b in graph.bonds
         ],
         "molecular_weight": molecular_weight(graph),
-    }
-    if classes is not None:
-        out["equivalence"] = {
+        "equivalence": {
             "class_id": list(classes.class_id),
             "num_classes": classes.num_classes,
-        }
-    if units is not None:
-        out["ch_units"] = [
+        },
+        "ch_units": [
             {
                 "carbon": u.carbon_index,
                 "hydrogens": list(u.hydrogen_indices),
@@ -405,5 +400,5 @@ def graph_to_dict(
                 "representative": u.is_representative,
             }
             for u in units
-        ]
-    return out
+        ],
+    }

@@ -10,7 +10,8 @@ iteration cap hits. Both stages train through one minibatch loop,
 of an array of carbon outputs and an array of proton outputs against
 shifts in ppm. Without a validation set, the one annotation sweep
 after each fine-tuning round both scores the trained weights (the matched
-MAE is a function of the labels alone) and labels the next round.
+MAE is a function of the labels alone) and labels the next round; the
+iteration's initial loss is read from the labels too.
 """
 
 from __future__ import annotations
@@ -316,6 +317,16 @@ def _finetune_loss(
     )
 
 
+def _label_loss(config: ModelConfig, labels: PseudoLabels) -> float:
+    """``_finetune_loss`` at the weights that made ``labels``, bit for bit: each
+    entry keeps the predicted shifts that loss reads, so the labels alone give
+    its ppm residuals over ``c_scale``/``h_scale``, in (carbon, slot) order."""
+    entries = sorted(labels.entries, key=lambda e: (e.carbon_index, e.slot))
+    c = [(e.pred_delta_c - e.delta_c) / config.c_scale for e in entries]
+    h = [(e.pred_delta_h - e.delta_h) / config.h_scale for e in entries]
+    return float(np.mean(np.abs(c + h)))
+
+
 def annotate_dataset(
     model: CrossPeakModel,
     dataset: list[SampleHSQC],
@@ -431,9 +442,7 @@ def finetune_unsupervised(
         previous = labels
         iterations_run = iteration
 
-        initial_loss = float(
-            np.mean([_finetune_loss(model, s, lab).item() for s, lab in usable])
-        )
+        initial_loss = float(np.mean([_label_loss(model.config, lab) for _, lab in usable]))
         for epoch in range(config.epochs):
             rng = np.random.default_rng([config.seed, 13, iteration, epoch])
             order = rng.permutation(len(usable))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -37,6 +39,18 @@ def data_dir() -> Path:
 @pytest.fixture(scope="session")
 def parser_corpus() -> dict:
     return json.loads((DATA / "parser_corpus.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def large_smiles() -> dict[str, str]:
+    """name -> SMILES of the benchmark's seven large molecules (21-141 peaks),
+    read from ``benchmarks/inputs.py`` so the two never drift apart."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_inputs", REPO / "benchmarks" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclasses look their module up
+    spec.loader.exec_module(inputs)
+    return inputs.large_molecules()
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,9 @@ brute-force lexicographically smallest optimal assignment, the annealed
 graduated assignment that the one-temperature softassign replaced, the
 softassign that evaluated exp on every entry, the per-row labelling loop
 that pseudo_annotate replaced, the per-array Adam that the flat-buffer one
-replaced, the per-edge message map that the factored one replaced and the
-heads with their joined input; and a checkpoint header rewriter with the
-malformed headers it is given."""
+replaced, the per-edge message map that the factored one replaced, the
+heads with their joined input and the per-carbon C-H walk; and a
+checkpoint header rewriter with the malformed headers it is given."""
 
 from __future__ import annotations
 
@@ -385,13 +385,25 @@ def reference_refine_labels(graph: MolecularGraph, seeds: list) -> tuple[list[in
         labels = new
 
 
+def reference_ch_bonds(graph: MolecularGraph) -> tuple[list[int], list[int]]:
+    """The C-H bonds by a walk over every carbon's adjacency, in atom order:
+    (carbon of each bond, hydrogen of each bond)."""
+    bonds = [(atom.index, nb) for atom in graph.atoms if atom.element == "C"
+             for nb in graph.adjacency[atom.index] if graph.atoms[nb].element == "H"]
+    return [c for c, _ in bonds], [h for _, h in bonds]
+
+
 @st.composite
-def smiles_strings(draw) -> str:
+def smiles_strings(draw, bracket_h: bool = False) -> str:
     """Parseable SMILES: chains of atoms and rings with branches, double,
-    triple and directional bonds, charges and tetrahedral marks."""
+    triple and directional bonds, charges and tetrahedral marks; with
+    ``bracket_h``, also ``[H]`` atoms, bonded to one carbon or (in a chain
+    or a ring) to two, the ring one first to the later carbon."""
+    hydrogens = ["[H]", "C[H]C", "C1C[H]1"] if bracket_h else []
     chain = st.sampled_from(["C", "C", "N", "[C@@H]", "[C@H]", "c1ccccc1", "C1CC1", "c1ccncc1",
-                             "C1OC1"])
-    end = st.sampled_from(["C", "O", "Cl", "[O-]", "[NH3+]", "C=O", "C#N", "/C=C/C", "\\C=C/O"])
+                             "C1OC1", *hydrogens])
+    end = st.sampled_from(["C", "O", "Cl", "[O-]", "[NH3+]", "C=O", "C#N", "/C=C/C", "\\C=C/O",
+                           *hydrogens[:1]])
     atom = draw(chain)
     text = atom
     for _ in range(draw(st.integers(0, 6))):

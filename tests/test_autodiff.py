@@ -221,6 +221,10 @@ def test_neighbor_sum_conventions():
         ad.segment_sum(rows, [0, 1], 3)  # one segment id per row
     with pytest.raises(DimensionError):
         ad.mean_abs_error([Tensor([1.0, 2.0])], [0.0])
+    # no entries to average: an error, not a NaN with a RuntimeWarning
+    for empty in ([Tensor(np.zeros(0))], [Tensor(np.zeros(0)), Tensor(np.zeros((0, 2)))]):
+        with pytest.raises(DimensionError, match="no predictions"):
+            ad.mean_abs_error(empty, [])
 
 
 def test_non_scalar_loss_rejected():

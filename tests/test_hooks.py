@@ -184,3 +184,27 @@ def test_finetune_sweeps_the_training_set_once_per_iteration(monkeypatch):
         )
     assert sweeps[True] == (3, 0)
     assert sweeps[False] == (2, 2)  # training set at the top, valset after training
+
+
+def test_finetune_loss_runs_only_on_the_tape(monkeypatch):
+    # an iteration's initial loss is read from its labels, so every
+    # _finetune_loss call is a training step: epochs x usable per iteration
+    calls: list = []
+    counting(monkeypatch, train, "_finetune_loss", calls, lambda a, k: bool(autodiff._ACTIVE))
+    teacher = CrossPeakModel(TINY)
+    samples = []
+    for smiles in ("CO", "CCO", "CC", "c1ccccc1"):
+        molecule = prepare_molecule(smiles)
+        preds = teacher.predict_cross_peaks(molecule, SolventClass.UNKNOWN)
+        samples.append(SampleHSQC(molecule, SolventClass.UNKNOWN, [
+            ObservedPeak(p.delta_c, p.delta_h, j) for j, p in enumerate(preds)]))
+    samples.append(SampleHSQC(prepare_molecule("CCC"), SolventClass.UNKNOWN,
+                              [ObservedPeak(400.0, 40.0, 0)]))  # rejected
+    config = TrainConfig(epochs=3, batch_size=2, learning_rate=1e-2, max_iterations=2,
+                         convergence_fraction=1e-9, seed=0)
+    result = train.finetune_unsupervised(teacher.state_arrays(), samples, None, config,
+                                         model_config=TINY,
+                                         match=MatchSettings(reject_threshold=10.0))
+    usable = [len(samples) - line["rejected"] for line in result.history if "rejected" in line]
+    assert usable == [4] * result.iterations_run
+    assert len(calls) == config.epochs * sum(usable) and all(calls)

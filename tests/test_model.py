@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from hsqcnet import autodiff as ad
+from hsqcnet.assign import ObservedPeak, pseudo_annotate
 from hsqcnet.model import (
     EDGE_TYPES,
     CrossPeakModel,
@@ -15,11 +16,18 @@ from hsqcnet.model import (
     count_parameters,
     graph_index,
     prepare_molecule,
+    proton_outputs,
 )
 from hsqcnet.molgraph import relabel_atoms
 from hsqcnet.smiles import parse_smiles
-from hsqcnet.train import Sample1D, TrainConfig, mtt_pretrain
-from helpers import reference_edge_arrays, reference_encode, reference_heads, smiles_strings
+from hsqcnet.train import Sample1D, SampleHSQC, TrainConfig, _finetune_loss, mtt_pretrain
+from helpers import (
+    reference_ch_bonds,
+    reference_edge_arrays,
+    reference_encode,
+    reference_heads,
+    smiles_strings,
+)
 
 
 def test_config_validation():
@@ -375,6 +383,105 @@ def test_graph_index_matches_per_edge_walk_on_corpus(parser_corpus):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_graph_index_matches_per_edge_walk_on_drawn_smiles(smiles):
     _assert_edges_match_walk(prepare_molecule(smiles).graph)
+
+
+def _assert_ch_bonds_match_walk(molecule):
+    carbons, hydrogens = reference_ch_bonds(molecule.graph)
+    for got, want in ((molecule.ch_carbon, carbons), (molecule.ch_hydrogen, hydrogens)):
+        assert got.dtype == np.intp and got.tolist() == want
+
+
+def test_ch_bonds_match_per_carbon_walk(parser_corpus, large_smiles):
+    for smiles in [e["smiles"] for e in parser_corpus["molecules"]] + list(large_smiles.values()):
+        _assert_ch_bonds_match_walk(prepare_molecule(smiles))
+
+
+class _RecordingModel(CrossPeakModel):
+    """Keeps the carbons of its last head evaluation."""
+
+    def head_outputs(self, molecule, solvent, carbons):
+        self.carbons = list(carbons)
+        return super().head_outputs(molecule, solvent, carbons)
+
+
+RECORDING = _RecordingModel(ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4,
+                                        mlp_hidden=(6, 5), seed=2))
+
+
+@given(smiles_strings(bracket_h=True))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_ch_bonds_and_proton_carbons_match_walks_on_drawn_smiles(smiles):
+    # bracket [H] atoms may bond to two carbons; a proton target reads the
+    # first carbon in the hydrogen's own adjacency, not the first C-H bond
+    # listing it
+    molecule = prepare_molecule(smiles)
+    _assert_ch_bonds_match_walk(molecule)
+    graph = molecule.graph
+    for hydrogen in sorted(set(molecule.ch_hydrogen.tolist())):
+        RECORDING.atom_shift_tensors(molecule, SolventClass.DMSO, [], [hydrogen])
+        first = next(nb for nb in graph.adjacency[hydrogen] if graph.atoms[nb].element == "C")
+        assert RECORDING.carbons == [first]
+
+
+@pytest.mark.parametrize("smiles, hydrogen, carbon, other", [
+    ("C[H]CO", 1, 0, 2),  # H1 bonds to C0 first, then to C2
+    ("OC1.C[H]1", 3, 2, 1),  # H3 bonds to C2 first, then closes the ring to C1
+])
+def test_proton_target_reads_the_first_carbon_in_its_adjacency(smiles, hydrogen, carbon, other):
+    model = _RecordingModel(ModelConfig())
+    molecule = prepare_molecule(smiles)
+    _, protons = model.atom_shift_tensors(molecule, SolventClass.DMSO, [], [hydrogen])
+    assert model.carbons == [carbon]
+
+    def slot_mean(c):
+        _, raw_h = model.head_outputs(molecule, SolventClass.DMSO, [c])
+        return proton_outputs(raw_h, [0], [1], [False]).values[0]
+
+    assert protons.values[0] == slot_mean(carbon)
+    assert protons.values[0] != slot_mean(other)  # the other carbon would be a different target
+
+
+def test_carbon_keeps_its_hydrogens_in_adjacency_order():
+    molecule = prepare_molecule("[H]1.[H]C1")  # C2 bonds to H1, closes the ring to H0, then 3, 4
+    assert molecule.ch_carbon.tolist() == [2, 2, 2, 2]
+    assert molecule.ch_hydrogen.tolist() == [1, 0, 3, 4]
+
+
+class _RaisingAdjacency:
+    """Stands in for ``graph.adjacency``: any read fails."""
+
+    def _fail(self, *args):
+        raise AssertionError("graph.adjacency read after prepare")
+
+    __getitem__ = __iter__ = __len__ = _fail
+
+
+def test_forward_passes_never_read_the_adjacency():
+    model = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=16, solvent_dim_h=4,
+                                       mlp_hidden=(6, 5), seed=4))
+    smiles = "CC(=O)OCc1ccccc1"  # methyl, methylene, aromatic C-H and a bare carbonyl carbon
+    plain, blind = prepare_molecule(smiles), prepare_molecule(smiles)
+    blind.graph.adjacency = _RaisingAdjacency()
+    with pytest.raises(AssertionError, match="adjacency"):
+        blind.graph.adjacency[0]
+    solvent = SolventClass.DMSO
+    peaks = model.predict_cross_peaks(plain, solvent)
+    assert model.predict_cross_peaks(blind, solvent) == peaks
+    need_c, need_h = [0, 1, 4, 5, 6], sorted(set(plain.ch_hydrogen.tolist()))
+    for got, want in zip(model.atom_shift_tensors(blind, solvent, need_c, need_h),
+                         model.atom_shift_tensors(plain, solvent, need_c, need_h), strict=True):
+        assert np.array_equal(got.values, want.values)
+    observed = [ObservedPeak(p.delta_c + 1.0, p.delta_h - 0.1, k) for k, p in enumerate(peaks)]
+    labels = pseudo_annotate(plain, peaks, observed)
+    grads = []
+    for molecule in (plain, blind):
+        ad.zero_gradients(model.parameters())
+        with ad.ComputeRecord() as record:
+            loss = _finetune_loss(model, SampleHSQC(molecule, solvent, observed), labels)
+        ad.backward(loss, record)
+        grads.append((loss.item(), [p.grad.copy() for p in model.parameters()]))
+    assert grads[0][0] == grads[1][0] > 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(grads[0][1], grads[1][1]))
 
 
 HEAD_CASES = [

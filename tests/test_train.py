@@ -322,6 +322,40 @@ def test_finetune_scores_iterations_on_the_validation_set():
     assert on_valset != matched_mae(annotate_dataset(trained, samples, match))
 
 
+@pytest.mark.parametrize("with_valset", [False, True])
+def test_initial_loss_is_the_finetune_loss_at_the_labels_weights(monkeypatch, with_valset):
+    # the labels carry the shifts they were matched with, so an iteration's
+    # initial loss runs no forward pass; it must still equal the mean of
+    # _finetune_loss over the usable molecules at the weights that labelled them
+    teacher = CrossPeakModel(replace(TINY, seed=9))
+    samples, _ = hsqc_from_model(teacher, ["CO", "CCO", "CC", "c1ccccc1", "CCC"])
+    samples.append(SampleHSQC(prepare_molecule("CC(C)O"), SolventClass.UNKNOWN,
+                              [ObservedPeak(400.0, 40.0, 0), ObservedPeak(390.0, 45.0, 1)]))
+    valset = hsqc_from_model(teacher, ["CCCC", "OCCO"], shuffle_seed=1)[0] if with_valset else None
+    sweeps = []  # (weights, labels) of every training-set annotation, in order
+    original = train.annotate_dataset
+
+    def recording(model, dataset, settings):
+        labels = original(model, dataset, settings)
+        if dataset is samples:
+            sweeps.append((model.state_arrays(), labels))
+        return labels
+
+    monkeypatch.setattr(train, "annotate_dataset", recording)
+    config = TrainConfig(epochs=2, batch_size=2, learning_rate=1e-2, max_iterations=2,
+                         convergence_fraction=1e-9, seed=4)
+    result = finetune_unsupervised(CrossPeakModel(TINY).state_arrays(), samples, valset, config,
+                                   model_config=TINY, match=MatchSettings(reject_threshold=10.0))
+    lines = [line for line in result.history if "initial_loss" in line]
+    assert len(lines) == result.iterations_run == 2
+    for line, (state, labels) in zip(lines, sweeps):
+        assert line["rejected"] == 1 and labels[-1].rejected  # the far-off peak list
+        model = CrossPeakModel(TINY, state=state)
+        usable = [(s, lab) for s, lab in zip(samples, labels) if not lab.rejected]
+        want = float(np.mean([_finetune_loss(model, s, lab).item() for s, lab in usable]))
+        assert line["initial_loss"] == want
+
+
 def test_finetune_recovers_teacher_assignments():
     model = CrossPeakModel(TINY)
     samples, truth = hsqc_from_model(
