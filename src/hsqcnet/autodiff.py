@@ -8,16 +8,20 @@ model needs: ``gather`` (rows or elements, e.g. embedding lookups),
 ``add`` of two same-shape tensors, ``affine`` maps (of one input, or of
 parts read by weight column block), ``relu``, ``segment_sum`` (rows
 summed onto segments), ``scale`` by a constant, the fused L1 loss
-``mean_abs_error``, and ``message_layer``, one whole message-passing
-layer up to its update activation as a single op with a hand-written
-adjoint. Every scatter-add, a Parameter's gather adjoint included, is one
-``bincount`` onto zeros, which sums in input order exactly as
-``np.add.at`` does; the layer reads its flat slots from a per-graph cache.
+``mean_abs_error``, and two fused ops with hand-written adjoints:
+``message_layer``, one whole message-passing layer up to its update
+activation, and ``mlp_head``, three affine maps with a relu after the first
+two, equal to that chain of ops bit for bit. ``affine`` and ``mlp_head``
+share one block-column rule. Every scatter-add, a Parameter's gather
+adjoint included, is one ``bincount`` onto zeros, which sums in input
+order exactly as ``np.add.at`` does; the layer reads its flat slots from a
+per-graph cache. A desk-scale pre-training step records 31 tape entries.
 
 ``Adam`` packs its parameters into one flat value buffer and one flat
 gradient buffer and makes each Parameter's ``values`` and ``grad`` views
-into them, so a step and a gradient reset are a few whole-buffer
-operations; build one optimizer per parameter set.
+into them, so a gradient reset is one whole-buffer operation and a step
+runs its element-wise expressions over ``ADAM_CHUNK`` elements at a time;
+build one optimizer per parameter set.
 """
 
 from __future__ import annotations
@@ -191,47 +195,67 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _column_blocks(shapes, weight: Parameter, bias: Parameter, op: str):
+    """The block-column rule of ``affine`` and ``mlp_head``: inputs of
+    ``shapes`` joined along features, never built. Each input meets its own
+    block of weight columns, and a one-dimensional input is a row shared by
+    the batch. Returns each input's column slice and the output's shape;
+    a shape that does not fit raises ``DimensionError`` naming the shapes."""
+    columns, width, batch = [], 0, None
+    for shape in shapes:
+        if len(shape) not in (1, 2) or len(shape) == 2 and batch not in (None, shape[0]):
+            raise DimensionError(f"{op} expects vectors or rows of one batch, got {list(shapes)}")
+        batch = shape[0] if len(shape) == 2 else batch
+        columns.append(slice(width, width + shape[-1]))
+        width += shape[-1]
+    if weight.values.shape[1:] != (width,):  # a matrix with one column per input feature
+        joined = " + ".join(str(shape) for shape in shapes)
+        raise DimensionError(f"{op} shape mismatch: weight {weight.shape} vs input {joined}")
+    if bias.values.shape != (weight.values.shape[0],):
+        raise DimensionError(f"{op} bias shape {bias.shape} does not match weight {weight.shape}")
+    return columns, weight.values.shape[:1] if batch is None else (batch, weight.values.shape[0])
+
+
+def _block_values(arrays, weight: Parameter, bias: Parameter, columns) -> np.ndarray:
+    values = arrays[0] @ weight.values[:, columns[0]].T
+    for array, cols in zip(arrays[1:], columns[1:]):
+        values = values + array @ weight.values[:, cols].T
+    values += bias.values
+    return values
+
+
+def _block_adjoint(g, arrays, weight: Parameter, bias: Parameter, columns, acc) -> list:
+    """Accumulate the weight and bias gradients of ``_block_values`` from the
+    output gradient ``g``; returns each input's gradient, in input order."""
+    g_rows = g.reshape(-1, g.shape[-1])
+    g_in = g_rows @ weight.values
+    # blocks go into one array: += into a column block is several times slower
+    g_weight = np.empty_like(weight.values)
+    grads = []
+    for array, cols in zip(arrays, columns):
+        shared = array.ndim == 1  # one row shared by the batch
+        rows = array[None].repeat(len(g_rows), 0) if shared else array
+        np.matmul(g_rows.T, rows, out=g_weight[:, cols])
+        grads.append(g_in[:, cols].sum(axis=0) if shared else g_in[:, cols])
+    acc(weight, g_weight)
+    acc(bias, g_rows.sum(axis=0))
+    return grads
+
+
 def affine(x: Tensor | list[Tensor], weight: Parameter, bias: Parameter) -> Tensor:
     """``x @ weight.T + bias`` for a vector or a batch of rows, or for a list of
     parts joined along features, never built: each part meets its own block
     of weight columns, and a one-dimensional part is a row shared by the batch."""
     parts = x if isinstance(x, list) else [x]
-    columns, width, batch = [], 0, None
-    for part in parts:
-        shape = part.values.shape
-        if len(shape) not in (1, 2) or len(shape) == 2 and batch not in (None, shape[0]):
-            raise DimensionError(f"affine expects vectors or rows of one batch, "
-                                 f"got {[part.shape for part in parts]}")
-        batch = shape[0] if len(shape) == 2 else batch
-        columns.append(slice(width, width + shape[-1]))
-        width += shape[-1]
-    if weight.values.shape[1:] != (width,):  # a matrix with one column per input feature
-        shapes = " + ".join(str(part.shape) for part in parts)
-        raise DimensionError(f"affine shape mismatch: weight {weight.shape} vs input {shapes}")
-    if bias.values.shape != (weight.values.shape[0],):
-        raise DimensionError(
-            f"affine bias shape {bias.shape} does not match weight {weight.shape}"
-        )
-    values = parts[0].values @ weight.values[:, columns[0]].T
-    for part, cols in zip(parts[1:], columns[1:]):
-        values = values + part.values @ weight.values[:, cols].T
-    values += bias.values
-    out = Tensor(values)
+    arrays = [part.values for part in parts]
+    columns, _ = _column_blocks([a.shape for a in arrays], weight, bias, "affine")
+    out = Tensor(_block_values(arrays, weight, bias, columns))
     tape = _tape()
     if tape is not None:
 
         def adjoint(g, acc):
-            g_rows = g.reshape(-1, g.shape[-1])
-            g_in = g_rows @ weight.values
-            # blocks go into one array: += into a column block is several times slower
-            g_weight = np.empty_like(weight.values)
-            for part, cols in zip(parts, columns):
-                shared = part.values.ndim == 1  # one row shared by the batch
-                rows = part.values[None].repeat(len(g_rows), 0) if shared else part.values
-                np.matmul(g_rows.T, rows, out=g_weight[:, cols])
-                acc(part, g_in[:, cols].sum(axis=0) if shared else g_in[:, cols])
-            acc(weight, g_weight)
-            acc(bias, g_rows.sum(axis=0))
+            for part, grad in zip(parts, _block_adjoint(g, arrays, weight, bias, columns, acc)):
+                acc(part, grad)
 
         tape._push(out, adjoint)
     return out
@@ -339,6 +363,45 @@ def message_layer(
     return out
 
 
+def mlp_head(
+    parts: list[Tensor],
+    w1: Parameter,
+    b1: Parameter,
+    w2: Parameter,
+    b2: Parameter,
+    w3: Parameter,
+    b3: Parameter,
+) -> Tensor:
+    """A three-layer head as one op:
+    ``affine(relu(affine(relu(affine(parts, w1, b1)), w2, b2)), w3, b3)``,
+    the first map reading ``parts`` by weight column block as ``affine``
+    does. Values and gradients equal those of that chain of ops bit for bit:
+    the same expressions in the same order, in one tape entry where the
+    chain records five."""
+    arrays = [part.values for part in parts]
+    columns1, shape1 = _column_blocks([a.shape for a in arrays], w1, b1, "mlp_head layer 1")
+    columns2, shape2 = _column_blocks([shape1], w2, b2, "mlp_head layer 2")
+    columns3, _ = _column_blocks([shape2], w3, b3, "mlp_head layer 3")
+    pre1 = _block_values(arrays, w1, b1, columns1)
+    h1 = np.maximum(pre1, 0.0)
+    pre2 = _block_values([h1], w2, b2, columns2)
+    h2 = np.maximum(pre2, 0.0)
+    out = Tensor(_block_values([h2], w3, b3, columns3))
+    tape = _tape()
+    if tape is not None:
+        mask1, mask2 = pre1 > 0.0, pre2 > 0.0
+
+        def adjoint(g, acc):
+            (g_h2,) = _block_adjoint(g, [h2], w3, b3, columns3, acc)
+            (g_h1,) = _block_adjoint(g_h2 * mask2, [h1], w2, b2, columns2, acc)
+            grads = _block_adjoint(g_h1 * mask1, arrays, w1, b1, columns1, acc)
+            for part, grad in zip(parts, grads):
+                acc(part, grad)
+
+        tape._push(out, adjoint)
+    return out
+
+
 def scale(x: Tensor, alpha) -> Tensor:
     """Multiply by a constant: a scalar, or an array that broadcasts onto x."""
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -398,6 +461,13 @@ def uniform_init(
     return Parameter(rng.uniform(-bound, bound, size=shape), name)
 
 
+# Elements per pass of ``Adam.step``: a chunk's four operands and two work
+# buffers stay in cache across the step's 13 expressions. 32,768 measured
+# best at desk width; at 5.5M parameters a chunked step takes half the time
+# of 13 whole-buffer passes.
+ADAM_CHUNK = 32_768
+
+
 class Adam:
     """Adam with the usual constants (Kingma & Ba 2015), over one flat buffer.
 
@@ -406,10 +476,11 @@ class Adam:
     ``Parameter.values`` and ``.grad`` to a view into them, so code that
     reads or writes a parameter in place works on the live buffer. The
     moments ``m`` and ``v`` are flat too. ``step`` applies the per-array
-    expression sequence element-wise and in place (two work buffers),
-    so its results equal per-array updates bit for bit. Build one
-    optimizer per parameter set: a second one would rebind the views to
-    its own buffers and leave the first updating a detached copy.
+    expression sequence element-wise and in place, one ``ADAM_CHUNK`` of
+    the buffers at a time (two work buffers of one chunk each), so its
+    results equal per-array updates bit for bit. Build one optimizer per
+    parameter set: a second one would rebind the views to its own buffers
+    and leave the first updating a detached copy.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -431,27 +502,29 @@ class Adam:
             lo = hi
         self._m = np.zeros(size)
         self._v = np.zeros(size)
-        self._work = (np.empty(size), np.empty(size))
+        self._work = (np.empty(min(size, ADAM_CHUNK)), np.empty(min(size, ADAM_CHUNK)))
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        g, m, v = self._grad, self._m, self._v
-        update, denom = self._work
-        m *= b1
-        np.multiply(1 - b1, g, out=update)
-        m += update
-        v *= b2
-        np.multiply(1 - b2, g, out=update)
-        update *= g
-        v += update
-        np.divide(m, 1 - b1**self.t, out=update)  # m_hat
-        np.multiply(self.lr, update, out=update)
-        np.divide(v, 1 - b2**self.t, out=denom)  # v_hat
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        update /= denom
-        self._theta -= update
+        for lo in range(0, len(self._theta), ADAM_CHUNK):
+            hi = lo + ADAM_CHUNK
+            g, m, v = self._grad[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            update, denom = (work[: len(g)] for work in self._work)
+            m *= b1
+            np.multiply(1 - b1, g, out=update)
+            m += update
+            v *= b2
+            np.multiply(1 - b2, g, out=update)
+            update *= g
+            v += update
+            np.divide(m, 1 - b1**self.t, out=update)  # m_hat
+            np.multiply(self.lr, update, out=update)
+            np.divide(v, 1 - b2**self.t, out=denom)  # v_hat
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            self._theta[lo:hi] -= update
 
     def zero_grad(self) -> None:
         self._grad.fill(0.0)

@@ -15,16 +15,22 @@ predicts the carbon shift from the carbon embedding, one a pair of proton
 shifts from the carbon embedding, the mean of its bonded-hydrogen
 embeddings (read from the molecule's C-H bond arrays, built at prepare:
 no forward pass walks the graph's adjacency lists), and a learned solvent
-vector. Each head's first affine map reads its inputs by weight column
+vector. Each head (three affine maps, two relus) is one tape op,
+``autodiff.mlp_head``, whose first map reads its inputs by weight column
 block, so a solvent vector is one row shared by every carbon.
 Symmetry-equivalent units emit through one representative; methylene
 units may emit two peaks, and ``proton_outputs`` is the one rule for
-which proton output a (carbon, slot) target reads.
+which proton output a (carbon, slot) target reads. The index arrays of a
+head evaluation (``HeadRows``), of that rule (``ProtonReads``) and of a
+set of 1D targets (``ShiftReads``) are built by one function each; a 1D
+training sample builds its ``ShiftReads`` once, so a desk-scale
+pre-training step records 31 tape entries and rebuilds no index array.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -73,6 +79,7 @@ EDGE_TYPES = len(BondType) * len(BondDirection)
 # edge type t is bond type t // len(BondDirection) and direction
 # t % len(BondDirection): the bond and direction embedding rows of each
 _EDGE_BOND, _EDGE_DIRECTION = np.divmod(np.arange(EDGE_TYPES), len(BondDirection))
+_HEAD_PARAMETERS = ("w1", "b1", "w2", "b2", "w3", "b3")  # of each head, in mlp_head order
 
 
 @dataclass(frozen=True)
@@ -285,20 +292,113 @@ def check_state(config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
             raise ValueError(f"shape mismatch for {name}: checkpoint {got} vs config {want}")
 
 
+@dataclass(frozen=True)
+class HeadRows:
+    """The arrays one head evaluation reads for an array of k carbons: the
+    carbons, the hydrogen of each of their C-H bonds (``h_index``, with its
+    carbon's row in ``h_row``), each row's hydrogen-mean weight
+    ``1 / max(count, 1)`` (a carbon without hydrogens, a 1D carbon target,
+    gets a zero mean) and the index that reads the carbon head's one
+    output column as a (k,) array."""
+
+    carbons: np.ndarray
+    h_index: np.ndarray
+    h_row: np.ndarray
+    h_weight: np.ndarray
+    c_column: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, molecule: Molecule, carbons) -> "HeadRows":
+        carbons = np.asarray(carbons, dtype=np.intp)
+        k = len(carbons)
+        # row r's hydrogens are C-H bonds lo[r], lo[r] + 1, ...; methods, not np.* wrappers
+        lo = molecule.ch_carbon.searchsorted(carbons)
+        counts = molecule.ch_carbon.searchsorted(carbons, "right") - lo
+        h_row = np.arange(k).repeat(counts)
+        h_index = molecule.ch_hydrogen[
+            np.arange(len(h_row)) + (lo - counts.cumsum() + counts).repeat(counts)
+        ]
+        return cls(carbons, h_index, h_row, 1.0 / np.maximum(counts, 1)[:, None],
+                   (np.arange(k), np.zeros(k, np.intp)))
+
+
+@dataclass(frozen=True)
+class ProtonReads:
+    """The ``proton_outputs`` rule for a list of targets as arrays: the
+    (row, column) of the proton-pair outputs each target's two terms read,
+    their weights, and the target each term sums onto."""
+
+    index: tuple[np.ndarray, np.ndarray]
+    weight: np.ndarray
+    segments: np.ndarray
+
+    @classmethod
+    def of(cls, rows, slots, two_peak) -> "ProtonReads":
+        n = len(rows)
+        columns = np.tile([0, 1], n)
+        weight = np.where(
+            np.repeat(np.asarray(two_peak, dtype=bool), 2),
+            columns == np.repeat(np.asarray(slots, dtype=np.intp) - 1, 2),
+            0.5,
+        )
+        rows = np.repeat(np.asarray(rows, dtype=np.intp), 2)
+        return cls((rows, columns), weight, np.repeat(np.arange(n), 2))
+
+    def outputs(self, raw_h: Tensor) -> Tensor:
+        picked = ad.gather(raw_h, self.index)
+        return ad.segment_sum(ad.scale(picked, self.weight), self.segments, len(self.weight) // 2)
+
+
 def proton_outputs(raw_h: Tensor, rows, slots, two_peak) -> Tensor:
     """The proton output each (carbon, slot) target reads, from the
     (k, 2) proton-pair outputs: the slot's own column when its carbon emits
     two peaks, else the mean of the pair. ``rows`` picks each target's row
     of ``raw_h``; ``two_peak`` says whether its carbon emits two peaks."""
-    n = len(rows)
-    columns = np.tile([0, 1], n)
-    weight = np.where(
-        np.repeat(np.asarray(two_peak, dtype=bool), 2),
-        columns == np.repeat(np.asarray(slots, dtype=np.intp) - 1, 2),
-        0.5,
-    )
-    picked = ad.gather(raw_h, (np.repeat(np.asarray(rows, dtype=np.intp), 2), columns))
-    return ad.segment_sum(ad.scale(picked, weight), np.repeat(np.arange(n), 2), n)
+    return ProtonReads.of(rows, slots, two_peak).outputs(raw_h)
+
+
+@dataclass(frozen=True)
+class ShiftReads:
+    """The arrays one evaluation of 1D targets reads, built once per
+    target set: the head rows (the carbon targets' carbons, then each
+    proton target's carbon, each carbon once), the head row of each carbon
+    target, and the proton reads (each proton target reads the mean of its
+    carbon's two proton outputs: 1D references average inequivalent
+    protons).
+
+    Carbon targets may name any carbon. Proton targets name hydrogen atoms;
+    a hydrogen's carbon is the first carbon in its own adjacency (its edges
+    in ``molecule.index`` run in that order). A target atom the model cannot
+    cover raises ValueError."""
+
+    heads: HeadRows
+    carbon_rows: np.ndarray
+    protons: ProtonReads
+
+    @classmethod
+    def of(cls, molecule: Molecule, need_c, need_h) -> "ShiftReads":
+        atoms = molecule.graph.atoms
+        for idx in need_c:
+            if not 0 <= idx < len(atoms) or atoms[idx].element != "C":
+                raise ValueError(f"carbon target index {idx} is not a carbon atom")
+        index = molecule.index
+        # reversed, so each atom's entry ends at its first edge from a carbon
+        edges = np.flatnonzero(index.element[index.src] == SYMBOL_INDEX["C"])[::-1]
+        first_carbon = dict(zip(index.dst[edges].tolist(), index.src[edges].tolist()))
+        for idx in need_h:
+            if not 0 <= idx < len(atoms) or atoms[idx].element != "H":
+                raise ValueError(f"proton target index {idx} is not a hydrogen atom")
+            if idx not in first_carbon:
+                raise ValueError(f"no prediction covers hydrogen {idx}: not bonded to carbon")
+        carbon_of = [first_carbon[idx] for idx in need_h]
+        carbons = list(dict.fromkeys([*need_c, *carbon_of]))
+        row = {carbon: r for r, carbon in enumerate(carbons)}
+        n = len(carbon_of)
+        return cls(
+            HeadRows.of(molecule, carbons),
+            np.array([row[idx] for idx in need_c], dtype=np.intp),
+            ProtonReads.of([row[c] for c in carbon_of], [1] * n, [False] * n),
+        )
 
 
 class CrossPeakModel:
@@ -369,9 +469,7 @@ class CrossPeakModel:
 
     def _mlp(self, prefix: str, x: list[Tensor]) -> Tensor:
         p = self.params
-        h1 = ad.relu(ad.affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-        h2 = ad.relu(ad.affine(h1, p[f"{prefix}.w2"], p[f"{prefix}.b2"]))
-        return ad.affine(h2, p[f"{prefix}.w3"], p[f"{prefix}.b3"])
+        return ad.mlp_head(x, *(p[f"{prefix}.{name}"] for name in _HEAD_PARAMETERS))
 
     def head_outputs(
         self, molecule: Molecule, solvent: SolventClass, carbons
@@ -382,27 +480,22 @@ class CrossPeakModel:
         The carbon head reads the carbon's final embedding (plus the carbon
         solvent vector when configured); the proton head reads the carbon
         embedding, the mean embedding of its bonded hydrogens, and the
-        proton solvent vector.
+        proton solvent vector. Each head is one ``autodiff.mlp_head`` op.
         """
+        return self._head_outputs(molecule, solvent, HeadRows.of(molecule, carbons))
+
+    def _head_outputs(
+        self, molecule: Molecule, solvent: SolventClass, rows: HeadRows
+    ) -> tuple[Tensor, Tensor]:
         final = self.encode_atoms(molecule.index)[-1]
-        carbons = np.asarray(carbons, dtype=np.intp)
-        k = len(carbons)
-        # row r's hydrogens are C-H bonds lo[r], lo[r] + 1, ...; methods, not np.* wrappers
-        lo = molecule.ch_carbon.searchsorted(carbons)
-        counts = molecule.ch_carbon.searchsorted(carbons, "right") - lo
-        h_row = np.arange(k).repeat(counts)
-        h_index = molecule.ch_hydrogen[
-            np.arange(len(h_row)) + (lo - counts.cumsum() + counts).repeat(counts)
-        ]
-        # a carbon without hydrogens (a 1D carbon target) gets a zero mean
-        counts = np.maximum(counts, 1)
-        h_c = ad.gather(final, carbons)
+        h_c = ad.gather(final, rows.carbons)
         c_in = [h_c]
         if self.config.solvent_dim_c > 0:
             c_in.append(self.encode_solvent(solvent, "embed.solvent_c"))
-        raw_c = ad.gather(self._mlp("c_head", c_in), (np.arange(k), np.zeros(k, np.intp)))
+        raw_c = ad.gather(self._mlp("c_head", c_in), rows.c_column)
         h_mean = ad.scale(
-            ad.segment_sum(ad.gather(final, h_index), h_row, k), 1.0 / counts[:, None]
+            ad.segment_sum(ad.gather(final, rows.h_index), rows.h_row, len(rows.carbons)),
+            rows.h_weight,
         )
         raw_h = self._mlp("h_head", [h_c, h_mean, self.encode_solvent(solvent)])
         return raw_c, raw_h
@@ -446,40 +539,26 @@ class CrossPeakModel:
         self,
         molecule: Molecule,
         solvent: SolventClass,
-        need_c: list[int],
-        need_h: list[int],
+        need_c: Sequence[int] = (),
+        need_h: Sequence[int] = (),
+        *,
+        reads: ShiftReads | None = None,
     ) -> tuple[Tensor, Tensor]:
         """Raw outputs for 1D supervision from one head evaluation, in
         argument order: the carbon outputs ``(len(need_c),)`` and the proton
-        outputs ``(len(need_h),)``.
+        outputs ``(len(need_h),)``, by the rules of ``ShiftReads``; a target
+        atom the model cannot cover raises ValueError.
 
-        Carbon targets may name any carbon. Proton targets name hydrogen
-        atoms; each reads the mean of its carbon's two proton-head outputs
-        (1D references average inequivalent protons), by the
-        ``proton_outputs`` rule. A hydrogen's carbon is the first carbon in its
-        own adjacency (its edges in ``molecule.index`` run in that order). A
-        target atom the model cannot cover raises ValueError.
+        ``reads`` replaces the two target lists with their
+        ``ShiftReads.of(molecule, need_c, need_h)``, built once by the caller
+        (a ``Sample1D`` keeps its own).
         """
-        atoms = molecule.graph.atoms
-        for idx in need_c:
-            if not 0 <= idx < len(atoms) or atoms[idx].element != "C":
-                raise ValueError(f"carbon target index {idx} is not a carbon atom")
-        index = molecule.index
-        # reversed, so each atom's entry ends at its first edge from a carbon
-        edges = np.flatnonzero(index.element[index.src] == SYMBOL_INDEX["C"])[::-1]
-        first_carbon = dict(zip(index.dst[edges].tolist(), index.src[edges].tolist()))
-        for idx in need_h:
-            if not 0 <= idx < len(atoms) or atoms[idx].element != "H":
-                raise ValueError(f"proton target index {idx} is not a hydrogen atom")
-            if idx not in first_carbon:
-                raise ValueError(f"no prediction covers hydrogen {idx}: not bonded to carbon")
-        carbon_of = [first_carbon[idx] for idx in need_h]
-        carbons = list(dict.fromkeys([*need_c, *carbon_of]))
-        row = {carbon: r for r, carbon in enumerate(carbons)}
-        raw_c, raw_h = self.head_outputs(molecule, solvent, carbons)
-        n = len(carbon_of)
-        protons = proton_outputs(raw_h, [row[c] for c in carbon_of], [1] * n, [False] * n)
-        return ad.gather(raw_c, [row[idx] for idx in need_c]), protons
+        if reads is None:
+            reads = ShiftReads.of(molecule, need_c, need_h)
+        elif len(need_c) or len(need_h):
+            raise TypeError("give the target lists or their reads, not both")
+        raw_c, raw_h = self._head_outputs(molecule, solvent, reads.heads)
+        return ad.gather(raw_c, reads.carbon_rows), reads.protons.outputs(raw_h)
 
     # -- unit conversions ----------------------------------------------------
 

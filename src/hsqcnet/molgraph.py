@@ -10,11 +10,17 @@ from enum import Enum
 from .elements import ATOMIC_MASS, atomic_mass
 
 
+# Atom and bond enums key dicts on hot paths (``model.graph_index`` looks one
+# up per atom and per bond). Members are singletons and Enum equality is
+# identity, so each hashes by identity, in C, not by ``Enum.__hash__``'s
+# Python-level hash of the member name.
 class Chirality(Enum):
     NONE = "none"
     CLOCKWISE = "clockwise"
     COUNTERCLOCKWISE = "counterclockwise"
     OTHER = "other"
+
+    __hash__ = object.__hash__
 
 
 class Hybridization(Enum):
@@ -23,6 +29,8 @@ class Hybridization(Enum):
     SP3 = "sp3"
     UNSPECIFIED = "unspecified"
 
+    __hash__ = object.__hash__
+
 
 class BondType(Enum):
     SINGLE = "single"
@@ -30,11 +38,15 @@ class BondType(Enum):
     TRIPLE = "triple"
     AROMATIC = "aromatic"
 
+    __hash__ = object.__hash__
+
 
 class BondDirection(Enum):
     NONE = "none"
     END_UP_RIGHT = "end_up_right"      # '/' as written from endpoint 0 to 1
     END_DOWN_RIGHT = "end_down_right"  # '\' as written from endpoint 0 to 1
+
+    __hash__ = object.__hash__
 
 
 BOND_ORDER = {

@@ -17,7 +17,9 @@ iteration's initial loss is read from the labels too.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .model import (
     CrossPeakModel,
     ModelConfig,
     Molecule,
+    ShiftReads,
     SolventClass,
     proton_outputs,
 )
@@ -46,16 +49,35 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sample1D:
+    """A molecule's atom-annotated 1D shifts in one solvent. Construction
+    checks the targets and builds, once, what every loss and MAE pass over
+    the sample reads: the model's ``ShiftReads`` of the targets (each
+    modality in atom order) and the target shifts as two ppm arrays. The
+    target maps are read-only views of copies, so those arrays cannot go
+    stale."""
+
     molecule: Molecule
     solvent: SolventClass
-    c_targets: dict[int, float]
-    h_targets: dict[int, float]
+    c_targets: Mapping[int, float]
+    h_targets: Mapping[int, float]
+    reads: ShiftReads = field(init=False, repr=False, compare=False)
+    c_ppm: np.ndarray = field(init=False, repr=False, compare=False)
+    h_ppm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.c_targets and not self.h_targets:
             raise ValueError(f"sample {self.molecule.smiles!r} has no shift targets")
+        c_atoms, h_atoms = sorted(self.c_targets), sorted(self.h_targets)
+        for name, value in (
+            ("reads", ShiftReads.of(self.molecule, c_atoms, h_atoms)),
+            ("c_ppm", np.array([self.c_targets[idx] for idx in c_atoms], dtype=np.float64)),
+            ("h_ppm", np.array([self.h_targets[idx] for idx in h_atoms], dtype=np.float64)),
+            ("c_targets", MappingProxyType(dict(self.c_targets))),
+            ("h_targets", MappingProxyType(dict(self.h_targets))),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -117,15 +139,10 @@ def _ppm_l1(
         raise ad.DimensionError(f"(carbon, proton) outputs {sizes} vs targets {counts}")
     return ad.mean_abs_error(
         list(outputs),
-        [*delta_c, *delta_h],
+        np.concatenate([delta_c, delta_h]),
         scale=np.repeat([config.c_scale, config.h_scale], counts),
         center=np.repeat([config.c_center, config.h_center], counts),
     )
-
-
-def _ppm_targets(targets: dict[int, float]) -> np.ndarray:
-    """A modality's target shifts in ppm, in atom order."""
-    return np.array([targets[idx] for idx in sorted(targets)], dtype=np.float64)
 
 
 def masked_mtt_loss(
@@ -138,16 +155,11 @@ def masked_mtt_loss(
     modality in atom order; the loss is the rule fine-tuning uses, with
     residuals in ppm.
     """
-    return _ppm_l1(
-        model.config, predictions,
-        _ppm_targets(sample.c_targets), _ppm_targets(sample.h_targets),
-    )
+    return _ppm_l1(model.config, predictions, sample.c_ppm, sample.h_ppm)
 
 
 def _pretrain_loss(model: CrossPeakModel, sample: Sample1D) -> Tensor:
-    outputs = model.atom_shift_tensors(
-        sample.molecule, sample.solvent, sorted(sample.c_targets), sorted(sample.h_targets)
-    )
+    outputs = model.atom_shift_tensors(sample.molecule, sample.solvent, reads=sample.reads)
     return masked_mtt_loss(sample, outputs, model)
 
 
@@ -156,11 +168,10 @@ def dataset_mae(model: CrossPeakModel, dataset: list[Sample1D]) -> tuple[float, 
     c_err: list[float] = []
     h_err: list[float] = []
     for sample in dataset:
-        raw_c, raw_h = model.atom_shift_tensors(
-            sample.molecule, sample.solvent, sorted(sample.c_targets), sorted(sample.h_targets)
-        )
-        c_err.extend(np.abs(model.ppm_c(raw_c.values) - _ppm_targets(sample.c_targets)))
-        h_err.extend(np.abs(model.ppm_h(raw_h.values) - _ppm_targets(sample.h_targets)))
+        raw_c, raw_h = model.atom_shift_tensors(sample.molecule, sample.solvent,
+                                                reads=sample.reads)
+        c_err.extend(np.abs(model.ppm_c(raw_c.values) - sample.c_ppm))
+        h_err.extend(np.abs(model.ppm_h(raw_h.values) - sample.h_ppm))
     return _mae(c_err), _mae(h_err)
 
 

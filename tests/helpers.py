@@ -294,6 +294,14 @@ def reference_adam(values, grad_steps, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8
         yield values
 
 
+def reference_mlp_head(parts, w1, b1, w2, b2, w3, b3):
+    """The chain of ops ``autodiff.mlp_head`` fuses: three ``affine`` maps
+    with a ``relu`` after the first two, five tape entries."""
+    h1 = ad.relu(ad.affine(parts, w1, b1))
+    h2 = ad.relu(ad.affine(h1, w2, b2))
+    return ad.affine(h2, w3, b3)
+
+
 def reference_encode(model, index) -> list:
     """The per-edge message map the factored one replaced: every layer maps
     each directed edge's source row and edge features, read as one

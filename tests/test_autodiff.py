@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hsqcnet import autodiff as ad
 from hsqcnet.autodiff import (
+    ADAM_CHUNK,
     Adam,
     ComputeRecord,
     DimensionError,
@@ -24,7 +25,7 @@ from hsqcnet.model import (
     SolventClass,
     prepare_molecule,
 )
-from helpers import reference_adam
+from helpers import reference_adam, reference_mlp_head
 
 
 def p(values, name="p"):
@@ -465,3 +466,113 @@ def test_state_io_reads_and_writes_the_optimizer_buffer():
         assert np.array_equal(p.values, want), p.name
     opt.zero_grad()
     assert all(not p.grad.any() for p in model.parameters())
+
+
+def test_chunked_adam_matches_per_array_adam_bit_for_bit():
+    # three chunks, the last one ragged, and arrays that straddle chunk ends
+    rng = np.random.default_rng(8)
+    shapes = [(ADAM_CHUNK + 7,), (3, 100, 2), (ADAM_CHUNK // 2, 3), (5,)]
+    params = [Parameter(rng.normal(size=shape), f"p{k}") for k, shape in enumerate(shapes)]
+    initial = [p.values.copy() for p in params]
+    grad_steps = []
+    for _ in range(12):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
+                 for shape in shapes]
+        grads[0][rng.integers(0, shapes[0][0], size=50)] = 0.0
+        grad_steps.append(grads)
+    opt = Adam(params, lr=3e-3)
+    size = len(opt._theta)
+    assert size > 2 * ADAM_CHUNK and size % ADAM_CHUNK
+    for grads, expected in zip(grad_steps, reference_adam(initial, grad_steps, lr=3e-3)):
+        opt.zero_grad()
+        for p, g in zip(params, grads):
+            p.grad += g
+        opt.step()
+        for p, e in zip(params, expected):
+            assert np.array_equal(p.values, e), p.name
+    assert [work.shape for work in opt._work] == [(ADAM_CHUNK,)] * 2
+    small = Adam([Parameter(np.zeros((2, 3)), "small")])
+    assert [work.shape for work in small._work] == [(6,)] * 2
+
+
+def _head_parameters(rng, width_in, hidden=(6, 5), width_out=2):
+    h1, h2 = hidden
+    return [p(rng.normal(size=shape), name) for name, shape in (
+        ("w1", (h1, width_in)), ("b1", (h1,)), ("w2", (h2, h1)), ("b2", (h2,)),
+        ("w3", (width_out, h2)), ("b3", (width_out,)))]
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_mlp_head_equals_the_affine_relu_chain_bit_for_bit(k):
+    runs = []
+    for head in (ad.mlp_head, reference_mlp_head):
+        rng = np.random.default_rng(k)
+        parts = [p(rng.normal(size=(k, 3)), "rows"), p(rng.normal(size=2), "shared"),
+                 p(rng.normal(size=(k, 4)), "more rows")]
+        params = _head_parameters(rng, 9)
+        weights = rng.normal(size=(k, 2))
+        with ComputeRecord() as rec:
+            out = head(parts, *params)
+            loss = ad.mean_abs_error([ad.scale(out, weights)], np.linspace(-1.0, 1.0, 2 * k))
+        steps = len(rec)
+        backward(loss, rec)
+        runs.append((steps, out.values, loss.item(), [x.grad for x in parts + params]))
+    (fused_steps, *fused), (chain_steps, *chain) = runs
+    assert (fused_steps, chain_steps) == (3, 7)  # the head, a scale and the loss
+    assert np.array_equal(fused[0], chain[0]) and fused[1] == chain[1]
+    for got, want in zip(fused[2], chain[2], strict=True):
+        assert np.array_equal(got, want)
+        assert got.any()
+
+
+def test_mlp_head_adjoint_matches_central_differences():
+    rng = np.random.default_rng(11)
+    k = 3
+    parts = [p(rng.normal(size=(k, 3)), "rows"), p(rng.normal(size=2), "shared")]
+    params = _head_parameters(rng, 5)
+    w1, b1, w2, b2 = (x.values for x in params[:4])
+    joined = np.concatenate([parts[0].values, np.tile(parts[1].values, (k, 1))], axis=1)
+    pre1 = joined @ w1.T + b1
+    pre2 = np.maximum(pre1, 0.0) @ w2.T + b2
+    # no step below crosses a relu kink, and both relus pass and block
+    assert min(np.abs(pre1).min(), np.abs(pre2).min()) > 1e-3
+    assert 0 < (pre1 > 0).sum() < pre1.size and 0 < (pre2 > 0).sum() < pre2.size
+    weights = rng.normal(size=(k, 2))
+    # every residual 1 from the L1 kink: the loss is linear in the output
+    targets = (ad.mlp_head(parts, *params).values * weights).reshape(-1) - 1.0
+
+    def loss():
+        return ad.mean_abs_error([ad.scale(ad.mlp_head(parts, *params), weights)], targets)
+
+    with ComputeRecord() as rec:
+        total = loss()
+    backward(total, rec)
+    step = 1e-6
+    for param in parts + params:
+        flat = param.values.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + step
+            up = loss().item()
+            flat[j] = orig - step
+            down = loss().item()
+            flat[j] = orig
+            assert param.grad.reshape(-1)[j] == pytest.approx(
+                (up - down) / (2 * step), rel=1e-6, abs=1e-9), (param.name, j)
+
+
+def test_mlp_head_shape_errors_name_the_shapes():
+    rng = np.random.default_rng(4)
+    parts = [Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))]
+    good = _head_parameters(rng, 5)
+    with pytest.raises(DimensionError, match=r"layer 1 shape mismatch: weight \(6, 9\) "
+                                             r"vs input \(2, 3\) \+ \(2,\)"):
+        ad.mlp_head(parts, *_head_parameters(rng, 9))
+    with pytest.raises(DimensionError, match=r"layer 2 shape mismatch: weight \(5, 7\) "
+                                             r"vs input \(2, 6\)"):
+        ad.mlp_head(parts, *good[:2], p(np.zeros((5, 7)), "w2"), *good[3:])
+    with pytest.raises(DimensionError, match=r"layer 3 bias shape \(3,\) does not match "
+                                             r"weight \(2, 5\)"):
+        ad.mlp_head(parts, *good[:5], p(np.zeros(3), "b3"))
+    with pytest.raises(DimensionError, match=r"one batch, got \[\(2, 3\), \(4, 2\)\]"):
+        ad.mlp_head([parts[0], Tensor(np.zeros((4, 2)))], *good)

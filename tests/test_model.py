@@ -26,6 +26,7 @@ from helpers import (
     reference_edge_arrays,
     reference_encode,
     reference_heads,
+    reference_mlp_head,
     smiles_strings,
 )
 
@@ -399,9 +400,9 @@ def test_ch_bonds_match_per_carbon_walk(parser_corpus, large_smiles):
 class _RecordingModel(CrossPeakModel):
     """Keeps the carbons of its last head evaluation."""
 
-    def head_outputs(self, molecule, solvent, carbons):
-        self.carbons = list(carbons)
-        return super().head_outputs(molecule, solvent, carbons)
+    def _head_outputs(self, molecule, solvent, rows):
+        self.carbons = rows.carbons.tolist()
+        return super()._head_outputs(molecule, solvent, rows)
 
 
 RECORDING = _RecordingModel(ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4,
@@ -504,6 +505,35 @@ def test_head_outputs_match_the_joined_input_reference(smiles, carbons, solvent_
         assert raw_h.shape == want_h.shape == (len(carbons), 2)
         assert _relative(raw_c.values, want_c) <= 1e-12
         assert _relative(raw_h.values, want_h) <= 1e-12
+
+
+@pytest.mark.parametrize("solvent_dim_c", [0, 4])
+def test_fused_heads_equal_the_affine_relu_chain_bit_for_bit(monkeypatch, solvent_dim_c):
+    # both heads, one carbon and several, a shared solvent row in each head
+    # when solvent_dim_c > 0: outputs and every parameter gradient
+    config = ModelConfig(num_layers=2, atom_dim=16, solvent_dim_h=4,
+                         solvent_dim_c=solvent_dim_c, mlp_hidden=(12, 8), seed=7)
+    molecule = prepare_molecule("CC(=O)OCc1ccccc1")
+    runs = []
+    for head in (ad.mlp_head, reference_mlp_head):
+        monkeypatch.setattr(ad, "mlp_head", head)
+        model = CrossPeakModel(config)
+        steps, values = [], []
+        for carbons in ([5], [0, 1, 4, 5, 6, 8]):
+            ad.zero_gradients(model.parameters())
+            with ad.ComputeRecord() as rec:
+                raw_c, raw_h = model.head_outputs(molecule, SolventClass.METHANOL, carbons)
+                loss = ad.mean_abs_error([raw_c, raw_h], np.linspace(-1.0, 1.0, 3 * len(carbons)))
+            steps.append(len(rec))
+            ad.backward(loss, rec)
+            grads = {name: p.grad.copy() for name, p in model.params.items()}
+            assert all(g.any() for name, g in grads.items() if "head" in name or "solvent" in name)
+            values += [raw_c.values, raw_h.values, loss.values, *grads.values()]
+        runs.append((steps, values))
+    (fused_steps, fused), (chain_steps, chain) = runs
+    assert [c - f for f, c in zip(fused_steps, chain_steps)] == [8, 8]  # 5 + 5 entries -> 1 + 1
+    for got, want in zip(fused, chain, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_head_first_layer_gradient_by_column_block():

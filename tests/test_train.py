@@ -1,9 +1,11 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hsqcnet import autodiff as ad
 from hsqcnet import train
@@ -147,6 +149,90 @@ def test_atom_shift_targets_validated():
         model.atom_shift_tensors(mol, SolventClass.UNKNOWN, [], [5])  # the OH proton
 
 
+def _per_call_and_per_sample(model, sample):
+    """Outputs, loss and parameter gradients of a sample's pre-training loss,
+    first with the target arrays built in the call from the target maps, then
+    with the ones the sample built once."""
+    runs = []
+    for per_call in (True, False):
+        ad.zero_gradients(model.parameters())
+        with ad.ComputeRecord() as rec:
+            if per_call:
+                c_atoms, h_atoms = sorted(sample.c_targets), sorted(sample.h_targets)
+                outputs = model.atom_shift_tensors(sample.molecule, sample.solvent,
+                                                   c_atoms, h_atoms)
+                loss = train._ppm_l1(model.config, outputs,
+                                     [sample.c_targets[i] for i in c_atoms],
+                                     [sample.h_targets[i] for i in h_atoms])
+            else:
+                outputs = model.atom_shift_tensors(sample.molecule, sample.solvent,
+                                                   reads=sample.reads)
+                loss = train._pretrain_loss(model, sample)
+        ad.backward(loss, rec)
+        runs.append([outputs[0].values, outputs[1].values, loss.values,
+                     *(p.grad.copy() for p in model.parameters())])
+    return runs
+
+
+def _assert_same_bits(runs):
+    per_call, per_sample = runs
+    for got, want in zip(per_sample, per_call, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_sample_arrays_equal_the_per_call_path_on_toy_1d(toy_1d_samples):
+    model = CrossPeakModel(TINY)
+    for sample in toy_1d_samples:
+        _assert_same_bits(_per_call_and_per_sample(model, sample))
+
+
+_DRAWN_MOLECULES = {smiles: prepare_molecule(smiles) for smiles in (
+    "C[H]CO", "OC1.C[H]1", "CC(=O)OCc1ccccc1", "CCC(C)=O", "ClC(Cl)(Cl)C", "[C]")}
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_sample_arrays_equal_the_per_call_path_on_drawn_targets(data):
+    molecule = _DRAWN_MOLECULES[data.draw(st.sampled_from(sorted(_DRAWN_MOLECULES)))]
+    carbons = [a.index for a in molecule.graph.atoms if a.element == "C"]
+    hydrogens = sorted(set(molecule.ch_hydrogen.tolist()))
+    shifts = st.floats(-10.0, 250.0, allow_nan=False)
+    c = data.draw(st.dictionaries(st.sampled_from(carbons), shifts))
+    h = data.draw(st.dictionaries(st.sampled_from(hydrogens), shifts) if hydrogens
+                  else st.just({}))
+    assume(c or h)
+    sample = Sample1D(molecule, data.draw(st.sampled_from(list(SolventClass))), c, h)
+    _assert_same_bits(_per_call_and_per_sample(CrossPeakModel(TINY), sample))
+
+
+def test_sample_rejects_bad_targets_with_the_per_call_messages():
+    model = CrossPeakModel(TINY)
+    mol = prepare_molecule("CO")
+    for c, h, message in (
+        ({1: 50.0}, {}, "carbon target index 1 is not a carbon atom"),
+        ({}, {0: 3.3}, "proton target index 0 is not a hydrogen atom"),
+        ({0: 50.0}, {5: 3.3}, "no prediction covers hydrogen 5: not bonded to carbon"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Sample1D(mol, SolventClass.UNKNOWN, c, h)
+        with pytest.raises(ValueError, match=message):
+            model.atom_shift_tensors(mol, SolventClass.UNKNOWN, sorted(c), sorted(h))
+
+
+def test_sample_arrays_cannot_go_stale():
+    targets = {0: 50.0}
+    sample = Sample1D(prepare_molecule("CO"), SolventClass.UNKNOWN, targets, {2: 3.3})
+    targets[0] = 10.0  # the sample keeps a copy
+    assert dict(sample.c_targets) == {0: 50.0} and sample.c_ppm.tolist() == [50.0]
+    with pytest.raises(TypeError):
+        sample.h_targets[3] = 3.3
+    with pytest.raises(FrozenInstanceError):
+        sample.c_targets = {0: 10.0}
+    with pytest.raises(TypeError, match="not both"):
+        CrossPeakModel(TINY).atom_shift_tensors(sample.molecule, sample.solvent, [0], [],
+                                                reads=sample.reads)
+
+
 def test_pretrain_rejects_empty_dataset():
     with pytest.raises(ValueError, match="empty"):
         mtt_pretrain([], TrainConfig())
@@ -174,9 +260,9 @@ def test_pretrain_tape_length_does_not_grow_with_targets(monkeypatch, desk_confi
     mtt_pretrain([methanol, targets], TrainConfig(epochs=1, batch_size=1, oversample_factor=1,
                                                   validation_split=0.0),
                  model_config=desk_config)
-    # 11 gathers, 8 relus, 6 affines, 5 message layers, 3 adds, 3 scales,
+    # 11 gathers, 5 message layers, 4 relus, 3 adds, 3 scales, 2 heads,
     # 2 segment sums and the loss
-    assert tapes == [39, 39]
+    assert tapes == [31, 31]
 
 
 def test_oversample_factor_one_sees_each_sample_once():
