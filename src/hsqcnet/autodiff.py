@@ -4,18 +4,20 @@ Everything is float64. Forward primitives record their adjoints on the
 active ComputeRecord; ``backward`` replays the record in reverse and
 accumulates gradients into the participating Parameters. Ops work on row
 batches, and the op set is exactly what the matrix-form message-passing
-model needs: ``gather`` (rows or elements, e.g. embedding lookups),
-``add`` of two same-shape tensors, ``affine`` maps (of one input, or of
-parts read by weight column block), ``relu``, ``segment_sum`` (rows
+model needs: ``gather`` (rows or elements), ``embed`` (the sum of rows
+of several tables, one embedding lookup), ``affine`` maps (of one input, or
+of parts read by weight column block), ``relu``, ``segment_sum`` (rows
 summed onto segments), ``scale`` by a constant, the fused L1 loss
 ``mean_abs_error``, and two fused ops with hand-written adjoints:
-``message_layer``, one whole message-passing layer up to its update
-activation, and ``mlp_head``, three affine maps with a relu after the first
-two, equal to that chain of ops bit for bit. ``affine`` and ``mlp_head``
-share one block-column rule. Every scatter-add, a Parameter's gather
-adjoint included, is one ``bincount`` onto zeros, which sums in input
-order exactly as ``np.add.at`` does; the layer reads its flat slots from a
-per-graph cache. A desk-scale pre-training step records 31 tape entries.
+``message_layer``, one whole message-passing layer (with its update
+activation, or without it for the last layer), and ``mlp_head``, three
+affine maps with a relu after the first two. Both equal their chains of
+ops bit for bit, as ``embed`` equals its gathers summed in table order.
+``affine`` and ``mlp_head`` share one block-column rule. Every scatter-add,
+a Parameter's gather adjoint included, is one ``bincount`` onto zeros,
+which sums in input order exactly as ``np.add.at`` does; the layer reads
+its flat slots from a per-graph cache. A desk-scale pre-training step
+records 21 tape entries.
 
 ``Adam`` packs its parameters into one flat value buffer and one flat
 gradient buffer and makes each Parameter's ``values`` and ``grad`` views
@@ -170,7 +172,7 @@ def gather(x: Tensor, index) -> Tensor:
         if idx.size and (idx.min() < 0 or idx.max() >= size):
             raise IndexError(f"gather index out of range [0, {size}) on axis {axis}")
     if len(index) == 1:
-        out = Tensor(np.take(x.values, index[0], axis=0))
+        out = Tensor(x.values.take(index[0], axis=0))
     else:
         out = Tensor(x.values[index])
     tape = _tape()
@@ -179,17 +181,32 @@ def gather(x: Tensor, index) -> Tensor:
     return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Element-wise sum of two tensors of one shape."""
-    if a.values.shape != b.values.shape:
-        raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.values + b.values)
+def embed(tables: list[Tensor], indices) -> Tensor:
+    """Row ``i`` is ``tables[0][indices[0][i]] + tables[1][indices[1][i]] + ...``,
+    added in table order: the sum of one ``gather`` per table, bit for bit,
+    as one op. Every index array has one shape and every table one row
+    width; each table's gradient is one scatter-add onto the rows it gave."""
+    indices = [np.asarray(i, dtype=np.intp) for i in indices]
+    fits = {(idx.shape, table.values.shape[1:]) for table, idx in zip(tables, indices)}
+    if len(tables) != len(indices) or len(fits) != 1:
+        raise DimensionError(
+            f"embed shapes do not fit: tables {[t.shape for t in tables]}, "
+            f"indices {[i.shape for i in indices]}"
+        )
+    for table, idx in zip(tables, indices):
+        size = len(table.values)
+        if idx.size and (idx.min() < 0 or idx.max() >= size):
+            raise IndexError(f"embed index out of range [0, {size}) for {table!r}")
+    values = tables[0].values.take(indices[0], axis=0)
+    for table, idx in zip(tables[1:], indices[1:]):
+        values += table.values.take(idx, axis=0)
+    out = Tensor(values)
     tape = _tape()
     if tape is not None:
 
         def adjoint(g, acc):
-            acc(a, g)
-            acc(b, g)
+            for table, idx in zip(tables, indices):
+                acc(table, g, index=(idx,))
 
         tape._push(out, adjoint)
     return out
@@ -284,7 +301,7 @@ def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
     out = Tensor(_scatter_add((segments,), x.values, (num_segments,) + x.values.shape[1:]))
     tape = _tape()
     if tape is not None:
-        tape._push(out, lambda g, acc: acc(x, np.take(g, segments, axis=0)))
+        tape._push(out, lambda g, acc: acc(x, g.take(segments, axis=0)))
     return out
 
 
@@ -296,14 +313,17 @@ def message_layer(
     upd_w: Parameter,
     upd_b: Parameter,
     index,
+    activate: bool = False,
 ) -> Tensor:
-    """One message-passing layer before its update activation, as one op.
+    """One message-passing layer, as one op: with ``activate``, its update
+    activation ``relu`` too.
 
     With ``d`` the width of the (atoms, d) node rows ``h``, the message on
     each directed edge ``src -> dst`` of type ``t`` is
     ``relu((h @ msg_w[:, :d].T + msg_b)[src] + (edge_table @ msg_w[:, d:].T)[t])``;
     the messages are summed onto ``dst`` and the result is
-    ``[h, sums] @ upd_w.T + upd_b``. ``edge_table`` has one row per edge
+    ``[h, sums] @ upd_w.T + upd_b`` (its ``relu`` with ``activate``, bit for
+    bit that of a ``relu`` op). ``edge_table`` has one row per edge
     type. ``index`` carries the per-edge ``src``, ``dst`` and ``edge_type``
     arrays, already range-checked, and ``slots(name, width)``, the cached
     flat ``bincount`` slots of one of them at a row width.
@@ -326,24 +346,29 @@ def message_layer(
     source = h.values @ w_source.T
     source += msg_b.values
     edge = edge_table.values @ w_edge.T
-    pre_message = np.take(source, index.src, axis=0) + np.take(edge, index.edge_type, axis=0)
+    pre_message = source.take(index.src, axis=0) + edge.take(index.edge_type, axis=0)
     summed = np.bincount(
         index.slots("dst", d), weights=np.maximum(pre_message, 0.0).reshape(-1), minlength=n * d
     ).reshape(n, d)
     joined = np.concatenate([h.values, summed], axis=-1)
     values = joined @ upd_w.values.T
     values += upd_b.values
+    if activate:
+        np.maximum(values, 0.0, out=values)
     out = Tensor(values)
     tape = _tape()
     if tape is not None:
         mask = pre_message > 0.0
+        passed = values > 0.0  # where the relu passed: relu(x) > 0 exactly when x > 0
 
         def adjoint(g, acc):
+            if activate:
+                g = g * passed
             acc(upd_w, g.T @ joined)
             acc(upd_b, g.sum(axis=0))
             g_joined = g @ upd_w.values
             acc(h, g_joined[:, :d])
-            g_message = (np.take(g_joined[:, d:], index.dst, axis=0) * mask).reshape(-1)
+            g_message = (g_joined[:, d:].take(index.dst, axis=0) * mask).reshape(-1)
             g_edge = np.bincount(
                 index.slots("edge_type", d), weights=g_message, minlength=edge.size
             ).reshape(edge.shape)
@@ -462,9 +487,9 @@ def uniform_init(
 
 
 # Elements per pass of ``Adam.step``: a chunk's four operands and two work
-# buffers stay in cache across the step's 13 expressions. 32,768 measured
-# best at desk width; at 5.5M parameters a chunked step takes half the time
-# of 13 whole-buffer passes.
+# buffers stay in cache across the step's 12 expressions. 32,768 measured
+# best at desk width; at 5.5M parameters a chunked step took half the time
+# of whole-buffer passes.
 ADAM_CHUNK = 32_768
 
 
@@ -475,12 +500,16 @@ class Adam:
     into one flat ``theta`` and one flat ``grad`` buffer and rebinds each
     ``Parameter.values`` and ``.grad`` to a view into them, so code that
     reads or writes a parameter in place works on the live buffer. The
-    moments ``m`` and ``v`` are flat too. ``step`` applies the per-array
-    expression sequence element-wise and in place, one ``ADAM_CHUNK`` of
-    the buffers at a time (two work buffers of one chunk each), so its
-    results equal per-array updates bit for bit. Build one optimizer per
-    parameter set: a second one would rebind the views to its own buffers
-    and leave the first updating a detached copy.
+    moments ``m`` and ``v`` are flat too and mean, with the step count
+    ``t``, what they mean in their Algorithm 1. ``step`` takes the folded
+    form of their section 2: one step size ``lr * sqrt(1 - beta2^t) / (1 -
+    beta1^t)`` and one ``eps * sqrt(1 - beta2^t)`` per step, no per-element
+    bias correction, which equals the textbook order to rounding, not bit
+    for bit. It runs element-wise and in place, one ``ADAM_CHUNK`` of the
+    buffers at a time (two work buffers of one chunk each), equal to
+    per-array folded updates bit for bit. Build one optimizer per parameter
+    set: a second one would rebind the views to its own buffers and leave
+    the first updating a detached copy.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -507,6 +536,9 @@ class Adam:
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        root = math.sqrt(1 - b2**self.t)
+        lr_t = self.lr * root / (1 - b1**self.t)
+        eps_t = self.eps * root
         for lo in range(0, len(self._theta), ADAM_CHUNK):
             hi = lo + ADAM_CHUNK
             g, m, v = self._grad[lo:hi], self._m[lo:hi], self._v[lo:hi]
@@ -518,12 +550,10 @@ class Adam:
             np.multiply(1 - b2, g, out=update)
             update *= g
             v += update
-            np.divide(m, 1 - b1**self.t, out=update)  # m_hat
-            np.multiply(self.lr, update, out=update)
-            np.divide(v, 1 - b2**self.t, out=denom)  # v_hat
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            update /= denom
+            np.sqrt(v, out=denom)
+            denom += eps_t
+            np.divide(m, denom, out=update)
+            update *= lr_t
             self._theta[lo:hi] -= update
 
     def zero_grad(self) -> None:

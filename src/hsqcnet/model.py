@@ -7,9 +7,10 @@ edge u -> v is ``relu(W [h_u; x_e] + b)``, computed in factored form:
 (bond type x direction, 12 rows), then the sum of the source atom's row
 and the edge type's row on every edge. The messages are summed onto the
 destination atoms, and every atom is updated by a second affine map; the
-whole layer up to its update activation is one tape op
+whole layer with its update activation is one tape op
 (``autodiff.message_layer``), which reads the edge arrays and their cached
-scatter slots from the molecule's ``GraphIndex``. One
+scatter slots from the molecule's ``GraphIndex``, and the atom rows and
+the edge-type table are one ``autodiff.embed`` op each. One
 head evaluation over an array of carbons feeds two MLP heads: one
 predicts the carbon shift from the carbon embedding, one a pair of proton
 shifts from the carbon embedding, the mean of its bonded-hydrogen
@@ -24,7 +25,7 @@ which proton output a (carbon, slot) target reads. The index arrays of a
 head evaluation (``HeadRows``), of that rule (``ProtonReads``) and of a
 set of 1D targets (``ShiftReads``) are built by one function each; a 1D
 training sample builds its ``ShiftReads`` once, so a desk-scale
-pre-training step records 31 tape entries and rebuilds no index array.
+pre-training step records 21 tape entries and rebuilds no index array.
 """
 
 from __future__ import annotations
@@ -432,34 +433,30 @@ class CrossPeakModel:
         """Node embeddings of layers 0..L, each an (atoms, atom_dim) row
         batch; hydrogens are nodes.
 
-        Each layer is one ``autodiff.message_layer`` op, followed by a
-        ``relu`` on every layer but the last: it maps every atom by the
-        source half of its message map and every edge type by the edge
+        The atom rows and the edge-type table are one ``autodiff.embed`` op
+        each, and each layer is one ``autodiff.message_layer`` op, its
+        ``relu`` included on every layer but the last: it maps every atom by
+        the source half of its message map and every edge type by the edge
         half, adds the two rows on each directed edge into a message, sums
         the messages onto the destination nodes and maps each node with its
         message sum.
         """
         p = self.params
-        h = ad.add(
-            ad.add(
-                ad.gather(p["embed.element"], index.element),
-                ad.gather(p["embed.chirality"], index.chirality),
-            ),
-            ad.gather(p["embed.hybridization"], index.hybridization),
+        h = ad.embed(
+            [p["embed.element"], p["embed.chirality"], p["embed.hybridization"]],
+            [index.element, index.chirality, index.hybridization],
         )
-        edge_table = ad.add(
-            ad.gather(p["embed.bond_type"], _EDGE_BOND),
-            ad.gather(p["embed.direction"], _EDGE_DIRECTION),
+        edge_table = ad.embed(
+            [p["embed.bond_type"], p["embed.direction"]], [_EDGE_BOND, _EDGE_DIRECTION]
         )
         layers = [h]
         for layer in range(1, self.config.num_layers + 1):
-            pre = ad.message_layer(
+            h = ad.message_layer(
                 h, edge_table,
                 p[f"layer{layer}.msg.w"], p[f"layer{layer}.msg.b"],
                 p[f"layer{layer}.upd.w"], p[f"layer{layer}.upd.b"],
-                index,
+                index, activate=layer < self.config.num_layers,
             )
-            h = pre if layer == self.config.num_layers else ad.relu(pre)
             layers.append(h)
         return layers
 

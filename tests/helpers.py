@@ -3,15 +3,17 @@
 brute-force lexicographically smallest optimal assignment, the annealed
 graduated assignment that the one-temperature softassign replaced, the
 softassign that evaluated exp on every entry, the per-row labelling loop
-that pseudo_annotate replaced, the per-array Adam that the flat-buffer one
-replaced, the per-edge message map that the factored one replaced, the
-heads with their joined input and the per-carbon C-H walk; and a
-checkpoint header rewriter with the malformed headers it is given."""
+that pseudo_annotate replaced, the per-array Adam (folded, and in the
+textbook order it replaced), the gather/add chain that ``embed`` fuses, the
+per-edge message map that the factored one replaced, the heads with their
+joined input and the per-carbon C-H walk; and a checkpoint header rewriter
+with the malformed headers it is given."""
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -274,24 +276,59 @@ def reference_pseudo_annotate(predictions, observations, settings) -> PseudoLabe
                         rejected=mean_cost > settings.reject_threshold)
 
 
-def reference_adam(values, grad_steps, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-    """The per-array Adam the flat-buffer one replaced, from copies of
-    ``values``: one update per array, a temporary for every intermediate
-    result. ``grad_steps`` gives one gradient per array for each step;
-    yields the arrays after each step."""
+def reference_adam(values, grad_steps, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8,
+                   folded=True):
+    """Adam per array, from copies of ``values``: one update per array, a
+    temporary for every intermediate result. ``folded`` gives the form
+    ``Adam.step`` uses (Kingma & Ba 2015, section 2: the bias corrections
+    folded into the step size and eps, once per step); otherwise the
+    textbook order of Algorithm 1, dividing ``m`` and ``v`` by their
+    corrections element by element. ``grad_steps`` gives one gradient per
+    array for each step; yields the arrays after each step."""
     values = [np.array(v, dtype=np.float64) for v in values]
     ms = [np.zeros_like(v) for v in values]
     vs = [np.zeros_like(v) for v in values]
     for t, grads in enumerate(grad_steps, start=1):
+        root = math.sqrt(1 - beta2**t)
+        lr_t = lr * root / (1 - beta1**t)
+        eps_t = eps * root
         for p, m, v, g in zip(values, ms, vs, grads):
             m *= beta1
             m += (1 - beta1) * g
             v *= beta2
             v += (1 - beta2) * g * g
-            m_hat = m / (1 - beta1**t)
-            v_hat = v / (1 - beta2**t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            if folded:
+                p -= lr_t * (m / (np.sqrt(v) + eps_t))
+            else:
+                m_hat = m / (1 - beta1**t)
+                v_hat = v / (1 - beta2**t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
         yield values
+
+
+def reference_add(a, b):
+    """Element-wise sum of two tensors of one shape, as its own tape entry:
+    the op the chains below add embedding rows with."""
+    assert a.values.shape == b.values.shape, (a.shape, b.shape)
+    out = ad.Tensor(a.values + b.values)
+    tape = ad._tape()
+    if tape is not None:
+
+        def adjoint(g, acc):
+            acc(a, g)
+            acc(b, g)
+
+        tape._push(out, adjoint)
+    return out
+
+
+def reference_embed(tables, indices):
+    """The chain of ops ``autodiff.embed`` fuses: one ``gather`` per table,
+    added in table order, ``2 * len(tables) - 1`` tape entries."""
+    total, *rest = [ad.gather(table, idx) for table, idx in zip(tables, indices)]
+    for part in rest:
+        total = reference_add(total, part)
+    return total
 
 
 def reference_mlp_head(parts, w1, b1, w2, b2, w3, b3):
@@ -311,16 +348,9 @@ def reference_encode(model, index) -> list:
     n = len(index.element)
     bond, direction = np.divmod(index.edge_type, len(BondDirection))
 
-    def embedding_sum(lookups):
-        total, *rest = [ad.gather(p[name], ids) for name, ids in lookups]
-        for part in rest:
-            total = ad.add(total, part)
-        return total
-
-    h = embedding_sum([("embed.element", index.element),
-                       ("embed.chirality", index.chirality),
-                       ("embed.hybridization", index.hybridization)])
-    edge = embedding_sum([("embed.bond_type", bond), ("embed.direction", direction)])
+    h = reference_embed([p["embed.element"], p["embed.chirality"], p["embed.hybridization"]],
+                        [index.element, index.chirality, index.hybridization])
+    edge = reference_embed([p["embed.bond_type"], p["embed.direction"]], [bond, direction])
     layers = [h]
     for layer in range(1, model.config.num_layers + 1):
         messages = ad.relu(ad.affine([ad.gather(h, index.src), edge],

@@ -25,7 +25,7 @@ from hsqcnet.model import (
     SolventClass,
     prepare_molecule,
 )
-from helpers import reference_adam, reference_mlp_head
+from helpers import reference_adam, reference_embed, reference_mlp_head
 
 
 def p(values, name="p"):
@@ -60,18 +60,58 @@ def test_affine_shape_error_names_both_shapes():
         ad.affine(Tensor(np.zeros(2)), p(np.zeros((4, 3)), "w"), p(np.zeros(4), "b"))
 
 
-def test_add_values_and_gradient_reach_both_inputs():
+def test_embed_equals_the_gather_add_chain_bit_for_bit():
+    # three tables, repeated and unused rows, and an intermediate tensor
+    # among the tables: values, tape length and every table gradient
+    indices = [np.array([0, 2, 2, 1, 0, 2]), np.array([3, 3, 3, 0, 1, 3]), np.full(6, 1)]
+    runs = []
+    for op in (ad.embed, reference_embed):
+        rng = np.random.default_rng(21)
+        params = [p(rng.normal(size=(3, 4)), "a"), p(rng.normal(size=(5, 4)), "b"),
+                  p(rng.normal(size=(2, 4)), "c")]
+        weights = rng.normal(size=(6, 4))
+        with ComputeRecord() as rec:
+            tables = [params[0], ad.scale(params[1], 1.0), params[2]]
+            out = op(tables, indices)
+            loss = ad.mean_abs_error([ad.scale(out, weights)], np.full(24, -100.0))
+        steps = len(rec)
+        backward(loss, rec)
+        runs.append((steps, out.values, loss.item(), [x.grad for x in params]))
+    (fused_steps, *fused), (chain_steps, *chain) = runs
+    assert (fused_steps, chain_steps) == (4, 8)  # the op, two scales and the loss
+    assert np.array_equal(fused[0], chain[0]) and fused[1] == chain[1]
+    for got, want in zip(fused[2], chain[2], strict=True):
+        assert np.array_equal(got, want)
+    # a row read twice gets both gradients; a row nobody read gets none
+    a_grad, b_grad, _ = fused[2]
+    assert np.array_equal(b_grad[2], np.zeros(4)) and np.array_equal(b_grad[4], np.zeros(4))
+    assert b_grad[3].any() and a_grad.all()
+
+    # by hand, with two tables: the sum, and the gradient reaching both
     a = p([[1.0, -2.0], [3.0, 0.5]], "a")
     b = p([[0.25, 4.0], [-3.0, 1.0]], "b")
     with ComputeRecord() as rec:
-        total = ad.add(a, b)
+        total = ad.embed([a, b], [[0, 1], [0, 1]])
         loss = ad.mean_abs_error([ad.scale(total, [[1.0, 2.0]])], np.full(4, -10.0))
     assert np.array_equal(total.values, [[1.25, 2.0], [0.0, 1.5]])
     backward(loss, rec)
     expected = np.tile([[0.25, 0.5]], (2, 1))
     assert np.array_equal(a.grad, expected) and np.array_equal(b.grad, expected)
-    with pytest.raises(DimensionError, match=r"\(2, 2\).*\(2,\)"):
-        ad.add(a, Tensor([1.0, 2.0]))
+
+
+def test_embed_rejects_bad_indices_and_shapes():
+    a, b = p(np.zeros((3, 2)), "a"), p(np.zeros((4, 2)), "b")
+    for bad in (3, -1):
+        with pytest.raises(IndexError, match=r"\[0, 3\)"):
+            ad.embed([a, b], [[0, bad], [0, 1]])
+    with pytest.raises(IndexError, match=r"\[0, 4\)"):
+        ad.embed([a, b], [[0, 1], [0, 4]])
+    with pytest.raises(DimensionError, match=r"\(3, 2\).*\(4, 3\)"):
+        ad.embed([a, p(np.zeros((4, 3)), "wide")], [[0], [0]])
+    with pytest.raises(DimensionError, match=r"\(2,\).*\(3,\)"):
+        ad.embed([a, b], [[0, 1], [0, 1, 2]])
+    with pytest.raises(DimensionError):
+        ad.embed([a, b], [[0, 1]])
 
 
 # atoms 0-2 joined by five directed edges, atom 0 the source of three;
@@ -148,6 +188,34 @@ def test_message_layer_weight_gradient_lands_in_both_adam_column_halves():
     moved = opt._theta != theta
     assert np.array_equal(moved[lo:hi].reshape(d, 2 * d), grad != 0.0)
     assert not moved[:lo].any()
+
+
+def test_activated_message_layer_equals_relu_of_the_layer_bit_for_bit():
+    d = 3
+    runs = []
+    for fused in (True, False):
+        rng = np.random.default_rng(17)
+        nodes = p(rng.normal(size=(4, d)), "h")
+        table = p(rng.normal(size=(EDGE_TYPES, d)), "edge_table")
+        layer = _layer_params(rng, d)
+        weights = rng.normal(size=(4, d))
+        with ComputeRecord() as rec:
+            h = ad.scale(nodes, 1.0)  # an intermediate input, as in a model
+            if fused:
+                out = ad.message_layer(h, table, *layer, SMALL_GRAPH, activate=True)
+            else:
+                out = ad.relu(ad.message_layer(h, table, *layer, SMALL_GRAPH))
+            loss = ad.mean_abs_error([ad.scale(out, weights)], np.full(4 * d, -100.0))
+        steps = len(rec)
+        backward(loss, rec)
+        runs.append((steps, out.values, loss.item(), [x.grad for x in (nodes, table, *layer)]))
+    (fused_steps, *fused), (chain_steps, *chain) = runs
+    assert (fused_steps, chain_steps) == (4, 5)
+    assert 0 < (fused[0] > 0).sum() < fused[0].size  # the relu passes and blocks
+    assert np.array_equal(fused[0], chain[0]) and fused[1] == chain[1]
+    for got, want in zip(fused[2], chain[2], strict=True):
+        assert np.array_equal(got, want)
+        assert got.any()
 
 
 def test_message_layer_shape_error_names_the_shapes():
@@ -444,6 +512,27 @@ def test_flat_adam_matches_per_array_adam_bit_for_bit():
         for p, e in zip(params, expected):
             assert np.array_equal(p.values, e)
     assert opt.t == 300
+
+
+def test_folded_adam_matches_the_textbook_order_within_rounding():
+    # the bias corrections folded into the step size and eps change only
+    # rounding: gradients over 8 decades, and a zero gradient from step 1
+    rng = np.random.default_rng(12)
+    shapes = [(40, 3), (7,), (64,)]
+    initial = [rng.normal(size=shape) for shape in shapes]
+    grad_steps = []
+    for _ in range(300):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
+                 for shape in shapes]
+        grads[0][0] = 0.0
+        grad_steps.append(grads)
+    folded = reference_adam(initial, grad_steps, lr=3e-3)
+    textbook = reference_adam(initial, grad_steps, lr=3e-3, folded=False)
+    for step, (got, want) in enumerate(zip(folded, textbook), start=1):
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=0, err_msg=f"step {step}")
+    assert any(not np.array_equal(a, b) for a, b in zip(got, want))  # rounding, not identity
+    assert np.array_equal(got[0][0], initial[0][0])
 
 
 def test_state_io_reads_and_writes_the_optimizer_buffer():

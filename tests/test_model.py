@@ -24,6 +24,7 @@ from hsqcnet.train import Sample1D, SampleHSQC, TrainConfig, _finetune_loss, mtt
 from helpers import (
     reference_ch_bonds,
     reference_edge_arrays,
+    reference_embed,
     reference_encode,
     reference_heads,
     reference_mlp_head,
@@ -353,7 +354,7 @@ def test_graph_index_rejects_out_of_range_edges(field, bad):
         GraphIndex(**arrays)
 
 
-def test_each_encoder_layer_adds_at_most_two_tape_steps():
+def test_each_encoder_layer_adds_one_tape_step():
     molecule = prepare_molecule("CC(=O)O")
     carbons = [0, 1]
     steps = []
@@ -363,7 +364,7 @@ def test_each_encoder_layer_adds_at_most_two_tape_steps():
         with ad.ComputeRecord() as rec:
             model.head_outputs(molecule, SolventClass.DMSO, carbons)
         steps.append(len(rec))
-    assert all(0 < b - a <= 2 for a, b in zip(steps, steps[1:])), steps
+    assert [b - a for a, b in zip(steps, steps[1:])] == [1, 1, 1], steps
 
 
 def _assert_edges_match_walk(graph):
@@ -532,6 +533,39 @@ def test_fused_heads_equal_the_affine_relu_chain_bit_for_bit(monkeypatch, solven
         runs.append((steps, values))
     (fused_steps, fused), (chain_steps, chain) = runs
     assert [c - f for f, c in zip(fused_steps, chain_steps)] == [8, 8]  # 5 + 5 entries -> 1 + 1
+    for got, want in zip(fused, chain, strict=True):
+        assert np.array_equal(got, want)
+
+
+def _unfused_message_layer(*args, activate=False, _layer=ad.message_layer):
+    out = _layer(*args)
+    return ad.relu(out) if activate else out
+
+
+@pytest.mark.parametrize("num_layers", [1, 3])
+def test_fused_encoder_equals_the_gather_add_relu_chain_bit_for_bit(monkeypatch, num_layers):
+    # the embedding sums and the inter-layer relus, fused and as separate
+    # ops: head outputs, loss and every parameter gradient
+    config = ModelConfig(num_layers=num_layers, atom_dim=16, solvent_dim_h=4,
+                         mlp_hidden=(12, 8), seed=5)
+    molecule = prepare_molecule("CC(=O)OCc1ccccc1")
+    carbons = [0, 1, 4, 5, 6, 8]
+    runs = []
+    for embed, layer in ((ad.embed, ad.message_layer), (reference_embed, _unfused_message_layer)):
+        monkeypatch.setattr(ad, "embed", embed)
+        monkeypatch.setattr(ad, "message_layer", layer)
+        model = CrossPeakModel(config)
+        with ad.ComputeRecord() as rec:
+            raw_c, raw_h = model.head_outputs(molecule, SolventClass.CHLOROFORM, carbons)
+            loss = ad.mean_abs_error([raw_c, raw_h], np.linspace(-1.0, 1.0, 3 * len(carbons)))
+        steps = len(rec)
+        ad.backward(loss, rec)
+        grads = [p.grad.copy() for p in model.parameters()]
+        assert all(g.any() for g in grads)
+        runs.append((steps, [raw_c.values, raw_h.values, loss.values, *grads]))
+    (fused_steps, fused), (chain_steps, chain) = runs
+    # 3 + 2 gathers and 2 + 1 adds -> 2 embeddings, and one relu per inner layer
+    assert chain_steps - fused_steps == 6 + num_layers - 1
     for got, want in zip(fused, chain, strict=True):
         assert np.array_equal(got, want)
 

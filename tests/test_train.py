@@ -260,9 +260,9 @@ def test_pretrain_tape_length_does_not_grow_with_targets(monkeypatch, desk_confi
     mtt_pretrain([methanol, targets], TrainConfig(epochs=1, batch_size=1, oversample_factor=1,
                                                   validation_split=0.0),
                  model_config=desk_config)
-    # 11 gathers, 5 message layers, 4 relus, 3 adds, 3 scales, 2 heads,
+    # 6 gathers, 5 message layers, 3 scales, 2 embeddings, 2 heads,
     # 2 segment sums and the loss
-    assert tapes == [31, 31]
+    assert tapes == [21, 21]
 
 
 def test_oversample_factor_one_sees_each_sample_once():
