@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -72,6 +72,26 @@ def check_real(name: str, value, positive: bool = False) -> None:
     if not (is_finite_real(value) and (value > 0 or not positive)):
         kind = "positive finite" if positive else "finite"
         raise ValueError(f"{name} must be a {kind} number, got {value!r}")
+
+
+def config_from_json(cls, raw, section: str, **overrides):
+    """``cls(**raw, **overrides)`` for a config dataclass read from a JSON
+    object. A non-object and an unknown key raise ValueError naming
+    ``section``; a field whose default is a config class (``MatchSettings.ga``)
+    reads its own object, as section ``<section>.<field>``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"section {section!r} must be a JSON object, got {type(raw).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in section {section!r}; "
+                         f"expected some of {list(known)}")
+    kwargs = {**raw, **overrides}
+    for name, value in raw.items():
+        nested = known[name].default_factory
+        if is_dataclass(nested):
+            kwargs[name] = config_from_json(nested, value, f"{section}.{name}")
+    return cls(**kwargs)
 
 
 def ingest_peaks(pairs) -> list[ObservedPeak]:

@@ -4,20 +4,19 @@ Everything is float64. Forward primitives record their adjoints on the
 active ComputeRecord; ``backward`` replays the record in reverse and
 accumulates gradients into the participating Parameters. Ops work on row
 batches, and the op set is exactly what the matrix-form message-passing
-model needs: ``gather`` (rows or elements), ``embed`` (the sum of rows
-of several tables, one embedding lookup), ``affine`` maps (of one input, or
-of parts read by weight column block), ``relu``, ``segment_sum`` (rows
+model needs, seven ops: ``gather`` (rows or elements), ``embed`` (the sum
+of rows of several tables, one embedding lookup), ``segment_sum`` (rows
 summed onto segments), ``scale`` by a constant, the fused L1 loss
 ``mean_abs_error``, and two fused ops with hand-written adjoints:
 ``message_layer``, one whole message-passing layer (with its update
 activation, or without it for the last layer), and ``mlp_head``, three
-affine maps with a relu after the first two. Both equal their chains of
-ops bit for bit, as ``embed`` equals its gathers summed in table order.
-``affine`` and ``mlp_head`` share one block-column rule. Every scatter-add,
-a Parameter's gather adjoint included, is one ``bincount`` onto zeros,
-which sums in input order exactly as ``np.add.at`` does; the layer reads
-its flat slots from a per-graph cache. A desk-scale pre-training step
-records 21 tape entries.
+affine maps with a relu after the first two, its first map reading its
+inputs by weight column block. Both equal their chains of affine and
+relu ops bit for bit, as ``embed`` equals its gathers summed in table
+order. Every scatter-add, a Parameter's gather adjoint included, is one
+``bincount`` onto zeros, which sums in input order exactly as
+``np.add.at`` does; the layer reads its flat slots from a per-graph
+cache. A desk-scale training step records 20 tape entries.
 
 ``Adam`` packs its parameters into one flat value buffer and one flat
 gradient buffer and makes each Parameter's ``values`` and ``grad`` views
@@ -213,7 +212,7 @@ def embed(tables: list[Tensor], indices) -> Tensor:
 
 
 def _column_blocks(shapes, weight: Parameter, bias: Parameter, op: str):
-    """The block-column rule of ``affine`` and ``mlp_head``: inputs of
+    """The block-column rule of ``mlp_head``'s affine maps: inputs of
     ``shapes`` joined along features, never built. Each input meets its own
     block of weight columns, and a one-dimensional input is a row shared by
     the batch. Returns each input's column slice and the output's shape;
@@ -257,34 +256,6 @@ def _block_adjoint(g, arrays, weight: Parameter, bias: Parameter, columns, acc) 
     acc(weight, g_weight)
     acc(bias, g_rows.sum(axis=0))
     return grads
-
-
-def affine(x: Tensor | list[Tensor], weight: Parameter, bias: Parameter) -> Tensor:
-    """``x @ weight.T + bias`` for a vector or a batch of rows, or for a list of
-    parts joined along features, never built: each part meets its own block
-    of weight columns, and a one-dimensional part is a row shared by the batch."""
-    parts = x if isinstance(x, list) else [x]
-    arrays = [part.values for part in parts]
-    columns, _ = _column_blocks([a.shape for a in arrays], weight, bias, "affine")
-    out = Tensor(_block_values(arrays, weight, bias, columns))
-    tape = _tape()
-    if tape is not None:
-
-        def adjoint(g, acc):
-            for part, grad in zip(parts, _block_adjoint(g, arrays, weight, bias, columns, acc)):
-                acc(part, grad)
-
-        tape._push(out, adjoint)
-    return out
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.values, 0.0))
-    tape = _tape()
-    if tape is not None:
-        mask = x.values > 0.0
-        tape._push(out, lambda g, acc: acc(x, g * mask))
-    return out
 
 
 def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
@@ -398,11 +369,13 @@ def mlp_head(
     b3: Parameter,
 ) -> Tensor:
     """A three-layer head as one op:
-    ``affine(relu(affine(relu(affine(parts, w1, b1)), w2, b2)), w3, b3)``,
-    the first map reading ``parts`` by weight column block as ``affine``
-    does. Values and gradients equal those of that chain of ops bit for bit:
-    the same expressions in the same order, in one tape entry where the
-    chain records five."""
+    ``affine(relu(affine(relu(affine(parts, w1, b1)), w2, b2)), w3, b3)``
+    with ``affine(x, w, b) = x @ w.T + b``, the first map reading ``parts``
+    joined along features, never built: each part meets its own block of
+    weight columns, and a one-dimensional part is a row shared by the batch.
+    Values and gradients equal those of that chain of affine and relu ops
+    bit for bit: the same expressions in the same order, in one tape entry
+    where the chain records five."""
     arrays = [part.values for part in parts]
     columns1, shape1 = _column_blocks([a.shape for a in arrays], w1, b1, "mlp_head layer 1")
     columns2, shape2 = _column_blocks([shape1], w2, b2, "mlp_head layer 2")

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .assign import (
-    GASettings, MatchSettings, MatchingError, ingest_peaks, is_integer, pseudo_annotate,
+    MatchSettings, MatchingError, config_from_json, ingest_peaks, is_integer, pseudo_annotate,
 )
 from .dataio import (
     KINDS,
@@ -113,24 +113,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> tuple[ModelConfig, TrainConfig, MatchSettings]:
     raw = parse_json(args.config.read_text()) if args.config is not None else {}
-    try:  # a TypeError here is a malformed config: a wrong shape or key
+    seed = {} if args.seed is None else {"seed": args.seed}
+    try:
         if not isinstance(raw, dict):
-            raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+            raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
         names = ("model", "train", "match")
         unknown = sorted(set(raw) - set(names))
         if unknown:
-            raise TypeError(f"unknown config section(s) {unknown}; expected {list(names)}")
-        sections = {name: raw.get(name, {}) for name in names}
-        for name, section in sections.items():
-            if not isinstance(section, dict):
-                raise TypeError(f"section {name!r} must be a JSON object")
-        model_kw, train_kw, match_kw = (dict(section) for section in sections.values())
-        if args.seed is not None:
-            model_kw["seed"] = args.seed
-            train_kw["seed"] = args.seed
-        match = MatchSettings(ga=GASettings(**match_kw.pop("ga", {})), **match_kw)
-        return ModelConfig(**model_kw), TrainConfig(**train_kw), match
-    except TypeError as exc:
+            raise ValueError(f"unknown config section(s) {unknown}; expected {list(names)}")
+        return (
+            config_from_json(ModelConfig, raw.get("model", {}), "model", **seed),
+            config_from_json(TrainConfig, raw.get("train", {}), "train", **seed),
+            config_from_json(MatchSettings, raw.get("match", {}), "match"),
+        )
+    except ValueError as exc:
+        if args.config is None:
+            raise
         raise ValueError(f"{args.config}: {exc}") from exc
 
 

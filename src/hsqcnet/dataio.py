@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assign import ingest_peaks, is_finite_real, is_integer
+from .assign import config_from_json, ingest_peaks, is_finite_real, is_integer
 from .model import CrossPeakModel, ModelConfig, SolventClass, check_state, prepare_molecule
 from .smiles import SmilesParseError, canonical_smiles
 from .smiles import parse_smiles  # noqa: F401  (benchmarks/tracing.py wraps dataio.parse_smiles)
@@ -344,8 +344,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"(this build reads version {FORMAT_VERSION})"
         )
     try:
-        config = ModelConfig(**header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+        config = config_from_json(ModelConfig, header.get("config"), "config")
+    except ValueError as exc:
         raise CheckpointError(f"{path}: bad model config in header ({exc})") from exc
     provenance = header.get("provenance")
     manifest = header.get("params")

@@ -19,13 +19,20 @@ no forward pass walks the graph's adjacency lists), and a learned solvent
 vector. Each head (three affine maps, two relus) is one tape op,
 ``autodiff.mlp_head``, whose first map reads its inputs by weight column
 block, so a solvent vector is one row shared by every carbon.
+``head_outputs(molecule, solvent, rows)`` is the one head evaluation: for
+the k carbons of a ``HeadRows`` it gives the carbon head's (k, 1) output
+and the proton head's (k, 2) pair, as the heads emit them.
 Symmetry-equivalent units emit through one representative; methylene
-units may emit two peaks, and ``proton_outputs`` is the one rule for
-which proton output a (carbon, slot) target reads. The index arrays of a
-head evaluation (``HeadRows``), of that rule (``ProtonReads``) and of a
-set of 1D targets (``ShiftReads``) are built by one function each; a 1D
-training sample builds its ``ShiftReads`` once, so a desk-scale
-pre-training step records 21 tape entries and rebuilds no index array.
+units may emit two peaks, and ``ProtonReads`` is the one rule for which
+proton output a (carbon, slot) target reads: the slot's own column when
+its carbon emits two peaks, else the mean of the pair. The index arrays
+of a head evaluation (``HeadRows``) and of that rule (``ProtonReads``)
+are built by one function each; a ``ShiftReads`` joins them with the
+carbon outputs a set of shift targets reads. A training item builds its
+``ShiftReads`` once (``ShiftReads.of`` for a 1D sample at construction,
+``train.LabelTarget.of`` for a molecule's pseudo-labels once per
+fine-tuning iteration), so a desk-scale step of either training stage
+records 20 tape entries and rebuilds no index array.
 """
 
 from __future__ import annotations
@@ -297,16 +304,14 @@ def check_state(config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
 class HeadRows:
     """The arrays one head evaluation reads for an array of k carbons: the
     carbons, the hydrogen of each of their C-H bonds (``h_index``, with its
-    carbon's row in ``h_row``), each row's hydrogen-mean weight
+    carbon's row in ``h_row``) and each row's hydrogen-mean weight
     ``1 / max(count, 1)`` (a carbon without hydrogens, a 1D carbon target,
-    gets a zero mean) and the index that reads the carbon head's one
-    output column as a (k,) array."""
+    gets a zero mean)."""
 
     carbons: np.ndarray
     h_index: np.ndarray
     h_row: np.ndarray
     h_weight: np.ndarray
-    c_column: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def of(cls, molecule: Molecule, carbons) -> "HeadRows":
@@ -319,15 +324,17 @@ class HeadRows:
         h_index = molecule.ch_hydrogen[
             np.arange(len(h_row)) + (lo - counts.cumsum() + counts).repeat(counts)
         ]
-        return cls(carbons, h_index, h_row, 1.0 / np.maximum(counts, 1)[:, None],
-                   (np.arange(k), np.zeros(k, np.intp)))
+        return cls(carbons, h_index, h_row, 1.0 / np.maximum(counts, 1)[:, None])
 
 
 @dataclass(frozen=True)
 class ProtonReads:
-    """The ``proton_outputs`` rule for a list of targets as arrays: the
-    (row, column) of the proton-pair outputs each target's two terms read,
-    their weights, and the target each term sums onto."""
+    """The proton output each (carbon, slot) target reads, from the (k, 2)
+    proton-pair outputs: the slot's own column when its carbon emits two
+    peaks (``two_peak``), else the mean of the pair; ``rows`` picks each
+    target's row. As arrays: the (row, column) of the outputs each
+    target's two terms read, their weights, and the target each term sums
+    onto."""
 
     index: tuple[np.ndarray, np.ndarray]
     weight: np.ndarray
@@ -350,30 +357,24 @@ class ProtonReads:
         return ad.segment_sum(ad.scale(picked, self.weight), self.segments, len(self.weight) // 2)
 
 
-def proton_outputs(raw_h: Tensor, rows, slots, two_peak) -> Tensor:
-    """The proton output each (carbon, slot) target reads, from the
-    (k, 2) proton-pair outputs: the slot's own column when its carbon emits
-    two peaks, else the mean of the pair. ``rows`` picks each target's row
-    of ``raw_h``; ``two_peak`` says whether its carbon emits two peaks."""
-    return ProtonReads.of(rows, slots, two_peak).outputs(raw_h)
-
-
 @dataclass(frozen=True)
 class ShiftReads:
-    """The arrays one evaluation of 1D targets reads, built once per
-    target set: the head rows (the carbon targets' carbons, then each
-    proton target's carbon, each carbon once), the head row of each carbon
-    target, and the proton reads (each proton target reads the mean of its
-    carbon's two proton outputs: 1D references average inequivalent
-    protons).
+    """The arrays one evaluation of shift targets reads, built once per
+    target set: the head rows, the (row, 0) element of the carbon head's
+    (k, 1) output each carbon target reads (``carbon``), and the proton
+    reads.
 
-    Carbon targets may name any carbon. Proton targets name hydrogen atoms;
-    a hydrogen's carbon is the first carbon in its own adjacency (its edges
-    in ``molecule.index`` run in that order). A target atom the model cannot
+    ``of`` builds them for 1D targets: the head rows are the carbon
+    targets' carbons, then each proton target's carbon, each carbon once,
+    and each proton target reads the mean of its carbon's two proton
+    outputs (1D references average inequivalent protons). Carbon targets
+    may name any carbon. Proton targets name hydrogen atoms; a hydrogen's
+    carbon is the first carbon in its own adjacency (its edges in
+    ``molecule.index`` run in that order). A target atom the model cannot
     cover raises ValueError."""
 
     heads: HeadRows
-    carbon_rows: np.ndarray
+    carbon: tuple[np.ndarray, np.ndarray]
     protons: ProtonReads
 
     @classmethod
@@ -395,9 +396,10 @@ class ShiftReads:
         carbons = list(dict.fromkeys([*need_c, *carbon_of]))
         row = {carbon: r for r, carbon in enumerate(carbons)}
         n = len(carbon_of)
+        c_rows = np.array([row[idx] for idx in need_c], dtype=np.intp)
         return cls(
             HeadRows.of(molecule, carbons),
-            np.array([row[idx] for idx in need_c], dtype=np.intp),
+            (c_rows, np.zeros(len(c_rows), np.intp)),
             ProtonReads.of([row[c] for c in carbon_of], [1] * n, [False] * n),
         )
 
@@ -469,27 +471,22 @@ class CrossPeakModel:
         return ad.mlp_head(x, *(p[f"{prefix}.{name}"] for name in _HEAD_PARAMETERS))
 
     def head_outputs(
-        self, molecule: Molecule, solvent: SolventClass, carbons
+        self, molecule: Molecule, solvent: SolventClass, rows: HeadRows
     ) -> tuple[Tensor, Tensor]:
-        """One forward pass: raw carbon outputs (k,) and raw proton-pair
-        outputs (k, 2) for an array of k carbon indices.
+        """One forward pass: the raw carbon outputs (k, 1) and raw
+        proton-pair outputs (k, 2) of the k carbons of ``rows``.
 
         The carbon head reads the carbon's final embedding (plus the carbon
         solvent vector when configured); the proton head reads the carbon
         embedding, the mean embedding of its bonded hydrogens, and the
         proton solvent vector. Each head is one ``autodiff.mlp_head`` op.
         """
-        return self._head_outputs(molecule, solvent, HeadRows.of(molecule, carbons))
-
-    def _head_outputs(
-        self, molecule: Molecule, solvent: SolventClass, rows: HeadRows
-    ) -> tuple[Tensor, Tensor]:
         final = self.encode_atoms(molecule.index)[-1]
         h_c = ad.gather(final, rows.carbons)
         c_in = [h_c]
         if self.config.solvent_dim_c > 0:
             c_in.append(self.encode_solvent(solvent, "embed.solvent_c"))
-        raw_c = ad.gather(self._mlp("c_head", c_in), rows.c_column)
+        raw_c = self._mlp("c_head", c_in)
         h_mean = ad.scale(
             ad.segment_sum(ad.gather(final, rows.h_index), rows.h_row, len(rows.carbons)),
             rows.h_weight,
@@ -506,7 +503,7 @@ class CrossPeakModel:
         cfg = self.config
         units = [u for u in molecule.units if u.is_representative]
         raw_c, raw_h = self.head_outputs(
-            molecule, solvent, [u.carbon_index for u in units]
+            molecule, solvent, HeadRows.of(molecule, [u.carbon_index for u in units])
         )
         pair_ppm = self.ppm_h(raw_h.values)
         rows: list[int] = []
@@ -520,8 +517,8 @@ class CrossPeakModel:
                 rows.append(row)
                 slots.append(slot)
                 split.append(two)
-        protons = proton_outputs(raw_h, rows, slots, split)
-        delta_c = self.ppm_c(raw_c.values[rows])
+        protons = ProtonReads.of(rows, slots, split).outputs(raw_h)
+        delta_c = self.ppm_c(raw_c.values[rows, 0])
         delta_h = self.ppm_h(protons.values)
         finite = np.isfinite(delta_c) & np.isfinite(delta_h)
         if not finite.all():
@@ -554,8 +551,8 @@ class CrossPeakModel:
             reads = ShiftReads.of(molecule, need_c, need_h)
         elif len(need_c) or len(need_h):
             raise TypeError("give the target lists or their reads, not both")
-        raw_c, raw_h = self._head_outputs(molecule, solvent, reads.heads)
-        return ad.gather(raw_c, reads.carbon_rows), reads.protons.outputs(raw_h)
+        raw_c, raw_h = self.head_outputs(molecule, solvent, reads.heads)
+        return ad.gather(raw_c, reads.carbon), reads.protons.outputs(raw_h)
 
     # -- unit conversions ----------------------------------------------------
 

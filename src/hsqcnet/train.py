@@ -6,9 +6,13 @@ proton-bearing minority. Stage two fine-tunes on unlabeled peak lists by
 alternating pseudo-annotation (matching predictions to observations) with
 training on the matched targets, until the assignments stop moving or the
 iteration cap hits. Both stages train through one minibatch loop,
-``_fit_epoch``, and score a sample by one rule, ``_ppm_l1``: the L1 error
-of an array of carbon outputs and an array of proton outputs against
-shifts in ppm. Without a validation set, the one annotation sweep
+``_fit_epoch``, on items of one shape: a molecule, a solvent, the
+model's ``ShiftReads`` of the targets and the target shifts in ppm (a
+``Sample1D``, or a ``LabelTarget`` built from a molecule's pseudo-labels
+once per iteration). One loss, ``_loss``, scores either: the L1 error
+of the carbon and proton outputs the reads pick against those shifts
+(``masked_mtt_loss``), a desk-scale step recording 20 tape entries.
+Without a validation set, the one annotation sweep
 after each fine-tuning round both scores the trained weights (the matched
 MAE is a function of the labels alone) and labels the next round; the
 iteration's initial loss is read from the labels too.
@@ -35,11 +39,12 @@ from .assign import (
 from .autodiff import Adam, ComputeRecord, Tensor, backward
 from .model import (
     CrossPeakModel,
+    HeadRows,
     ModelConfig,
     Molecule,
+    ProtonReads,
     ShiftReads,
     SolventClass,
-    proton_outputs,
 )
 
 log = logging.getLogger(__name__)
@@ -121,46 +126,37 @@ class TrainResult:
     best_epoch: int
 
 
-def _ppm_l1(
-    config: ModelConfig, outputs: tuple[Tensor, Tensor], delta_c, delta_h
+def masked_mtt_loss(
+    sample: Sample1D | LabelTarget, predictions: tuple[Tensor, Tensor], model: CrossPeakModel
 ) -> Tensor:
     """The L1 rule of both stages: mean |shift - target| over the raw carbon
-    and proton outputs against targets in ppm, in output order.
+    and proton outputs against the sample's ``c_ppm`` and ``h_ppm``, in
+    output order.
 
-    Residuals are taken in ppm and divided by the modality's scale, so a
-    target equal to the model's own prediction in ppm gives exactly zero
-    loss and gradient. An absent modality contributes no term, hence no
-    gradient to its head. A modality whose output and target counts differ
-    raises ``DimensionError``.
+    ``predictions`` are the raw (carbon, proton) outputs that
+    ``atom_shift_tensors`` gives for the sample's reads. Residuals are taken
+    in ppm and divided by the modality's scale, so a target equal to the
+    model's own prediction in ppm gives exactly zero loss and gradient. An
+    absent modality contributes no term, hence no gradient to its head. A
+    modality whose output and target counts differ raises ``DimensionError``.
     """
-    counts = [len(delta_c), len(delta_h)]
-    sizes = [out.values.size for out in outputs]
+    config = model.config
+    counts = [len(sample.c_ppm), len(sample.h_ppm)]
+    sizes = [out.values.size for out in predictions]
     if sizes != counts:
         raise ad.DimensionError(f"(carbon, proton) outputs {sizes} vs targets {counts}")
     return ad.mean_abs_error(
-        list(outputs),
-        np.concatenate([delta_c, delta_h]),
+        list(predictions),
+        np.concatenate([sample.c_ppm, sample.h_ppm]),
         scale=np.repeat([config.c_scale, config.h_scale], counts),
         center=np.repeat([config.c_center, config.h_center], counts),
     )
 
 
-def masked_mtt_loss(
-    sample: Sample1D, predictions: tuple[Tensor, Tensor], model: CrossPeakModel
-) -> Tensor:
-    """Mean absolute error over the targets the sample actually carries.
-
-    ``predictions`` are the raw (carbon, proton) outputs that
-    ``atom_shift_tensors`` gives for the sample's target atoms, each
-    modality in atom order; the loss is the rule fine-tuning uses, with
-    residuals in ppm.
-    """
-    return _ppm_l1(model.config, predictions, sample.c_ppm, sample.h_ppm)
-
-
-def _pretrain_loss(model: CrossPeakModel, sample: Sample1D) -> Tensor:
-    outputs = model.atom_shift_tensors(sample.molecule, sample.solvent, reads=sample.reads)
-    return masked_mtt_loss(sample, outputs, model)
+def _loss(model: CrossPeakModel, item: Sample1D | LabelTarget) -> Tensor:
+    """The training loss of a ``Sample1D`` or a ``LabelTarget``."""
+    outputs = model.atom_shift_tensors(item.molecule, item.solvent, reads=item.reads)
+    return masked_mtt_loss(item, outputs, model)
 
 
 def dataset_mae(model: CrossPeakModel, dataset: list[Sample1D]) -> tuple[float, float]:
@@ -188,13 +184,13 @@ def _selection_metric(mae_c: float, mae_h: float, config: ModelConfig) -> float:
     return max(c, h)
 
 
-def _fit_epoch(model: CrossPeakModel, optimizer: Adam, items: list, batch_size: int,
-               loss_of) -> list[float]:
+def _fit_epoch(model: CrossPeakModel, optimizer: Adam, items: list,
+               batch_size: int) -> list[float]:
     """One pass over ``items`` in order, one optimizer step per minibatch.
 
-    ``loss_of(model, item)`` gives an item's loss; each is scaled by
-    1 / batch length, so a batch's gradient is the mean over its items.
-    Returns the batch losses (sums of the scaled item losses), in order.
+    Each item's ``_loss`` is scaled by 1 / batch length, so a batch's
+    gradient is the mean over its items. Returns the batch losses (sums of
+    the scaled item losses), in order.
     """
     losses: list[float] = []
     for lo in range(0, len(items), batch_size):
@@ -203,7 +199,7 @@ def _fit_epoch(model: CrossPeakModel, optimizer: Adam, items: list, batch_size: 
         batch_loss = 0.0
         for item in batch:
             with ComputeRecord() as record:
-                loss = ad.scale(loss_of(model, item), 1.0 / len(batch))
+                loss = ad.scale(_loss(model, item), 1.0 / len(batch))
             backward(loss, record)
             batch_loss += loss.item()
         optimizer.step()
@@ -254,8 +250,7 @@ def mtt_pretrain(
         rng = np.random.default_rng([config.seed, 7, epoch])
         order = [base_order[k] for k in rng.permutation(len(base_order))]
         batch_losses = _fit_epoch(
-            model, optimizer, [train_samples[i] for i in order], config.batch_size,
-            _pretrain_loss,
+            model, optimizer, [train_samples[i] for i in order], config.batch_size
         )
         epoch_loss = 0.0
         for batch_loss in batch_losses:  # in order, as the batches ran
@@ -302,36 +297,47 @@ class FinetuneResult:
     converged: bool
 
 
-def _finetune_loss(
-    model: CrossPeakModel, sample: SampleHSQC, labels: PseudoLabels
-) -> Tensor:
-    """L1 loss of the sample's head outputs against its pseudo-labels.
+@dataclass(frozen=True)
+class LabelTarget:
+    """A molecule's pseudo-labels as a training item, the fields ``_loss``
+    reads from a ``Sample1D``: the labels in (carbon, slot) order, their
+    ``ShiftReads`` and their observed shifts in ppm.
 
-    Labels address (carbon, slot); slot 2 present for a carbon means its
-    two proton outputs were emitted separately at annotation time,
+    A slot-2 label for a carbon means its two proton outputs were emitted
+    separately at annotation time, so each slot trains its own output;
     otherwise the single label trains the slot mean. This keeps the loss
     well-defined even if the merge decision flips during the iteration.
-    Residuals are taken in ppm, as the peaks were emitted (``_ppm_l1``).
     """
-    entries = sorted(labels.entries, key=lambda e: (e.carbon_index, e.slot))
-    carbons = sorted({e.carbon_index for e in entries})
-    split = {e.carbon_index for e in entries if e.slot == 2}
-    row = {carbon: r for r, carbon in enumerate(carbons)}
-    rows = [row[e.carbon_index] for e in entries]
-    raw_c, raw_h = model.head_outputs(sample.molecule, sample.solvent, carbons)
-    protons = proton_outputs(
-        raw_h, rows, [e.slot for e in entries], [e.carbon_index in split for e in entries]
-    )
-    return _ppm_l1(
-        model.config, (ad.gather(raw_c, rows), protons),
-        [e.delta_c for e in entries], [e.delta_h for e in entries],
-    )
+
+    molecule: Molecule
+    solvent: SolventClass
+    reads: ShiftReads
+    c_ppm: np.ndarray
+    h_ppm: np.ndarray
+
+    @classmethod
+    def of(cls, sample: SampleHSQC, labels: PseudoLabels) -> "LabelTarget":
+        entries = sorted(labels.entries, key=lambda e: (e.carbon_index, e.slot))
+        carbons = sorted({e.carbon_index for e in entries})
+        split = {e.carbon_index for e in entries if e.slot == 2}
+        row = {carbon: r for r, carbon in enumerate(carbons)}
+        rows = np.array([row[e.carbon_index] for e in entries], dtype=np.intp)
+        reads = ShiftReads(
+            HeadRows.of(sample.molecule, carbons),
+            (rows, np.zeros(len(rows), np.intp)),
+            ProtonReads.of(rows, [e.slot for e in entries],
+                           [e.carbon_index in split for e in entries]),
+        )
+        return cls(sample.molecule, sample.solvent, reads,
+                   np.array([e.delta_c for e in entries], dtype=np.float64),
+                   np.array([e.delta_h for e in entries], dtype=np.float64))
 
 
 def _label_loss(config: ModelConfig, labels: PseudoLabels) -> float:
-    """``_finetune_loss`` at the weights that made ``labels``, bit for bit: each
-    entry keeps the predicted shifts that loss reads, so the labels alone give
-    its ppm residuals over ``c_scale``/``h_scale``, in (carbon, slot) order."""
+    """``_loss`` of the labels' ``LabelTarget`` at the weights that made
+    ``labels``, bit for bit: each entry keeps the predicted shifts that loss
+    reads, so the labels alone give its ppm residuals over
+    ``c_scale``/``h_scale``, in (carbon, slot) order."""
     entries = sorted(labels.entries, key=lambda e: (e.carbon_index, e.slot))
     c = [(e.pred_delta_c - e.delta_c) / config.c_scale for e in entries]
     h = [(e.pred_delta_h - e.delta_h) / config.h_scale for e in entries]
@@ -454,13 +460,11 @@ def finetune_unsupervised(
         iterations_run = iteration
 
         initial_loss = float(np.mean([_label_loss(model.config, lab) for _, lab in usable]))
+        targets = [LabelTarget.of(sample, lab) for sample, lab in usable]
         for epoch in range(config.epochs):
             rng = np.random.default_rng([config.seed, 13, iteration, epoch])
-            order = rng.permutation(len(usable))
-            _fit_epoch(
-                model, optimizer, [usable[k] for k in order], config.batch_size,
-                lambda m, pair: _finetune_loss(m, *pair),
-            )
+            order = rng.permutation(len(targets))
+            _fit_epoch(model, optimizer, [targets[k] for k in order], config.batch_size)
 
         swept = annotate_dataset(model, valset or dataset, match)
         labels = None if valset else swept

@@ -4,7 +4,8 @@ brute-force lexicographically smallest optimal assignment, the annealed
 graduated assignment that the one-temperature softassign replaced, the
 softassign that evaluated exp on every entry, the per-row labelling loop
 that pseudo_annotate replaced, the per-array Adam (folded, and in the
-textbook order it replaced), the gather/add chain that ``embed`` fuses, the
+textbook order it replaced), the affine and relu ops that ``mlp_head`` and
+``message_layer`` fuse, the gather/add chain that ``embed`` fuses, the
 per-edge message map that the factored one replaced, the heads with their
 joined input and the per-carbon C-H walk; and a checkpoint header rewriter
 with the malformed headers it is given."""
@@ -322,6 +323,37 @@ def reference_add(a, b):
     return out
 
 
+def reference_affine(x, weight, bias):
+    """``x @ weight.T + bias`` for a vector or a batch of rows, or for a list of
+    parts joined along features, never built, as its own tape entry: each
+    part meets its own block of weight columns (``mlp_head``'s rule), and a
+    one-dimensional part is a row shared by the batch."""
+    parts = x if isinstance(x, list) else [x]
+    arrays = [part.values for part in parts]
+    columns, _ = ad._column_blocks([a.shape for a in arrays], weight, bias, "affine")
+    out = ad.Tensor(ad._block_values(arrays, weight, bias, columns))
+    tape = ad._tape()
+    if tape is not None:
+
+        def adjoint(g, acc):
+            grads = ad._block_adjoint(g, arrays, weight, bias, columns, acc)
+            for part, grad in zip(parts, grads):
+                acc(part, grad)
+
+        tape._push(out, adjoint)
+    return out
+
+
+def reference_relu(x):
+    """``max(x, 0)`` element-wise, as its own tape entry."""
+    out = ad.Tensor(np.maximum(x.values, 0.0))
+    tape = ad._tape()
+    if tape is not None:
+        mask = x.values > 0.0
+        tape._push(out, lambda g, acc: acc(x, g * mask))
+    return out
+
+
 def reference_embed(tables, indices):
     """The chain of ops ``autodiff.embed`` fuses: one ``gather`` per table,
     added in table order, ``2 * len(tables) - 1`` tape entries."""
@@ -332,11 +364,11 @@ def reference_embed(tables, indices):
 
 
 def reference_mlp_head(parts, w1, b1, w2, b2, w3, b3):
-    """The chain of ops ``autodiff.mlp_head`` fuses: three ``affine`` maps
-    with a ``relu`` after the first two, five tape entries."""
-    h1 = ad.relu(ad.affine(parts, w1, b1))
-    h2 = ad.relu(ad.affine(h1, w2, b2))
-    return ad.affine(h2, w3, b3)
+    """The chain of ops ``autodiff.mlp_head`` fuses: three affine maps with
+    a relu after the first two, five tape entries."""
+    h1 = reference_relu(reference_affine(parts, w1, b1))
+    h2 = reference_relu(reference_affine(h1, w2, b2))
+    return reference_affine(h2, w3, b3)
 
 
 def reference_encode(model, index) -> list:
@@ -353,11 +385,11 @@ def reference_encode(model, index) -> list:
     edge = reference_embed([p["embed.bond_type"], p["embed.direction"]], [bond, direction])
     layers = [h]
     for layer in range(1, model.config.num_layers + 1):
-        messages = ad.relu(ad.affine([ad.gather(h, index.src), edge],
-                                     p[f"layer{layer}.msg.w"], p[f"layer{layer}.msg.b"]))
-        pre = ad.affine([h, ad.segment_sum(messages, index.dst, n)],
-                        p[f"layer{layer}.upd.w"], p[f"layer{layer}.upd.b"])
-        h = pre if layer == model.config.num_layers else ad.relu(pre)
+        messages = reference_relu(reference_affine(
+            [ad.gather(h, index.src), edge], p[f"layer{layer}.msg.w"], p[f"layer{layer}.msg.b"]))
+        pre = reference_affine([h, ad.segment_sum(messages, index.dst, n)],
+                               p[f"layer{layer}.upd.w"], p[f"layer{layer}.upd.b"])
+        h = pre if layer == model.config.num_layers else reference_relu(pre)
         layers.append(h)
     return layers
 
@@ -367,7 +399,7 @@ def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.n
     input is one joined (k, width) matrix, ``np.concatenate`` of the
     carbon embeddings, (for the proton head) the mean of each carbon's
     hydrogen embeddings, and the solvent row repeated k times, then three
-    dense layers. Raw carbon outputs (k,) and proton pairs (k, 2)."""
+    dense layers. Raw carbon outputs (k, 1) and proton pairs (k, 2)."""
     p = {name: param.values for name, param in model.params.items()}
     final = model.encode_atoms(molecule.index)[-1].values
     graph = molecule.graph
@@ -389,7 +421,7 @@ def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.n
         return h2 @ p[f"{prefix}.w3"].T + p[f"{prefix}.b3"]
 
     c_parts = [h_c] + ([solvent_rows("embed.solvent_c")] if "embed.solvent_c" in p else [])
-    raw_c = mlp("c_head", c_parts)[:, 0]
+    raw_c = mlp("c_head", c_parts)
     raw_h = mlp("h_head", [h_c, h_mean, solvent_rows("embed.solvent_h")])
     return raw_c, raw_h
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,13 @@ from hsqcnet.model import (
     SolventClass,
     prepare_molecule,
 )
-from helpers import reference_adam, reference_embed, reference_mlp_head
+from helpers import (
+    reference_adam,
+    reference_affine,
+    reference_embed,
+    reference_mlp_head,
+    reference_relu,
+)
 
 
 def p(values, name="p"):
@@ -34,14 +43,14 @@ def p(values, name="p"):
 
 def test_affine_identity():
     x = Tensor([1.0, 2.0, 3.0])
-    out = ad.affine(x, p(np.eye(3), "w"), p(np.zeros(3), "b"))
+    out = reference_affine(x, p(np.eye(3), "w"), p(np.zeros(3), "b"))
     assert np.array_equal(out.values, [1.0, 2.0, 3.0])
 
 
 def test_affine_zero_weight_gives_bias():
     x = Tensor([5.0, -2.0])
     bias = p([0.5, 1.5, -3.0], "b")
-    out = ad.affine(x, p(np.zeros((3, 2)), "w"), bias)
+    out = reference_affine(x, p(np.zeros((3, 2)), "w"), bias)
     assert np.array_equal(out.values, bias.values)
 
 
@@ -50,14 +59,22 @@ def test_affine_matches_hand_matmul():
     w = rng.normal(size=(4, 3))
     b = rng.normal(size=4)
     x = rng.normal(size=3)
-    out = ad.affine(Tensor(x), p(w, "w"), p(b, "b"))
+    out = reference_affine(Tensor(x), p(w, "w"), p(b, "b"))
     direct = np.array([sum(w[i, j] * x[j] for j in range(3)) + b[i] for i in range(4)])
     assert np.allclose(out.values, direct, rtol=0, atol=1e-15)
 
 
+def _upper_layers(width: int) -> list:
+    """Layers 2 and 3 of an ``mlp_head`` whose first layer is ``width`` wide."""
+    return [p(np.zeros((2, width)), "w2"), p(np.zeros(2), "b2"),
+            p(np.zeros((1, 2)), "w3"), p(np.zeros(1), "b3")]
+
+
 def test_affine_shape_error_names_both_shapes():
-    with pytest.raises(DimensionError, match=r"\(4, 3\).*\(2,\)"):
-        ad.affine(Tensor(np.zeros(2)), p(np.zeros((4, 3)), "w"), p(np.zeros(4), "b"))
+    # the block rule that mlp_head's first layer and the reference affine share
+    with pytest.raises(DimensionError, match=r"layer 1 .*\(4, 3\).*\(2,\)"):
+        ad.mlp_head([Tensor(np.zeros(2))], p(np.zeros((4, 3)), "w"), p(np.zeros(4), "b"),
+                    *_upper_layers(4))
 
 
 def test_embed_equals_the_gather_add_chain_bit_for_bit():
@@ -204,7 +221,7 @@ def test_activated_message_layer_equals_relu_of_the_layer_bit_for_bit():
             if fused:
                 out = ad.message_layer(h, table, *layer, SMALL_GRAPH, activate=True)
             else:
-                out = ad.relu(ad.message_layer(h, table, *layer, SMALL_GRAPH))
+                out = reference_relu(ad.message_layer(h, table, *layer, SMALL_GRAPH))
             loss = ad.mean_abs_error([ad.scale(out, weights)], np.full(4 * d, -100.0))
         steps = len(rec)
         backward(loss, rec)
@@ -232,7 +249,7 @@ def test_backward_dot_product_gradient_is_input():
     w = Parameter(np.array([[0.5, -1.0, 2.0]]), "w")
     b = p([0.0], "b")
     with ComputeRecord() as rec:
-        loss = ad.gather(ad.affine(Tensor(x), w, b), 0)
+        loss = ad.gather(reference_affine(Tensor(x), w, b), 0)
     backward(loss, rec)
     assert np.allclose(w.grad, x.reshape(1, 3))
     assert np.allclose(b.grad, [1.0])
@@ -241,10 +258,10 @@ def test_backward_dot_product_gradient_is_input():
 def test_relu_blocks_gradient():
     x = p([-5.0], "x")
     with ComputeRecord() as rec:
-        loss = ad.gather(ad.relu(x), 0)
+        loss = ad.gather(reference_relu(x), 0)
     backward(loss, rec)
     assert x.grad[0] == 0.0
-    assert float(ad.relu(Tensor([-5.0])).values[0]) == 0.0
+    assert float(reference_relu(Tensor([-5.0])).values[0]) == 0.0
 
 
 def test_embedding_lookup_row_and_scatter():
@@ -322,9 +339,9 @@ def test_finite_difference_on_composed_function():
         # onto three nodes, a per-row scale, a second affine map, and the
         # L1 loss against targets in output units
         x = [ad.gather(table, [2, 0, 2, 1]), Tensor(rows[[0, 1, 1, 0]]), shared]
-        hidden = ad.relu(ad.affine(x, w1, b1))
+        hidden = reference_relu(reference_affine(x, w1, b1))
         nodes = ad.segment_sum(hidden, [0, 2, 0, 1], 3)
-        out = ad.affine(ad.scale(nodes, [[1.0], [0.5], [2.0]]), w2, b2)
+        out = reference_affine(ad.scale(nodes, [[1.0], [0.5], [2.0]]), w2, b2)
         return ad.mean_abs_error([out], targets, scale=2.0, center=0.5)
 
     with ComputeRecord() as rec:
@@ -352,7 +369,7 @@ def test_determinism_same_seed_bit_identical():
         w = ad.uniform_init(rng, (4, 4), 4, "w")
         b = ad.uniform_init(rng, (4,), 4, "b")
         with ComputeRecord() as rec:
-            out = ad.relu(ad.affine(Tensor([1.0, 2.0, 3.0, 4.0]), w, b))
+            out = reference_relu(reference_affine(Tensor([1.0, 2.0, 3.0, 4.0]), w, b))
             loss = ad.mean_abs_error([out], np.zeros(4))
         backward(loss, rec)
         return loss.item(), w.grad.copy()
@@ -375,7 +392,7 @@ def test_gradients_accumulate_across_backwards():
     b = p(np.zeros(1), "b")
     for _ in range(2):
         with ComputeRecord() as rec:
-            loss = ad.gather(ad.affine(Tensor([3.0]), w, b), 0)
+            loss = ad.gather(reference_affine(Tensor([3.0]), w, b), 0)
         backward(loss, rec)
     assert w.grad[0, 0] == pytest.approx(6.0)
 
@@ -408,7 +425,7 @@ def test_affine_of_parts_matches_the_joined_input(k):
     b = p(rng.normal(size=5), "b")
     g = rng.normal(size=(k, 5))
     with ComputeRecord() as rec:
-        out = ad.affine(parts, w, b)
+        out = reference_affine(parts, w, b)
         column_sums = ad.segment_sum(ad.scale(out, g), np.zeros(k, np.intp), 1)
         backward(ad.mean_abs_error([column_sums], np.full(5, -100.0)), rec)
     want = _joined_affine([x.values for x in parts], w.values, b.values, k)
@@ -426,13 +443,15 @@ def test_affine_of_parts_matches_the_joined_input(k):
 
 
 def test_affine_of_parts_shape_errors():
-    w, b = p(np.zeros((5, 9)), "w"), p(np.zeros(5), "b")
+    layers = [p(np.zeros((5, 9)), "w"), p(np.zeros(5), "b"), *_upper_layers(5)]
     with pytest.raises(DimensionError, match=r"\(5, 9\).*\(2, 3\) \+ \(2,\) \+ \(2, 3\)"):
-        ad.affine([Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros((2, 3)))], w, b)
-    with pytest.raises(DimensionError, match="one batch"):
-        ad.affine([Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros((3, 4)))], w, b)
-    with pytest.raises(DimensionError, match="one batch"):
-        ad.affine([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2, 4)))], w, b)
+        ad.mlp_head([Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros((2, 3)))],
+                    *layers)
+    with pytest.raises(DimensionError, match="layer 1 expects .* one batch"):
+        ad.mlp_head([Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros((3, 4)))],
+                    *layers)
+    with pytest.raises(DimensionError, match="layer 1 expects .* one batch"):
+        ad.mlp_head([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2, 4)))], *layers)
 
 
 @given(st.data())
@@ -665,3 +684,24 @@ def test_mlp_head_shape_errors_name_the_shapes():
         ad.mlp_head(parts, *good[:5], p(np.zeros(3), "b3"))
     with pytest.raises(DimensionError, match=r"one batch, got \[\(2, 3\), \(4, 2\)\]"):
         ad.mlp_head([parts[0], Tensor(np.zeros((4, 2)))], *good)
+
+
+def test_every_tape_op_has_a_library_caller():
+    # an op that records on the tape but that only tests call belongs in
+    # tests/helpers.py as a reference op
+    package = Path(ad.__file__).parent
+    ops = sorted(
+        node.name for node in ast.parse(Path(ad.__file__).read_text()).body
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_tape"
+            for call in ast.walk(node))
+    )
+    assert ops == ["embed", "gather", "mean_abs_error", "message_layer", "mlp_head",
+                   "scale", "segment_sum"]
+    called = {
+        node.attr
+        for path in package.glob("*.py") if path.name != "autodiff.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ad"
+    }
+    assert [op for op in ops if op not in called] == []

@@ -147,6 +147,10 @@ def test_assign_reads_match_section_of_config(tiny_checkpoint, tmp_path):
     ({"model": {"merge_tolerance_h": "x"}}, "merge_tolerance_h"),
     ({"match": {"c_scale": "x"}}, "c_scale"),
     ({"match": {"reject_threshold": "x"}}, "reject_threshold"),
+    ({"match": {"ga": [1]}}, "'match.ga'"),
+    ({"model": {"foo": 1}}, "['foo'] in section 'model'"),
+    ({"train": {"bogus": 2}}, "['bogus'] in section 'train'"),
+    ({"match": {"ga": {"sweep": 3}}}, "['sweep'] in section 'match.ga'"),
 ])
 def test_malformed_config_is_usage_error(tiny_checkpoint, tmp_path, raw, message):
     config = tmp_path / "bad.json"
@@ -155,7 +159,8 @@ def test_malformed_config_is_usage_error(tiny_checkpoint, tmp_path, raw, message
                    "--checkpoint", str(tiny_checkpoint), "--peaks", "[[128.0, 7.3]]")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and message in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for internal in ("Traceback", "__init__", "argument after"):
+        assert internal not in proc.stderr
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_HEADERS))
@@ -165,7 +170,11 @@ def test_bad_checkpoint_header_is_data_error(tiny_checkpoint, tmp_path, case):
     rewrite_checkpoint_header(path, BAD_CHECKPOINT_HEADERS[case])
     proc = run_cli("--quiet", "predict", "CCO", "--checkpoint", str(path))
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    for internal in ("Traceback", "__init__", "argument after"):
+        assert internal not in proc.stderr
+    if case == "unknown config key":
+        assert "['atom_dims'] in section 'config'" in proc.stderr
 
 
 def test_finetune_verifies_the_checkpoint_once(tiny_checkpoint, tmp_path, monkeypatch):

@@ -406,6 +406,17 @@ def test_checkpoint_bad_header_rejected(tmp_path, case):
         load_checkpoint(path)
 
 
+def test_checkpoint_header_names_an_unknown_config_key(tmp_path):
+    config = ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4, mlp_hidden=(6, 5))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(CrossPeakModel(config).state_arrays(), config, {}, path)
+    rewrite_checkpoint_header(path, BAD_CHECKPOINT_HEADERS["unknown config key"])
+    with pytest.raises(CheckpointError) as caught:
+        load_checkpoint(path)
+    message = str(caught.value)
+    assert "['atom_dims'] in section 'config'" in message and "__init__" not in message
+
+
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     config = ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4, mlp_hidden=(6, 5))
     path = tmp_path / "model.ckpt"

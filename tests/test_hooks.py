@@ -187,10 +187,14 @@ def test_finetune_sweeps_the_training_set_once_per_iteration(monkeypatch):
 
 
 def test_finetune_loss_runs_only_on_the_tape(monkeypatch):
-    # an iteration's initial loss is read from its labels, so every
-    # _finetune_loss call is a training step: epochs x usable per iteration
+    # an iteration's initial loss is read from its labels, so every _loss
+    # call is a training step: epochs x usable per iteration, and each one
+    # reaches atom_shift_tensors, which model.atom_shift_share times
     calls: list = []
-    counting(monkeypatch, train, "_finetune_loss", calls, lambda a, k: bool(autodiff._ACTIVE))
+    shifts: list = []
+    counting(monkeypatch, train, "_loss", calls, lambda a, k: bool(autodiff._ACTIVE))
+    counting(monkeypatch, CrossPeakModel, "atom_shift_tensors", shifts,
+             lambda a, k: bool(autodiff._ACTIVE))
     teacher = CrossPeakModel(TINY)
     samples = []
     for smiles in ("CO", "CCO", "CC", "c1ccccc1"):
@@ -208,3 +212,4 @@ def test_finetune_loss_runs_only_on_the_tape(monkeypatch):
     usable = [len(samples) - line["rejected"] for line in result.history if "rejected" in line]
     assert usable == [4] * result.iterations_run
     assert len(calls) == config.epochs * sum(usable) and all(calls)
+    assert shifts == calls

@@ -10,17 +10,18 @@ from hsqcnet.model import (
     EDGE_TYPES,
     CrossPeakModel,
     GraphIndex,
+    HeadRows,
     ModelConfig,
+    ProtonReads,
     SolventClass,
     _parameter_shapes,
     count_parameters,
     graph_index,
     prepare_molecule,
-    proton_outputs,
 )
 from hsqcnet.molgraph import relabel_atoms
 from hsqcnet.smiles import parse_smiles
-from hsqcnet.train import Sample1D, SampleHSQC, TrainConfig, _finetune_loss, mtt_pretrain
+from hsqcnet.train import LabelTarget, Sample1D, SampleHSQC, TrainConfig, _loss, mtt_pretrain
 from helpers import (
     reference_ch_bonds,
     reference_edge_arrays,
@@ -28,8 +29,14 @@ from helpers import (
     reference_encode,
     reference_heads,
     reference_mlp_head,
+    reference_relu,
     smiles_strings,
 )
+
+
+def _heads(model, molecule, solvent, carbons):
+    """The model's head outputs for a list of carbons."""
+    return model.head_outputs(molecule, solvent, HeadRows.of(molecule, carbons))
 
 
 def test_config_validation():
@@ -362,7 +369,7 @@ def test_each_encoder_layer_adds_one_tape_step():
         model = CrossPeakModel(ModelConfig(num_layers=layers, atom_dim=8, solvent_dim_h=4,
                                            mlp_hidden=(6, 5)))
         with ad.ComputeRecord() as rec:
-            model.head_outputs(molecule, SolventClass.DMSO, carbons)
+            _heads(model, molecule, SolventClass.DMSO, carbons)
         steps.append(len(rec))
     assert [b - a for a, b in zip(steps, steps[1:])] == [1, 1, 1], steps
 
@@ -401,9 +408,9 @@ def test_ch_bonds_match_per_carbon_walk(parser_corpus, large_smiles):
 class _RecordingModel(CrossPeakModel):
     """Keeps the carbons of its last head evaluation."""
 
-    def _head_outputs(self, molecule, solvent, rows):
+    def head_outputs(self, molecule, solvent, rows):
         self.carbons = rows.carbons.tolist()
-        return super()._head_outputs(molecule, solvent, rows)
+        return super().head_outputs(molecule, solvent, rows)
 
 
 RECORDING = _RecordingModel(ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4,
@@ -436,8 +443,8 @@ def test_proton_target_reads_the_first_carbon_in_its_adjacency(smiles, hydrogen,
     assert model.carbons == [carbon]
 
     def slot_mean(c):
-        _, raw_h = model.head_outputs(molecule, SolventClass.DMSO, [c])
-        return proton_outputs(raw_h, [0], [1], [False]).values[0]
+        _, raw_h = _heads(model, molecule, SolventClass.DMSO, [c])
+        return ProtonReads.of([0], [1], [False]).outputs(raw_h).values[0]
 
     assert protons.values[0] == slot_mean(carbon)
     assert protons.values[0] != slot_mean(other)  # the other carbon would be a different target
@@ -479,7 +486,7 @@ def test_forward_passes_never_read_the_adjacency():
     for molecule in (plain, blind):
         ad.zero_gradients(model.parameters())
         with ad.ComputeRecord() as record:
-            loss = _finetune_loss(model, SampleHSQC(molecule, solvent, observed), labels)
+            loss = _loss(model, LabelTarget.of(SampleHSQC(molecule, solvent, observed), labels))
         ad.backward(loss, record)
         grads.append((loss.item(), [p.grad.copy() for p in model.parameters()]))
     assert grads[0][0] == grads[1][0] > 0.0
@@ -500,9 +507,9 @@ def test_head_outputs_match_the_joined_input_reference(smiles, carbons, solvent_
                                        solvent_dim_c=solvent_dim_c, mlp_hidden=(6, 5), seed=4))
     molecule = prepare_molecule(smiles)
     for solvent in SolventClass:
-        raw_c, raw_h = model.head_outputs(molecule, solvent, carbons)
+        raw_c, raw_h = _heads(model, molecule, solvent, carbons)
         want_c, want_h = reference_heads(model, molecule, solvent, carbons)
-        assert raw_c.shape == want_c.shape == (len(carbons),)
+        assert raw_c.shape == want_c.shape == (len(carbons), 1)
         assert raw_h.shape == want_h.shape == (len(carbons), 2)
         assert _relative(raw_c.values, want_c) <= 1e-12
         assert _relative(raw_h.values, want_h) <= 1e-12
@@ -523,7 +530,7 @@ def test_fused_heads_equal_the_affine_relu_chain_bit_for_bit(monkeypatch, solven
         for carbons in ([5], [0, 1, 4, 5, 6, 8]):
             ad.zero_gradients(model.parameters())
             with ad.ComputeRecord() as rec:
-                raw_c, raw_h = model.head_outputs(molecule, SolventClass.METHANOL, carbons)
+                raw_c, raw_h = _heads(model, molecule, SolventClass.METHANOL, carbons)
                 loss = ad.mean_abs_error([raw_c, raw_h], np.linspace(-1.0, 1.0, 3 * len(carbons)))
             steps.append(len(rec))
             ad.backward(loss, rec)
@@ -539,7 +546,7 @@ def test_fused_heads_equal_the_affine_relu_chain_bit_for_bit(monkeypatch, solven
 
 def _unfused_message_layer(*args, activate=False, _layer=ad.message_layer):
     out = _layer(*args)
-    return ad.relu(out) if activate else out
+    return reference_relu(out) if activate else out
 
 
 @pytest.mark.parametrize("num_layers", [1, 3])
@@ -556,7 +563,7 @@ def test_fused_encoder_equals_the_gather_add_relu_chain_bit_for_bit(monkeypatch,
         monkeypatch.setattr(ad, "message_layer", layer)
         model = CrossPeakModel(config)
         with ad.ComputeRecord() as rec:
-            raw_c, raw_h = model.head_outputs(molecule, SolventClass.CHLOROFORM, carbons)
+            raw_c, raw_h = _heads(model, molecule, SolventClass.CHLOROFORM, carbons)
             loss = ad.mean_abs_error([raw_c, raw_h], np.linspace(-1.0, 1.0, 3 * len(carbons)))
         steps = len(rec)
         ad.backward(loss, rec)
@@ -582,8 +589,8 @@ def test_head_first_layer_gradient_by_column_block():
     weights = np.random.default_rng(6).uniform(0.5, 1.5, size=(len(carbons), 3))
 
     def outputs():  # per carbon: the carbon output and the proton pair, weighted
-        raw_c, raw_h = model.head_outputs(molecule, SolventClass.METHANOL, carbons)
-        return [ad.scale(raw_c, weights[:, 0]), ad.scale(raw_h, weights[:, 1:])]
+        raw_c, raw_h = _heads(model, molecule, SolventClass.METHANOL, carbons)
+        return [ad.scale(raw_c, weights[:, :1]), ad.scale(raw_h, weights[:, 1:])]
 
     ad.zero_gradients(model.parameters())
     with ad.ComputeRecord() as rec:

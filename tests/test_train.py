@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from hsqcnet import autodiff as ad
 from hsqcnet import train
 from hsqcnet.assign import MatchSettings, ObservedPeak, PseudoLabel, PseudoLabels
-from hsqcnet.model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
+from hsqcnet.model import CrossPeakModel, HeadRows, ModelConfig, SolventClass, prepare_molecule
 from hsqcnet.train import (
     ConvergenceError,
+    LabelTarget,
     Sample1D,
     SampleHSQC,
     TrainConfig,
-    _finetune_loss,
+    _loss,
     annotate_dataset,
     dataset_mae,
     finetune_unsupervised,
@@ -24,6 +26,7 @@ from hsqcnet.train import (
     matched_mae,
     mtt_pretrain,
 )
+from helpers import reference_heads
 
 TINY = ModelConfig(num_layers=2, atom_dim=10, solvent_dim_h=4, mlp_hidden=(8, 6), seed=5)
 
@@ -161,13 +164,14 @@ def _per_call_and_per_sample(model, sample):
                 c_atoms, h_atoms = sorted(sample.c_targets), sorted(sample.h_targets)
                 outputs = model.atom_shift_tensors(sample.molecule, sample.solvent,
                                                    c_atoms, h_atoms)
-                loss = train._ppm_l1(model.config, outputs,
-                                     [sample.c_targets[i] for i in c_atoms],
-                                     [sample.h_targets[i] for i in h_atoms])
+                targets = SimpleNamespace(
+                    c_ppm=np.array([sample.c_targets[i] for i in c_atoms], dtype=np.float64),
+                    h_ppm=np.array([sample.h_targets[i] for i in h_atoms], dtype=np.float64))
+                loss = masked_mtt_loss(targets, outputs, model)
             else:
                 outputs = model.atom_shift_tensors(sample.molecule, sample.solvent,
                                                    reads=sample.reads)
-                loss = train._pretrain_loss(model, sample)
+                loss = _loss(model, sample)
         ad.backward(loss, rec)
         runs.append([outputs[0].values, outputs[1].values, loss.values,
                      *(p.grad.copy() for p in model.parameters())])
@@ -260,9 +264,66 @@ def test_pretrain_tape_length_does_not_grow_with_targets(monkeypatch, desk_confi
     mtt_pretrain([methanol, targets], TrainConfig(epochs=1, batch_size=1, oversample_factor=1,
                                                   validation_split=0.0),
                  model_config=desk_config)
-    # 6 gathers, 5 message layers, 3 scales, 2 embeddings, 2 heads,
+    # 5 gathers, 5 message layers, 3 scales, 2 embeddings, 2 heads,
     # 2 segment sums and the loss
-    assert tapes == [21, 21]
+    assert tapes == [20, 20]
+
+
+def _butyric_labels(shifts) -> PseudoLabels:
+    """Labels of butyric acid's C-H carbons: methylene C1 split into two
+    slots, methylene C2 merged into one, and the methyl; ``shifts`` gives
+    each entry's observed (delta_c, delta_h)."""
+    keys = [(0, 1), (1, 1), (1, 2), (2, 1)]
+    return PseudoLabels(
+        entries=[PseudoLabel(c, slot, k, dc, dh, dc, dh)
+                 for k, ((c, slot), (dc, dh)) in enumerate(zip(keys, shifts))],
+        provenance="hungarian", mean_cost=0.0, rejected=False,
+    )
+
+
+def test_finetune_tape_length_equals_pretraining(monkeypatch, desk_config):
+    # a label target reads the heads through the same reads and loss as a
+    # 1D sample: one split and one merged methylene add no tape entry
+    tapes: list[int] = []
+    original = train.backward
+
+    def counting_backward(loss, record):
+        tapes.append(len(record))
+        original(loss, record)
+
+    monkeypatch.setattr(train, "backward", counting_backward)
+    molecule = prepare_molecule("CCCC(=O)O")
+    labels = _butyric_labels([(14.0, 0.9), (18.0, 1.6), (18.0, 1.7), (36.0, 2.3)])
+    target = LabelTarget.of(SampleHSQC(molecule, SolventClass.DMSO, []), labels)
+    model = CrossPeakModel(desk_config)
+    train._fit_epoch(model, ad.Adam(model.parameters()), [target], 1)
+    assert tapes == [20]
+
+
+@pytest.mark.parametrize("solvent_dim_c", [0, 3])
+def test_label_loss_away_from_the_labelling_weights_matches_numpy(solvent_dim_c):
+    # the loss of a split and a merged methylene at weights that did not make
+    # the labels: the joined-input heads in numpy, the slot's own proton
+    # output for a split carbon and the pair mean for a merged one
+    config = replace(TINY, solvent_dim_c=solvent_dim_c, seed=11)
+    model = CrossPeakModel(config)
+    molecule = prepare_molecule("CCCC(=O)O")
+    for solvent in (SolventClass.DMSO, SolventClass.WATER):
+        raw_c, raw_h = reference_heads(model, molecule, solvent, [0, 1, 2])
+        proton = [raw_h[0].mean(), raw_h[1, 0], raw_h[1, 1], raw_h[2].mean()]
+        # the split slots' targets lie outside their pair, where reading the
+        # pair mean would give another L1 sum
+        low, high = model.ppm_h(raw_h[1])
+        shifts = [(14.0, 0.9), (18.0, low - 1.0), (18.0, high + 1.0), (36.0, 2.3)]
+        labels = _butyric_labels(shifts)
+        loss = _loss(model, LabelTarget.of(SampleHSQC(molecule, solvent, []), labels))
+        residuals = [
+            *(abs(model.ppm_c(raw_c[r, 0]) - dc) / config.c_scale
+              for r, (dc, _) in zip([0, 1, 1, 2], shifts)),
+            *(abs(model.ppm_h(h) - dh) / config.h_scale for h, (_, dh) in zip(proton, shifts)),
+        ]
+        want = np.mean(residuals)
+        assert want > 0.0 and abs(loss.item() - want) <= 1e-12 * want
 
 
 def test_oversample_factor_one_sees_each_sample_once():
@@ -412,7 +473,8 @@ def test_finetune_scores_iterations_on_the_validation_set():
 def test_initial_loss_is_the_finetune_loss_at_the_labels_weights(monkeypatch, with_valset):
     # the labels carry the shifts they were matched with, so an iteration's
     # initial loss runs no forward pass; it must still equal the mean of
-    # _finetune_loss over the usable molecules at the weights that labelled them
+    # the loss of their LabelTargets over the usable molecules at the weights
+    # that labelled them
     teacher = CrossPeakModel(replace(TINY, seed=9))
     samples, _ = hsqc_from_model(teacher, ["CO", "CCO", "CC", "c1ccccc1", "CCC"])
     samples.append(SampleHSQC(prepare_molecule("CC(C)O"), SolventClass.UNKNOWN,
@@ -438,7 +500,7 @@ def test_initial_loss_is_the_finetune_loss_at_the_labels_weights(monkeypatch, wi
         assert line["rejected"] == 1 and labels[-1].rejected  # the far-off peak list
         model = CrossPeakModel(TINY, state=state)
         usable = [(s, lab) for s, lab in zip(samples, labels) if not lab.rejected]
-        want = float(np.mean([_finetune_loss(model, s, lab).item() for s, lab in usable]))
+        want = float(np.mean([_loss(model, LabelTarget.of(s, lab)).item() for s, lab in usable]))
         assert line["initial_loss"] == want
 
 
@@ -496,7 +558,7 @@ def test_one_head_path_for_prediction_1d_targets_and_finetuning(merge_tolerance_
 
     carbons = [u.carbon_index for u in molecule.units if u.is_representative]
     methylene = next(u for u in molecule.units if u.carbon_index == 1)
-    raw_c, raw_h = model.head_outputs(molecule, solvent, carbons)
+    raw_c, raw_h = model.head_outputs(molecule, solvent, HeadRows.of(molecule, carbons))
     pair = raw_h.values[carbons.index(1)]
     slot_mean = (pair[0] + pair[1]) * 0.5
     c_out, h_out = model.atom_shift_tensors(
@@ -504,8 +566,8 @@ def test_one_head_path_for_prediction_1d_targets_and_finetuning(merge_tolerance_
     )
     assert h_out.values.tolist() == [slot_mean] * len(methylene.hydrogen_indices)
     for row, carbon in enumerate(carbons):
-        assert c_out.values[row] == raw_c.values[row]
-        assert slots[(carbon, 1)].delta_c == model.ppm_c(raw_c.values[row])
+        assert c_out.values[row] == raw_c.values[row, 0]
+        assert slots[(carbon, 1)].delta_c == model.ppm_c(raw_c.values[row, 0])
     if (1, 2) in slots:
         assert slots[(1, 1)].delta_h == model.ppm_h(pair[0])
         assert slots[(1, 2)].delta_h == model.ppm_h(pair[1])
@@ -521,7 +583,7 @@ def test_one_head_path_for_prediction_1d_targets_and_finetuning(merge_tolerance_
     sample = SampleHSQC(molecule, solvent, [])
     ad.zero_gradients(model.parameters())
     with ad.ComputeRecord() as record:
-        loss = _finetune_loss(model, sample, labels)
+        loss = _loss(model, LabelTarget.of(sample, labels))
     ad.backward(loss, record)
     assert loss.item() == 0.0
     # a self-label is a fixed point: rounding in ppm conversions adds no gradient
