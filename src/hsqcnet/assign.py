@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 log = logging.getLogger(__name__)
 
@@ -154,6 +153,15 @@ def cost_matrix(preds, observations, c_scale: float = DEFAULT_C_SCALE) -> np.nda
     if not np.all(np.isfinite(mat)):
         raise MatchingError("non-finite entries in cost matrix")
     return mat
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's ``linear_sum_assignment``, imported on the first call:
+    importing ``scipy.optimize`` costs about 0.5 s, which a process that
+    never solves an exact assignment of two or more rows need not pay."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
