@@ -59,8 +59,8 @@ from .molgraph import (
     add_explicit_hydrogens,
     canonical_equivalence_classes,
     enumerate_ch_units,
-    infer_hybridization,
     molecular_weight,
+    set_hybridization,
 )
 from .smiles import SmilesParseError, canonical_smiles, parse_smiles
 from .train import (

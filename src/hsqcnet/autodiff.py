@@ -107,10 +107,8 @@ def backward(loss: Tensor, record: ComputeRecord) -> None:
         raise ValueError("empty compute record")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
 
-    def accumulate(target: Tensor, grad: np.ndarray, index=None) -> None:
-        """Add ``grad`` onto ``target``, or scatter-add it at ``index``."""
-        if index is not None:
-            grad = _scatter_add(index, grad, target.values.shape)
+    def accumulate(target: Tensor, grad: np.ndarray) -> None:
+        """Add ``grad`` onto ``target``."""
         if isinstance(target, Parameter):
             target.grad += grad
             return
@@ -176,7 +174,7 @@ def gather(x: Tensor, index) -> Tensor:
         out = Tensor(x.values[index])
     tape = _tape()
     if tape is not None:
-        tape._push(out, lambda g, acc: acc(x, g, index=index))
+        tape._push(out, lambda g, acc: acc(x, _scatter_add(index, g, x.values.shape)))
     return out
 
 
@@ -205,7 +203,7 @@ def embed(tables: list[Tensor], indices) -> Tensor:
 
         def adjoint(g, acc):
             for table, idx in zip(tables, indices):
-                acc(table, g, index=(idx,))
+                acc(table, _scatter_add((idx,), g, table.values.shape))
 
         tape._push(out, adjoint)
     return out

@@ -152,10 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return _dispatch(args)
-    except SmilesParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DataFormatError, CheckpointError, OSError) as exc:
+    except (SmilesParseError, DataFormatError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ConvergenceError, MatchingError, FloatingPointError) as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +62,8 @@ class EvalReport:
     all_correct_fraction: float
     peak_agreement_on_disagreeing: float
     rejected: list[tuple[int, str]]
-    per_solvent: dict = field(default_factory=dict)
-    segments: dict = field(default_factory=dict)
+    per_solvent: dict
+    segments: dict
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -168,33 +168,6 @@ def evaluate(
                 peaks_agreeing=agree,
             )
         )
-    report = _aggregate(rows, solvent_mode, seed, len(testset))
-    report.rejected = rejected
-    report.per_solvent = {
-        solvent.value: _subreport([r for r in rows if r.solvent is solvent])
-        for solvent in SolventClass
-        if any(r.solvent is solvent for r in rows)
-    }
-    report.segments = segment_report(rows)
-    return report
-
-
-def _subreport(rows: list[RecordEval]) -> dict:
-    c = [e for r in rows for e in r.c_errors]
-    h = [e for r in rows for e in r.h_errors]
-    return {
-        "count": len(rows),
-        "mae_c": _mae(c),
-        "mae_h": _mae(h),
-        "all_correct_fraction": (
-            sum(r.all_correct for r in rows) / len(rows) if rows else float("nan")
-        ),
-    }
-
-
-def _aggregate(
-    rows: list[RecordEval], solvent_mode: str, seed: int, molecules_total: int
-) -> EvalReport:
     overall = _subreport(rows)
     disagreeing = [r for r in rows if not r.all_correct]
     if disagreeing:
@@ -208,13 +181,32 @@ def _aggregate(
         seed=seed,
         mae_c=overall["mae_c"],
         mae_h=overall["mae_h"],
-        molecules_total=molecules_total,
+        molecules_total=len(testset),
         molecules_evaluated=len(rows),
         molecules_all_correct=sum(r.all_correct for r in rows),
         all_correct_fraction=overall["all_correct_fraction"],
         peak_agreement_on_disagreeing=pooled,
-        rejected=[],
+        rejected=rejected,
+        per_solvent={
+            solvent.value: _subreport([r for r in rows if r.solvent is solvent])
+            for solvent in SolventClass
+            if any(r.solvent is solvent for r in rows)
+        },
+        segments=segment_report(rows),
     )
+
+
+def _subreport(rows: list[RecordEval]) -> dict:
+    c = [e for r in rows for e in r.c_errors]
+    h = [e for r in rows for e in r.h_errors]
+    return {
+        "count": len(rows),
+        "mae_c": _mae(c),
+        "mae_h": _mae(h),
+        "all_correct_fraction": (
+            sum(r.all_correct for r in rows) / len(rows) if rows else float("nan")
+        ),
+    }
 
 
 def segment_report(rows: list[RecordEval]) -> dict:
@@ -250,7 +242,6 @@ def export_overlay(
     observations: list[ObservedPeak],
     path: str | Path,
     fmt: str = "svg",
-    assignment: dict[tuple[int, int], int] | None = None,
     match: MatchSettings | None = None,
 ) -> Path:
     """Write a prediction/observation overlay.
@@ -258,20 +249,17 @@ def export_overlay(
     SVG: scatter with proton shifts horizontal and carbon shifts vertical,
     both reversed (descending ppm), predictions and observations drawn as
     distinct glyphs, matched pairs linked. CSV: one row per matched pair
-    with full-precision values. ``assignment`` maps (carbon, slot) to an
-    observed index; when omitted it is computed by the standard router.
-    The CSV cost column weighs carbon differences by ``match.c_scale``.
+    with full-precision values. Pairs come from the standard router,
+    ``pseudo_annotate``. The CSV cost column weighs carbon differences by
+    ``match.c_scale``.
     """
     if fmt not in ("svg", "csv"):
         raise ValueError(f"format must be svg or csv, got {fmt!r}")
     if not predictions or not observations:
         raise ValueError("need at least one predicted and one observed peak")
     match = match or MatchSettings()
-    if assignment is None:
-        labels = pseudo_annotate(None, predictions, observations, match)
-        assignment = {
-            (e.carbon_index, e.slot): e.obs_index for e in labels.entries
-        }
+    labels = pseudo_annotate(None, predictions, observations, match)
+    assignment = {(e.carbon_index, e.slot): e.obs_index for e in labels.entries}
     path = Path(path)
     if fmt == "csv":
         _write_csv(predictions, observations, assignment, path, match.c_scale)

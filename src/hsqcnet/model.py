@@ -195,7 +195,7 @@ def graph_index(graph: MolecularGraph) -> GraphIndex:
         if atom.hybridization is Hybridization.UNSPECIFIED:
             raise ValueError(
                 f"atom {atom.index} has uninferred hybridization; run "
-                "infer_hybridization first"
+                "set_hybridization first"
             )
     # two directed edges per bond; sorted by (dst, bond) they are the adjacency
     ids = lambda values: np.array(values, dtype=np.intp)

@@ -1,6 +1,7 @@
 """Typed molecular graphs and the structural analyses the predictor needs:
-explicit-hydrogen expansion, hybridization inference, symmetry equivalence
-classes, C-H unit enumeration, and molecular weight."""
+explicit-hydrogen expansion, hybridization (``set_hybridization`` fills it
+in place, on a graph the caller owns), symmetry equivalence classes, C-H
+unit enumeration, and molecular weight."""
 
 from __future__ import annotations
 
@@ -153,18 +154,6 @@ class MolecularGraph:
                 total += 1
         return total
 
-    def copy(self) -> "MolecularGraph":
-        return MolecularGraph(
-            atoms=[
-                AtomSpec(a.element, a.index, a.formal_charge, a.chirality,
-                         a.hybridization, a.is_aromatic, a.implicit_h)
-                for a in self.atoms
-            ],
-            bonds=[BondSpec(b.endpoints, b.bond_type, b.direction) for b in self.bonds],
-            source_smiles=self.source_smiles,
-            chiral_order={k: list(v) for k, v in self.chiral_order.items()},
-        )
-
 
 @dataclass(frozen=True)
 class EquivalenceClasses:
@@ -207,19 +196,12 @@ def add_explicit_hydrogens(graph: MolecularGraph) -> MolecularGraph:
     return MolecularGraph(atoms, bonds, graph.source_smiles, chiral_order)
 
 
-def infer_hybridization(graph: MolecularGraph) -> MolecularGraph:
-    """Fill per-atom hybridization from bond patterns.
+def set_hybridization(graph: MolecularGraph) -> None:
+    """Fill per-atom hybridization from bond patterns, in place.
 
     Aromatic -> SP2; a triple bond or two double bonds -> SP; exactly one
     double bond -> SP2; everything else (hydrogens included) -> SP3.
     """
-    out = graph.copy()
-    set_hybridization(out)
-    return out
-
-
-def set_hybridization(graph: MolecularGraph) -> None:
-    """``infer_hybridization`` in place, on a graph the caller owns."""
     for atom in graph.atoms:
         if atom.element == "H":
             atom.hybridization = Hybridization.SP3

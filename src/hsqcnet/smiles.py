@@ -4,6 +4,11 @@ Covers the organic subset plus bracket atoms (charge, explicit H count,
 isotopes accepted and discarded), ring closures 0-9 and %nn, branches,
 dot-separated fragments, aromatic lowercase, '/' and '\\' directional
 bonds, and '@'/'@@' tetrahedral marks. No external toolkit.
+
+The writer orders atoms by symmetry class, formal charge and hydrogen
+count before it breaks ties, so any atom order of one molecule gives one
+string. Directional bonds are the exception: their marks are written as
+the DFS meets them, and may depend on atom order.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from .molgraph import (
     Hybridization,
     MolecularGraph,
     canonical_equivalence_classes,
-    infer_hybridization,
     refine_labels,
+    set_hybridization,
 )
 
 
@@ -333,10 +338,19 @@ def _parse_bracket(body: str, offset: int) -> tuple[AtomSpec, int]:
 # ---------------------------------------------------------------------------
 
 
-def canonical_ranks(graph: MolecularGraph) -> list[int]:
-    """Total atom order: symmetry refinement plus sequential tie-breaking."""
-    work = infer_hybridization(graph)
-    labels = list(canonical_equivalence_classes(work).class_id)
+def canonical_ranks(graph: MolecularGraph, h_counts: list[int]) -> list[int]:
+    """Total atom order of a hydrogen-folded graph whose atom ``i`` carries
+    ``h_counts[i]`` hydrogens: symmetry refinement, split once more by
+    formal charge and hydrogen count, then sequential tie-breaking.
+
+    Fills the graph's hybridization in place, so the caller must own it.
+    """
+    set_hybridization(graph)
+    classes = canonical_equivalence_classes(graph).class_id
+    labels, _ = refine_labels(
+        graph,
+        [(c, a.formal_charge, h) for c, a, h in zip(classes, graph.atoms, h_counts)],
+    )
     n = len(labels)
     while len(set(labels)) < n:
         counts: dict[int, int] = {}
@@ -345,7 +359,7 @@ def canonical_ranks(graph: MolecularGraph) -> list[int]:
         target = min(lab for lab, c in counts.items() if c > 1)
         chosen = min(i for i, lab in enumerate(labels) if lab == target)
         seeds = [(lab, 1 if i == chosen else 2) for i, lab in enumerate(labels)]
-        labels, _ = refine_labels(work, seeds)
+        labels, _ = refine_labels(graph, seeds)
     return labels
 
 
@@ -358,7 +372,7 @@ def canonical_smiles(graph: MolecularGraph) -> str:
     extended ('Other') stereo marks do not round-trip.
     """
     folded, h_counts = _fold_hydrogens(graph)
-    ranks = canonical_ranks(folded)
+    ranks = canonical_ranks(folded, h_counts)
     order = sorted(range(len(folded.atoms)), key=lambda i: ranks[i])
     visited: set[int] = set()
     pieces: list[str] = []

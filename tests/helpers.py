@@ -1,6 +1,7 @@
 """Independent oracles used by the tests: attribute-aware graph isomorphism
 (with tetrahedral parity), brute-force automorphism orbits, the
-brute-force lexicographically smallest optimal assignment, the annealed
+brute-force lexicographically smallest optimal assignment, the copying
+form of ``set_hybridization`` (``infer_hybridization``), the annealed
 graduated assignment that the one-temperature softassign replaced, the
 softassign that evaluated exp on every entry, the per-row labelling loop
 that pseudo_annotate replaced, the per-array Adam (folded, and in the
@@ -28,7 +29,8 @@ from hsqcnet.molgraph import (
     Chirality,
     MolecularGraph,
     canonical_equivalence_classes,
-    infer_hybridization,
+    relabel_atoms,
+    set_hybridization,
 )
 
 
@@ -101,6 +103,14 @@ def _chirality_consistent(g1, g2, mapping: dict[int, int]) -> bool:
         if odd == same:  # odd parity must flip the mark, even must keep it
             return False
     return True
+
+
+def infer_hybridization(graph: MolecularGraph) -> MolecularGraph:
+    """A copy of ``graph`` with its hybridization set, the input left alone:
+    ``set_hybridization`` on an identity relabelling."""
+    out = relabel_atoms(graph, list(range(len(graph.atoms))))
+    set_hybridization(out)
+    return out
 
 
 def graphs_isomorphic(g1: MolecularGraph, g2: MolecularGraph) -> bool:

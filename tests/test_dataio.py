@@ -289,6 +289,23 @@ def test_out_of_range_target_skipped(tmp_path):
     assert "out of range" in diagnostics[0].reason
 
 
+@pytest.mark.parametrize(
+    "record,reason",
+    [
+        # methanol's atoms: C0, O1, the methyl hydrogens 2-4, the OH proton 5
+        ({"smiles": "CO", "c_shifts": {"2": 1.0}}, "carbon target index 2 is not a carbon atom"),
+        ({"smiles": "CO", "h_shifts": {"5": 3.3}},
+         "no prediction covers hydrogen 5: not bonded to carbon"),
+    ],
+)
+def test_target_atom_the_model_cannot_read_is_skipped(tmp_path, record, reason):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [record])
+    samples, diagnostics = scan_dataset(path, "1d")
+    assert not samples
+    assert (diagnostics[0].status, diagnostics[0].reason) == ("skipped", reason)
+
+
 def test_annotated_records_load(data_dir):
     records = load_dataset(data_dir / "toy_expert.jsonl", "annotated")
     assert records

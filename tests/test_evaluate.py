@@ -181,8 +181,7 @@ class _Pk:
 def test_svg_glyph_and_link_counts(tmp_path):
     preds = [_Pk(100.0, 5.0, 0)]
     obs = [ObservedPeak(101.0, 5.1, 0)]
-    path = export_overlay(preds, obs, tmp_path / "o.svg", fmt="svg",
-                          assignment={(0, 1): 0})
+    path = export_overlay(preds, obs, tmp_path / "o.svg", fmt="svg")
     root = ET.fromstring(path.read_text())
     ns = "{http://www.w3.org/2000/svg}"
     circles = [e for e in root.iter(f"{ns}circle") if e.get("class") == "pred"]
@@ -207,8 +206,7 @@ def test_svg_axis_margins(tmp_path):
 def test_csv_round_trip(tmp_path):
     preds = [_Pk(100.123456789, 5.000000001, 3), _Pk(55.5, 2.25, 7)]
     obs = [ObservedPeak(100.2, 5.01, 0), ObservedPeak(55.4, 2.26, 1)]
-    path = export_overlay(preds, obs, tmp_path / "o.csv", fmt="csv",
-                          assignment={(3, 1): 0, (7, 1): 1})
+    path = export_overlay(preds, obs, tmp_path / "o.csv", fmt="csv")
     with path.open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from hsqcnet.molgraph import BondDirection, BondType, Chirality
+from hsqcnet.model import prepare_molecule
+from hsqcnet.molgraph import BondDirection, BondType, Chirality, Hybridization, relabel_atoms
 from hsqcnet.smiles import SmilesParseError, canonical_smiles, parse_smiles
 
 from helpers import graphs_isomorphic
@@ -173,3 +176,43 @@ def test_canonical_is_stable_under_reparse(parser_corpus):
 
 def test_canonical_folds_explicit_hydrogens():
     assert canonical_smiles(parse_smiles("[H]C([H])([H])[H]")) == "C"
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        ("c1c[nH]cn1", "c1cnc[nH]1"),
+        ("[CH2]CC", "CC[CH2]"),
+        ("OCC[O-]", "[O-]CCO"),
+        ("OC(=O)CC([O-])=O", "[O-]C(=O)CC(O)=O"),
+        ("[NH3+]CC[NH2]", "NCC[NH3+]"),
+    ],
+)
+def test_canonical_ranks_split_by_hydrogen_count_and_charge(first, second):
+    # one molecule in two atom orders; its tied atoms differ only in
+    # hydrogen count or formal charge
+    assert canonical_smiles(parse_smiles(first)) == canonical_smiles(parse_smiles(second))
+
+
+def test_canonical_is_invariant_under_relabelling(parser_corpus):
+    # directional bonds are left out: their marks follow the DFS, not the ranks
+    rng = random.Random(20241019)
+    for entry in parser_corpus["molecules"]:
+        graph = parse_smiles(entry["smiles"])
+        if any(b.direction is not BondDirection.NONE for b in graph.bonds):
+            continue
+        expected = canonical_smiles(graph)
+        for _ in range(5):
+            perm = list(range(len(graph.atoms)))
+            rng.shuffle(perm)
+            assert canonical_smiles(relabel_atoms(graph, perm)) == expected, entry["smiles"]
+
+
+def test_canonical_leaves_its_input_alone():
+    graph = parse_smiles("C[C@H](N)C=O")
+    canonical_smiles(graph)
+    assert graph == parse_smiles("C[C@H](N)C=O")
+    assert all(a.hybridization is Hybridization.UNSPECIFIED for a in graph.atoms)
+    prepared = prepare_molecule("C[C@H](N)C=O").graph
+    canonical_smiles(prepared)
+    assert prepared == prepare_molecule("C[C@H](N)C=O").graph
