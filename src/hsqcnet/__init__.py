@@ -31,7 +31,6 @@ from .dataio import (
     scan_dataset,
 )
 from .evaluate import (
-    AnnotatedTestRecord,
     EvalReport,
     evaluate,
     export_overlay,
@@ -64,6 +63,7 @@ from .molgraph import (
 )
 from .smiles import SmilesParseError, canonical_smiles, parse_smiles
 from .train import (
+    AnnotatedTestRecord,
     ConvergenceError,
     FinetuneResult,
     Sample1D,

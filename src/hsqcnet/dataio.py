@@ -27,7 +27,7 @@ from .assign import config_from_json, ingest_peaks, is_finite_real, is_integer
 from .model import CrossPeakModel, ModelConfig, SolventClass, check_state, prepare_molecule
 from .smiles import SmilesParseError, canonical_smiles
 from .smiles import parse_smiles  # noqa: F401  (benchmarks/tracing.py wraps dataio.parse_smiles)
-from .train import Sample1D, SampleHSQC
+from .train import AnnotatedTestRecord, Sample1D, SampleHSQC
 
 log = logging.getLogger(__name__)
 
@@ -206,8 +206,6 @@ def _build_sample(record, kind: str):
     )
     if kind == "hsqc":
         return sample, key
-
-    from .evaluate import AnnotatedTestRecord  # late: evaluate sits above dataio
 
     expert_raw = record.get("expert")
     if not isinstance(expert_raw, dict) or not expert_raw:

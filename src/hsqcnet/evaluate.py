@@ -18,23 +18,12 @@ from .model import (
     SolventClass,
 )
 from .molgraph import molecular_weight
-from .train import SampleHSQC, _mae
+from .train import AnnotatedTestRecord, _mae
 
 log = logging.getLogger(__name__)
 
 SOLVENT_MODES = ("true", "random", "unknown")
 MW_BOUNDS = (500.0, 1000.0)  # the segment report's small/medium/large cuts, Da
-
-
-@dataclass
-class AnnotatedTestRecord:
-    """A peak list plus the expert ground-truth assignment.
-
-    ``expert`` maps each observed peak index to the C-H units it
-    represents, each unit written (carbon index, slot)."""
-
-    sample: SampleHSQC
-    expert: dict[int, list[tuple[int, int]]]
 
 
 @dataclass
@@ -259,30 +248,27 @@ def export_overlay(
         raise ValueError("need at least one predicted and one observed peak")
     match = match or MatchSettings()
     labels = pseudo_annotate(None, predictions, observations, match)
-    assignment = {(e.carbon_index, e.slot): e.obs_index for e in labels.entries}
+    # one entry per prediction, in prediction order
+    obs_by_index = {o.index: o for o in observations}
+    pairs = [(pred, obs_by_index[e.obs_index]) for pred, e in zip(predictions, labels.entries)]
     path = Path(path)
     if fmt == "csv":
-        _write_csv(predictions, observations, assignment, path, match.c_scale)
+        _write_csv(pairs, path, match.c_scale)
     else:
-        _write_svg(predictions, observations, assignment, path)
+        _write_svg(predictions, observations, pairs, path)
     return path
 
 
-def _write_csv(predictions, observations, assignment, path: Path, c_scale) -> None:
-    obs_by_index = {o.index: o for o in observations}
+def _write_csv(pairs, path: Path, c_scale) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["unit", "pred_delta_c", "pred_delta_h", "obs_delta_c", "obs_delta_h", "cost"]
         )
-        for pred in predictions:
-            key = (pred.ch_unit.carbon_index, pred.peak_slot)
-            obs = obs_by_index.get(assignment.get(key, -1))
-            if obs is None:
-                continue
+        for pred, obs in pairs:
             writer.writerow(
                 [
-                    f"C{key[0]}.{key[1]}",
+                    f"C{pred.ch_unit.carbon_index}.{pred.peak_slot}",
                     repr(pred.delta_c),
                     repr(pred.delta_h),
                     repr(obs.delta_c),
@@ -292,7 +278,7 @@ def _write_csv(predictions, observations, assignment, path: Path, c_scale) -> No
             )
 
 
-def _write_svg(predictions, observations, assignment, path: Path) -> None:
+def _write_svg(predictions, observations, pairs, path: Path) -> None:
     width, height = 640.0, 480.0
     margin = 56.0
     all_h = [p.delta_h for p in predictions] + [o.delta_h for o in observations]
@@ -318,12 +304,7 @@ def _write_svg(predictions, observations, assignment, path: Path) -> None:
         f'transform="rotate(-90 14 {height / 2:.1f})">'
         f'&#948;C (ppm, {c_lo:.1f} &#8594; {c_hi:.1f})</text>',
     ]
-    obs_by_index = {o.index: o for o in observations}
-    for pred in predictions:
-        key = (pred.ch_unit.carbon_index, pred.peak_slot)
-        obs = obs_by_index.get(assignment.get(key, -1))
-        if obs is None:
-            continue
+    for pred, obs in pairs:
         parts.append(
             f'<line class="link" x1="{x(pred.delta_h):.2f}" y1="{y(pred.delta_c):.2f}" '
             f'x2="{x(obs.delta_h):.2f}" y2="{y(obs.delta_c):.2f}" '

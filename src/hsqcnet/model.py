@@ -28,11 +28,13 @@ proton output a (carbon, slot) target reads: the slot's own column when
 its carbon emits two peaks, else the mean of the pair. The index arrays
 of a head evaluation (``HeadRows``) and of that rule (``ProtonReads``)
 are built by one function each; a ``ShiftReads`` joins them with the
-carbon outputs a set of shift targets reads. A training item builds its
-``ShiftReads`` once (``ShiftReads.of`` for a 1D sample at construction,
-``train.LabelTarget.of`` for a molecule's pseudo-labels once per
+carbon outputs a set of shift targets reads, in one layout
+(``ShiftReads.at``). A training item builds its ``ShiftReads`` once
+(``ShiftReads.of`` for a 1D sample at construction, ``train.LabelTarget.of``
+through ``ShiftReads.at`` for a molecule's pseudo-labels once per
 fine-tuning iteration), so a desk-scale step of either training stage
-records 20 tape entries and rebuilds no index array.
+records 20 tape entries and rebuilds no index array. ``prepare_molecule``
+validates a graph a caller builds.
 """
 
 from __future__ import annotations
@@ -231,7 +233,15 @@ class Molecule:
 
 
 def prepare_molecule(source: str | MolecularGraph) -> Molecule:
-    graph = parse_smiles(source) if isinstance(source, str) else source
+    """What the model reads of a SMILES string or a caller's graph. A
+    caller's ``MolecularGraph`` is checked first (``MolecularGraph.validate``)
+    and one that fails raises ValueError naming the fault; ``parse_smiles``
+    rejects the same faults as it builds a graph."""
+    if isinstance(source, str):
+        graph = parse_smiles(source)
+    else:
+        graph = source
+        graph.validate()
     expanded = add_explicit_hydrogens(graph)
     set_hybridization(expanded)
     classes = canonical_equivalence_classes(expanded)
@@ -362,7 +372,7 @@ class ShiftReads:
     """The arrays one evaluation of shift targets reads, built once per
     target set: the head rows, the (row, 0) element of the carbon head's
     (k, 1) output each carbon target reads (``carbon``), and the proton
-    reads.
+    reads, laid out by ``at``.
 
     ``of`` builds them for 1D targets: the head rows are the carbon
     targets' carbons, then each proton target's carbon, each carbon once,
@@ -392,15 +402,24 @@ class ShiftReads:
                 raise ValueError(f"proton target index {idx} is not a hydrogen atom")
             if idx not in first_carbon:
                 raise ValueError(f"no prediction covers hydrogen {idx}: not bonded to carbon")
-        carbon_of = [first_carbon[idx] for idx in need_h]
-        carbons = list(dict.fromkeys([*need_c, *carbon_of]))
+        n = len(need_h)
+        return cls.at(molecule, need_c, [first_carbon[idx] for idx in need_h],
+                      [1] * n, [False] * n)
+
+    @classmethod
+    def at(cls, molecule: Molecule, c_carbons, h_carbons, slots, split) -> "ShiftReads":
+        """The reads of carbon targets on ``c_carbons`` and of proton
+        targets on ``h_carbons``, the (carbon, slot, split) of each proton
+        target read by ``ProtonReads``' rule: the head rows are every
+        carbon of the two lists once, in order of first appearance, and
+        each carbon target reads its row's (row, 0) carbon output."""
+        carbons = list(dict.fromkeys([*c_carbons, *h_carbons]))
         row = {carbon: r for r, carbon in enumerate(carbons)}
-        n = len(carbon_of)
-        c_rows = np.array([row[idx] for idx in need_c], dtype=np.intp)
+        c_rows = np.array([row[c] for c in c_carbons], dtype=np.intp)
         return cls(
             HeadRows.of(molecule, carbons),
             (c_rows, np.zeros(len(c_rows), np.intp)),
-            ProtonReads.of([row[c] for c in carbon_of], [1] * n, [False] * n),
+            ProtonReads.of([row[c] for c in h_carbons], slots, split),
         )
 
 

@@ -3,7 +3,9 @@
 Covers the organic subset plus bracket atoms (charge, explicit H count,
 isotopes accepted and discarded), ring closures 0-9 and %nn, branches,
 dot-separated fragments, aromatic lowercase, '/' and '\\' directional
-bonds, and '@'/'@@' tetrahedral marks. No external toolkit.
+bonds, and '@'/'@@' tetrahedral marks. No external toolkit. The reader
+rejects each fault ``MolecularGraph.validate`` looks for as it builds a
+graph, so its graphs need no second check.
 
 The writer orders atoms by symmetry class, formal charge and hydrogen
 count before it breaks ties, so any atom order of one molecule gives one
@@ -52,6 +54,8 @@ _BOND_SYMBOLS = {
     "/": (BondType.SINGLE, BondDirection.END_UP_RIGHT),
     "\\": (BondType.SINGLE, BondDirection.END_DOWN_RIGHT),
 }
+
+_TETRAHEDRAL = (Chirality.CLOCKWISE, Chirality.COUNTERCLOCKWISE)  # the '@@' and '@' marks
 
 _BRACKET_RE = re.compile(
     r"^(?P<isotope>\d+)?"
@@ -107,16 +111,17 @@ def parse_smiles(text: str) -> MolecularGraph:
     open_rings: dict[int, tuple[int, int, int, BondType | None, BondDirection]] = {}
 
     def add_bond(
-        a: int, b: int, btype: BondType, direction: BondDirection, pos: int
+        a: int, b: int, btype: BondType | None, direction: BondDirection, pos: int
     ) -> None:
         pair = frozenset((a, b))
         if a == b:
             raise SmilesParseError("ring bond to the same atom", pos)
         if pair in bonded_pairs:
             raise SmilesParseError(f"duplicate bond between atoms {a} and {b}", pos)
-        if btype is BondType.AROMATIC and not (
-            atoms[a].is_aromatic and atoms[b].is_aromatic
-        ):
+        aromatic = atoms[a].is_aromatic and atoms[b].is_aromatic
+        if btype is None:  # unwritten: aromatic between two aromatic atoms, else single
+            btype = BondType.AROMATIC if aromatic else BondType.SINGLE
+        elif btype is BondType.AROMATIC and not aromatic:
             raise SmilesParseError("aromatic bond between non-aromatic atoms", pos)
         bonded_pairs.add(pair)
         bonds.append(BondSpec((a, b), btype, direction))
@@ -130,14 +135,7 @@ def parse_smiles(text: str) -> MolecularGraph:
         positions.append(pos)
         order: list[int] = []
         if prev is not None:
-            btype = pending.bond_type
-            if btype is None:
-                btype = (
-                    BondType.AROMATIC
-                    if atoms[prev].is_aromatic and spec.is_aromatic
-                    else BondType.SINGLE
-                )
-            add_bond(prev, idx, btype, pending.direction, pos)
+            add_bond(prev, idx, pending.bond_type, pending.direction, pos)
             neighbor_order[prev].append(idx)
             order.append(prev)
         elif pending.explicit:
@@ -163,12 +161,6 @@ def parse_smiles(text: str) -> MolecularGraph:
             # symbol was written at the opening site: orient opener -> closer
             add_bond(other, here, obond, odir, pos)
         else:
-            if btype is None:
-                btype = (
-                    BondType.AROMATIC
-                    if atoms[other].is_aromatic and atoms[here].is_aromatic
-                    else BondType.SINGLE
-                )
             # orientation closer -> opener, matching where the symbol sits
             add_bond(here, other, btype, direction, pos)
         neighbor_order[other][slot] = here
@@ -277,7 +269,6 @@ def parse_smiles(text: str) -> MolecularGraph:
         if atom.chirality is not Chirality.NONE:
             # ring slots (-2) were all patched by close_ring
             graph.chiral_order[idx] = list(neighbor_order[idx])
-    graph.validate()
     return graph
 
 
@@ -386,6 +377,7 @@ def canonical_smiles(graph: MolecularGraph) -> str:
 def _fold_hydrogens(graph: MolecularGraph) -> tuple[MolecularGraph, list[int]]:
     keep: list[int] = []
     fold_to: dict[int, int] = {}
+    folded = [0] * len(graph.atoms)  # hydrogens folded into each atom
     for atom in graph.atoms:
         if (
             atom.element == "H"
@@ -394,7 +386,9 @@ def _fold_hydrogens(graph: MolecularGraph) -> tuple[MolecularGraph, list[int]]:
             and len(graph.adjacency[atom.index]) == 1
             and graph.atoms[graph.adjacency[atom.index][0]].element != "H"
         ):
-            fold_to[atom.index] = graph.adjacency[atom.index][0]
+            heavy = graph.adjacency[atom.index][0]
+            fold_to[atom.index] = heavy
+            folded[heavy] += 1
         else:
             keep.append(atom.index)
     remap = {old: new for new, old in enumerate(keep)}
@@ -411,10 +405,7 @@ def _fold_hydrogens(graph: MolecularGraph) -> tuple[MolecularGraph, list[int]]:
             implicit_h=0,
         )
         atoms.append(spec)
-        h_counts.append(
-            graph.atoms[old].implicit_h
-            + sum(1 for h, heavy in fold_to.items() if heavy == old)
-        )
+        h_counts.append(graph.atoms[old].implicit_h + folded[old])
     bonds = [
         BondSpec(
             (remap[b.endpoints[0]], remap[b.endpoints[1]]), b.bond_type, b.direction
@@ -497,10 +488,7 @@ def _emit_component(
             emitted_neighbors.append(parent)
         h = h_counts[atom]
         bracket_h = _needs_bracket(graph, atom, h)
-        if graph.atoms[atom].chirality in (
-            Chirality.CLOCKWISE,
-            Chirality.COUNTERCLOCKWISE,
-        ):
+        if graph.atoms[atom].chirality in _TETRAHEDRAL:
             emitted_neighbors.extend([-1] * h)
         ring_partner_order = [p for _, p in opens_at.get(atom, [])] + [
             p for _, p in closes_at.get(atom, [])
@@ -527,10 +515,7 @@ def _emit_component(
 
 def _needs_bracket(graph: MolecularGraph, atom: int, h: int) -> bool:
     spec = graph.atoms[atom]
-    if spec.formal_charge != 0 or spec.chirality in (
-        Chirality.CLOCKWISE,
-        Chirality.COUNTERCLOCKWISE,
-    ):
+    if spec.formal_charge != 0 or spec.chirality in _TETRAHEDRAL:
         return True
     if spec.element == "H":
         return True
@@ -554,7 +539,7 @@ def _atom_text(
     if not bracket:
         return symbol
     chiral_mark = ""
-    if spec.chirality in (Chirality.CLOCKWISE, Chirality.COUNTERCLOCKWISE):
+    if spec.chirality in _TETRAHEDRAL:
         flipped = _parity_is_odd(
             graph.chiral_order.get(atom, emitted_neighbors), emitted_neighbors
         )

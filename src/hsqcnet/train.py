@@ -16,6 +16,9 @@ Without a validation set, the one annotation sweep
 after each fine-tuning round both scores the trained weights (the matched
 MAE is a function of the labels alone) and labels the next round; the
 iteration's initial loss is read from the labels too.
+
+The sample record types live here: ``Sample1D``, ``SampleHSQC`` and the
+expert-annotated ``AnnotatedTestRecord`` that wraps a ``SampleHSQC``.
 """
 
 from __future__ import annotations
@@ -37,15 +40,7 @@ from .assign import (
     pseudo_annotate,
 )
 from .autodiff import Adam, ComputeRecord, Tensor, backward
-from .model import (
-    CrossPeakModel,
-    HeadRows,
-    ModelConfig,
-    Molecule,
-    ProtonReads,
-    ShiftReads,
-    SolventClass,
-)
+from .model import CrossPeakModel, ModelConfig, Molecule, ShiftReads, SolventClass
 
 log = logging.getLogger(__name__)
 
@@ -91,6 +86,17 @@ class SampleHSQC:
     solvent: SolventClass
     peaks: list[ObservedPeak]
     saccharide: bool = False
+
+
+@dataclass
+class AnnotatedTestRecord:
+    """A peak list plus the expert ground-truth assignment.
+
+    ``expert`` maps each observed peak index to the C-H units it
+    represents, each unit written (carbon index, slot)."""
+
+    sample: SampleHSQC
+    expert: dict[int, list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -318,16 +324,10 @@ class LabelTarget:
     @classmethod
     def of(cls, sample: SampleHSQC, labels: PseudoLabels) -> "LabelTarget":
         entries = sorted(labels.entries, key=lambda e: (e.carbon_index, e.slot))
-        carbons = sorted({e.carbon_index for e in entries})
+        carbons = [e.carbon_index for e in entries]
         split = {e.carbon_index for e in entries if e.slot == 2}
-        row = {carbon: r for r, carbon in enumerate(carbons)}
-        rows = np.array([row[e.carbon_index] for e in entries], dtype=np.intp)
-        reads = ShiftReads(
-            HeadRows.of(sample.molecule, carbons),
-            (rows, np.zeros(len(rows), np.intp)),
-            ProtonReads.of(rows, [e.slot for e in entries],
-                           [e.carbon_index in split for e in entries]),
-        )
+        reads = ShiftReads.at(sample.molecule, carbons, carbons, [e.slot for e in entries],
+                              [carbon in split for carbon in carbons])
         return cls(sample.molecule, sample.solvent, reads,
                    np.array([e.delta_c for e in entries], dtype=np.float64),
                    np.array([e.delta_h for e in entries], dtype=np.float64))

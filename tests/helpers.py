@@ -8,8 +8,9 @@ that pseudo_annotate replaced, the per-array Adam (folded, and in the
 textbook order it replaced), the affine and relu ops that ``mlp_head`` and
 ``message_layer`` fuse, the gather/add chain that ``embed`` fuses, the
 per-edge message map that the factored one replaced, the heads with their
-joined input and the per-carbon C-H walk; and a checkpoint header rewriter
-with the malformed headers it is given."""
+joined input, the per-carbon C-H walk and the hand-built reads of
+pseudo-labels that ``ShiftReads.at`` replaced; and a checkpoint header
+rewriter with the malformed headers it is given."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from hsqcnet import autodiff as ad
 from hsqcnet.assign import PseudoLabel, PseudoLabels, cost_matrix, hungarian, shift_cost
-from hsqcnet.model import SOLVENT_INDEX
+from hsqcnet.model import SOLVENT_INDEX, HeadRows, ProtonReads, ShiftReads
 from hsqcnet.molgraph import (
     BondDirection,
     BondType,
@@ -434,6 +435,24 @@ def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.n
     raw_c = mlp("c_head", c_parts)
     raw_h = mlp("h_head", [h_c, h_mean, solvent_rows("embed.solvent_h")])
     return raw_c, raw_h
+
+
+def reference_label_reads(molecule, labels) -> ShiftReads:
+    """The reads of a molecule's pseudo-labels as ``LabelTarget.of`` built
+    them by hand before ``ShiftReads.at``: the labels in (carbon, slot)
+    order, their carbons ascending as head rows, and a slot-2 label's
+    carbon split."""
+    entries = sorted(labels.entries, key=lambda e: (e.carbon_index, e.slot))
+    carbons = sorted({e.carbon_index for e in entries})
+    split = {e.carbon_index for e in entries if e.slot == 2}
+    row = {carbon: r for r, carbon in enumerate(carbons)}
+    rows = np.array([row[e.carbon_index] for e in entries], dtype=np.intp)
+    return ShiftReads(
+        HeadRows.of(molecule, carbons),
+        (rows, np.zeros(len(rows), np.intp)),
+        ProtonReads.of(rows, [e.slot for e in entries],
+                       [e.carbon_index in split for e in entries]),
+    )
 
 
 def reference_edge_arrays(graph: MolecularGraph) -> tuple[list[int], list[int], list[int]]:

@@ -19,7 +19,7 @@ from hsqcnet.model import (
     graph_index,
     prepare_molecule,
 )
-from hsqcnet.molgraph import relabel_atoms
+from hsqcnet.molgraph import AtomSpec, BondSpec, BondType, MolecularGraph, relabel_atoms
 from hsqcnet.smiles import parse_smiles
 from hsqcnet.train import LabelTarget, Sample1D, SampleHSQC, TrainConfig, _loss, mtt_pretrain
 from helpers import (
@@ -334,6 +334,28 @@ def test_factored_message_map_matches_per_edge_reference(smiles):
 def _peaks(model, molecule):
     return [(p.ch_unit.carbon_index, p.peak_slot, p.delta_c, p.delta_h)
             for p in model.predict_cross_peaks(molecule, SolventClass.DMSO)]
+
+
+S, A = BondType.SINGLE, BondType.AROMATIC
+CC = [("C", 0), ("C", 1)]
+
+
+@pytest.mark.parametrize("atoms, bonds, message", [
+    (CC, [((0, 1), S), ((1, 1), S)], "self-bond on atom 1"),
+    (CC, [((0, 1), S), ((1, 0), S)], "duplicate bond between 1 and 0"),
+    (CC, [((0, 1), A)], "aromatic bond between non-aromatic atoms 0, 1"),
+    ([("C", 5), ("C", 1)], [((0, 1), S)], "atom 0 carries index 5"),
+    ([("C", 0), ("Xx", 1)], [((0, 1), S)], "unknown element 'Xx' at atom 1"),
+    (CC, [((0, 1), S), ((1, -1), S)], r"endpoints \(1, -1\) out of range"),
+], ids=["self-bond", "duplicate", "aromatic", "index", "element", "endpoint"])
+def test_prepare_molecule_rejects_a_malformed_caller_graph(atoms, bonds, message):
+    # a graph built without the parser is checked where it enters the model;
+    # each of these once predicted peaks or escaped as a bare KeyError or
+    # IndexError
+    graph = MolecularGraph(atoms=[AtomSpec(element, index) for element, index in atoms],
+                           bonds=[BondSpec(ends, kind) for ends, kind in bonds])
+    with pytest.raises(ValueError, match=message):
+        prepare_molecule(graph)
 
 
 def test_shared_molecule_serves_models_of_two_widths():

@@ -3,12 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from hsqcnet.model import prepare_molecule
 from hsqcnet.molgraph import BondDirection, BondType, Chirality, Hybridization, relabel_atoms
 from hsqcnet.smiles import SmilesParseError, canonical_smiles, parse_smiles
 
-from helpers import graphs_isomorphic
+from helpers import graphs_isomorphic, smiles_strings
 
 
 def counts(graph):
@@ -149,6 +150,19 @@ def test_corpus_counts(parser_corpus):
         got = counts(g)
         expected = (entry["atoms"], entry["bonds"], entry["implicit_h"])
         assert got == expected, f"{entry['smiles']}: {got} != {expected}"
+
+
+def test_corpus_parses_pass_validate(parser_corpus):
+    # parse_smiles rejects validate's faults as it builds a graph and runs
+    # no second check; this holds that invariant
+    for entry in parser_corpus["molecules"]:
+        parse_smiles(entry["smiles"]).validate()
+
+
+@given(smiles_strings(bracket_h=True))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_drawn_parses_pass_validate(smiles):
+    parse_smiles(smiles).validate()
 
 
 def test_corpus_malformed(parser_corpus):

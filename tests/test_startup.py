@@ -9,6 +9,7 @@ order and reports, after each, whether ``scipy`` is in ``sys.modules``.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -92,3 +93,15 @@ def test_scipy_is_imported_on_the_first_exact_solve(tmp_path):
     assert out["small"] == [[], [[1]]]
     assert out["solve_loads_scipy"], "a 2x2 exact solve did not import scipy"
     assert out["equals_scipy"], "the 2x2 exact solve differs from scipy's"
+
+
+def test_no_module_imports_its_package_inside_a_function():
+    # each module's dependencies on the package sit in its header; a
+    # deferred third-party import, such as assign's scipy solver, is allowed
+    late = []
+    for path in sorted((REPO / "src" / "hsqcnet").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                late += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                         if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert late == []

@@ -26,7 +26,7 @@ from hsqcnet.train import (
     matched_mae,
     mtt_pretrain,
 )
-from helpers import reference_heads
+from helpers import reference_heads, reference_label_reads
 
 TINY = ModelConfig(num_layers=2, atom_dim=10, solvent_dim_h=4, mlp_hidden=(8, 6), seed=5)
 
@@ -279,6 +279,30 @@ def _butyric_labels(shifts) -> PseudoLabels:
                  for k, ((c, slot), (dc, dh)) in enumerate(zip(keys, shifts))],
         provenance="hungarian", mean_cost=0.0, rejected=False,
     )
+
+
+def _read_arrays(reads) -> list[np.ndarray]:
+    heads, protons = reads.heads, reads.protons
+    return [heads.carbons, heads.h_index, heads.h_row, heads.h_weight, *reads.carbon,
+            *protons.index, protons.weight, protons.segments]
+
+
+def test_label_target_reads_equal_the_hand_built_layout(toy_hsqc_samples):
+    # ShiftReads.at lays pseudo-labels out as LabelTarget.of once did by
+    # hand: a split and a merged methylene, the same labels in reverse
+    # order, and the labels of the toy HSQC set
+    butyric = prepare_molecule("CCCC(=O)O")
+    labels = _butyric_labels([(14.0, 0.9), (18.0, 1.6), (18.0, 1.7), (36.0, 2.3)])
+    backwards = replace(labels, entries=labels.entries[::-1])
+    cases = [(butyric, labels), (butyric, backwards)]
+    toy = annotate_dataset(CrossPeakModel(TINY), toy_hsqc_samples, MatchSettings())
+    cases += [(s.molecule, lab) for s, lab in zip(toy_hsqc_samples, toy) if lab is not None]
+    assert len(cases) > 10
+    for molecule, lab in cases:
+        got = LabelTarget.of(SampleHSQC(molecule, SolventClass.DMSO, []), lab).reads
+        want = reference_label_reads(molecule, lab)
+        for g, w in zip(_read_arrays(got), _read_arrays(want), strict=True):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
 def test_finetune_tape_length_equals_pretraining(monkeypatch, desk_config):
