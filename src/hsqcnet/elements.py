@@ -62,14 +62,6 @@ AROMATIC_ORGANIC = ("b", "c", "n", "o", "p", "s")
 AROMATIC_BRACKET = AROMATIC_ORGANIC + ("se", "as", "te", "si")
 
 
-def is_element(symbol: str) -> bool:
-    return symbol in ATOMIC_MASS
-
-
-def atomic_mass(symbol: str) -> float:
-    return ATOMIC_MASS[symbol]
-
-
 def implicit_hydrogens(symbol: str, bonding_number: int) -> int:
     """Implicit H count for an unbracketed organic-subset atom.
 

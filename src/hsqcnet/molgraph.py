@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .elements import ATOMIC_MASS, atomic_mass
+from .elements import ATOMIC_MASS
 
 
 # Atom and bond enums key dicts on hot paths (``model.graph_index`` looks one
@@ -80,6 +80,10 @@ class BondSpec:
 class MolecularGraph:
     """Undirected molecular graph; atoms indexed 0..n-1.
 
+    Construction checks that every bond endpoint names an atom (ValueError
+    otherwise) and derives ``adjacency``, which is not a parameter;
+    ``validate`` checks the rest of a caller's graph.
+
     ``chiral_order`` keeps, for every chiral atom, its neighbors in the
     order the source text listed them (-1 standing in for a not yet
     materialized implicit hydrogen); the canonical writer and isomorphism
@@ -90,14 +94,17 @@ class MolecularGraph:
     bonds: list[BondSpec]
     source_smiles: str = ""
     chiral_order: dict[int, list[int]] = field(default_factory=dict)
-    adjacency: list[list[int]] = field(default_factory=list)
-    _bond_at: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
+    adjacency: list[list[int]] = field(init=False)
+    _bond_at: dict[tuple[int, int], int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        n = len(self.atoms)
         self.adjacency = [[] for _ in self.atoms]
         self._bond_at = {}
         for bi, bond in enumerate(self.bonds):
             a, b = bond.endpoints
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"bond endpoints {bond.endpoints} out of range")
             self.adjacency[a].append(b)
             self.adjacency[b].append(a)
             self._bond_at[(a, b)] = bi
@@ -107,14 +114,11 @@ class MolecularGraph:
         return self.bonds[self._bond_at[(a, b)]]
 
     def validate(self) -> None:
-        n = len(self.atoms)
         seen: set[frozenset[int]] = set()
         for bond in self.bonds:
             a, b = bond.endpoints
             if a == b:
                 raise ValueError(f"self-bond on atom {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"bond endpoints {bond.endpoints} out of range")
             pair = frozenset((a, b))
             if pair in seen:
                 raise ValueError(f"duplicate bond between {a} and {b}")
@@ -320,8 +324,8 @@ def molecular_weight(graph: MolecularGraph) -> float:
     """Sum of standard atomic masses, implicit hydrogens included."""
     total = 0.0
     for atom in graph.atoms:
-        total += atomic_mass(atom.element)
-        total += atom.implicit_h * atomic_mass("H")
+        total += ATOMIC_MASS[atom.element]
+        total += atom.implicit_h * ATOMIC_MASS["H"]
     return total
 
 

@@ -10,19 +10,23 @@ graph, so its graphs need no second check.
 The writer orders atoms by symmetry class, formal charge and hydrogen
 count before it breaks ties, so any atom order of one molecule gives one
 string. Directional bonds are the exception: their marks are written as
-the DFS meets them, and may depend on atom order.
+the DFS meets them, and may depend on atom order. The writer walks with
+explicit stacks, not recursion, so Python's recursion limit does not bound
+the length of a chain it can write.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
+from itertools import combinations
 
 from .elements import (
     AROMATIC_BRACKET,
     AROMATIC_ORGANIC,
+    ATOMIC_MASS,
     ORGANIC_SUBSET,
     implicit_hydrogens,
-    is_element,
 )
 from .molgraph import (
     AtomSpec,
@@ -55,7 +59,11 @@ _BOND_SYMBOLS = {
     "\\": (BondType.SINGLE, BondDirection.END_DOWN_RIGHT),
 }
 
-_TETRAHEDRAL = (Chirality.CLOCKWISE, Chirality.COUNTERCLOCKWISE)  # the '@@' and '@' marks
+_NO_BOND = (None, BondDirection.NONE)  # no bond symbol pending
+
+# The tetrahedral marks, read and written; the writer flips a mark by taking
+# the other member.
+_TETRAHEDRAL = {"@": Chirality.COUNTERCLOCKWISE, "@@": Chirality.CLOCKWISE}
 
 _BRACKET_RE = re.compile(
     r"^(?P<isotope>\d+)?"
@@ -65,22 +73,6 @@ _BRACKET_RE = re.compile(
     r"(?P<charge>\+{1,2}|-{1,2}|\+\d+|-\d+)?"
     r"(?::\d+)?$"  # atom-map class, accepted and ignored
 )
-
-
-class _PendingBond:
-    __slots__ = ("bond_type", "direction", "explicit")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.bond_type: BondType | None = None
-        self.direction = BondDirection.NONE
-        self.explicit = False
-
-    def set(self, symbol: str) -> None:
-        self.bond_type, self.direction = _BOND_SYMBOLS[symbol]
-        self.explicit = True
 
 
 def parse_smiles(text: str) -> MolecularGraph:
@@ -104,7 +96,7 @@ def parse_smiles(text: str) -> MolecularGraph:
     bonded_pairs: set[frozenset[int]] = set()
 
     prev: int | None = None
-    pending = _PendingBond()
+    pending: tuple[BondType | None, BondDirection] = _NO_BOND
     branch_stack: list[tuple[int | None, int]] = []
     # ring number -> (atom, position-in-text, slot index in neighbor_order,
     #                 bond type or None, direction as written opener->closer)
@@ -127,7 +119,7 @@ def parse_smiles(text: str) -> MolecularGraph:
         bonds.append(BondSpec((a, b), btype, direction))
 
     def new_atom(spec: AtomSpec, pos: int, was_bracket: bool, h_hint: int) -> None:
-        nonlocal prev
+        nonlocal prev, pending
         idx = len(atoms)
         spec.index = idx
         atoms.append(spec)
@@ -135,20 +127,20 @@ def parse_smiles(text: str) -> MolecularGraph:
         positions.append(pos)
         order: list[int] = []
         if prev is not None:
-            add_bond(prev, idx, pending.bond_type, pending.direction, pos)
+            add_bond(prev, idx, *pending, pos)
             neighbor_order[prev].append(idx)
             order.append(prev)
-        elif pending.explicit:
+        elif pending != _NO_BOND:
             raise SmilesParseError("bond symbol with no preceding atom", pos)
         order.extend([-1] * h_hint)  # implicit-H slots for tetrahedral parity
         neighbor_order.append(order)
-        pending.reset()
+        pending = _NO_BOND
         prev = idx
 
     def close_ring(number: int, pos: int) -> None:
+        nonlocal pending
         other, _opos, slot, obond, odir = open_rings.pop(number)
-        btype = pending.bond_type
-        direction = pending.direction
+        btype, direction = pending
         if btype is not None and obond is not None:
             same = btype is obond and direction is _flip(odir)
             if not same:
@@ -165,7 +157,7 @@ def parse_smiles(text: str) -> MolecularGraph:
             add_bond(here, other, btype, direction, pos)
         neighbor_order[other][slot] = here
         neighbor_order[here].append(other)
-        pending.reset()
+        pending = _NO_BOND
 
     i = 0
     n = len(text)
@@ -182,9 +174,9 @@ def parse_smiles(text: str) -> MolecularGraph:
             prev, _ = branch_stack.pop()
             i += 1
         elif ch in _BOND_SYMBOLS:
-            if pending.explicit:
+            if pending != _NO_BOND:
                 raise SmilesParseError("two bond symbols in a row", i)
-            pending.set(ch)
+            pending = _BOND_SYMBOLS[ch]
             i += 1
         elif ch.isdigit() or ch == "%":
             if prev is None:
@@ -202,17 +194,11 @@ def parse_smiles(text: str) -> MolecularGraph:
             else:
                 slot = len(neighbor_order[prev])
                 neighbor_order[prev].append(-2)  # patched when the ring closes
-                open_rings[number] = (
-                    prev,
-                    i,
-                    slot,
-                    pending.bond_type,
-                    pending.direction,
-                )
-                pending.reset()
+                open_rings[number] = (prev, i, slot, *pending)
+                pending = _NO_BOND
             i += width
         elif ch == ".":
-            if pending.explicit:
+            if pending != _NO_BOND:
                 raise SmilesParseError("bond symbol before '.'", i)
             prev = None
             i += 1
@@ -230,7 +216,7 @@ def parse_smiles(text: str) -> MolecularGraph:
                 symbol = ch + text[i + 1]
             elif ch in ORGANIC_SUBSET:
                 symbol = ch
-            elif is_element(ch) or (i + 1 < n and is_element(ch + text[i + 1])):
+            elif ch in ATOMIC_MASS or (i + 1 < n and ch + text[i + 1] in ATOMIC_MASS):
                 raise SmilesParseError(
                     f"element {ch!r} must be written in brackets", i
                 )
@@ -252,7 +238,7 @@ def parse_smiles(text: str) -> MolecularGraph:
     if open_rings:
         number, (atom, pos, *_rest) = next(iter(open_rings.items()))
         raise SmilesParseError(f"unmatched ring closure {number}", pos)
-    if pending.explicit:
+    if pending != _NO_BOND:
         raise SmilesParseError("dangling bond symbol", n - 1)
     if not atoms:
         raise SmilesParseError("SMILES has no atoms", 0)
@@ -289,17 +275,11 @@ def _parse_bracket(body: str, offset: int) -> tuple[AtomSpec, int]:
     if aromatic and raw_symbol not in AROMATIC_BRACKET:
         raise SmilesParseError(f"unknown aromatic symbol {raw_symbol!r}", offset)
     symbol = raw_symbol.capitalize() if aromatic else raw_symbol
-    if not is_element(symbol):
+    if symbol not in ATOMIC_MASS:
         raise SmilesParseError(f"unknown element symbol {raw_symbol!r}", offset)
 
-    chiral = Chirality.NONE
     tag = m.group("chiral")
-    if tag == "@":
-        chiral = Chirality.COUNTERCLOCKWISE
-    elif tag == "@@":
-        chiral = Chirality.CLOCKWISE
-    elif tag:
-        chiral = Chirality.OTHER
+    chiral = _TETRAHEDRAL.get(tag, Chirality.OTHER) if tag else Chirality.NONE
 
     h_count = 0
     if m.group("hcount"):
@@ -429,35 +409,37 @@ def _emit_component(
     start: int,
     visited: set[int],
 ) -> str:
-    # pass 1: DFS tree and ring-closure edges in emission order
+    # pass 1: DFS tree and ring-closure edges in emission order, walked with
+    # a stack of (atom, neighbours not yet tried) frames
     children: dict[int, list[int]] = {}
     ring_edges: list[tuple[int, int]] = []  # (first-emitted atom, second atom)
     seen_edges: set[frozenset[int]] = set()
-    emit_order: list[int] = []
 
-    def explore(atom: int, parent: int | None) -> None:
+    def enter(atom: int) -> tuple[int, Iterator[int]]:
         visited.add(atom)
-        emit_order.append(atom)
         children[atom] = []
-        for nb in sorted(graph.adjacency[atom], key=lambda j: ranks[j]):
+        return atom, iter(sorted(graph.adjacency[atom], key=lambda j: ranks[j]))
+
+    stack = [enter(start)]
+    while stack:
+        atom, untried = stack[-1]
+        for nb in untried:
             edge = frozenset((atom, nb))
             if edge in seen_edges:
                 continue
+            seen_edges.add(edge)
             if nb in visited:
-                seen_edges.add(edge)
                 ring_edges.append((nb, atom))
             else:
-                seen_edges.add(edge)
                 children[atom].append(nb)
-                explore(nb, atom)
+                stack.append(enter(nb))
+                break
+        else:
+            stack.pop()
 
-    explore(start, None)
-
-    ring_digit: dict[frozenset[int], int] = {}
     opens_at: dict[int, list[tuple[int, int]]] = {}
     closes_at: dict[int, list[tuple[int, int]]] = {}
     for num, (first, second) in enumerate(ring_edges, start=1):
-        ring_digit[frozenset((first, second))] = num
         opens_at.setdefault(first, []).append((num, second))
         closes_at.setdefault(second, []).append((num, first))
 
@@ -481,14 +463,23 @@ def _emit_component(
     def digit_text(num: int) -> str:
         return str(num) if num <= 9 else f"%{num:02d}"
 
-    def emit(atom: int, parent: int | None) -> None:
+    # pass 2: write each atom after its parent's bond, every child but the
+    # last in parentheses; the work list holds (parent, atom) pairs and the
+    # parentheses still to write
+    work: list[tuple[int | None, int] | str] = [(None, start)]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        parent, atom = item
         emitted_neighbors: list[int] = []
         if parent is not None:
             out.append(bond_text(parent, atom))
             emitted_neighbors.append(parent)
         h = h_counts[atom]
         bracket_h = _needs_bracket(graph, atom, h)
-        if graph.atoms[atom].chirality in _TETRAHEDRAL:
+        if graph.atoms[atom].chirality in _TETRAHEDRAL.values():
             emitted_neighbors.extend([-1] * h)
         ring_partner_order = [p for _, p in opens_at.get(atom, [])] + [
             p for _, p in closes_at.get(atom, [])
@@ -502,20 +493,16 @@ def _emit_component(
         for num, _partner in closes_at.get(atom, []):
             out.append(digit_text(num))
         kids = children[atom]
-        for kid in kids[:-1]:
-            out.append("(")
-            emit(kid, atom)
-            out.append(")")
         if kids:
-            emit(kids[-1], atom)
-
-    emit(start, None)
+            work.append((atom, kids[-1]))
+        for kid in reversed(kids[:-1]):
+            work.extend((")", (atom, kid), "("))
     return "".join(out)
 
 
 def _needs_bracket(graph: MolecularGraph, atom: int, h: int) -> bool:
     spec = graph.atoms[atom]
-    if spec.formal_charge != 0 or spec.chirality in _TETRAHEDRAL:
+    if spec.formal_charge != 0 or spec.chirality in _TETRAHEDRAL.values():
         return True
     if spec.element == "H":
         return True
@@ -539,18 +526,15 @@ def _atom_text(
     if not bracket:
         return symbol
     chiral_mark = ""
-    if spec.chirality in _TETRAHEDRAL:
+    if spec.chirality in _TETRAHEDRAL.values():
         flipped = _parity_is_odd(
             graph.chiral_order.get(atom, emitted_neighbors), emitted_neighbors
         )
-        effective = spec.chirality
-        if flipped:
-            effective = (
-                Chirality.CLOCKWISE
-                if effective is Chirality.COUNTERCLOCKWISE
-                else Chirality.COUNTERCLOCKWISE
-            )
-        chiral_mark = "@" if effective is Chirality.COUNTERCLOCKWISE else "@@"
+        # the atom's own mark, or the other one when the order's parity is odd
+        chiral_mark = next(
+            mark for mark, chirality in _TETRAHEDRAL.items()
+            if (chirality is spec.chirality) != flipped
+        )
     h_mark = "" if h == 0 else ("H" if h == 1 else f"H{h}")
     if spec.formal_charge == 0:
         charge_mark = ""
@@ -566,20 +550,10 @@ def _parity_is_odd(reference: list[int], emitted: list[int]) -> bool:
     emitted one; -1 placeholders (implicit H) are matched positionally."""
     if sorted(reference) != sorted(emitted) or len(reference) < 2:
         return False
-    ref = list(reference)
+    slots: list[int | None] = list(reference)
     perm: list[int] = []
-    used = [False] * len(ref)
-    for item in emitted:
-        for k, r in enumerate(ref):
-            if not used[k] and r == item:
-                used[k] = True
-                perm.append(k)
-                break
-    swaps = 0
-    target = list(perm)
-    for i in range(len(target)):
-        while target[i] != i:
-            j = target[i]
-            target[i], target[j] = target[j], target[i]
-            swaps += 1
-    return swaps % 2 == 1
+    for item in emitted:  # each to its first unused reference slot
+        k = slots.index(item)
+        slots[k] = None
+        perm.append(k)
+    return sum(a > b for a, b in combinations(perm, 2)) % 2 == 1

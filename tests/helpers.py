@@ -9,8 +9,9 @@ textbook order it replaced), the affine and relu ops that ``mlp_head`` and
 ``message_layer`` fuse, the gather/add chain that ``embed`` fuses, the
 per-edge message map that the factored one replaced, the heads with their
 joined input, the per-carbon C-H walk and the hand-built reads of
-pseudo-labels that ``ShiftReads.at`` replaced; and a checkpoint header
-rewriter with the malformed headers it is given."""
+pseudo-labels that ``ShiftReads.at`` replaced, the canonical writer's
+tetrahedral parity by cycle sorting; and a checkpoint header rewriter with
+the malformed headers it is given."""
 
 from __future__ import annotations
 
@@ -80,6 +81,14 @@ def _permutation_parity_odd(reference: list[int], image: list[int]) -> bool:
             perm[i], perm[j] = perm[j], perm[i]
             swaps += 1
     return swaps % 2 == 1
+
+
+def reference_parity_is_odd(reference: list[int], emitted: list[int]) -> bool:
+    """The canonical writer's parity rule by matching and cycle sorting;
+    lists that do not hold the same entries count as even."""
+    if sorted(reference) != sorted(emitted) or len(reference) < 2:
+        return False
+    return _permutation_parity_odd(reference, emitted)
 
 
 def _chirality_consistent(g1, g2, mapping: dict[int, int]) -> bool:

@@ -56,6 +56,14 @@ def test_usage_error_exit_code():
     assert proc.returncode == 1
     proc = run_cli("--quiet", "pretrain")  # missing required flags
     assert proc.returncode == 1
+    # the usage line alone does not say what was wrong
+    proc = run_cli("--quiet", "predict", "CCO")
+    assert proc.returncode == 1
+    assert "error: the following arguments are required: --checkpoint" in proc.stderr
+    proc = run_cli("--quiet", "assign", "CCO", "--checkpoint", "x", "--peaks", "[]",
+                   "--format", "xml")
+    assert proc.returncode == 1
+    assert "error: argument --format: invalid choice: 'xml'" in proc.stderr
 
 
 def test_validate_data_reports_each_record(tmp_path):

@@ -347,14 +347,16 @@ CC = [("C", 0), ("C", 1)]
     ([("C", 5), ("C", 1)], [((0, 1), S)], "atom 0 carries index 5"),
     ([("C", 0), ("Xx", 1)], [((0, 1), S)], "unknown element 'Xx' at atom 1"),
     (CC, [((0, 1), S), ((1, -1), S)], r"endpoints \(1, -1\) out of range"),
-], ids=["self-bond", "duplicate", "aromatic", "index", "element", "endpoint"])
+    (CC, [((0, 2), S)], r"endpoints \(0, 2\) out of range"),
+], ids=["self-bond", "duplicate", "aromatic", "index", "element", "endpoint",
+        "endpoint-past-end"])
 def test_prepare_molecule_rejects_a_malformed_caller_graph(atoms, bonds, message):
-    # a graph built without the parser is checked where it enters the model;
-    # each of these once predicted peaks or escaped as a bare KeyError or
-    # IndexError
-    graph = MolecularGraph(atoms=[AtomSpec(element, index) for element, index in atoms],
-                           bonds=[BondSpec(ends, kind) for ends, kind in bonds])
+    # a graph built without the parser is checked where it is built (bond
+    # endpoints) or where it enters the model (the rest); each of these once
+    # predicted peaks or escaped as a bare KeyError or IndexError
     with pytest.raises(ValueError, match=message):
+        graph = MolecularGraph(atoms=[AtomSpec(element, index) for element, index in atoms],
+                               bonds=[BondSpec(ends, kind) for ends, kind in bonds])
         prepare_molecule(graph)
 
 

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsqcnet.model import prepare_molecule
 from hsqcnet.molgraph import BondDirection, BondType, Chirality, Hybridization, relabel_atoms
-from hsqcnet.smiles import SmilesParseError, canonical_smiles, parse_smiles
+from hsqcnet.smiles import SmilesParseError, _parity_is_odd, canonical_smiles, parse_smiles
 
-from helpers import graphs_isomorphic, smiles_strings
+from helpers import graphs_isomorphic, reference_parity_is_odd, smiles_strings
 
 
 def counts(graph):
@@ -220,6 +222,33 @@ def test_canonical_is_invariant_under_relabelling(parser_corpus):
             perm = list(range(len(graph.atoms)))
             rng.shuffle(perm)
             assert canonical_smiles(relabel_atoms(graph, perm)) == expected, entry["smiles"]
+
+
+def test_canonical_writer_needs_no_recursion():
+    # wherever the DFS starts, its path runs at least 200 atoms deep, past
+    # the recursion limit
+    graph = parse_smiles("C" * 200 + "(C)" + "C" * 200 + "c1ccccc1")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        text = canonical_smiles(graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert counts(parse_smiles(text)) == counts(graph)
+    assert canonical_smiles(parse_smiles(text)) == text
+
+
+# neighbour orders of at most four entries; -1 is an implicit-H placeholder
+# and may repeat
+neighbour_orders = st.lists(st.integers(min_value=-1, max_value=4), max_size=4)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_parity_by_inversions_matches_cycle_sorting(data):
+    reference = data.draw(neighbour_orders)
+    emitted = data.draw(st.one_of(st.permutations(reference), neighbour_orders))
+    assert _parity_is_odd(reference, emitted) == reference_parity_is_odd(reference, emitted)
 
 
 def test_canonical_leaves_its_input_alone():
