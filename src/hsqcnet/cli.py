@@ -21,7 +21,6 @@ from .dataio import (
     KINDS,
     CheckpointError,
     DataFormatError,
-    config_hash,
     load_checkpoint,
     load_dataset,
     normalize_solvent,
@@ -258,14 +257,21 @@ def _dispatch(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _check_resume_config(checkpoint, model_config: ModelConfig) -> None:
-    verify_checkpoint_config(checkpoint, model_config)
-    stored = checkpoint.provenance.get("config_hash")
-    if stored is not None and stored != config_hash(model_config):
-        raise CheckpointError(
-            "cannot resume: model config differs from the checkpoint's "
-            f"(hash {stored[:12]} vs {config_hash(model_config)[:12]})"
-        )
+def _resume_checkpoint(args, model_config: ModelConfig):
+    """The ``--checkpoint-out`` a ``--resume`` run continues from, or None
+    for a fresh start. Its stored config must equal the run's; the arrays
+    already fit the stored config (``load_checkpoint``)."""
+    if not (args.resume and args.checkpoint_out.exists()):
+        return None
+    previous = load_checkpoint(args.checkpoint_out)
+    stored, run = previous.config.to_dict(), model_config.to_dict()
+    differ = [f"{k} (checkpoint {stored[k]!r}, run {value!r})"
+              for k, value in run.items() if stored[k] != value]
+    if differ:
+        raise CheckpointError(f"cannot resume from {args.checkpoint_out}: model config "
+                              f"differs in {', '.join(differ)}")
+    log.info("resuming %s from %s", args.command, args.checkpoint_out)
+    return previous
 
 
 def _train_command(args) -> int:
@@ -280,18 +286,16 @@ def _train_command(args) -> int:
     if not dataset:
         raise DataFormatError(f"{args.data}: no usable records")
 
+    previous = _resume_checkpoint(args, model_config)
     if args.command == "pretrain":
         init_state = None
         start_epoch = 0
-        if args.resume and args.checkpoint_out.exists():
-            previous = load_checkpoint(args.checkpoint_out)
-            _check_resume_config(previous, model_config)
+        if previous is not None:
             init_state = previous.arrays
             epoch = previous.provenance.get("epoch", -1)
             if not (is_integer(epoch) and epoch >= -1):
                 raise CheckpointError(f"{args.checkpoint_out}: bad provenance epoch {epoch!r}")
             start_epoch = epoch + 1
-            log.info("resuming from %s at epoch %d", args.checkpoint_out, start_epoch)
         result = mtt_pretrain(
             dataset,
             train_config,
@@ -308,14 +312,9 @@ def _train_command(args) -> int:
         }
     else:
         valset = load_dataset(args.val, "hsqc") if args.val else None
-        resuming = args.resume and args.checkpoint_out.exists()
-        source = args.checkpoint_out if resuming else args.checkpoint
-        if resuming:
-            log.info("resuming fine-tuning from %s", source)
-        start = load_checkpoint(source)
-        if resuming:
-            _check_resume_config(start, model_config)
-        else:
+        start = previous
+        if start is None:
+            start = load_checkpoint(args.checkpoint)
             verify_checkpoint_config(start, model_config)
         result = finetune_unsupervised(
             start.arrays,

@@ -10,7 +10,6 @@ a failed write leaves the previous file as it was.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -24,7 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .assign import config_from_json, ingest_peaks, is_finite_real, is_integer
-from .model import CrossPeakModel, ModelConfig, SolventClass, check_state, prepare_molecule
+from .model import (
+    C_PPM_CENTER, C_PPM_PER_UNIT, H_PPM_CENTER, H_PPM_PER_UNIT,
+    CrossPeakModel, ModelConfig, SolventClass, check_state, prepare_molecule,
+)
 from .smiles import SmilesParseError, canonical_smiles
 from .smiles import parse_smiles  # noqa: F401  (benchmarks/tracing.py wraps dataio.parse_smiles)
 from .train import AnnotatedTestRecord, Sample1D, SampleHSQC
@@ -256,6 +258,10 @@ def _shift_map(raw, molecule, element: str) -> dict[int, float]:
 
 _MAGIC = b"HSQCCKPT"
 FORMAT_VERSION = 1
+# config fields that files written before they were retired still carry,
+# each with the one value the model now fixes
+_RETIRED_CONFIG = {"solvent_dim_c": 0, "c_center": C_PPM_CENTER, "c_scale": C_PPM_PER_UNIT,
+                   "h_center": H_PPM_CENTER, "h_scale": H_PPM_PER_UNIT}
 
 
 @dataclass
@@ -268,19 +274,12 @@ class Checkpoint:
         return CrossPeakModel(self.config, state=self.arrays)
 
 
-def config_hash(config: ModelConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def save_checkpoint(
     arrays: dict[str, np.ndarray],
     config: ModelConfig,
     provenance: dict,
     path: str | Path,
 ) -> None:
-    provenance = dict(provenance)
-    provenance.setdefault("config_hash", config_hash(config))
     manifest = [
         {"name": name, "shape": list(np.asarray(a).shape)}
         for name, a in arrays.items()
@@ -335,8 +334,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: unsupported checkpoint version {version!r} "
             f"(this build reads version {FORMAT_VERSION})"
         )
+    raw_config = header.get("config")
+    if isinstance(raw_config, dict):
+        for name, fixed in _RETIRED_CONFIG.items():
+            value = raw_config.pop(name, fixed)
+            if not (is_finite_real(value) and value == fixed):
+                raise CheckpointError(f"{path}: retired model config field {name!r} is "
+                                      f"{value!r}; this build reads only {fixed!r}")
     try:
-        config = config_from_json(ModelConfig, header.get("config"), "config")
+        config = config_from_json(ModelConfig, raw_config, "config")
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad model config in header ({exc})") from exc
     provenance = header.get("provenance")

@@ -21,7 +21,9 @@ vector. Each head (three affine maps, two relus) is one tape op,
 block, so a solvent vector is one row shared by every carbon.
 ``head_outputs(molecule, solvent, rows)`` is the one head evaluation: for
 the k carbons of a ``HeadRows`` it gives the carbon head's (k, 1) output
-and the proton head's (k, 2) pair, as the heads emit them.
+and the proton head's (k, 2) pair, in output units that ``ppm_c`` and
+``ppm_h`` map to ppm by module constants. Only the proton head reads the
+solvent.
 Symmetry-equivalent units emit through one representative; methylene
 units may emit two peaks, and ``ProtonReads`` is the one rule for which
 proton output a (carbon, slot) target reads: the slot's own column when
@@ -91,26 +93,27 @@ EDGE_TYPES = len(BondType) * len(BondDirection)
 _EDGE_BOND, _EDGE_DIRECTION = np.divmod(np.arange(EDGE_TYPES), len(BondDirection))
 _HEAD_PARAMETERS = ("w1", "b1", "w2", "b2", "w3", "b3")  # of each head, in mlp_head order
 
+# ppm = center + per_unit * raw output. Centers sit mid-range of common
+# organic shifts, and the carbon/proton ratio of the units mirrors the 10:1
+# dispersion (and instrument resolution) ratio between the two nuclei.
+C_PPM_CENTER = 70.0
+C_PPM_PER_UNIT = 30.0
+H_PPM_CENTER = 4.0
+H_PPM_PER_UNIT = 3.0
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture knobs. Defaults are desk scale; the reference scale uses
-    atom_dim=512. Output heads work in normalized units; the center/scale
-    constants map them to ppm. Centers sit mid-range of common organic
-    shifts, and the carbon/proton scale ratio mirrors the 10:1 dispersion
-    (and instrument resolution) ratio between the two nuclei."""
+    atom_dim=512. The output units are module constants (``ppm_c``,
+    ``ppm_h``), not knobs."""
 
     num_layers: int = 5
     atom_dim: int = 64
     solvent_dim_h: int = 32
-    solvent_dim_c: int = 0
     mlp_hidden: tuple[int, int] = (128, 64)
     merge_tolerance_h: float = 0.01
     seed: int = 0
-    c_center: float = 70.0
-    c_scale: float = 30.0
-    h_center: float = 4.0
-    h_scale: float = 3.0
 
     def __post_init__(self) -> None:
         hidden = self.mlp_hidden
@@ -123,17 +126,12 @@ class ModelConfig:
             ("num_layers", self.num_layers, 1),
             ("atom_dim", self.atom_dim, 1),
             ("solvent_dim_h", self.solvent_dim_h, 1),
-            ("solvent_dim_c", self.solvent_dim_c, 0),
             ("mlp_hidden", hidden[0], 1),
             ("mlp_hidden", hidden[1], 1),
             ("seed", self.seed, 0),
         ):
             check_integer(name, value, low)
         check_real("merge_tolerance_h", self.merge_tolerance_h)
-        check_real("c_center", self.c_center)
-        check_real("h_center", self.h_center)
-        check_real("c_scale", self.c_scale, positive=True)
-        check_real("h_scale", self.h_scale, positive=True)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -264,20 +262,15 @@ def _parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], i
         ("embed.direction", (len(BondDirection), d), d),
         ("embed.solvent_h", (len(SolventClass), config.solvent_dim_h), config.solvent_dim_h),
     ]
-    if config.solvent_dim_c > 0:
-        shapes.append(
-            ("embed.solvent_c", (len(SolventClass), config.solvent_dim_c), config.solvent_dim_c)
-        )
     for layer in range(1, config.num_layers + 1):
         shapes.append((f"layer{layer}.msg.w", (d, 2 * d), 2 * d))
         shapes.append((f"layer{layer}.msg.b", (d,), 2 * d))
         shapes.append((f"layer{layer}.upd.w", (d, 2 * d), 2 * d))
         shapes.append((f"layer{layer}.upd.b", (d,), 2 * d))
     h1, h2 = config.mlp_hidden
-    c_in = d + config.solvent_dim_c
     h_in = 2 * d + config.solvent_dim_h
     for prefix, width_in, width_out in (
-        ("c_head", c_in, 1),
+        ("c_head", d, 1),
         ("h_head", h_in, 2),
     ):
         shapes.append((f"{prefix}.w1", (h1, width_in), width_in))
@@ -481,9 +474,9 @@ class CrossPeakModel:
             layers.append(h)
         return layers
 
-    def encode_solvent(self, solvent: SolventClass, table: str = "embed.solvent_h") -> Tensor:
-        """The solvent's learned vector from ``table``, one row."""
-        return ad.gather(self.params[table], SOLVENT_INDEX[solvent])
+    def encode_solvent(self, solvent: SolventClass) -> Tensor:
+        """The solvent's learned vector, one row."""
+        return ad.gather(self.params["embed.solvent_h"], SOLVENT_INDEX[solvent])
 
     def _mlp(self, prefix: str, x: list[Tensor]) -> Tensor:
         p = self.params
@@ -495,17 +488,14 @@ class CrossPeakModel:
         """One forward pass: the raw carbon outputs (k, 1) and raw
         proton-pair outputs (k, 2) of the k carbons of ``rows``.
 
-        The carbon head reads the carbon's final embedding (plus the carbon
-        solvent vector when configured); the proton head reads the carbon
-        embedding, the mean embedding of its bonded hydrogens, and the
-        proton solvent vector. Each head is one ``autodiff.mlp_head`` op.
+        The carbon head reads the carbon's final embedding; the proton head
+        reads the carbon embedding, the mean embedding of its bonded
+        hydrogens, and the solvent vector. Each head is one
+        ``autodiff.mlp_head`` op.
         """
         final = self.encode_atoms(molecule.index)[-1]
         h_c = ad.gather(final, rows.carbons)
-        c_in = [h_c]
-        if self.config.solvent_dim_c > 0:
-            c_in.append(self.encode_solvent(solvent, "embed.solvent_c"))
-        raw_c = self._mlp("c_head", c_in)
+        raw_c = self._mlp("c_head", [h_c])
         h_mean = ad.scale(
             ad.segment_sum(ad.gather(final, rows.h_index), rows.h_row, len(rows.carbons)),
             rows.h_weight,
@@ -519,7 +509,6 @@ class CrossPeakModel:
         """Peaks of the representative C-H units. A methylene emits both
         proton outputs as separate peaks unless they lie within
         ``merge_tolerance_h`` ppm; every other unit emits one peak."""
-        cfg = self.config
         units = [u for u in molecule.units if u.is_representative]
         raw_c, raw_h = self.head_outputs(
             molecule, solvent, HeadRows.of(molecule, [u.carbon_index for u in units])
@@ -530,7 +519,7 @@ class CrossPeakModel:
         split: list[bool] = []
         for row, unit in enumerate(units):
             two = unit.max_peaks == 2 and not (
-                abs(pair_ppm[row, 0] - pair_ppm[row, 1]) < cfg.merge_tolerance_h
+                abs(pair_ppm[row, 0] - pair_ppm[row, 1]) < self.config.merge_tolerance_h
             )
             for slot in (1, 2) if two else (1,):
                 rows.append(row)
@@ -575,10 +564,12 @@ class CrossPeakModel:
 
     # -- unit conversions ----------------------------------------------------
 
-    def ppm_c(self, raw):
+    @staticmethod
+    def ppm_c(raw):
         """Carbon ppm of a raw output, a float or an array."""
-        return self.config.c_center + self.config.c_scale * raw
+        return C_PPM_CENTER + C_PPM_PER_UNIT * raw
 
-    def ppm_h(self, raw):
+    @staticmethod
+    def ppm_h(raw):
         """Proton ppm of a raw output, a float or an array."""
-        return self.config.h_center + self.config.h_scale * raw
+        return H_PPM_CENTER + H_PPM_PER_UNIT * raw

@@ -50,12 +50,8 @@ class BondDirection(Enum):
     __hash__ = object.__hash__
 
 
-BOND_ORDER = {
-    BondType.SINGLE: 1.0,
-    BondType.DOUBLE: 2.0,
-    BondType.TRIPLE: 3.0,
-    BondType.AROMATIC: 1.5,
-}
+# the order of each plain bond; ``bonding_number`` counts an aromatic bond
+BOND_ORDER = {BondType.SINGLE: 1, BondType.DOUBLE: 2, BondType.TRIPLE: 3}
 
 
 @dataclass
@@ -141,15 +137,15 @@ class MolecularGraph:
         bond when the atom contributes one: always for carbon, for
         two-coordinate N/P (pyridine-like; pyrrole-like nitrogens must be
         bracketed), never for lone-pair donors like aromatic O/S."""
-        plain = 0.0
+        total = 0
         aromatic = 0
         for nb in self.adjacency[atom]:
             btype = self.bonds[self._bond_at[(atom, nb)]].bond_type
             if btype is BondType.AROMATIC:
                 aromatic += 1
             else:
-                plain += BOND_ORDER[btype]
-        total = int(-(-plain // 1)) + aromatic
+                total += BOND_ORDER[btype]
+        total += aromatic
         if aromatic:
             element = self.atoms[atom].element
             if element == "C" or (

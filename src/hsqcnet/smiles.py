@@ -78,11 +78,12 @@ _BRACKET_RE = re.compile(
 def parse_smiles(text: str) -> MolecularGraph:
     """Parse a SMILES string into a MolecularGraph.
 
-    Implicit hydrogen counts for unbracketed atoms follow the standard
-    organic-subset valence rules (aromatic bonds count 1.5, totals rounded
-    up). Raises SmilesParseError naming the offending position for
-    unbalanced parentheses, dangling ring closures, unknown elements,
-    valence overflow, and kindred malformations.
+    Implicit hydrogens of unbracketed atoms fill the organic-subset valences
+    over ``MolecularGraph.bonding_number``, a sum of whole bond orders: an
+    aromatic bond counts 1, plus one ring pi bond for an aromatic C or a
+    two-coordinate aromatic N or P. Raises SmilesParseError naming the
+    offending position for unbalanced parentheses, dangling ring closures,
+    unknown elements, valence overflow, and kindred malformations.
     """
     if not text or not text.strip():
         raise SmilesParseError("empty SMILES", 0)

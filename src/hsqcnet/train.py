@@ -40,7 +40,10 @@ from .assign import (
     pseudo_annotate,
 )
 from .autodiff import Adam, ComputeRecord, Tensor, backward
-from .model import CrossPeakModel, ModelConfig, Molecule, ShiftReads, SolventClass
+from .model import (
+    C_PPM_CENTER, C_PPM_PER_UNIT, H_PPM_CENTER, H_PPM_PER_UNIT,
+    CrossPeakModel, ModelConfig, Molecule, ShiftReads, SolventClass,
+)
 
 log = logging.getLogger(__name__)
 
@@ -128,25 +131,22 @@ class TrainResult:
     best_state: dict[str, np.ndarray]
     final_state: dict[str, np.ndarray]
     history: list[dict]
-    best_metric: float
     best_epoch: int
 
 
-def masked_mtt_loss(
-    sample: Sample1D | LabelTarget, predictions: tuple[Tensor, Tensor], model: CrossPeakModel
-) -> Tensor:
+def masked_mtt_loss(sample: Sample1D | LabelTarget, predictions: tuple[Tensor, Tensor]) -> Tensor:
     """The L1 rule of both stages: mean |shift - target| over the raw carbon
     and proton outputs against the sample's ``c_ppm`` and ``h_ppm``, in
     output order.
 
     ``predictions`` are the raw (carbon, proton) outputs that
     ``atom_shift_tensors`` gives for the sample's reads. Residuals are taken
-    in ppm and divided by the modality's scale, so a target equal to the
-    model's own prediction in ppm gives exactly zero loss and gradient. An
-    absent modality contributes no term, hence no gradient to its head. A
-    modality whose output and target counts differ raises ``DimensionError``.
+    in ppm and divided by the modality's ppm per output unit, so a target
+    equal to the model's own prediction in ppm gives exactly zero loss and
+    gradient. An absent modality contributes no term, hence no gradient to
+    its head. A modality whose output and target counts differ raises
+    ``DimensionError``.
     """
-    config = model.config
     counts = [len(sample.c_ppm), len(sample.h_ppm)]
     sizes = [out.values.size for out in predictions]
     if sizes != counts:
@@ -154,15 +154,15 @@ def masked_mtt_loss(
     return ad.mean_abs_error(
         list(predictions),
         np.concatenate([sample.c_ppm, sample.h_ppm]),
-        scale=np.repeat([config.c_scale, config.h_scale], counts),
-        center=np.repeat([config.c_center, config.h_center], counts),
+        scale=np.repeat([C_PPM_PER_UNIT, H_PPM_PER_UNIT], counts),
+        center=np.repeat([C_PPM_CENTER, H_PPM_CENTER], counts),
     )
 
 
 def _loss(model: CrossPeakModel, item: Sample1D | LabelTarget) -> Tensor:
     """The training loss of a ``Sample1D`` or a ``LabelTarget``."""
     outputs = model.atom_shift_tensors(item.molecule, item.solvent, reads=item.reads)
-    return masked_mtt_loss(item, outputs, model)
+    return masked_mtt_loss(item, outputs)
 
 
 def dataset_mae(model: CrossPeakModel, dataset: list[Sample1D]) -> tuple[float, float]:
@@ -182,11 +182,11 @@ def _mae(errors: list[float]) -> float:
     return float(np.mean(errors)) if errors else float("nan")
 
 
-def _selection_metric(mae_c: float, mae_h: float, config: ModelConfig) -> float:
-    """Worst normalized modality error; checkpoints are selected on the
-    weaker head so neither modality degrades unchecked."""
-    c = 0.0 if np.isnan(mae_c) else mae_c / config.c_scale
-    h = 0.0 if np.isnan(mae_h) else mae_h / config.h_scale
+def _selection_metric(mae_c: float, mae_h: float) -> float:
+    """Worst modality error in output units; checkpoints are selected on
+    the weaker head so neither modality degrades unchecked."""
+    c = 0.0 if np.isnan(mae_c) else mae_c / C_PPM_PER_UNIT
+    h = 0.0 if np.isnan(mae_h) else mae_h / H_PPM_PER_UNIT
     return max(c, h)
 
 
@@ -263,7 +263,7 @@ def mtt_pretrain(
             epoch_loss += batch_loss
         eval_set = val_samples if val_samples else train_samples
         mae_c, mae_h = dataset_mae(model, eval_set)
-        metric = _selection_metric(mae_c, mae_h, model.config)
+        metric = _selection_metric(mae_c, mae_h)
         if metric < best_metric:
             best_metric = metric
             best_epoch = epoch
@@ -284,7 +284,6 @@ def mtt_pretrain(
         best_state=best_state,
         final_state=model.state_arrays(),
         history=history,
-        best_metric=best_metric,
         best_epoch=best_epoch,
     )
 
@@ -333,14 +332,14 @@ class LabelTarget:
                    np.array([e.delta_h for e in entries], dtype=np.float64))
 
 
-def _label_loss(config: ModelConfig, labels: PseudoLabels) -> float:
+def _label_loss(labels: PseudoLabels) -> float:
     """``_loss`` of the labels' ``LabelTarget`` at the weights that made
     ``labels``, bit for bit: each entry keeps the predicted shifts that loss
-    reads, so the labels alone give its ppm residuals over
-    ``c_scale``/``h_scale``, in (carbon, slot) order."""
+    reads, so the labels alone give its ppm residuals per output unit, in
+    (carbon, slot) order."""
     entries = sorted(labels.entries, key=lambda e: (e.carbon_index, e.slot))
-    c = [(e.pred_delta_c - e.delta_c) / config.c_scale for e in entries]
-    h = [(e.pred_delta_h - e.delta_h) / config.h_scale for e in entries]
+    c = [(e.pred_delta_c - e.delta_c) / C_PPM_PER_UNIT for e in entries]
+    h = [(e.pred_delta_h - e.delta_h) / H_PPM_PER_UNIT for e in entries]
     return float(np.mean(np.abs(c + h)))
 
 
@@ -459,7 +458,7 @@ def finetune_unsupervised(
         previous = labels
         iterations_run = iteration
 
-        initial_loss = float(np.mean([_label_loss(model.config, lab) for _, lab in usable]))
+        initial_loss = float(np.mean([_label_loss(lab) for _, lab in usable]))
         targets = [LabelTarget.of(sample, lab) for sample, lab in usable]
         for epoch in range(config.epochs):
             rng = np.random.default_rng([config.seed, 13, iteration, epoch])
@@ -469,7 +468,7 @@ def finetune_unsupervised(
         swept = annotate_dataset(model, valset or dataset, match)
         labels = None if valset else swept
         mae_c, mae_h = matched_mae(swept)
-        metric = _selection_metric(mae_c, mae_h, model.config)
+        metric = _selection_metric(mae_c, mae_h)
         if metric < best_metric:
             best_metric = metric
             best_state = model.state_arrays()

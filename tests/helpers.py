@@ -15,6 +15,7 @@ the malformed headers it is given."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -417,8 +418,8 @@ def reference_encode(model, index) -> list:
 def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.ndarray]:
     """The heads in numpy without the factored first map: each head's
     input is one joined (k, width) matrix, ``np.concatenate`` of the
-    carbon embeddings, (for the proton head) the mean of each carbon's
-    hydrogen embeddings, and the solvent row repeated k times, then three
+    carbon embeddings and, for the proton head, the mean of each carbon's
+    hydrogen embeddings and the solvent row repeated k times, then three
     dense layers. Raw carbon outputs (k, 1) and proton pairs (k, 2)."""
     p = {name: param.values for name, param in model.params.items()}
     final = model.encode_atoms(molecule.index)[-1].values
@@ -431,18 +432,15 @@ def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.n
         if hydrogens:
             h_mean[row] = final[hydrogens].mean(axis=0)
 
-    def solvent_rows(table):
-        return np.repeat(p[table][[SOLVENT_INDEX[solvent]]], k, axis=0)
-
     def mlp(prefix, parts):
         x = np.concatenate(parts, axis=1)
         h1 = np.maximum(x @ p[f"{prefix}.w1"].T + p[f"{prefix}.b1"], 0.0)
         h2 = np.maximum(h1 @ p[f"{prefix}.w2"].T + p[f"{prefix}.b2"], 0.0)
         return h2 @ p[f"{prefix}.w3"].T + p[f"{prefix}.b3"]
 
-    c_parts = [h_c] + ([solvent_rows("embed.solvent_c")] if "embed.solvent_c" in p else [])
-    raw_c = mlp("c_head", c_parts)
-    raw_h = mlp("h_head", [h_c, h_mean, solvent_rows("embed.solvent_h")])
+    solvent_rows = np.repeat(p["embed.solvent_h"][[SOLVENT_INDEX[solvent]]], k, axis=0)
+    raw_c = mlp("c_head", [h_c])
+    raw_h = mlp("h_head", [h_c, h_mean, solvent_rows])
     return raw_c, raw_h
 
 
@@ -546,6 +544,25 @@ def _first_shape(value):
     return edit
 
 
+def v1_header(header, **retired):
+    """``header`` as checkpoints were written while ``ModelConfig`` had 11
+    fields: the five retired ones (a carbon solvent width and the four
+    output-unit fields) in their places, at their old defaults unless
+    ``retired`` sets them, and the SHA-256 of that config, sorted-key JSON,
+    appended to the provenance as ``config_hash``."""
+    c = header["config"]
+    header["config"] = {
+        "num_layers": c["num_layers"], "atom_dim": c["atom_dim"],
+        "solvent_dim_h": c["solvent_dim_h"], "solvent_dim_c": 0, "mlp_hidden": c["mlp_hidden"],
+        "merge_tolerance_h": c["merge_tolerance_h"], "seed": c["seed"],
+        "c_center": 70.0, "c_scale": 30.0, "h_center": 4.0, "h_scale": 3.0,
+    }
+    header["config"].update(retired)
+    blob = json.dumps(header["config"], sort_keys=True).encode()
+    header["provenance"]["config_hash"] = hashlib.sha256(blob).hexdigest()
+    return header
+
+
 # header edits that make a saved checkpoint unreadable, by name
 BAD_CHECKPOINT_HEADERS = {
     "json list": lambda header: [header],
@@ -557,4 +574,12 @@ BAD_CHECKPOINT_HEADERS = {
     "no provenance": _set(None, "provenance", None),
     "arrays do not fit the config": _set("config", "atom_dim", 16),
     "config value not a number": _set("config", "merge_tolerance_h", "x"),
+    "retired solvent_dim_c not 0": lambda header: v1_header(header, solvent_dim_c=3),
+    "retired c_scale not 30": lambda header: v1_header(header, c_scale=25.0),
+}
+# what the error of some of those edits must name
+BAD_CHECKPOINT_MESSAGES = {
+    "unknown config key": "['atom_dims'] in section 'config'",
+    "retired solvent_dim_c not 0": "'solvent_dim_c' is 3",
+    "retired c_scale not 30": "'c_scale' is 25.0",
 }

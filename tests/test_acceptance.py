@@ -67,7 +67,7 @@ def test_criterion_01_gradient_check(desk_config):
         preds = model.atom_shift_tensors(
             molecule, solvent, sorted(targets_c), sorted(targets_h)
         )
-        return masked_mtt_loss(sample, preds, model)
+        return masked_mtt_loss(sample, preds)
 
     def loss_value() -> float:
         return loss().item()
@@ -297,7 +297,7 @@ def test_criterion_08_masked_loss_exactness(desk_config):
             preds = model.atom_shift_tensors(
                 sample.molecule, sample.solvent,
                 sorted(sample.c_targets), sorted(sample.h_targets))
-            loss = masked_mtt_loss(sample, preds, model)
+            loss = masked_mtt_loss(sample, preds)
         ad.backward(loss, record)
     for name, param in model.params.items():
         if name.startswith("h_head") or name.startswith("embed.solvent"):
@@ -308,7 +308,7 @@ def test_criterion_08_masked_loss_exactness(desk_config):
             preds = model.atom_shift_tensors(
                 sample.molecule, sample.solvent,
                 sorted(sample.c_targets), sorted(sample.h_targets))
-            loss = masked_mtt_loss(sample, preds, model)
+            loss = masked_mtt_loss(sample, preds)
         ad.backward(loss, record)
     for name, param in model.params.items():
         if name.startswith("c_head"):

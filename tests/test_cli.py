@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from hsqcnet import cli
-from hsqcnet.dataio import save_checkpoint
+from hsqcnet.dataio import load_checkpoint, save_checkpoint
 from hsqcnet.model import CrossPeakModel, ModelConfig
-from helpers import BAD_CHECKPOINT_HEADERS, rewrite_checkpoint_header
+from helpers import (
+    BAD_CHECKPOINT_HEADERS, BAD_CHECKPOINT_MESSAGES, rewrite_checkpoint_header, v1_header,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -159,6 +161,8 @@ def test_assign_reads_match_section_of_config(tiny_checkpoint, tmp_path):
     ({"model": {"foo": 1}}, "['foo'] in section 'model'"),
     ({"train": {"bogus": 2}}, "['bogus'] in section 'train'"),
     ({"match": {"ga": {"sweep": 3}}}, "['sweep'] in section 'match.ga'"),
+    ({"model": {"solvent_dim_c": 0}}, "['solvent_dim_c'] in section 'model'"),
+    ({"model": {"h_center": 4.0}}, "['h_center'] in section 'model'"),
 ])
 def test_malformed_config_is_usage_error(tiny_checkpoint, tmp_path, raw, message):
     config = tmp_path / "bad.json"
@@ -181,8 +185,7 @@ def test_bad_checkpoint_header_is_data_error(tiny_checkpoint, tmp_path, case):
     assert proc.stderr.startswith("error: ")
     for internal in ("Traceback", "__init__", "argument after"):
         assert internal not in proc.stderr
-    if case == "unknown config key":
-        assert "['atom_dims'] in section 'config'" in proc.stderr
+    assert BAD_CHECKPOINT_MESSAGES.get(case, "") in proc.stderr
 
 
 def test_finetune_verifies_the_checkpoint_once(tiny_checkpoint, tmp_path, monkeypatch):
@@ -201,13 +204,15 @@ def test_finetune_verifies_the_checkpoint_once(tiny_checkpoint, tmp_path, monkey
         "match": {"reject_threshold": 1000.0},  # the untrained model matches badly
     }))
     out = tmp_path / "tuned.ckpt"
-    for resume in ((), ("--resume",)):  # a fresh start, then a resume from ``out``
+    # a fresh start checks --checkpoint; a resume from ``out`` compares configs
+    # instead, and ``out`` was checked against its stored config on load
+    for resume, checked in (((), [TINY]), (("--resume",), [])):
         calls.clear()
         assert cli.main(["--quiet", "--config", str(config), "finetune", *resume,
                          "--data", str(REPO / "data" / "toy_hsqc.jsonl"),
                          "--checkpoint", str(tiny_checkpoint),
                          "--checkpoint-out", str(out)]) == 0
-        assert calls == [TINY]
+        assert calls == checked
 
 
 def test_assign_accepts_peaks_file(tiny_checkpoint, tmp_path):
@@ -344,6 +349,8 @@ def test_resume_with_changed_config_rejected(tmp_path):
                    "--data", str(data), "--checkpoint-out", str(out))
     assert proc.returncode == 2
     assert "cannot resume" in proc.stderr
+    assert "merge_tolerance_h (checkpoint 0.01, run 0.5)" in proc.stderr
+    assert "atom_dim" not in proc.stderr
 
 
 @pytest.mark.parametrize("epoch", [None, [1], True, "x"])
@@ -371,3 +378,18 @@ def test_resume_continues_training(tmp_path):
         proc = run_cli("--quiet", "--config", str(cfg), "pretrain", "--resume",
                        "--data", str(data), "--checkpoint-out", str(out))
         assert proc.returncode == 0, proc.stderr
+
+
+def test_pretrain_resumes_from_a_checkpoint_with_the_retired_config_fields(tmp_path):
+    out = tmp_path / "model.ckpt"
+    save_checkpoint(CrossPeakModel(TINY).state_arrays(), TINY,
+                    {"stage": "pretrain", "epoch": 0, "seed": 0}, out)
+    rewrite_checkpoint_header(out, v1_header)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"model": TINY.to_dict(), "train": {"epochs": 1}}))
+    assert cli.main(["--quiet", "--config", str(config), "pretrain", "--resume",
+                     "--data", str(REPO / "data" / "toy_1d.jsonl"),
+                     "--checkpoint-out", str(out)]) == 0
+    resumed = load_checkpoint(out)
+    assert resumed.config == TINY
+    assert resumed.provenance["epoch"] == 1 and "config_hash" not in resumed.provenance

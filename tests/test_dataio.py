@@ -14,7 +14,6 @@ from hsqcnet.dataio import (
     Checkpoint,
     CheckpointError,
     DataFormatError,
-    config_hash,
     load_checkpoint,
     load_dataset,
     normalize_solvent,
@@ -23,7 +22,9 @@ from hsqcnet.dataio import (
     verify_checkpoint_config,
 )
 from hsqcnet.model import CrossPeakModel, ModelConfig, SolventClass
-from helpers import BAD_CHECKPOINT_HEADERS, rewrite_checkpoint_header
+from helpers import (
+    BAD_CHECKPOINT_HEADERS, BAD_CHECKPOINT_MESSAGES, rewrite_checkpoint_header, v1_header,
+)
 
 
 @pytest.mark.parametrize(
@@ -322,8 +323,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     save_checkpoint(state, config, {"stage": "test", "seed": 1}, path)
     loaded = load_checkpoint(path)
     assert loaded.config == config
-    assert loaded.provenance["stage"] == "test"
-    assert loaded.provenance["config_hash"] == config_hash(config)
+    assert loaded.provenance == {"stage": "test", "seed": 1}  # the config is stored once
     assert set(loaded.arrays) == set(state)
     for name in state:
         assert np.array_equal(loaded.arrays[name], state[name])
@@ -375,13 +375,6 @@ def test_checkpoint_shape_mismatch_names_parameter(tmp_path):
         verify_checkpoint_config(loaded, big)
 
 
-def test_config_hash_stable_and_sensitive():
-    a = ModelConfig()
-    assert config_hash(a) == config_hash(ModelConfig())
-    assert config_hash(a) != config_hash(ModelConfig(atom_dim=32))
-    assert config_hash(a) == "f9f29a69044a37f781530d1a29d284547f6db31cd3dd0aad9398378824bb187e"
-
-
 def test_checkpoint_header_lists_the_config_fields_in_order(tmp_path):
     config = ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4, mlp_hidden=(6, 5))
     path = tmp_path / "model.ckpt"
@@ -390,10 +383,26 @@ def test_checkpoint_header_lists_the_config_fields_in_order(tmp_path):
     header = blob[12 : 12 + int.from_bytes(blob[8:12], "little")].decode()
     assert header.startswith(
         '{"version": 1, "config": {"num_layers": 1, "atom_dim": 8, "solvent_dim_h": 4, '
-        '"solvent_dim_c": 0, "mlp_hidden": [6, 5], "merge_tolerance_h": 0.01, "seed": 0, '
-        '"c_center": 70.0, "c_scale": 30.0, "h_center": 4.0, "h_scale": 3.0}, '
-        '"provenance": {"stage": "test", "config_hash": "'
+        '"mlp_hidden": [6, 5], "merge_tolerance_h": 0.01, "seed": 0}, '
+        '"provenance": {"stage": "test"}, "params": ['
     )
+
+
+def test_checkpoint_with_the_retired_config_fields_loads(tmp_path):
+    # a file written while ModelConfig had 11 fields: each retired field at
+    # the one value the model now fixes is dropped, and the old provenance's
+    # config_hash stays, read by nothing
+    config = ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4, mlp_hidden=(6, 5), seed=3)
+    state = CrossPeakModel(config).state_arrays()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(state, config, {"stage": "pretrain", "epoch": 4}, path)
+    rewrite_checkpoint_header(path, v1_header)
+    blob = path.read_bytes()
+    assert len(json.loads(blob[12 : 12 + int.from_bytes(blob[8:12], "little")])["config"]) == 11
+    loaded = load_checkpoint(path)
+    assert loaded.config == config
+    assert list(loaded.provenance) == ["stage", "epoch", "config_hash"]
+    assert all(np.array_equal(loaded.arrays[name], state[name]) for name in state)
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -419,8 +428,9 @@ def test_checkpoint_bad_header_rejected(tmp_path, case):
     path = tmp_path / "model.ckpt"
     save_checkpoint(CrossPeakModel(config).state_arrays(), config, {}, path)
     rewrite_checkpoint_header(path, BAD_CHECKPOINT_HEADERS[case])
-    with pytest.raises(CheckpointError, match=str(path)):
+    with pytest.raises(CheckpointError, match=str(path)) as caught:
         load_checkpoint(path)
+    assert BAD_CHECKPOINT_MESSAGES.get(case, "") in str(caught.value)
 
 
 def test_checkpoint_header_names_an_unknown_config_key(tmp_path):

@@ -45,13 +45,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(atom_dim=0)
     with pytest.raises(ValueError):
-        ModelConfig(solvent_dim_c=-1)
+        ModelConfig(solvent_dim_h=0)
     with pytest.raises(ValueError, match="two layer widths"):
         ModelConfig(mlp_hidden=(6, 5, 4))
     for bad in ({"atom_dim": 8.5}, {"num_layers": True}, {"seed": -1}, {"mlp_hidden": 5},
                 {"mlp_hidden": (6, 5.5)}, {"merge_tolerance_h": "x"},
-                {"c_center": float("nan")}, {"c_scale": 0}, {"h_scale": -3.0},
-                {"h_scale": float("inf")}):
+                {"merge_tolerance_h": float("nan")}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             ModelConfig(**bad)
 
@@ -261,17 +260,6 @@ def test_model_built_from_a_state_copies_it(tiny_config):
     bad.pop("c_head.b3")
     with pytest.raises(ValueError, match="mismatch"):
         CrossPeakModel(tiny_config, state=bad)
-
-
-def test_solvent_dim_c_adds_table():
-    with_c = ModelConfig(num_layers=1, atom_dim=8, solvent_dim_h=4,
-                         solvent_dim_c=3, mlp_hidden=(6, 5))
-    model = CrossPeakModel(with_c)
-    assert "embed.solvent_c" in model.params
-    mol = prepare_molecule("C")
-    a = model.predict_cross_peaks(mol, SolventClass.CHLOROFORM)
-    b = model.predict_cross_peaks(mol, SolventClass.WATER)
-    assert a[0].delta_c != b[0].delta_c  # carbon head now sees the solvent
 
 
 def test_peak_count_formula_over_corpus(parser_corpus, tiny_config):
@@ -524,11 +512,10 @@ HEAD_CASES = [
 ]
 
 
-@pytest.mark.parametrize("solvent_dim_c", [0, 3])
 @pytest.mark.parametrize("smiles, carbons", HEAD_CASES)
-def test_head_outputs_match_the_joined_input_reference(smiles, carbons, solvent_dim_c):
+def test_head_outputs_match_the_joined_input_reference(smiles, carbons):
     model = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=16, solvent_dim_h=4,
-                                       solvent_dim_c=solvent_dim_c, mlp_hidden=(6, 5), seed=4))
+                                       mlp_hidden=(6, 5), seed=4))
     molecule = prepare_molecule(smiles)
     for solvent in SolventClass:
         raw_c, raw_h = _heads(model, molecule, solvent, carbons)
@@ -539,12 +526,10 @@ def test_head_outputs_match_the_joined_input_reference(smiles, carbons, solvent_
         assert _relative(raw_h.values, want_h) <= 1e-12
 
 
-@pytest.mark.parametrize("solvent_dim_c", [0, 4])
-def test_fused_heads_equal_the_affine_relu_chain_bit_for_bit(monkeypatch, solvent_dim_c):
-    # both heads, one carbon and several, a shared solvent row in each head
-    # when solvent_dim_c > 0: outputs and every parameter gradient
-    config = ModelConfig(num_layers=2, atom_dim=16, solvent_dim_h=4,
-                         solvent_dim_c=solvent_dim_c, mlp_hidden=(12, 8), seed=7)
+def test_fused_heads_equal_the_affine_relu_chain_bit_for_bit(monkeypatch):
+    # both heads, one carbon and several, the proton head's shared solvent
+    # row: outputs and every parameter gradient
+    config = ModelConfig(num_layers=2, atom_dim=16, solvent_dim_h=4, mlp_hidden=(12, 8), seed=7)
     molecule = prepare_molecule("CC(=O)OCc1ccccc1")
     runs = []
     for head in (ad.mlp_head, reference_mlp_head):
@@ -605,8 +590,7 @@ def test_head_first_layer_gradient_by_column_block():
     # every entry of each column block of both heads' first weights (the
     # carbon rows, the hydrogen means, the shared solvent row), the
     # biases and the solvent rows against central differences
-    config = ModelConfig(num_layers=1, atom_dim=4, solvent_dim_h=3, solvent_dim_c=3,
-                         mlp_hidden=(6, 5), seed=12)
+    config = ModelConfig(num_layers=1, atom_dim=4, solvent_dim_h=3, mlp_hidden=(6, 5), seed=12)
     model = CrossPeakModel(config)
     molecule = prepare_molecule("CC(=O)OC")
     carbons = [0, 1, 3]
@@ -625,8 +609,7 @@ def test_head_first_layer_gradient_by_column_block():
     loss = lambda: ad.mean_abs_error(outputs(), targets)
     ad.backward(total, rec)
     step = 1e-6
-    for name in ("c_head.w1", "h_head.w1", "c_head.b1", "h_head.b1",
-                 "embed.solvent_c", "embed.solvent_h"):
+    for name in ("c_head.w1", "h_head.w1", "c_head.b1", "h_head.b1", "embed.solvent_h"):
         param = model.params[name]
         flat = param.values.reshape(-1)
         for k in range(flat.size):
@@ -639,7 +622,7 @@ def test_head_first_layer_gradient_by_column_block():
             assert param.grad.reshape(-1)[k] == pytest.approx(
                 (up - down) / (2 * step), rel=1e-6, abs=1e-9), (name, k)
     d = config.atom_dim
-    for name, blocks in (("c_head.w1", [(0, d), (d, d + 3)]),
+    for name, blocks in (("c_head.w1", [(0, d)]),
                          ("h_head.w1", [(0, d), (d, 2 * d), (2 * d, 2 * d + 3)])):
         for lo, hi in blocks:
             assert model.params[name].grad[:, lo:hi].any(), (name, lo)

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from hsqcnet import autodiff as ad
 from hsqcnet import train
 from hsqcnet.assign import MatchSettings, ObservedPeak, PseudoLabel, PseudoLabels
-from hsqcnet.model import CrossPeakModel, HeadRows, ModelConfig, SolventClass, prepare_molecule
+from hsqcnet.model import (
+    C_PPM_PER_UNIT, H_PPM_PER_UNIT, CrossPeakModel, HeadRows, ModelConfig, SolventClass,
+    prepare_molecule,
+)
 from hsqcnet.train import (
     ConvergenceError,
     LabelTarget,
@@ -68,11 +71,11 @@ def test_masked_loss_hand_computed():
     model = CrossPeakModel(TINY)
     sample = sample_1d("CO", {0: 50.0}, {2: 3.3})
     preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0], [2])
-    loss = masked_mtt_loss(sample, preds, model)
+    loss = masked_mtt_loss(sample, preds)
     c_raw, h_raw = preds[0].values[0], preds[1].values[0]
     expected = 0.5 * (
-        abs(model.ppm_c(c_raw) - 50.0) / TINY.c_scale
-        + abs(model.ppm_h(h_raw) - 3.3) / TINY.h_scale
+        abs(model.ppm_c(c_raw) - 50.0) / C_PPM_PER_UNIT
+        + abs(model.ppm_h(h_raw) - 3.3) / H_PPM_PER_UNIT
     )
     assert loss.item() == pytest.approx(expected, abs=1e-12)
 
@@ -94,7 +97,7 @@ def test_masked_loss_perfect_predictions_zero():
         ad.zero_gradients(model.parameters())
         with ad.ComputeRecord() as rec:
             preds = model.atom_shift_tensors(molecule, sample.solvent, carbons, hydrogens)
-            loss = masked_mtt_loss(sample, preds, model)
+            loss = masked_mtt_loss(sample, preds)
         ad.backward(loss, rec)
         assert loss.item() == 0.0, smiles
         assert all(not p.grad.any() for p in model.parameters()), smiles
@@ -105,10 +108,10 @@ def test_masked_loss_missing_prediction_is_contract_error():
     sample = sample_1d("CO", {0: 50.0}, {2: 3.3})
     preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0], [])
     with pytest.raises(ad.DimensionError, match=r"outputs \[1, 0\] vs targets \[1, 1\]"):
-        masked_mtt_loss(sample, preds, model)
+        masked_mtt_loss(sample, preds)
     preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0, 0], [2])
     with pytest.raises(ad.DimensionError):  # three outputs, three targets, split 2 + 1
-        masked_mtt_loss(sample_1d("CO", {0: 50.0}, {2: 3.3, 3: 3.3}), preds, model)
+        masked_mtt_loss(sample_1d("CO", {0: 50.0}, {2: 3.3, 3: 3.3}), preds)
 
 
 def test_c_only_sample_gives_zero_h_head_gradient():
@@ -117,7 +120,7 @@ def test_c_only_sample_gives_zero_h_head_gradient():
     ad.zero_gradients(model.parameters())
     with ad.ComputeRecord() as rec:
         preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0, 1], [])
-        loss = masked_mtt_loss(sample, preds, model)
+        loss = masked_mtt_loss(sample, preds)
     ad.backward(loss, rec)
     for name, param in model.params.items():
         if name.startswith("h_head") or name.startswith("embed.solvent"):
@@ -131,7 +134,7 @@ def test_h_only_sample_gives_zero_c_head_gradient():
     ad.zero_gradients(model.parameters())
     with ad.ComputeRecord() as rec:
         preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [], [2, 3])
-        loss = masked_mtt_loss(sample, preds, model)
+        loss = masked_mtt_loss(sample, preds)
     ad.backward(loss, rec)
     for name, param in model.params.items():
         if name.startswith("c_head"):
@@ -167,7 +170,7 @@ def _per_call_and_per_sample(model, sample):
                 targets = SimpleNamespace(
                     c_ppm=np.array([sample.c_targets[i] for i in c_atoms], dtype=np.float64),
                     h_ppm=np.array([sample.h_targets[i] for i in h_atoms], dtype=np.float64))
-                loss = masked_mtt_loss(targets, outputs, model)
+                loss = masked_mtt_loss(targets, outputs)
             else:
                 outputs = model.atom_shift_tensors(sample.molecule, sample.solvent,
                                                    reads=sample.reads)
@@ -324,13 +327,11 @@ def test_finetune_tape_length_equals_pretraining(monkeypatch, desk_config):
     assert tapes == [20]
 
 
-@pytest.mark.parametrize("solvent_dim_c", [0, 3])
-def test_label_loss_away_from_the_labelling_weights_matches_numpy(solvent_dim_c):
+def test_label_loss_away_from_the_labelling_weights_matches_numpy():
     # the loss of a split and a merged methylene at weights that did not make
     # the labels: the joined-input heads in numpy, the slot's own proton
     # output for a split carbon and the pair mean for a merged one
-    config = replace(TINY, solvent_dim_c=solvent_dim_c, seed=11)
-    model = CrossPeakModel(config)
+    model = CrossPeakModel(replace(TINY, seed=11))
     molecule = prepare_molecule("CCCC(=O)O")
     for solvent in (SolventClass.DMSO, SolventClass.WATER):
         raw_c, raw_h = reference_heads(model, molecule, solvent, [0, 1, 2])
@@ -342,9 +343,9 @@ def test_label_loss_away_from_the_labelling_weights_matches_numpy(solvent_dim_c)
         labels = _butyric_labels(shifts)
         loss = _loss(model, LabelTarget.of(SampleHSQC(molecule, solvent, []), labels))
         residuals = [
-            *(abs(model.ppm_c(raw_c[r, 0]) - dc) / config.c_scale
+            *(abs(model.ppm_c(raw_c[r, 0]) - dc) / C_PPM_PER_UNIT
               for r, (dc, _) in zip([0, 1, 1, 2], shifts)),
-            *(abs(model.ppm_h(h) - dh) / config.h_scale for h, (_, dh) in zip(proton, shifts)),
+            *(abs(model.ppm_h(h) - dh) / H_PPM_PER_UNIT for h, (_, dh) in zip(proton, shifts)),
         ]
         want = np.mean(residuals)
         assert want > 0.0 and abs(loss.item() - want) <= 1e-12 * want
@@ -386,7 +387,7 @@ def test_pretrain_best_metric_not_worse_than_final():
     model_final.load_state(result.final_state)
     c_b, h_b = dataset_mae(model_best, data)
     c_f, h_f = dataset_mae(model_final, data)
-    metric = lambda c, h: max(c / TINY.c_scale, h / TINY.h_scale)
+    metric = lambda c, h: max(c / C_PPM_PER_UNIT, h / H_PPM_PER_UNIT)
     assert metric(c_b, h_b) <= metric(c_f, h_f) + 1e-12
 
 
