@@ -16,7 +16,9 @@ relu ops bit for bit, as ``embed`` equals its gathers summed in table
 order. Every scatter-add, a Parameter's gather adjoint included, is one
 ``bincount`` onto zeros, which sums in input order exactly as
 ``np.add.at`` does; the layer reads its flat slots from a per-graph
-cache. A desk-scale training step records 20 tape entries.
+cache. A desk-scale training step records 20 tape entries. The index
+arguments of ``gather``, ``embed`` and ``segment_sum`` are range-checked at
+every call, unless they come as ``Ids``, checked once when built.
 
 ``Adam`` packs its parameters into one flat value buffer and one flat
 gradient buffer and makes each Parameter's ``values`` and ``grad`` views
@@ -155,19 +157,76 @@ def _scatter_add(index: tuple[np.ndarray, ...], values: np.ndarray, shape) -> np
 # ---------------------------------------------------------------------------
 
 
+class Ids:
+    """Integer ids range-checked once: construction copies ``array`` as a
+    read-only intp array and raises IndexError, naming ``name``, unless
+    every value lies in [0, ``bound``); ``take`` picks a subset unread.
+    ``gather``, ``embed`` and ``segment_sum`` take one wherever they take
+    an index array and compare only ``bound`` with the size they index; a
+    plain array gets a pass over its values at every call. Objects that
+    build their index arrays once (``model.GraphIndex``,
+    ``model.HeadRows``) hold them as ``Ids``."""
+
+    __slots__ = ("array", "bound")
+
+    def __init__(self, array, bound: int, name: str = "index") -> None:
+        array = np.array(array, dtype=np.intp)
+        if beyond(array, bound):
+            raise IndexError(f"{name} out of range [0, {bound})")
+        array.flags.writeable = False
+        self.array = array
+        self.bound = bound
+
+    def take(self, positions) -> "Ids":
+        """The ids at integer ``positions``, with this bound: a subset of
+        checked ids needs no second pass."""
+        subset = Ids.__new__(Ids)
+        subset.array = self.array.take(positions)
+        subset.array.flags.writeable = False
+        subset.bound = self.bound
+        return subset
+
+    def __repr__(self) -> str:
+        return f"Ids({self.array.tolist()}, bound={self.bound})"
+
+
+_UNSIGNED = np.dtype(np.uintp)
+
+
+def beyond(ids, bound: int) -> bool:
+    """Whether an integer array holds an id outside [0, ``bound``), in one
+    pass over it as intp: as unsigned, a negative id reads above every
+    bound."""
+    ids = np.asarray(ids, dtype=np.intp)
+    return ids.size > 0 and np.maximum.reduce(ids.view(_UNSIGNED), axis=None) >= bound
+
+
+def _ids(index, size: int, message: str, **about) -> np.ndarray:
+    """The intp array of ``index``, an ``Ids`` or anything ``np.asarray``
+    takes, after checking that it indexes [0, ``size``): by its bound for
+    ``Ids``, else by a pass over the values. Out of range raises
+    IndexError with ``message`` formatted with ``size`` and ``about``."""
+    if isinstance(index, Ids):
+        if index.bound > size:
+            raise IndexError(message.format(size=size, **about))
+        return index.array
+    index = np.asarray(index, dtype=np.intp)
+    if beyond(index, size):
+        raise IndexError(message.format(size=size, **about))
+    return index
+
+
 def gather(x: Tensor, index) -> Tensor:
-    """Rows of ``x`` at an integer index (scalar or array), or its elements
-    at a tuple of index arrays, one per leading axis. Repeated indices
+    """Rows of ``x`` at an integer index (scalar, array or ``Ids``), or its
+    elements at a tuple of them, one per leading axis. Repeated indices
     scatter-add their gradients."""
+    parts = index if isinstance(index, tuple) else (index,)
+    if len(parts) > x.values.ndim:
+        raise DimensionError(f"{len(parts)} index arrays for a tensor of shape {x.shape}")
     index = tuple(
-        np.asarray(i, dtype=np.intp) for i in (index if isinstance(index, tuple) else (index,))
+        _ids(idx, size, "gather index out of range [0, {size}) on axis {axis}", axis=axis)
+        for axis, (idx, size) in enumerate(zip(parts, x.values.shape))
     )
-    if len(index) > x.values.ndim:
-        raise DimensionError(f"{len(index)} index arrays for a tensor of shape {x.shape}")
-    for axis, idx in enumerate(index):
-        size = x.values.shape[axis]
-        if idx.size and (idx.min() < 0 or idx.max() >= size):
-            raise IndexError(f"gather index out of range [0, {size}) on axis {axis}")
     if len(index) == 1:
         out = Tensor(x.values.take(index[0], axis=0))
     else:
@@ -181,19 +240,21 @@ def gather(x: Tensor, index) -> Tensor:
 def embed(tables: list[Tensor], indices) -> Tensor:
     """Row ``i`` is ``tables[0][indices[0][i]] + tables[1][indices[1][i]] + ...``,
     added in table order: the sum of one ``gather`` per table, bit for bit,
-    as one op. Every index array has one shape and every table one row
-    width; each table's gradient is one scatter-add onto the rows it gave."""
-    indices = [np.asarray(i, dtype=np.intp) for i in indices]
-    fits = {(idx.shape, table.values.shape[1:]) for table, idx in zip(tables, indices)}
-    if len(tables) != len(indices) or len(fits) != 1:
+    as one op. Every index (an array or ``Ids``) has one shape and every
+    table one row width; each table's gradient is one scatter-add onto the
+    rows it gave."""
+    if len(tables) != len(indices):
+        raise DimensionError(f"embed got {len(tables)} tables and {len(indices)} index arrays")
+    indices = [
+        _ids(idx, len(table.values), "embed index out of range [0, {size}) for {table!r}",
+             table=table)
+        for table, idx in zip(tables, indices)
+    ]
+    if len({(idx.shape, table.values.shape[1:]) for table, idx in zip(tables, indices)}) != 1:
         raise DimensionError(
             f"embed shapes do not fit: tables {[t.shape for t in tables]}, "
             f"indices {[i.shape for i in indices]}"
         )
-    for table, idx in zip(tables, indices):
-        size = len(table.values)
-        if idx.size and (idx.min() < 0 or idx.max() >= size):
-            raise IndexError(f"embed index out of range [0, {size}) for {table!r}")
     values = tables[0].values.take(indices[0], axis=0)
     for table, idx in zip(tables[1:], indices[1:]):
         values += table.values.take(idx, axis=0)
@@ -260,13 +321,11 @@ def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
     """Sum the rows of ``x`` into ``num_segments`` rows: row i adds onto row
     ``segments[i]``, in row order. A segment no row names stays zero (the
     isolated-node convention)."""
-    segments = np.asarray(segments, dtype=np.intp)
+    segments = _ids(segments, num_segments, "segment id out of range [0, {size})")
     if segments.shape != x.values.shape[:1]:
         raise DimensionError(
             f"segment_sum needs one segment id per row: {segments.shape} vs {x.shape}"
         )
-    if segments.size and (segments.min() < 0 or segments.max() >= num_segments):
-        raise IndexError(f"segment id out of range [0, {num_segments})")
     out = Tensor(_scatter_add((segments,), x.values, (num_segments,) + x.values.shape[1:]))
     tape = _tape()
     if tape is not None:

@@ -75,11 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("pretrain", "finetune"):
         p = sub.add_parser(name, help=f"{name} and write a checkpoint")
         p.add_argument("--data", type=Path, required=True)
-        p.add_argument("--val", type=Path, default=None)
         p.add_argument("--checkpoint-out", type=Path, required=True)
         p.add_argument("--resume", action="store_true",
                        help="continue from an existing --checkpoint-out")
-        if name == "finetune":
+        if name == "finetune":  # pre-training validates on train.validation_split
+            p.add_argument("--val", type=Path, default=None,
+                           help="HSQC validation set")
             p.add_argument("--checkpoint", type=Path, required=True,
                            help="pre-trained starting point")
 

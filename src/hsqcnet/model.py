@@ -37,6 +37,25 @@ through ``ShiftReads.at`` for a molecule's pseudo-labels once per
 fine-tuning iteration), so a desk-scale step of either training stage
 records 20 tape entries and rebuilds no index array. ``prepare_molecule``
 validates a graph a caller builds.
+
+The encoder runs once per symmetry class, not once per atom (``lift``). A
+layer gives equal embeddings to the atoms of a class that is equitable for
+what it reads (Morris et al. 2019), and ``canonical_equivalence_classes``
+gives the classes. ``prepare_molecule`` keeps each class's lowest-index
+atom as its representative, and the ``GraphIndex`` the encoder reads,
+``Molecule.rows``, holds the representatives' atom features and the edges
+into them, in the atom-level edge order, sources mapped to rows; the
+atom-level ``Molecule.index`` is built on first use. ``Molecule.atom_row``
+maps each atom to its row, and every ``HeadRows`` reads the final layer
+through it, so prediction, evaluation, annotation and both training
+stages share one path, forward and backward. Before the
+classes are used, prepare checks that they are equitable for element,
+chirality, hybridization and edge type with direction: refinement already
+agrees on element, hybridization and bond type, so the check compares
+chirality per class and, when a bond has a '/' or '\\' direction, the
+(edge type, neighbour class) multisets. A molecule that fails it gets one
+row per atom through the same code. ``Molecule.heads`` holds the head rows
+of the representative units, built at prepare.
 """
 
 from __future__ import annotations
@@ -44,6 +63,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from enum import Enum
 
 import numpy as np
@@ -85,12 +106,26 @@ NAMED_SOLVENTS = tuple(s for s in SolventClass if s is not SolventClass.UNKNOWN)
 
 _CHIRALITY_INDEX = {c: i for i, c in enumerate(Chirality)}
 _HYBRID_INDEX = {h: i for i, h in enumerate(Hybridization)}
-_BOND_INDEX = {b: i for i, b in enumerate(BondType)}
-_DIRECTION_INDEX = {d: i for i, d in enumerate(BondDirection)}
 EDGE_TYPES = len(BondType) * len(BondDirection)
+# a bond's edge type, bond * len(BondDirection) + direction
+_EDGE_TYPE = {
+    (bond, direction): i * len(BondDirection) + j
+    for i, bond in enumerate(BondType) for j, direction in enumerate(BondDirection)
+}
 # edge type t is bond type t // len(BondDirection) and direction
 # t % len(BondDirection): the bond and direction embedding rows of each
-_EDGE_BOND, _EDGE_DIRECTION = np.divmod(np.arange(EDGE_TYPES), len(BondDirection))
+_EDGE_IDS = tuple(
+    ad.Ids(ids, bound, name) for ids, bound, name in zip(
+        np.divmod(np.arange(EDGE_TYPES), len(BondDirection)),
+        (len(BondType), len(BondDirection)), ("bond type", "direction"))
+)
+# the atom features a layer reads, each with its embedding table's size
+_ATOM_FEATURES = (
+    ("element", len(SYMBOL_INDEX)),
+    ("chirality", len(Chirality)),
+    ("hybridization", len(Hybridization)),
+)
+_SOLVENT_IDS = {s: ad.Ids(i, len(SolventClass), "solvent") for s, i in SOLVENT_INDEX.items()}
 _HEAD_PARAMETERS = ("w1", "b1", "w2", "b2", "w3", "b3")  # of each head, in mlp_head order
 
 # ppm = center + per_unit * raw output. Centers sit mid-range of common
@@ -152,11 +187,15 @@ class GraphIndex:
     embedding-table row of each atom feature, and each edge's type
     ``bond * len(BondDirection) + direction``.
 
-    Construction checks that ``src`` and ``dst`` name atoms and that
-    ``edge_type`` names one of the ``EDGE_TYPES`` rows, once per graph, so
-    ``autodiff.message_layer`` reads them unchecked. ``slots`` caches the
-    flat ``bincount`` slots of an edge array per row width: models of
-    different widths may share one graph.
+    Construction checks every array once per graph, an IndexError naming
+    the array otherwise: that ``src`` and ``dst`` name atoms and
+    ``edge_type`` one of the ``EDGE_TYPES`` rows, so
+    ``autodiff.message_layer`` reads them unchecked; and that ``element``,
+    ``chirality`` and ``hybridization`` name rows of their embedding
+    tables. Those three become read-only, and ``ids`` holds them as
+    ``autodiff.Ids`` that ``autodiff.embed`` reads unchecked. ``slots``
+    caches the flat ``bincount`` slots of an edge array per row width:
+    models of different widths may share one graph.
     """
 
     src: np.ndarray
@@ -165,6 +204,7 @@ class GraphIndex:
     chirality: np.ndarray
     hybridization: np.ndarray
     edge_type: np.ndarray
+    ids: tuple[ad.Ids, ...] = field(init=False, repr=False, compare=False)
     _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -173,8 +213,16 @@ class GraphIndex:
             ids = getattr(self, name)
             if ids.shape != self.src.shape:
                 raise ValueError(f"{name} has shape {ids.shape}, src {self.src.shape}")
-            if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            if ad.beyond(ids, bound):
                 raise IndexError(f"{name} out of range [0, {bound})")
+        features = []
+        for name, bound in _ATOM_FEATURES:
+            ids = ad.Ids(getattr(self, name), bound, name)
+            if ids.array.shape != (atoms,):
+                raise ValueError(f"{name} has shape {ids.array.shape}, element ({atoms},)")
+            object.__setattr__(self, name, ids.array)
+            features.append(ids)
+        object.__setattr__(self, "ids", tuple(features))
 
     def slots(self, name: str, width: int) -> np.ndarray:
         """Flat slots ``ids[:, None] * width + arange(width)`` of the edge
@@ -189,45 +237,127 @@ class GraphIndex:
 
 def graph_index(graph: MolecularGraph) -> GraphIndex:
     """Edge and embedding-id arrays of a graph whose hybridization has been
-    inferred; an uninferred atom raises ValueError."""
+    inferred, one row per atom; an uninferred atom raises ValueError."""
+    atoms = range(len(graph.atoms))
+    return _row_index(graph, atoms, atoms)
+
+
+def _row_index(graph: MolecularGraph, reps, atom_row) -> GraphIndex:
+    """The ``GraphIndex`` whose rows are the atoms ``reps``, ascending:
+    their atom features, and the directed edges into each in bond order
+    (the order of its adjacency), each source mapped to its row by
+    ``atom_row``. Read from the bond list, not the adjacency lists."""
     atoms = graph.atoms
-    for atom in atoms:
+    rows = [atoms[r] for r in reps]
+    for atom in rows:
         if atom.hybridization is Hybridization.UNSPECIFIED:
             raise ValueError(
                 f"atom {atom.index} has uninferred hybridization; run "
                 "set_hybridization first"
             )
-    # two directed edges per bond; sorted by (dst, bond) they are the adjacency
+    row_of = {r: row for row, r in enumerate(reps)}
+    edges = []  # (destination row, source row, edge type), in bond order
+    for bond in graph.bonds:
+        a, b = bond.endpoints
+        kind = _EDGE_TYPE[bond.bond_type, bond.direction]
+        if a in row_of:
+            edges.append((row_of[a], atom_row[b], kind))
+        if b in row_of:
+            edges.append((row_of[b], atom_row[a], kind))
+    edges.sort(key=itemgetter(0))  # stable: each row's edges stay in bond order
+    dst, src, kinds = zip(*edges) if edges else ((), (), ())
     ids = lambda values: np.array(values, dtype=np.intp)
-    ends = ids([b.endpoints for b in graph.bonds]).reshape(-1, 2)
-    types = ids([_BOND_INDEX[b.bond_type] * len(BondDirection) + _DIRECTION_INDEX[b.direction]
-                 for b in graph.bonds])
-    src, dst = np.concatenate([ends, ends[:, ::-1]]).T
-    bond = np.tile(np.arange(len(ends)), 2)
-    order = np.lexsort((bond, dst))
     return GraphIndex(
-        src=src[order],
-        dst=dst[order],
-        element=ids([SYMBOL_INDEX[a.element] for a in atoms]),
-        chirality=ids([_CHIRALITY_INDEX[a.chirality] for a in atoms]),
-        hybridization=ids([_HYBRID_INDEX[a.hybridization] for a in atoms]),
-        edge_type=types[bond[order]],
+        src=ids(src),
+        dst=ids(dst),
+        element=ids([SYMBOL_INDEX[a.element] for a in rows]),
+        chirality=ids([_CHIRALITY_INDEX[a.chirality] for a in rows]),
+        hybridization=ids([_HYBRID_INDEX[a.hybridization] for a in rows]),
+        edge_type=ids(kinds),
     )
+
+
+def _equitable(graph: MolecularGraph, atom_row: list[int], reps: list[int]) -> bool:
+    """Whether every atom reads what the representative of its class reads
+    (``atom_row`` numbers the classes, ``reps`` lists each class's
+    representative): chirality, and the multiset of (edge type, source
+    class) over its edges. The classes must be a fixed point of
+    ``molgraph.refine_labels`` seeded by element and hybridization. Such a
+    partition already agrees on those two and on the (bond type,
+    neighbour class) multisets, so only chirality and, when a bond has a
+    '/' or '\\' direction, the full multisets remain to compare."""
+    atoms = graph.atoms
+    if any(a.chirality is not atoms[reps[row]].chirality for a, row in zip(atoms, atom_row)):
+        return False
+    if all(b.direction is BondDirection.NONE for b in graph.bonds):
+        return True
+
+    def reads(atom: int) -> list[tuple[int, int]]:
+        pairs = []
+        for u in graph.adjacency[atom]:
+            bond = graph.bond_between(atom, u)
+            pairs.append((_EDGE_TYPE[bond.bond_type, bond.direction], atom_row[u]))
+        return sorted(pairs)
+
+    keys = [reads(atom) for atom in range(len(atoms))]
+    return all(key == keys[reps[row]] for key, row in zip(keys, atom_row))
+
+
+def lift(graph: MolecularGraph, classes: EquivalenceClasses) -> tuple[GraphIndex, ad.Ids]:
+    """The rows the encoder runs on, and each atom's row.
+
+    A message-passing layer gives equal embeddings to the atoms of a class
+    of an equitable partition (Morris et al. 2019), so the encoder needs
+    one row per class: its lowest-index atom, the representative. The
+    row-level index holds the representatives' atom features in atom
+    order and the edges into them, in ``graph_index``'s edge order, each
+    source mapped to its class's row. ``classes`` must be
+    ``canonical_equivalence_classes`` of ``graph``; a partition that is
+    not equitable for what the layers read (element, chirality,
+    hybridization, and edge type with direction) gives one row per atom,
+    ``graph_index(graph)``."""
+    n = len(graph.atoms)
+    if classes.num_classes < n:
+        row_of_class: dict[int, int] = {}
+        reps: list[int] = []
+        atom_row: list[int] = []
+        for atom, label in enumerate(classes.class_id):
+            row = row_of_class.setdefault(label, len(reps))
+            if row == len(reps):  # the class's first, lowest-index atom
+                reps.append(atom)
+            atom_row.append(row)
+        if _equitable(graph, atom_row, reps):
+            return _row_index(graph, reps, atom_row), ad.Ids(atom_row, len(reps), "row")
+    return graph_index(graph), ad.Ids(np.arange(n), n, "row")
 
 
 @dataclass
 class Molecule:
     """A parsed structure with everything the model needs precomputed.
     ``ch_carbon`` and ``ch_hydrogen`` are the C-H bonds of ``units``, carbons
-    ascending, each carbon's hydrogens in its adjacency order."""
+    ascending, each carbon's hydrogens in its adjacency order. The encoder
+    runs on ``rows``, one row per symmetry class (``lift``), and
+    ``atom_row`` holds each atom's row. ``heads`` are the head rows of the
+    representative units, which ``predict_cross_peaks`` reads."""
 
     smiles: str
     graph: MolecularGraph  # hydrogens explicit, hybridization inferred
     classes: EquivalenceClasses
     units: list[CHUnit]
-    index: GraphIndex
+    rows: GraphIndex
+    atom_row: ad.Ids
     ch_carbon: np.ndarray
     ch_hydrogen: np.ndarray
+    heads: "HeadRows" = field(init=False)
+
+    @cached_property
+    def index(self) -> GraphIndex:
+        """The atom-level graph, ``rows`` itself when they are one per
+        atom, else built on first use: 1D targets (``ShiftReads.of``) read
+        it, and no forward pass does."""
+        if len(self.rows.element) == len(self.graph.atoms):
+            return self.rows
+        return graph_index(self.graph)
 
 
 def prepare_molecule(source: str | MolecularGraph) -> Molecule:
@@ -244,12 +374,15 @@ def prepare_molecule(source: str | MolecularGraph) -> Molecule:
     set_hybridization(expanded)
     classes = canonical_equivalence_classes(expanded)
     units = enumerate_ch_units(expanded, classes)
-    return Molecule(
+    rows, atom_row = lift(expanded, classes)
+    molecule = Molecule(
         smiles=graph.source_smiles, graph=expanded, classes=classes, units=units,
-        index=graph_index(expanded),
+        rows=rows, atom_row=atom_row,
         ch_carbon=np.array([u.carbon_index for u in units for _ in u.hydrogen_indices], np.intp),
         ch_hydrogen=np.array([h for u in units for h in u.hydrogen_indices], np.intp),
     )
+    molecule.heads = HeadRows.of(molecule, [u.carbon_index for u in units if u.is_representative])
+    return molecule
 
 
 def _parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
@@ -305,20 +438,23 @@ def check_state(config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
 
 @dataclass(frozen=True)
 class HeadRows:
-    """The arrays one head evaluation reads for an array of k carbons: the
-    carbons, the hydrogen of each of their C-H bonds (``h_index``, with its
-    carbon's row in ``h_row``) and each row's hydrogen-mean weight
-    ``1 / max(count, 1)`` (a carbon without hydrogens, a 1D carbon target,
-    gets a zero mean)."""
+    """The arrays one head evaluation reads for an array of k carbons, as
+    rows of the encoder's output (``Molecule.atom_row``): each carbon's
+    row, the row of the hydrogen of each of their C-H bonds (``h_index``,
+    with its carbon's head row in ``h_row``) and each head row's
+    hydrogen-mean weight ``1 / max(count, 1)`` (a carbon without
+    hydrogens, a 1D carbon target, gets a zero mean). The three index
+    arrays are ``autodiff.Ids``, checked once here."""
 
-    carbons: np.ndarray
-    h_index: np.ndarray
-    h_row: np.ndarray
+    carbons: ad.Ids
+    h_index: ad.Ids
+    h_row: ad.Ids
     h_weight: np.ndarray
 
     @classmethod
     def of(cls, molecule: Molecule, carbons) -> "HeadRows":
-        carbons = np.asarray(carbons, dtype=np.intp)
+        # checked before the map, where a negative atom would wrap around
+        carbons = ad.Ids(carbons, len(molecule.graph.atoms), "carbon").array
         k = len(carbons)
         # row r's hydrogens are C-H bonds lo[r], lo[r] + 1, ...; methods, not np.* wrappers
         lo = molecule.ch_carbon.searchsorted(carbons)
@@ -327,7 +463,12 @@ class HeadRows:
         h_index = molecule.ch_hydrogen[
             np.arange(len(h_row)) + (lo - counts.cumsum() + counts).repeat(counts)
         ]
-        return cls(carbons, h_index, h_row, 1.0 / np.maximum(counts, 1)[:, None])
+        return cls(
+            molecule.atom_row.take(carbons),
+            molecule.atom_row.take(h_index),
+            ad.Ids(h_row, k, "head row"),
+            1.0 / np.maximum(counts, 1)[:, None],
+        )
 
 
 @dataclass(frozen=True)
@@ -345,15 +486,14 @@ class ProtonReads:
 
     @classmethod
     def of(cls, rows, slots, two_peak) -> "ProtonReads":
-        n = len(rows)
-        columns = np.tile([0, 1], n)
+        terms = np.arange(2 * len(rows))
+        columns = terms % 2
         weight = np.where(
-            np.repeat(np.asarray(two_peak, dtype=bool), 2),
-            columns == np.repeat(np.asarray(slots, dtype=np.intp) - 1, 2),
+            np.asarray(two_peak, dtype=bool).repeat(2),
+            columns == (np.asarray(slots, dtype=np.intp) - 1).repeat(2),
             0.5,
         )
-        rows = np.repeat(np.asarray(rows, dtype=np.intp), 2)
-        return cls((rows, columns), weight, np.repeat(np.arange(n), 2))
+        return cls((np.asarray(rows, dtype=np.intp).repeat(2), columns), weight, terms // 2)
 
     def outputs(self, raw_h: Tensor) -> Tensor:
         picked = ad.gather(raw_h, self.index)
@@ -444,8 +584,10 @@ class CrossPeakModel:
     # -- forward pass -------------------------------------------------------
 
     def encode_atoms(self, index: GraphIndex) -> list[Tensor]:
-        """Node embeddings of layers 0..L, each an (atoms, atom_dim) row
-        batch; hydrogens are nodes.
+        """Node embeddings of layers 0..L, each a (rows, atom_dim) batch with
+        one row per atom of ``index``; hydrogens are nodes. A molecule's
+        ``rows`` have one row per symmetry class, its ``index`` one per
+        atom.
 
         The atom rows and the edge-type table are one ``autodiff.embed`` op
         each, and each layer is one ``autodiff.message_layer`` op, its
@@ -457,12 +599,9 @@ class CrossPeakModel:
         """
         p = self.params
         h = ad.embed(
-            [p["embed.element"], p["embed.chirality"], p["embed.hybridization"]],
-            [index.element, index.chirality, index.hybridization],
+            [p["embed.element"], p["embed.chirality"], p["embed.hybridization"]], index.ids
         )
-        edge_table = ad.embed(
-            [p["embed.bond_type"], p["embed.direction"]], [_EDGE_BOND, _EDGE_DIRECTION]
-        )
+        edge_table = ad.embed([p["embed.bond_type"], p["embed.direction"]], _EDGE_IDS)
         layers = [h]
         for layer in range(1, self.config.num_layers + 1):
             h = ad.message_layer(
@@ -476,7 +615,7 @@ class CrossPeakModel:
 
     def encode_solvent(self, solvent: SolventClass) -> Tensor:
         """The solvent's learned vector, one row."""
-        return ad.gather(self.params["embed.solvent_h"], SOLVENT_INDEX[solvent])
+        return ad.gather(self.params["embed.solvent_h"], _SOLVENT_IDS[solvent])
 
     def _mlp(self, prefix: str, x: list[Tensor]) -> Tensor:
         p = self.params
@@ -488,16 +627,16 @@ class CrossPeakModel:
         """One forward pass: the raw carbon outputs (k, 1) and raw
         proton-pair outputs (k, 2) of the k carbons of ``rows``.
 
-        The carbon head reads the carbon's final embedding; the proton head
-        reads the carbon embedding, the mean embedding of its bonded
-        hydrogens, and the solvent vector. Each head is one
-        ``autodiff.mlp_head`` op.
+        The encoder runs on the molecule's ``rows``. The carbon head reads
+        the carbon's final embedding; the proton head reads the carbon
+        embedding, the mean embedding of its bonded hydrogens, and the
+        solvent vector. Each head is one ``autodiff.mlp_head`` op.
         """
-        final = self.encode_atoms(molecule.index)[-1]
+        final = self.encode_atoms(molecule.rows)[-1]
         h_c = ad.gather(final, rows.carbons)
         raw_c = self._mlp("c_head", [h_c])
         h_mean = ad.scale(
-            ad.segment_sum(ad.gather(final, rows.h_index), rows.h_row, len(rows.carbons)),
+            ad.segment_sum(ad.gather(final, rows.h_index), rows.h_row, rows.h_row.bound),
             rows.h_weight,
         )
         raw_h = self._mlp("h_head", [h_c, h_mean, self.encode_solvent(solvent)])
@@ -510,22 +649,16 @@ class CrossPeakModel:
         proton outputs as separate peaks unless they lie within
         ``merge_tolerance_h`` ppm; every other unit emits one peak."""
         units = [u for u in molecule.units if u.is_representative]
-        raw_c, raw_h = self.head_outputs(
-            molecule, solvent, HeadRows.of(molecule, [u.carbon_index for u in units])
-        )
+        raw_c, raw_h = self.head_outputs(molecule, solvent, molecule.heads)
         pair_ppm = self.ppm_h(raw_h.values)
-        rows: list[int] = []
-        slots: list[int] = []
-        split: list[bool] = []
-        for row, unit in enumerate(units):
-            two = unit.max_peaks == 2 and not (
-                abs(pair_ppm[row, 0] - pair_ppm[row, 1]) < self.config.merge_tolerance_h
-            )
-            for slot in (1, 2) if two else (1,):
-                rows.append(row)
-                slots.append(slot)
-                split.append(two)
-        protons = ProtonReads.of(rows, slots, split).outputs(raw_h)
+        two = np.array([u.max_peaks == 2 for u in units], dtype=bool) & ~(
+            np.abs(pair_ppm[:, 0] - pair_ppm[:, 1]) < self.config.merge_tolerance_h
+        )
+        peaks = 1 + two
+        rows = np.arange(len(units)).repeat(peaks)
+        # a peak's slot: 1 plus its offset past the first peak of its unit
+        slots = np.arange(len(rows)) - (peaks.cumsum() - peaks).repeat(peaks) + 1
+        protons = ProtonReads.of(rows, slots, two[rows]).outputs(raw_h)
         delta_c = self.ppm_c(raw_c.values[rows, 0])
         delta_h = self.ppm_h(protons.values)
         finite = np.isfinite(delta_c) & np.isfinite(delta_h)
@@ -534,7 +667,8 @@ class CrossPeakModel:
             raise FloatingPointError(f"non-finite prediction for carbon {bad.carbon_index}")
         return [
             PredictedPeak(units[row], c, h, slot)
-            for row, slot, c, h in zip(rows, slots, delta_c.tolist(), delta_h.tolist())
+            for row, slot, c, h in zip(rows.tolist(), slots.tolist(), delta_c.tolist(),
+                                       delta_h.tolist())
         ]
 
     def atom_shift_tensors(

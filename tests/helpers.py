@@ -10,11 +10,14 @@ textbook order it replaced), the affine and relu ops that ``mlp_head`` and
 per-edge message map that the factored one replaced, the heads with their
 joined input, the per-carbon C-H walk and the hand-built reads of
 pseudo-labels that ``ShiftReads.at`` replaced, the canonical writer's
-tetrahedral parity by cycle sorting; and a checkpoint header rewriter with
-the malformed headers it is given."""
+tetrahedral parity by cycle sorting, a molecule encoded one row per atom
+as before the encoder ran on symmetry classes, and the full check that a
+partition is equitable for what the layers read; and a checkpoint header
+rewriter with the malformed headers it is given."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -413,6 +416,32 @@ def reference_encode(model, index) -> list:
         h = pre if layer == model.config.num_layers else reference_relu(pre)
         layers.append(h)
     return layers
+
+
+def atom_level(molecule):
+    """``molecule`` with one encoder row per atom, as before the encoder ran
+    on symmetry classes."""
+    atoms = len(molecule.graph.atoms)
+    flat = dataclasses.replace(molecule, rows=molecule.index,
+                               atom_row=ad.Ids(np.arange(atoms), atoms))
+    flat.heads = HeadRows.of(flat, [u.carbon_index for u in flat.units if u.is_representative])
+    return flat
+
+
+def equitable_for_the_layers(molecule) -> bool:
+    """Whether the symmetry classes of ``molecule`` are equitable for all a
+    layer reads, checked in full: the atoms of a class agree on element,
+    chirality and hybridization, and on the multiset of (edge type, source
+    class) over their incoming edges."""
+    index, classes = molecule.index, molecule.classes.class_id
+    edges = list(zip(index.src.tolist(), index.dst.tolist(), index.edge_type.tolist()))
+    seen = {}
+    for atom, label in enumerate(classes):
+        incoming = sorted((kind, classes[src]) for src, dst, kind in edges if dst == atom)
+        key = (index.element[atom], index.chirality[atom], index.hybridization[atom], incoming)
+        if seen.setdefault(label, key) != key:
+            return False
+    return True
 
 
 def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.ndarray]:

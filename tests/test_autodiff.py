@@ -294,6 +294,31 @@ def test_embedding_lookup_out_of_range():
         ad.segment_sum(Tensor(np.ones((2, 3))), [0, 2], 2)
 
 
+def test_ids_are_checked_once_and_read_by_their_bound():
+    with pytest.raises(IndexError, match=r"element out of range \[0, 5\)"):
+        ad.Ids([0, 5], 5, "element")
+    with pytest.raises(IndexError, match=r"\[0, 5\)"):
+        ad.Ids([-1], 5)  # no silent wrap-around
+    source = np.array([0, 2])
+    ids = ad.Ids(source, 3)
+    source[0] = -1  # a copy, read-only: the checked values cannot change
+    assert ids.array.tolist() == [0, 2] and not ids.array.flags.writeable
+    table = p(np.arange(6.0).reshape(3, 2), "t")
+    assert np.array_equal(ad.gather(table, ids).values, [[0.0, 1.0], [4.0, 5.0]])
+    assert np.array_equal(ad.gather(table, (ids, ad.Ids([1, 0], 2))).values, [1.0, 4.0])
+    assert np.array_equal(ad.embed([table], [ids]).values, [[0.0, 1.0], [4.0, 5.0]])
+    assert np.array_equal(ad.segment_sum(Tensor(np.ones((2, 1))), ids, 3).values,
+                          [[1.0], [0.0], [1.0]])
+    # ids whose bound exceeds what they index are refused, values unread
+    short = p(np.zeros((2, 2)), "short")
+    with pytest.raises(IndexError, match=r"\[0, 2\)"):
+        ad.gather(short, ad.Ids([0], 3))
+    with pytest.raises(IndexError, match=r"\[0, 2\)"):
+        ad.embed([short], [ad.Ids([0], 3)])
+    with pytest.raises(IndexError, match=r"\[0, 2\)"):
+        ad.segment_sum(Tensor(np.ones((1, 1))), ad.Ids([0], 3), 2)
+
+
 def test_neighbor_sum_conventions():
     width = 4
     zero = ad.segment_sum(Tensor(np.zeros((0, width))), [], 3)

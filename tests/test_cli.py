@@ -68,6 +68,16 @@ def test_usage_error_exit_code():
     assert "error: argument --format: invalid choice: 'xml'" in proc.stderr
 
 
+def test_pretrain_rejects_a_validation_file():
+    # pre-training splits its validation set off the training file
+    # (train.validation_split); it once accepted --val and never read it
+    proc = run_cli("--quiet", "pretrain", "--data", "data/toy_1d.jsonl",
+                   "--checkpoint-out", "unused.ckpt", "--val", "data/toy_1d.jsonl")
+    assert proc.returncode == 1
+    assert "error: unrecognized arguments: --val" in proc.stderr
+    assert not (REPO / "unused.ckpt").exists()
+
+
 def test_validate_data_reports_each_record(tmp_path):
     data = tmp_path / "d.jsonl"
     data.write_text(

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hsqcnet import autodiff as ad
 from hsqcnet.assign import ObservedPeak, pseudo_annotate
+from hsqcnet.elements import SYMBOL_INDEX
 from hsqcnet.model import (
     EDGE_TYPES,
     CrossPeakModel,
@@ -19,10 +22,14 @@ from hsqcnet.model import (
     graph_index,
     prepare_molecule,
 )
-from hsqcnet.molgraph import AtomSpec, BondSpec, BondType, MolecularGraph, relabel_atoms
+from hsqcnet.molgraph import (
+    AtomSpec, BondSpec, BondType, Chirality, Hybridization, MolecularGraph, relabel_atoms,
+)
 from hsqcnet.smiles import parse_smiles
 from hsqcnet.train import LabelTarget, Sample1D, SampleHSQC, TrainConfig, _loss, mtt_pretrain
 from helpers import (
+    atom_level,
+    equitable_for_the_layers,
     reference_ch_bonds,
     reference_edge_arrays,
     reference_embed,
@@ -349,8 +356,9 @@ def test_prepare_molecule_rejects_a_malformed_caller_graph(atoms, bonds, message
 
 
 def test_shared_molecule_serves_models_of_two_widths():
-    # the scatter slots are cached per (edge array, width) on the molecule's
-    # index; alternating widths must read the right ones
+    # the scatter slots are cached per (edge array, width) on the index the
+    # encoder runs on, the molecule's rows; alternating widths must read the
+    # right ones
     narrow = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=16, seed=1))
     wide = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=64, seed=2))
     smiles = "CC(=O)OCc1ccccc1"
@@ -358,7 +366,7 @@ def test_shared_molecule_serves_models_of_two_widths():
     for _ in range(2):
         for model in (narrow, wide):
             assert _peaks(model, shared) == _peaks(model, prepare_molecule(smiles))
-    assert {width for _, width in shared.index._slots} == {16, 64}
+    assert {width for _, width in shared.rows._slots} == {16, 64}
 
 
 @pytest.mark.parametrize("field", ["src", "dst", "edge_type"])
@@ -371,6 +379,149 @@ def test_graph_index_rejects_out_of_range_edges(field, bad):
     arrays[field][1] = bound if bad == "bound" else bad
     with pytest.raises(IndexError, match=field):
         GraphIndex(**arrays)
+
+
+@pytest.mark.parametrize("field, bound", [("element", len(SYMBOL_INDEX)),
+                                          ("chirality", len(Chirality)),
+                                          ("hybridization", len(Hybridization))])
+@pytest.mark.parametrize("bad", [-1, "bound"])
+def test_graph_index_rejects_out_of_range_atom_ids(field, bound, bad):
+    # checked once where the index is built, no longer by every embed call
+    index = prepare_molecule("CCO").index
+    assert all(not ids.array.flags.writeable for ids in index.ids)
+    assert not getattr(index, field).flags.writeable
+    arrays = {name: getattr(index, name).copy() for name in
+              ("src", "dst", "element", "chirality", "hybridization", "edge_type")}
+    arrays[field][1] = bound if bad == "bound" else bad
+    with pytest.raises(IndexError, match=rf"{field} out of range \[0, {bound}\)"):
+        GraphIndex(**arrays)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_graph_index_checks_arrays_of_any_integer_width(dtype):
+    index = prepare_molecule("CCO").index
+    arrays = {name: getattr(index, name).astype(dtype) for name in
+              ("src", "dst", "element", "chirality", "hybridization", "edge_type")}
+    built = GraphIndex(**arrays)
+    assert all(np.array_equal(getattr(built, name), want) for name, want in arrays.items())
+    for name, bad in (("src", -1), ("edge_type", EDGE_TYPES), ("element", -1)):
+        broken = dict(arrays, **{name: arrays[name].copy()})
+        broken[name][0] = bad
+        with pytest.raises(IndexError, match=name):
+            GraphIndex(**broken)
+
+
+def _lifting_corpus(parser_corpus, large_smiles, data_dir) -> list[str]:
+    """The parser corpus, the toy sets and the benchmark's large molecules."""
+    toy = [json.loads(line)["smiles"] for name in ("toy_1d", "toy_hsqc", "toy_expert")
+           for line in (data_dir / f"{name}.jsonl").read_text().splitlines() if line.strip()]
+    corpus = [e["smiles"] for e in parser_corpus["molecules"]]
+    return list(dict.fromkeys(corpus + toy + list(large_smiles.values())))
+
+
+def test_lifted_encode_equals_the_atom_level_encode(parser_corpus, large_smiles, data_dir):
+    # every layer's rows, read through atom_row, against the one-row-per-atom
+    # encode, and the peaks from them: bit for bit, or within 1e-12 where an
+    # atom's message sum runs in another order than its representative's
+    model = CrossPeakModel(ModelConfig(seed=3))
+    bitwise = reordered = 0
+    for smiles in _lifting_corpus(parser_corpus, large_smiles, data_dir):
+        molecule = prepare_molecule(smiles)
+        for got, want in zip(model.encode_atoms(molecule.rows), model.encode_atoms(molecule.index),
+                             strict=True):
+            got = got.values[molecule.atom_row.array]
+            if np.array_equal(got, want.values):
+                bitwise += 1
+            else:
+                reordered += 1
+                assert _relative(got, want.values) <= 1e-12, smiles
+        lifted, flat = _peaks(model, molecule), _peaks(model, atom_level(molecule))
+        assert [p[:2] for p in lifted] == [p[:2] for p in flat], smiles
+        for (*_, c, h), (*_, want_c, want_h) in zip(lifted, flat):
+            assert abs(c - want_c) <= 1e-12 * abs(want_c) and abs(h - want_h) <= 1e-12 * abs(want_h)
+    assert bitwise > 10 * reordered
+
+
+def test_rows_hold_the_atom_level_edges_into_the_representatives(parser_corpus, large_smiles,
+                                                                 data_dir):
+    # the row index, built from the bond list for the representatives only,
+    # against the atom-level index: the same edges in the same order
+    for smiles in _lifting_corpus(parser_corpus, large_smiles, data_dir):
+        molecule = prepare_molecule(smiles)
+        index, rows, atom_row = molecule.index, molecule.rows, molecule.atom_row.array
+        reps = np.unique(atom_row, return_index=True)[1]  # each row's lowest atom
+        assert np.all(np.diff(reps) > 0), smiles  # rows run in atom order
+        into = np.isin(index.dst, reps)
+        assert rows.src.tolist() == atom_row[index.src[into]].tolist(), smiles
+        assert rows.dst.tolist() == atom_row[index.dst[into]].tolist(), smiles
+        assert rows.edge_type.tolist() == index.edge_type[into].tolist(), smiles
+        for name in ("element", "chirality", "hybridization"):
+            assert getattr(rows, name).tolist() == getattr(index, name)[reps].tolist(), smiles
+
+
+def test_large_molecules_encode_one_row_per_symmetry_class(large_smiles):
+    rows = {name: len(prepare_molecule(large_smiles[name]).rows.element)
+            for name in ("pep10", "pep30", "triglyceride", "c80_chain")}
+    assert rows == {"pep10": 122, "pep30": 362, "triglyceride": 113, "c80_chain": 80}
+
+
+@pytest.mark.parametrize("smiles", [
+    "C[C@H](O)[C@@H](C)O",  # one class, two tetrahedral marks
+    "F/C=C\\F",  # one class of carbons, each with its own '/' or '\\' neighbour
+    "CC/C=C\\CC",
+])
+def test_classes_the_layers_tell_apart_keep_one_row_per_atom(smiles):
+    molecule = prepare_molecule(smiles)
+    atoms = len(molecule.graph.atoms)
+    assert molecule.classes.num_classes < atoms and not equitable_for_the_layers(molecule)
+    assert molecule.rows is molecule.index
+    assert molecule.atom_row.array.tolist() == list(range(atoms))
+    model = CrossPeakModel(ModelConfig(seed=4))
+    assert _peaks(model, molecule) == _peaks(model, atom_level(molecule))
+
+
+_MIRROR = str.maketrans({"/": "\\", "\\": "/"})
+
+
+@given(smiles_strings())
+@example("C[C@H](O)[C@@H](C)O")
+@example("F/C=C\\F")
+@example("F/C=C/F")
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_short_lifting_check_agrees_with_the_full_one(smiles):
+    # a drawn molecule alone nearly always lifts; beside a copy of itself
+    # with every tetrahedral mark and bond direction flipped, two of three
+    # fail the check: the copies' atoms share classes but not chirality or
+    # edge types
+    flipped = smiles.replace("@@", "\0").replace("@", "@@").replace("\0", "@").translate(_MIRROR)
+    for text in (smiles, f"{smiles}.{smiles}", f"{smiles}.{flipped}"):
+        molecule = prepare_molecule(text)
+        lifted = molecule.rows is not molecule.index
+        several = molecule.classes.num_classes < len(molecule.graph.atoms)
+        assert lifted == (several and equitable_for_the_layers(molecule)), text
+
+
+@pytest.mark.parametrize("smiles", ["Cc1ccc(C)cc1", "CCCCCCCCCC"])
+def test_lifted_gradients_equal_the_atom_level_ones(smiles):
+    model = CrossPeakModel(ModelConfig(seed=8))
+    molecule = prepare_molecule(smiles)
+    assert len(molecule.rows.element) < len(molecule.graph.atoms)
+    carbons = [a.index for a in molecule.graph.atoms if a.element == "C"]
+    targets = np.full(3 * len(carbons), -10.0)  # below every output: no kink
+
+    def gradients(mol):
+        ad.zero_gradients(model.parameters())
+        with ad.ComputeRecord() as rec:
+            raw_c, raw_h = _heads(model, mol, SolventClass.WATER, carbons)
+            assert min(raw_c.values.min(), raw_h.values.min()) > -10.0
+            loss = ad.mean_abs_error([raw_c, raw_h], targets)
+        ad.backward(loss, rec)
+        return {name: p.grad.copy() for name, p in model.params.items()}
+
+    got, want = gradients(molecule), gradients(atom_level(molecule))
+    for name, grad in want.items():
+        assert _relative(got[name], grad) <= 1e-12, name
+    assert all(grad.any() for grad in got.values())
 
 
 def test_each_encoder_layer_adds_one_tape_step():
@@ -418,10 +569,11 @@ def test_ch_bonds_match_per_carbon_walk(parser_corpus, large_smiles):
 
 
 class _RecordingModel(CrossPeakModel):
-    """Keeps the carbons of its last head evaluation."""
+    """Keeps the carbons' encoder rows of its last head evaluation: the
+    carbons themselves on a molecule encoded one row per atom."""
 
     def head_outputs(self, molecule, solvent, rows):
-        self.carbons = rows.carbons.tolist()
+        self.carbons = rows.carbons.array.tolist()
         return super().head_outputs(molecule, solvent, rows)
 
 
@@ -435,7 +587,7 @@ def test_ch_bonds_and_proton_carbons_match_walks_on_drawn_smiles(smiles):
     # bracket [H] atoms may bond to two carbons; a proton target reads the
     # first carbon in the hydrogen's own adjacency, not the first C-H bond
     # listing it
-    molecule = prepare_molecule(smiles)
+    molecule = atom_level(prepare_molecule(smiles))
     _assert_ch_bonds_match_walk(molecule)
     graph = molecule.graph
     for hydrogen in sorted(set(molecule.ch_hydrogen.tolist())):
@@ -450,7 +602,7 @@ def test_ch_bonds_and_proton_carbons_match_walks_on_drawn_smiles(smiles):
 ])
 def test_proton_target_reads_the_first_carbon_in_its_adjacency(smiles, hydrogen, carbon, other):
     model = _RecordingModel(ModelConfig())
-    molecule = prepare_molecule(smiles)
+    molecule = atom_level(prepare_molecule(smiles))
     _, protons = model.atom_shift_tensors(molecule, SolventClass.DMSO, [], [hydrogen])
     assert model.carbons == [carbon]
 

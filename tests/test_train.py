@@ -286,7 +286,8 @@ def _butyric_labels(shifts) -> PseudoLabels:
 
 def _read_arrays(reads) -> list[np.ndarray]:
     heads, protons = reads.heads, reads.protons
-    return [heads.carbons, heads.h_index, heads.h_row, heads.h_weight, *reads.carbon,
+    return [heads.carbons.array, heads.h_index.array, heads.h_row.array, heads.h_weight,
+            *reads.carbon,
             *protons.index, protons.weight, protons.segments]
 
 
