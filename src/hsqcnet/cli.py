@@ -260,11 +260,16 @@ def _dispatch(args) -> int:
 
 def _resume_checkpoint(args, model_config: ModelConfig):
     """The ``--checkpoint-out`` a ``--resume`` run continues from, or None
-    for a fresh start. Its stored config must equal the run's; the arrays
-    already fit the stored config (``load_checkpoint``)."""
+    for a fresh start. Its provenance stage must be the command's and its
+    stored config must equal the run's; the arrays already fit the stored
+    config (``load_checkpoint``)."""
     if not (args.resume and args.checkpoint_out.exists()):
         return None
     previous = load_checkpoint(args.checkpoint_out)
+    stage = previous.provenance.get("stage")
+    if stage != args.command:
+        raise CheckpointError(f"cannot resume {args.command} from {args.checkpoint_out}: "
+                              f"it holds a {stage!r} checkpoint, not {args.command!r}")
     stored, run = previous.config.to_dict(), model_config.to_dict()
     differ = [f"{k} (checkpoint {stored[k]!r}, run {value!r})"
               for k, value in run.items() if stored[k] != value]

@@ -14,11 +14,12 @@ the edge-type table are one ``autodiff.embed`` op each. One
 head evaluation over an array of carbons feeds two MLP heads: one
 predicts the carbon shift from the carbon embedding, one a pair of proton
 shifts from the carbon embedding, the mean of its bonded-hydrogen
-embeddings (read from the molecule's C-H bond arrays, built at prepare:
-no forward pass walks the graph's adjacency lists), and a learned solvent
-vector. Each head (three affine maps, two relus) is one tape op,
-``autodiff.mlp_head``, whose first map reads its inputs by weight column
-block, so a solvent vector is one row shared by every carbon.
+embeddings (the hydrogens of its C-H unit, read into ``HeadRows`` when a
+target set is built: no forward pass walks the graph's adjacency lists),
+and a learned solvent vector. Each head (three affine maps, two relus) is
+one tape op, ``autodiff.mlp_head``, whose first map reads its inputs by
+weight column block, so a solvent vector is one row shared by every
+carbon.
 ``head_outputs(molecule, solvent, rows)`` is the one head evaluation: for
 the k carbons of a ``HeadRows`` it gives the carbon head's (k, 1) output
 and the proton head's (k, 2) pair, in output units that ``ppm_c`` and
@@ -44,9 +45,9 @@ what it reads (Morris et al. 2019), and ``canonical_equivalence_classes``
 gives the classes. ``prepare_molecule`` keeps each class's lowest-index
 atom as its representative, and the ``GraphIndex`` the encoder reads,
 ``Molecule.rows``, holds the representatives' atom features and the edges
-into them, in the atom-level edge order, sources mapped to rows; the
-atom-level ``Molecule.index`` is built on first use. ``Molecule.atom_row``
-maps each atom to its row, and every ``HeadRows`` reads the final layer
+into them, in the atom-level edge order, sources mapped to rows; a
+molecule holds no other index. ``Molecule.atom_row`` maps each atom to
+its row, and every ``HeadRows`` reads the final layer
 through it, so prediction, evaluation, annotation and both training
 stages share one path, forward and backward. Before the
 classes are used, prepare checks that they are equitable for element,
@@ -55,7 +56,7 @@ agrees on element, hybridization and bond type, so the check compares
 chirality per class and, when a bond has a '/' or '\\' direction, the
 (edge type, neighbour class) multisets. A molecule that fails it gets one
 row per atom through the same code. ``Molecule.heads`` holds the head rows
-of the representative units, built at prepare.
+of the representative units, built when the molecule is.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from enum import Enum
 
@@ -180,7 +180,7 @@ class PredictedPeak:
     peak_slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphIndex:
     """The integer arrays one forward pass reads from a graph: the directed
     edges (every atom's adjacency in atom order, as ``src`` -> ``dst``), the
@@ -195,7 +195,8 @@ class GraphIndex:
     tables. Those three become read-only, and ``ids`` holds them as
     ``autodiff.Ids`` that ``autodiff.embed`` reads unchecked. ``slots``
     caches the flat ``bincount`` slots of an edge array per row width:
-    models of different widths may share one graph.
+    models of different widths may share one graph. Instances compare by
+    identity.
     """
 
     src: np.ndarray
@@ -204,8 +205,8 @@ class GraphIndex:
     chirality: np.ndarray
     hybridization: np.ndarray
     edge_type: np.ndarray
-    ids: tuple[ad.Ids, ...] = field(init=False, repr=False, compare=False)
-    _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    ids: tuple[ad.Ids, ...] = field(init=False, repr=False)
+    _slots: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         atoms = len(self.element)
@@ -331,14 +332,14 @@ def lift(graph: MolecularGraph, classes: EquivalenceClasses) -> tuple[GraphIndex
     return graph_index(graph), ad.Ids(np.arange(n), n, "row")
 
 
-@dataclass
+@dataclass(eq=False)
 class Molecule:
     """A parsed structure with everything the model needs precomputed.
-    ``ch_carbon`` and ``ch_hydrogen`` are the C-H bonds of ``units``, carbons
-    ascending, each carbon's hydrogens in its adjacency order. The encoder
-    runs on ``rows``, one row per symmetry class (``lift``), and
+    ``units`` hold each carbon's hydrogens in its adjacency order. The
+    encoder runs on ``rows``, one row per symmetry class (``lift``), and
     ``atom_row`` holds each atom's row. ``heads`` are the head rows of the
-    representative units, which ``predict_cross_peaks`` reads."""
+    representative units, which ``predict_cross_peaks`` reads, built at
+    construction. Instances compare by identity."""
 
     smiles: str
     graph: MolecularGraph  # hydrogens explicit, hybridization inferred
@@ -346,18 +347,10 @@ class Molecule:
     units: list[CHUnit]
     rows: GraphIndex
     atom_row: ad.Ids
-    ch_carbon: np.ndarray
-    ch_hydrogen: np.ndarray
     heads: "HeadRows" = field(init=False)
 
-    @cached_property
-    def index(self) -> GraphIndex:
-        """The atom-level graph, ``rows`` itself when they are one per
-        atom, else built on first use: 1D targets (``ShiftReads.of``) read
-        it, and no forward pass does."""
-        if len(self.rows.element) == len(self.graph.atoms):
-            return self.rows
-        return graph_index(self.graph)
+    def __post_init__(self) -> None:
+        self.heads = HeadRows.of(self, [u.carbon_index for u in self.units if u.is_representative])
 
 
 def prepare_molecule(source: str | MolecularGraph) -> Molecule:
@@ -375,14 +368,8 @@ def prepare_molecule(source: str | MolecularGraph) -> Molecule:
     classes = canonical_equivalence_classes(expanded)
     units = enumerate_ch_units(expanded, classes)
     rows, atom_row = lift(expanded, classes)
-    molecule = Molecule(
-        smiles=graph.source_smiles, graph=expanded, classes=classes, units=units,
-        rows=rows, atom_row=atom_row,
-        ch_carbon=np.array([u.carbon_index for u in units for _ in u.hydrogen_indices], np.intp),
-        ch_hydrogen=np.array([h for u in units for h in u.hydrogen_indices], np.intp),
-    )
-    molecule.heads = HeadRows.of(molecule, [u.carbon_index for u in units if u.is_representative])
-    return molecule
+    return Molecule(smiles=graph.source_smiles, graph=expanded, classes=classes, units=units,
+                    rows=rows, atom_row=atom_row)
 
 
 def _parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
@@ -443,8 +430,9 @@ class HeadRows:
     row, the row of the hydrogen of each of their C-H bonds (``h_index``,
     with its carbon's head row in ``h_row``) and each head row's
     hydrogen-mean weight ``1 / max(count, 1)`` (a carbon without
-    hydrogens, a 1D carbon target, gets a zero mean). The three index
-    arrays are ``autodiff.Ids``, checked once here."""
+    hydrogens, a 1D carbon target, gets a zero mean). A carbon's
+    hydrogens are its unit's (``Molecule.units``), in adjacency order. The
+    three index arrays are ``autodiff.Ids``, checked once here."""
 
     carbons: ad.Ids
     h_index: ad.Ids
@@ -456,13 +444,11 @@ class HeadRows:
         # checked before the map, where a negative atom would wrap around
         carbons = ad.Ids(carbons, len(molecule.graph.atoms), "carbon").array
         k = len(carbons)
-        # row r's hydrogens are C-H bonds lo[r], lo[r] + 1, ...; methods, not np.* wrappers
-        lo = molecule.ch_carbon.searchsorted(carbons)
-        counts = molecule.ch_carbon.searchsorted(carbons, "right") - lo
+        hydrogens = {u.carbon_index: u.hydrogen_indices for u in molecule.units}
+        per_row = [hydrogens.get(carbon, ()) for carbon in carbons.tolist()]
+        counts = np.array([len(row) for row in per_row], dtype=np.intp)
         h_row = np.arange(k).repeat(counts)
-        h_index = molecule.ch_hydrogen[
-            np.arange(len(h_row)) + (lo - counts.cumsum() + counts).repeat(counts)
-        ]
+        h_index = np.array([h for row in per_row for h in row], dtype=np.intp)
         return cls(
             molecule.atom_row.take(carbons),
             molecule.atom_row.take(h_index),
@@ -471,14 +457,14 @@ class HeadRows:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtonReads:
     """The proton output each (carbon, slot) target reads, from the (k, 2)
     proton-pair outputs: the slot's own column when its carbon emits two
     peaks (``two_peak``), else the mean of the pair; ``rows`` picks each
     target's row. As arrays: the (row, column) of the outputs each
     target's two terms read, their weights, and the target each term sums
-    onto."""
+    onto. Instances compare by identity."""
 
     index: tuple[np.ndarray, np.ndarray]
     weight: np.ndarray
@@ -512,9 +498,9 @@ class ShiftReads:
     and each proton target reads the mean of its carbon's two proton
     outputs (1D references average inequivalent protons). Carbon targets
     may name any carbon. Proton targets name hydrogen atoms; a hydrogen's
-    carbon is the first carbon in its own adjacency (its edges in
-    ``molecule.index`` run in that order). A target atom the model cannot
-    cover raises ValueError."""
+    carbon is the first carbon in its own adjacency, the carbon of the
+    first C-H bond in ``graph.bonds`` that names it. A target atom the
+    model cannot cover raises ValueError."""
 
     heads: HeadRows
     carbon: tuple[np.ndarray, np.ndarray]
@@ -526,10 +512,11 @@ class ShiftReads:
         for idx in need_c:
             if not 0 <= idx < len(atoms) or atoms[idx].element != "C":
                 raise ValueError(f"carbon target index {idx} is not a carbon atom")
-        index = molecule.index
-        # reversed, so each atom's entry ends at its first edge from a carbon
-        edges = np.flatnonzero(index.element[index.src] == SYMBOL_INDEX["C"])[::-1]
-        first_carbon = dict(zip(index.dst[edges].tolist(), index.src[edges].tolist()))
+        first_carbon: dict[int, int] = {}
+        for bond in molecule.graph.bonds:  # each atom's adjacency runs in bond order
+            for h, c in (bond.endpoints, bond.endpoints[::-1]):
+                if atoms[h].element == "H" and atoms[c].element == "C":
+                    first_carbon.setdefault(h, c)
         for idx in need_h:
             if not 0 <= idx < len(atoms) or atoms[idx].element != "H":
                 raise ValueError(f"proton target index {idx} is not a hydrogen atom")
@@ -586,8 +573,8 @@ class CrossPeakModel:
     def encode_atoms(self, index: GraphIndex) -> list[Tensor]:
         """Node embeddings of layers 0..L, each a (rows, atom_dim) batch with
         one row per atom of ``index``; hydrogens are nodes. A molecule's
-        ``rows`` have one row per symmetry class, its ``index`` one per
-        atom.
+        ``rows`` have one row per symmetry class, ``graph_index`` of its
+        graph one per atom.
 
         The atom rows and the edge-type table are one ``autodiff.embed`` op
         each, and each layer is one ``autodiff.message_layer`` op, its

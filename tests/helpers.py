@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from hsqcnet import autodiff as ad
 from hsqcnet.assign import PseudoLabel, PseudoLabels, cost_matrix, hungarian, shift_cost
-from hsqcnet.model import SOLVENT_INDEX, HeadRows, ProtonReads, ShiftReads
+from hsqcnet.model import SOLVENT_INDEX, HeadRows, ProtonReads, ShiftReads, graph_index
 from hsqcnet.molgraph import (
     BondDirection,
     BondType,
@@ -422,10 +422,8 @@ def atom_level(molecule):
     """``molecule`` with one encoder row per atom, as before the encoder ran
     on symmetry classes."""
     atoms = len(molecule.graph.atoms)
-    flat = dataclasses.replace(molecule, rows=molecule.index,
+    return dataclasses.replace(molecule, rows=graph_index(molecule.graph),
                                atom_row=ad.Ids(np.arange(atoms), atoms))
-    flat.heads = HeadRows.of(flat, [u.carbon_index for u in flat.units if u.is_representative])
-    return flat
 
 
 def equitable_for_the_layers(molecule) -> bool:
@@ -433,7 +431,7 @@ def equitable_for_the_layers(molecule) -> bool:
     layer reads, checked in full: the atoms of a class agree on element,
     chirality and hybridization, and on the multiset of (edge type, source
     class) over their incoming edges."""
-    index, classes = molecule.index, molecule.classes.class_id
+    index, classes = graph_index(molecule.graph), molecule.classes.class_id
     edges = list(zip(index.src.tolist(), index.dst.tolist(), index.edge_type.tolist()))
     seen = {}
     for atom, label in enumerate(classes):
@@ -451,7 +449,7 @@ def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.n
     hydrogen embeddings and the solvent row repeated k times, then three
     dense layers. Raw carbon outputs (k, 1) and proton pairs (k, 2)."""
     p = {name: param.values for name, param in model.params.items()}
-    final = model.encode_atoms(molecule.index)[-1].values
+    final = model.encode_atoms(graph_index(molecule.graph))[-1].values
     graph = molecule.graph
     k = len(carbons)
     h_c = final[np.asarray(carbons, dtype=np.intp)]

@@ -26,6 +26,7 @@ from hsqcnet.model import (
     GraphIndex,
     ModelConfig,
     SolventClass,
+    graph_index,
     prepare_molecule,
 )
 from helpers import (
@@ -526,7 +527,7 @@ def test_one_atom_molecule_backward():
     model = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=8, solvent_dim_h=4,
                                        mlp_hidden=(6, 5), seed=1))
     molecule = prepare_molecule("[C]")
-    assert molecule.index.src.size == 0
+    assert graph_index(molecule.graph).src.size == 0
     with ComputeRecord() as rec:
         c_out, _ = model.atom_shift_tensors(molecule, SolventClass.DMSO, [0], [])
         loss = ad.mean_abs_error([c_out], [5.0])

@@ -376,6 +376,27 @@ def test_resume_with_a_bad_provenance_epoch_is_data_error(tmp_path, capsys, epoc
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command, stored, data", [
+    ("pretrain", "finetune", "toy_1d.jsonl"),
+    ("finetune", "pretrain", "toy_hsqc.jsonl"),
+])
+def test_resume_from_the_other_stage_is_data_error(tiny_checkpoint, tmp_path, capsys, command,
+                                                   stored, data):
+    out = tmp_path / "model.ckpt"
+    save_checkpoint(CrossPeakModel(TINY).state_arrays(), TINY,
+                    {"stage": stored, "epoch": 0, "iteration": 1, "seed": 0}, out)
+    before = out.read_bytes()
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"model": TINY.to_dict(), "train": {"epochs": 1}}))
+    start = ["--checkpoint", str(tiny_checkpoint)] if command == "finetune" else []
+    code = cli.main(["--quiet", "--config", str(config), command, "--resume", *start,
+                     "--data", str(REPO / "data" / data), "--checkpoint-out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"cannot resume {command} from {out}: it holds a {stored!r} checkpoint" in err
+    assert out.read_bytes() == before
+
+
 def test_resume_continues_training(tmp_path):
     data = REPO / "data" / "toy_1d.jsonl"
     out = tmp_path / "model.ckpt"

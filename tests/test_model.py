@@ -296,7 +296,7 @@ def _relative(got, want):
 def test_factored_message_map_matches_per_edge_reference(smiles):
     config = ModelConfig(num_layers=3, atom_dim=16, solvent_dim_h=4, mlp_hidden=(6, 5), seed=9)
     model = CrossPeakModel(config)
-    index = prepare_molecule(smiles).index
+    index = graph_index(prepare_molecule(smiles).graph)
     rng = np.random.default_rng(13)
 
     def run(encode, targets=None):
@@ -372,7 +372,7 @@ def test_shared_molecule_serves_models_of_two_widths():
 @pytest.mark.parametrize("field", ["src", "dst", "edge_type"])
 @pytest.mark.parametrize("bad", [-1, "bound"])
 def test_graph_index_rejects_out_of_range_edges(field, bad):
-    index = prepare_molecule("CCO").index
+    index = graph_index(prepare_molecule("CCO").graph)
     arrays = {name: getattr(index, name).copy() for name in
               ("src", "dst", "element", "chirality", "hybridization", "edge_type")}
     bound = EDGE_TYPES if field == "edge_type" else len(index.element)
@@ -387,7 +387,7 @@ def test_graph_index_rejects_out_of_range_edges(field, bad):
 @pytest.mark.parametrize("bad", [-1, "bound"])
 def test_graph_index_rejects_out_of_range_atom_ids(field, bound, bad):
     # checked once where the index is built, no longer by every embed call
-    index = prepare_molecule("CCO").index
+    index = graph_index(prepare_molecule("CCO").graph)
     assert all(not ids.array.flags.writeable for ids in index.ids)
     assert not getattr(index, field).flags.writeable
     arrays = {name: getattr(index, name).copy() for name in
@@ -399,7 +399,7 @@ def test_graph_index_rejects_out_of_range_atom_ids(field, bound, bad):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_graph_index_checks_arrays_of_any_integer_width(dtype):
-    index = prepare_molecule("CCO").index
+    index = graph_index(prepare_molecule("CCO").graph)
     arrays = {name: getattr(index, name).astype(dtype) for name in
               ("src", "dst", "element", "chirality", "hybridization", "edge_type")}
     built = GraphIndex(**arrays)
@@ -427,8 +427,8 @@ def test_lifted_encode_equals_the_atom_level_encode(parser_corpus, large_smiles,
     bitwise = reordered = 0
     for smiles in _lifting_corpus(parser_corpus, large_smiles, data_dir):
         molecule = prepare_molecule(smiles)
-        for got, want in zip(model.encode_atoms(molecule.rows), model.encode_atoms(molecule.index),
-                             strict=True):
+        flat = model.encode_atoms(graph_index(molecule.graph))
+        for got, want in zip(model.encode_atoms(molecule.rows), flat, strict=True):
             got = got.values[molecule.atom_row.array]
             if np.array_equal(got, want.values):
                 bitwise += 1
@@ -448,7 +448,7 @@ def test_rows_hold_the_atom_level_edges_into_the_representatives(parser_corpus, 
     # against the atom-level index: the same edges in the same order
     for smiles in _lifting_corpus(parser_corpus, large_smiles, data_dir):
         molecule = prepare_molecule(smiles)
-        index, rows, atom_row = molecule.index, molecule.rows, molecule.atom_row.array
+        index, rows, atom_row = graph_index(molecule.graph), molecule.rows, molecule.atom_row.array
         reps = np.unique(atom_row, return_index=True)[1]  # each row's lowest atom
         assert np.all(np.diff(reps) > 0), smiles  # rows run in atom order
         into = np.isin(index.dst, reps)
@@ -474,7 +474,7 @@ def test_classes_the_layers_tell_apart_keep_one_row_per_atom(smiles):
     molecule = prepare_molecule(smiles)
     atoms = len(molecule.graph.atoms)
     assert molecule.classes.num_classes < atoms and not equitable_for_the_layers(molecule)
-    assert molecule.rows is molecule.index
+    assert len(molecule.rows.element) == atoms
     assert molecule.atom_row.array.tolist() == list(range(atoms))
     model = CrossPeakModel(ModelConfig(seed=4))
     assert _peaks(model, molecule) == _peaks(model, atom_level(molecule))
@@ -496,7 +496,7 @@ def test_short_lifting_check_agrees_with_the_full_one(smiles):
     flipped = smiles.replace("@@", "\0").replace("@", "@@").replace("\0", "@").translate(_MIRROR)
     for text in (smiles, f"{smiles}.{smiles}", f"{smiles}.{flipped}"):
         molecule = prepare_molecule(text)
-        lifted = molecule.rows is not molecule.index
+        lifted = len(molecule.rows.element) < len(molecule.graph.atoms)
         several = molecule.classes.num_classes < len(molecule.graph.atoms)
         assert lifted == (several and equitable_for_the_layers(molecule)), text
 
@@ -557,10 +557,17 @@ def test_graph_index_matches_per_edge_walk_on_drawn_smiles(smiles):
     _assert_edges_match_walk(prepare_molecule(smiles).graph)
 
 
+def _ch_bonds(molecule, carbons):
+    """The C-H bonds the head rows of ``carbons`` read, one row per atom:
+    (carbon of each bond, hydrogen of each bond)."""
+    heads = HeadRows.of(atom_level(molecule), carbons)
+    assert heads.h_index.array.dtype == heads.h_row.array.dtype == np.intp
+    return heads.carbons.array[heads.h_row.array].tolist(), heads.h_index.array.tolist()
+
+
 def _assert_ch_bonds_match_walk(molecule):
-    carbons, hydrogens = reference_ch_bonds(molecule.graph)
-    for got, want in ((molecule.ch_carbon, carbons), (molecule.ch_hydrogen, hydrogens)):
-        assert got.dtype == np.intp and got.tolist() == want
+    carbons = [a.index for a in molecule.graph.atoms if a.element == "C"]
+    assert _ch_bonds(molecule, carbons) == reference_ch_bonds(molecule.graph)
 
 
 def test_ch_bonds_match_per_carbon_walk(parser_corpus, large_smiles):
@@ -590,7 +597,7 @@ def test_ch_bonds_and_proton_carbons_match_walks_on_drawn_smiles(smiles):
     molecule = atom_level(prepare_molecule(smiles))
     _assert_ch_bonds_match_walk(molecule)
     graph = molecule.graph
-    for hydrogen in sorted(set(molecule.ch_hydrogen.tolist())):
+    for hydrogen in sorted({h for u in molecule.units for h in u.hydrogen_indices}):
         RECORDING.atom_shift_tensors(molecule, SolventClass.DMSO, [], [hydrogen])
         first = next(nb for nb in graph.adjacency[hydrogen] if graph.atoms[nb].element == "C")
         assert RECORDING.carbons == [first]
@@ -616,8 +623,35 @@ def test_proton_target_reads_the_first_carbon_in_its_adjacency(smiles, hydrogen,
 
 def test_carbon_keeps_its_hydrogens_in_adjacency_order():
     molecule = prepare_molecule("[H]1.[H]C1")  # C2 bonds to H1, closes the ring to H0, then 3, 4
-    assert molecule.ch_carbon.tolist() == [2, 2, 2, 2]
-    assert molecule.ch_hydrogen.tolist() == [1, 0, 3, 4]
+    assert _ch_bonds(molecule, [2]) == ([2, 2, 2, 2], [1, 0, 3, 4])
+
+
+def test_a_1d_sample_of_a_lifted_molecule_builds_no_atom_level_index(monkeypatch):
+    molecule = prepare_molecule("Cc1ccc(C)cc1")  # p-xylene
+    assert len(molecule.rows.element) < len(molecule.graph.atoms)
+    built = []
+    original = GraphIndex.__post_init__
+
+    def counted(index):
+        built.append(len(index.element))
+        original(index)
+
+    monkeypatch.setattr(GraphIndex, "__post_init__", counted)
+    hydrogens = [h for u in molecule.units for h in u.hydrogen_indices]
+    Sample1D(molecule, SolventClass.CHLOROFORM, {0: 21.0, 1: 134.8},
+             {hydrogens[0]: 2.3, hydrogens[-1]: 7.0})
+    assert built == []
+
+
+def test_molecules_indexes_and_proton_reads_compare_by_identity():
+    # their fields hold numpy arrays, which no generated __eq__ can compare
+    a, b = prepare_molecule("CCO"), prepare_molecule("CCO")
+    reads = [ProtonReads.of([0, 1], [1, 2], [False, True]) for _ in range(2)]
+    for x, y in ((a, b), (a.rows, b.rows), (graph_index(a.graph), graph_index(a.graph)), reads):
+        assert x == x and x != y
+    sample = Sample1D(a, SolventClass.DMSO, {0: 18.0}, {})
+    assert sample == Sample1D(a, SolventClass.DMSO, {0: 18.0}, {})
+    assert sample != Sample1D(b, SolventClass.DMSO, {0: 18.0}, {})
 
 
 class _RaisingAdjacency:
@@ -640,7 +674,7 @@ def test_forward_passes_never_read_the_adjacency():
     solvent = SolventClass.DMSO
     peaks = model.predict_cross_peaks(plain, solvent)
     assert model.predict_cross_peaks(blind, solvent) == peaks
-    need_c, need_h = [0, 1, 4, 5, 6], sorted(set(plain.ch_hydrogen.tolist()))
+    need_c, need_h = [0, 1, 4, 5, 6], sorted({h for u in plain.units for h in u.hydrogen_indices})
     for got, want in zip(model.atom_shift_tensors(blind, solvent, need_c, need_h),
                          model.atom_shift_tensors(plain, solvent, need_c, need_h), strict=True):
         assert np.array_equal(got.values, want.values)

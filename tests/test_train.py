@@ -202,7 +202,7 @@ _DRAWN_MOLECULES = {smiles: prepare_molecule(smiles) for smiles in (
 def test_sample_arrays_equal_the_per_call_path_on_drawn_targets(data):
     molecule = _DRAWN_MOLECULES[data.draw(st.sampled_from(sorted(_DRAWN_MOLECULES)))]
     carbons = [a.index for a in molecule.graph.atoms if a.element == "C"]
-    hydrogens = sorted(set(molecule.ch_hydrogen.tolist()))
+    hydrogens = sorted({h for u in molecule.units for h in u.hydrogen_indices})
     shifts = st.floats(-10.0, 250.0, allow_nan=False)
     c = data.draw(st.dictionaries(st.sampled_from(carbons), shifts))
     h = data.draw(st.dictionaries(st.sampled_from(hydrogens), shifts) if hydrogens
