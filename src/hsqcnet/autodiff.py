@@ -15,8 +15,8 @@ inputs by weight column block. Both equal their chains of affine and
 relu ops bit for bit, as ``embed`` equals its gathers summed in table
 order. Every scatter-add, a Parameter's gather adjoint included, is one
 ``bincount`` onto zeros, which sums in input order exactly as
-``np.add.at`` does; the layer reads its flat slots from a per-graph
-cache. A desk-scale training step records 20 tape entries. The index
+``np.add.at`` does; the layer reads its flat slots from a cache on its
+index. A desk-scale training step records 20 tape entries. The index
 arguments of ``gather``, ``embed`` and ``segment_sum`` are range-checked at
 every call, unless they come as ``Ids``, checked once when built.
 
@@ -346,22 +346,23 @@ def message_layer(
     """One message-passing layer, as one op: with ``activate``, its update
     activation ``relu`` too.
 
-    With ``d`` the width of the (atoms, d) node rows ``h``, the message on
-    each directed edge ``src -> dst`` of type ``t`` is
-    ``relu((h @ msg_w[:, :d].T + msg_b)[src] + (edge_table @ msg_w[:, d:].T)[t])``;
-    the messages are summed onto ``dst`` and the result is
-    ``[h, sums] @ upd_w.T + upd_b`` (its ``relu`` with ``activate``, bit for
-    bit that of a ``relu`` op). ``edge_table`` has one row per edge
-    type. ``index`` carries the per-edge ``src``, ``dst`` and ``edge_type``
-    arrays, already range-checked, and ``slots(name, width)``, the cached
+    With ``d`` the width of the (rows, d) node rows ``h`` of the level
+    below, the message on each directed edge ``src -> dst`` of type ``t``
+    is ``relu((h @ msg_w[:, :d].T + msg_b)[src] + (edge_table @ msg_w[:, d:].T)[t])``;
+    the messages are summed onto ``dst`` and row r of the result is
+    ``[h[own[r]], sums[r]] @ upd_w.T + upd_b`` (its ``relu`` with
+    ``activate``, bit for bit that of a ``relu`` op), one row per entry of
+    ``own``. ``edge_table`` has one row per edge type. ``index`` carries
+    the per-edge ``src``, ``dst`` and ``edge_type`` arrays and the per-row
+    ``own``, all in range, and ``slots(name, width)``, the cached
     flat ``bincount`` slots of one of them at a row width.
 
     Values and gradients equal those of the per-edge chain of ops (the
     whole ``msg_w`` applied to each edge's ``[h[src]; edge_table[t]]``,
-    ``relu``, ``segment_sum``, then ``affine`` of ``[h, sums]``) to
+    ``relu``, ``segment_sum``, then ``affine`` of ``[h[own], sums]``) to
     rounding: within 1e-12 relative in values and 1e-10 in gradients.
     """
-    n, d = len(h.values), h.values.shape[-1]
+    below, d = len(h.values), h.values.shape[-1]
     if (h.values.ndim != 2 or msg_w.values.shape != (d, 2 * d) or msg_b.values.shape != (d,)
             or edge_table.values.shape[1:] != (d,) or upd_w.values.shape[1:] != (2 * d,)
             or upd_b.values.shape != upd_w.values.shape[:1]):
@@ -369,6 +370,7 @@ def message_layer(
             f"message_layer shapes do not fit: h {h.shape}, edge table {edge_table.shape}, "
             f"msg {msg_w.shape} + {msg_b.shape}, upd {upd_w.shape} + {upd_b.shape}"
         )
+    n = len(index.own)
     w_source = msg_w.values[:, :d]
     w_edge = msg_w.values[:, d:]
     source = h.values @ w_source.T
@@ -378,7 +380,7 @@ def message_layer(
     summed = np.bincount(
         index.slots("dst", d), weights=np.maximum(pre_message, 0.0).reshape(-1), minlength=n * d
     ).reshape(n, d)
-    joined = np.concatenate([h.values, summed], axis=-1)
+    joined = np.concatenate([h.values.take(index.own, axis=0), summed], axis=-1)
     values = joined @ upd_w.values.T
     values += upd_b.values
     if activate:
@@ -395,14 +397,15 @@ def message_layer(
             acc(upd_w, g.T @ joined)
             acc(upd_b, g.sum(axis=0))
             g_joined = g @ upd_w.values
-            acc(h, g_joined[:, :d])
+            acc(h, np.bincount(index.slots("own", d), weights=g_joined[:, :d].reshape(-1),
+                               minlength=below * d).reshape(below, d))
             g_message = (g_joined[:, d:].take(index.dst, axis=0) * mask).reshape(-1)
             g_edge = np.bincount(
                 index.slots("edge_type", d), weights=g_message, minlength=edge.size
             ).reshape(edge.shape)
             g_source = np.bincount(
-                index.slots("src", d), weights=g_message, minlength=n * d
-            ).reshape(n, d)
+                index.slots("src", d), weights=g_message, minlength=below * d
+            ).reshape(below, d)
             # both halves go into one array: += into a column block is several times slower
             g_msg_w = np.empty_like(msg_w.values)
             np.matmul(g_edge.T, edge_table.values, out=g_msg_w[:, d:])

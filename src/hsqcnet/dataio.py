@@ -264,8 +264,11 @@ _RETIRED_CONFIG = {"solvent_dim_c": 0, "c_center": C_PPM_CENTER, "c_scale": C_PP
                    "h_center": H_PPM_CENTER, "h_scale": H_PPM_PER_UNIT}
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
+    """A loaded checkpoint. Instances compare by identity: ``arrays`` holds
+    numpy arrays, which no generated ``__eq__`` can compare."""
+
     config: ModelConfig
     arrays: dict[str, np.ndarray]
     provenance: dict

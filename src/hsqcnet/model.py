@@ -9,8 +9,8 @@ and the edge type's row on every edge. The messages are summed onto the
 destination atoms, and every atom is updated by a second affine map; the
 whole layer with its update activation is one tape op
 (``autodiff.message_layer``), which reads the edge arrays and their cached
-scatter slots from the molecule's ``GraphIndex``, and the atom rows and
-the edge-type table are one ``autodiff.embed`` op each. One
+scatter slots from the layer's ``LayerIndex``, and the first layer's rows
+and the edge-type table are one ``autodiff.embed`` op each. One
 head evaluation over an array of carbons feeds two MLP heads: one
 predicts the carbon shift from the carbon embedding, one a pair of proton
 shifts from the carbon embedding, the mean of its bonded-hydrogen
@@ -39,24 +39,22 @@ fine-tuning iteration), so a desk-scale step of either training stage
 records 20 tape entries and rebuilds no index array. ``prepare_molecule``
 validates a graph a caller builds.
 
-The encoder runs once per symmetry class, not once per atom (``lift``). A
-layer gives equal embeddings to the atoms of a class that is equitable for
-what it reads (Morris et al. 2019), and ``canonical_equivalence_classes``
-gives the classes. ``prepare_molecule`` keeps each class's lowest-index
-atom as its representative, and the ``GraphIndex`` the encoder reads,
-``Molecule.rows``, holds the representatives' atom features and the edges
-into them, in the atom-level edge order, sources mapped to rows; a
-molecule holds no other index. ``Molecule.atom_row`` maps each atom to
-its row, and every ``HeadRows`` reads the final layer
-through it, so prediction, evaluation, annotation and both training
-stages share one path, forward and backward. Before the
-classes are used, prepare checks that they are equitable for element,
-chirality, hybridization and edge type with direction: refinement already
-agrees on element, hybridization and bond type, so the check compares
-chirality per class and, when a bond has a '/' or '\\' direction, the
-(edge type, neighbour class) multisets. A molecule that fails it gets one
-row per atom through the same code. ``Molecule.heads`` holds the head rows
-of the representative units, built when the molecule is.
+Each encoder layer runs once per class of what it can see, not once per
+atom. A k-layer network gives equal embeddings to atoms whose k-hop
+unrollings match (Morris et al. 2019), so layer k runs on one row per
+class of k rounds of colour refinement (``molgraph.refinement``), seeded
+with what the layers read of an atom (element, chirality, hybridization)
+and keyed by edge type with direction: level k. Level 0 embeds only the
+distinct feature rows; layer k's messages and its update read level
+k - 1's rows through the ``LayerIndex`` of level k, whose rows are each
+class's lowest-index atom, with that atom's edges in bond order and its
+own row one level below. ``Molecule.levels(depth)`` builds the levels on
+the first forward pass, not at prepare, and keeps them for models of any
+depth; levels past refinement's fixed point are the last level again.
+``HeadRows`` hold atoms, and each head evaluation maps them to the last
+level's rows, so prediction, evaluation, annotation and both training
+stages share one path, forward and backward. ``Molecule.heads`` holds the
+head rows of the representative units, built when the molecule is.
 """
 
 from __future__ import annotations
@@ -64,8 +62,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
 from enum import Enum
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +82,9 @@ from .molgraph import (
     MolecularGraph,
     add_explicit_hydrogens,
     canonical_equivalence_classes,
+    edges_into,
     enumerate_ch_units,
+    refinement,
     set_hybridization,
 )
 from .smiles import parse_smiles
@@ -125,6 +126,9 @@ _ATOM_FEATURES = (
     ("chirality", len(Chirality)),
     ("hybridization", len(Hybridization)),
 )
+# every row of each atom-feature table, checked once: a subset taken from
+# one needs no second check
+_FEATURE_ROWS = tuple(ad.Ids(np.arange(bound), bound, name) for name, bound in _ATOM_FEATURES)
 _SOLVENT_IDS = {s: ad.Ids(i, len(SolventClass), "solvent") for s, i in SOLVENT_INDEX.items()}
 _HEAD_PARAMETERS = ("w1", "b1", "w2", "b2", "w3", "b3")  # of each head, in mlp_head order
 
@@ -181,11 +185,41 @@ class PredictedPeak:
 
 
 @dataclass(frozen=True, eq=False)
-class GraphIndex:
-    """The integer arrays one forward pass reads from a graph: the directed
-    edges (every atom's adjacency in atom order, as ``src`` -> ``dst``), the
-    embedding-table row of each atom feature, and each edge's type
-    ``bond * len(BondDirection) + direction``.
+class LayerIndex:
+    """The integer arrays one message-passing layer reads, from the rows of
+    the level below it to the rows of its own level: the directed edges
+    into each row's atom, ``src`` (a row below) -> ``dst`` (a row of this
+    level), each with its type ``bond * len(BondDirection) + direction``
+    (``edge_type``), and ``own``, the row below that each row's update
+    reads. ``Molecule.levels`` builds each from refinement labels, which
+    lie in range by construction, so it checks nothing. ``slots`` caches
+    the flat ``bincount`` slots of an index array per row width: models of
+    different widths may share one index. Instances compare by identity."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    edge_type: np.ndarray
+    own: np.ndarray
+    _slots: dict = field(default_factory=dict, init=False, repr=False)
+
+    def slots(self, name: str, width: int) -> np.ndarray:
+        """Flat slots ``ids[:, None] * width + arange(width)`` of the index
+        array ``name`` (``src``, ``dst``, ``edge_type`` or ``own``), built
+        on first use."""
+        key = (name, width)
+        flat = self._slots.get(key)
+        if flat is None:
+            flat = (getattr(self, name)[:, None] * width + np.arange(width)).reshape(-1)
+            self._slots[key] = flat
+        return flat
+
+
+@dataclass(frozen=True, eq=False)
+class GraphIndex(LayerIndex):
+    """The ``LayerIndex`` of a graph with one row per atom at every level:
+    the directed edges (every atom's adjacency in atom order, as ``src`` ->
+    ``dst``), each atom its own row (``own``), and the embedding-table row
+    of each atom feature.
 
     Construction checks every array once per graph, an IndexError naming
     the array otherwise: that ``src`` and ``dst`` name atoms and
@@ -193,20 +227,14 @@ class GraphIndex:
     ``autodiff.message_layer`` reads them unchecked; and that ``element``,
     ``chirality`` and ``hybridization`` name rows of their embedding
     tables. Those three become read-only, and ``ids`` holds them as
-    ``autodiff.Ids`` that ``autodiff.embed`` reads unchecked. ``slots``
-    caches the flat ``bincount`` slots of an edge array per row width:
-    models of different widths may share one graph. Instances compare by
-    identity.
+    ``autodiff.Ids`` that ``autodiff.embed`` reads unchecked.
     """
 
-    src: np.ndarray
-    dst: np.ndarray
     element: np.ndarray
     chirality: np.ndarray
     hybridization: np.ndarray
-    edge_type: np.ndarray
+    own: np.ndarray = field(init=False, repr=False)
     ids: tuple[ad.Ids, ...] = field(init=False, repr=False)
-    _slots: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         atoms = len(self.element)
@@ -224,133 +252,148 @@ class GraphIndex:
             object.__setattr__(self, name, ids.array)
             features.append(ids)
         object.__setattr__(self, "ids", tuple(features))
-
-    def slots(self, name: str, width: int) -> np.ndarray:
-        """Flat slots ``ids[:, None] * width + arange(width)`` of the edge
-        array ``name`` (``src``, ``dst`` or ``edge_type``), built on first use."""
-        key = (name, width)
-        flat = self._slots.get(key)
-        if flat is None:
-            flat = (getattr(self, name)[:, None] * width + np.arange(width)).reshape(-1)
-            self._slots[key] = flat
-        return flat
+        object.__setattr__(self, "own", np.arange(atoms))
 
 
-def graph_index(graph: MolecularGraph) -> GraphIndex:
-    """Edge and embedding-id arrays of a graph whose hybridization has been
-    inferred, one row per atom; an uninferred atom raises ValueError."""
-    atoms = range(len(graph.atoms))
-    return _row_index(graph, atoms, atoms)
-
-
-def _row_index(graph: MolecularGraph, reps, atom_row) -> GraphIndex:
-    """The ``GraphIndex`` whose rows are the atoms ``reps``, ascending:
-    their atom features, and the directed edges into each in bond order
-    (the order of its adjacency), each source mapped to its row by
-    ``atom_row``. Read from the bond list, not the adjacency lists."""
-    atoms = graph.atoms
-    rows = [atoms[r] for r in reps]
-    for atom in rows:
+def _atom_features(graph: MolecularGraph) -> list[tuple[int, int, int]]:
+    """Each atom's (element, chirality, hybridization) embedding rows, of a
+    graph whose hybridization has been inferred; an uninferred atom raises
+    ValueError."""
+    features = []
+    for atom in graph.atoms:
         if atom.hybridization is Hybridization.UNSPECIFIED:
             raise ValueError(
                 f"atom {atom.index} has uninferred hybridization; run "
                 "set_hybridization first"
             )
-    row_of = {r: row for row, r in enumerate(reps)}
-    edges = []  # (destination row, source row, edge type), in bond order
-    for bond in graph.bonds:
-        a, b = bond.endpoints
-        kind = _EDGE_TYPE[bond.bond_type, bond.direction]
-        if a in row_of:
-            edges.append((row_of[a], atom_row[b], kind))
-        if b in row_of:
-            edges.append((row_of[b], atom_row[a], kind))
-    edges.sort(key=itemgetter(0))  # stable: each row's edges stay in bond order
-    dst, src, kinds = zip(*edges) if edges else ((), (), ())
+        features.append((SYMBOL_INDEX[atom.element], _CHIRALITY_INDEX[atom.chirality],
+                         _HYBRID_INDEX[atom.hybridization]))
+    return features
+
+
+def _edge_type(bond) -> int:
+    return _EDGE_TYPE[bond.bond_type, bond.direction]
+
+
+def graph_index(graph: MolecularGraph) -> GraphIndex:
+    """Edge and embedding-id arrays of a graph whose hybridization has been
+    inferred, one row per atom; an uninferred atom raises ValueError. The
+    edges into each atom run in bond order (``molgraph.edges_into``)."""
+    features = _atom_features(graph)
+    into = edges_into(graph, _edge_type)
     ids = lambda values: np.array(values, dtype=np.intp)
+    element, chirality, hybridization = ids(features).reshape(len(features), 3).T
     return GraphIndex(
-        src=ids(src),
-        dst=ids(dst),
-        element=ids([SYMBOL_INDEX[a.element] for a in rows]),
-        chirality=ids([_CHIRALITY_INDEX[a.chirality] for a in rows]),
-        hybridization=ids([_HYBRID_INDEX[a.hybridization] for a in rows]),
-        edge_type=ids(kinds),
+        src=ids([u for pairs in into for _, u in pairs]),
+        dst=ids([atom for atom, pairs in enumerate(into) for _ in pairs]),
+        edge_type=ids([kind for pairs in into for kind, _ in pairs]),
+        element=element, chirality=chirality, hybridization=hybridization,
     )
 
 
-def _equitable(graph: MolecularGraph, atom_row: list[int], reps: list[int]) -> bool:
-    """Whether every atom reads what the representative of its class reads
-    (``atom_row`` numbers the classes, ``reps`` lists each class's
-    representative): chirality, and the multiset of (edge type, source
-    class) over its edges. The classes must be a fixed point of
-    ``molgraph.refine_labels`` seeded by element and hybridization. Such a
-    partition already agrees on those two and on the (bond type,
-    neighbour class) multisets, so only chirality and, when a bond has a
-    '/' or '\\' direction, the full multisets remain to compare."""
-    atoms = graph.atoms
-    if any(a.chirality is not atoms[reps[row]].chirality for a, row in zip(atoms, atom_row)):
-        return False
-    if all(b.direction is BondDirection.NONE for b in graph.bonds):
-        return True
+@dataclass(frozen=True, eq=False)
+class Levels:
+    """The rows an encoder of depth L runs on: the embedding ids of level
+    0's rows (``ids``), the index of each layer 1..L (``layers``, layer k
+    reading level k - 1 and writing level k), and each atom's row at level
+    L (``atom_row``), through which the heads read the last layer."""
 
-    def reads(atom: int) -> list[tuple[int, int]]:
-        pairs = []
-        for u in graph.adjacency[atom]:
-            bond = graph.bond_between(atom, u)
-            pairs.append((_EDGE_TYPE[bond.bond_type, bond.direction], atom_row[u]))
-        return sorted(pairs)
+    ids: tuple[ad.Ids, ...]
+    layers: tuple[LayerIndex, ...]
+    atom_row: ad.Ids
 
-    keys = [reads(atom) for atom in range(len(atoms))]
-    return all(key == keys[reps[row]] for key, row in zip(keys, atom_row))
+    @classmethod
+    def per_atom(cls, index: GraphIndex, depth: int) -> "Levels":
+        """One row per atom at every level: every layer reads ``index``."""
+        atoms = len(index.element)
+        return cls(index.ids, (index,) * depth, ad.Ids(np.arange(atoms), atoms, "row"))
 
 
-def lift(graph: MolecularGraph, classes: EquivalenceClasses) -> tuple[GraphIndex, ad.Ids]:
-    """The rows the encoder runs on, and each atom's row.
+class _Level(NamedTuple):
+    """Level k of a molecule's encoder rows: each atom's row, the class of
+    k rounds of refinement it belongs to (``labels``), the number of rows,
+    and what the level's layer reads (``index``: level 0's embedding ids,
+    a level above it the ``LayerIndex`` of layer k)."""
 
-    A message-passing layer gives equal embeddings to the atoms of a class
-    of an equitable partition (Morris et al. 2019), so the encoder needs
-    one row per class: its lowest-index atom, the representative. The
-    row-level index holds the representatives' atom features in atom
-    order and the edges into them, in ``graph_index``'s edge order, each
-    source mapped to its class's row. ``classes`` must be
-    ``canonical_equivalence_classes`` of ``graph``; a partition that is
-    not equitable for what the layers read (element, chirality,
-    hybridization, and edge type with direction) gives one row per atom,
-    ``graph_index(graph)``."""
-    n = len(graph.atoms)
-    if classes.num_classes < n:
-        row_of_class: dict[int, int] = {}
-        reps: list[int] = []
-        atom_row: list[int] = []
-        for atom, label in enumerate(classes.class_id):
-            row = row_of_class.setdefault(label, len(reps))
-            if row == len(reps):  # the class's first, lowest-index atom
-                reps.append(atom)
-            atom_row.append(row)
-        if _equitable(graph, atom_row, reps):
-            return _row_index(graph, reps, atom_row), ad.Ids(atom_row, len(reps), "row")
-    return graph_index(graph), ad.Ids(np.arange(n), n, "row")
+    labels: list[int]
+    rows: int
+    index: tuple[ad.Ids, ...] | LayerIndex
 
 
 @dataclass(eq=False)
 class Molecule:
     """A parsed structure with everything the model needs precomputed.
-    ``units`` hold each carbon's hydrogens in its adjacency order. The
-    encoder runs on ``rows``, one row per symmetry class (``lift``), and
-    ``atom_row`` holds each atom's row. ``heads`` are the head rows of the
-    representative units, which ``predict_cross_peaks`` reads, built at
-    construction. Instances compare by identity."""
+    ``units`` hold each carbon's hydrogens in its adjacency order, and
+    ``heads`` are the head rows of the representative units, which
+    ``predict_cross_peaks`` reads, built at construction. The encoder's
+    rows (``levels``) are built on first use. Instances compare by
+    identity."""
 
     smiles: str
     graph: MolecularGraph  # hydrogens explicit, hybridization inferred
     classes: EquivalenceClasses
     units: list[CHUnit]
-    rows: GraphIndex
-    atom_row: ad.Ids
     heads: "HeadRows" = field(init=False)
+    _levels: list[_Level] = field(default_factory=list, init=False, repr=False)
+    _by_depth: dict[int, Levels] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.heads = HeadRows.of(self, [u.carbon_index for u in self.units if u.is_representative])
+
+    def levels(self, depth: int) -> Levels:
+        """The rows an encoder of ``depth`` layers runs on. Level k has one
+        row per class of k rounds of ``molgraph.refinement``, seeded with
+        element, chirality and hybridization and keyed by edge type with
+        direction; row r is class r and reads its lowest-index atom. The
+        levels depend on k alone, so one list serves every depth: it grows
+        on first request, each level built once, and the levels past the
+        fixed point are the last level again."""
+        encoder = self._by_depth.get(depth)
+        if encoder is None:
+            levels = self._levels
+            if len(levels) <= depth:
+                self._extend(depth)
+            last = levels[depth]
+            encoder = Levels(levels[0].index, tuple(level.index for level in levels[1:depth + 1]),
+                             ad.Ids(last.labels, last.rows, "row"))
+            self._by_depth[depth] = encoder
+        return encoder
+
+    def _extend(self, depth: int) -> None:
+        levels = self._levels
+        if len(levels) > 1 and levels[-1].rows == levels[-2].rows:
+            # refinement split nothing: every level above is the last one again
+            levels.extend([levels[-1]] * (depth + 1 - len(levels)))
+            return
+        features = _atom_features(self.graph)
+        into = edges_into(self.graph, _edge_type)
+        if levels:  # refine on from the last level: its classes come first
+            below = levels[-1].labels
+            rounds = refinement(below, into)
+            next(rounds)
+        else:
+            below = None
+            rounds = refinement(features, into)
+        for labels in islice(rounds, depth + 1 - len(levels)):
+            # each class's lowest atom: the last write of each label, atoms descending
+            first = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
+            reps = [first[row] for row in range(len(first))]
+            if below is None:
+                index = tuple(rows.take(ids) for rows, ids in zip(_FEATURE_ROWS, np.array(
+                    [features[atom] for atom in reps], dtype=np.intp).reshape(len(reps), 3).T))
+            else:  # the edges into each row's atom, rows in order
+                edges = [into[atom] for atom in reps]
+                src = [below[u] for pairs in edges for _, u in pairs]
+                dst = [row for row, pairs in enumerate(edges) for _ in pairs]
+                kinds = [kind for pairs in edges for kind, _ in pairs]
+                ids = np.array(src + dst + kinds + [below[atom] for atom in reps], dtype=np.intp)
+                e = len(src)
+                index = LayerIndex(ids[:e], ids[e:2 * e], ids[2 * e:3 * e], ids[3 * e:])
+            levels.append(_Level(labels, len(reps), index))
+            below = labels
+        # if a round split nothing before ``depth``, every level above it is
+        # the last one again
+        levels.extend([levels[-1]] * (depth + 1 - len(levels)))
 
 
 def prepare_molecule(source: str | MolecularGraph) -> Molecule:
@@ -367,9 +410,7 @@ def prepare_molecule(source: str | MolecularGraph) -> Molecule:
     set_hybridization(expanded)
     classes = canonical_equivalence_classes(expanded)
     units = enumerate_ch_units(expanded, classes)
-    rows, atom_row = lift(expanded, classes)
-    return Molecule(smiles=graph.source_smiles, graph=expanded, classes=classes, units=units,
-                    rows=rows, atom_row=atom_row)
+    return Molecule(smiles=graph.source_smiles, graph=expanded, classes=classes, units=units)
 
 
 def _parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
@@ -426,13 +467,13 @@ def check_state(config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
 @dataclass(frozen=True)
 class HeadRows:
     """The arrays one head evaluation reads for an array of k carbons, as
-    rows of the encoder's output (``Molecule.atom_row``): each carbon's
-    row, the row of the hydrogen of each of their C-H bonds (``h_index``,
-    with its carbon's head row in ``h_row``) and each head row's
-    hydrogen-mean weight ``1 / max(count, 1)`` (a carbon without
+    atoms: each carbon, the hydrogen of each of their C-H bonds
+    (``h_index``, with its carbon's head row in ``h_row``) and each head
+    row's hydrogen-mean weight ``1 / max(count, 1)`` (a carbon without
     hydrogens, a 1D carbon target, gets a zero mean). A carbon's
     hydrogens are its unit's (``Molecule.units``), in adjacency order. The
-    three index arrays are ``autodiff.Ids``, checked once here."""
+    three index arrays are ``autodiff.Ids``, checked once here; a forward
+    pass maps the atoms to the encoder's rows with ``Ids.take``."""
 
     carbons: ad.Ids
     h_index: ad.Ids
@@ -441,17 +482,17 @@ class HeadRows:
 
     @classmethod
     def of(cls, molecule: Molecule, carbons) -> "HeadRows":
-        # checked before the map, where a negative atom would wrap around
-        carbons = ad.Ids(carbons, len(molecule.graph.atoms), "carbon").array
-        k = len(carbons)
+        atoms = len(molecule.graph.atoms)
+        carbons = ad.Ids(carbons, atoms, "carbon")
+        k = len(carbons.array)
         hydrogens = {u.carbon_index: u.hydrogen_indices for u in molecule.units}
-        per_row = [hydrogens.get(carbon, ()) for carbon in carbons.tolist()]
+        per_row = [hydrogens.get(carbon, ()) for carbon in carbons.array.tolist()]
         counts = np.array([len(row) for row in per_row], dtype=np.intp)
         h_row = np.arange(k).repeat(counts)
-        h_index = np.array([h for row in per_row for h in row], dtype=np.intp)
+        h_index = [h for row in per_row for h in row]
         return cls(
-            molecule.atom_row.take(carbons),
-            molecule.atom_row.take(h_index),
+            carbons,
+            ad.Ids(h_index, atoms, "hydrogen"),
             ad.Ids(h_row, k, "head row"),
             1.0 / np.maximum(counts, 1)[:, None],
         )
@@ -570,32 +611,36 @@ class CrossPeakModel:
 
     # -- forward pass -------------------------------------------------------
 
-    def encode_atoms(self, index: GraphIndex) -> list[Tensor]:
-        """Node embeddings of layers 0..L, each a (rows, atom_dim) batch with
-        one row per atom of ``index``; hydrogens are nodes. A molecule's
-        ``rows`` have one row per symmetry class, ``graph_index`` of its
-        graph one per atom.
+    def encode_atoms(self, rows: Levels | GraphIndex) -> list[Tensor]:
+        """Node embeddings of layers 0..L, each a (rows, atom_dim) batch
+        with one row per row of its level; hydrogens are nodes. A
+        molecule's ``Molecule.levels`` give layer k one row per class of k
+        rounds of refinement, and a ``graph_index`` one row per atom at
+        every level (``Levels.per_atom``).
 
-        The atom rows and the edge-type table are one ``autodiff.embed`` op
-        each, and each layer is one ``autodiff.message_layer`` op, its
-        ``relu`` included on every layer but the last: it maps every atom by
-        the source half of its message map and every edge type by the edge
-        half, adds the two rows on each directed edge into a message, sums
-        the messages onto the destination nodes and maps each node with its
-        message sum.
+        Level 0's rows and the edge-type table are one ``autodiff.embed``
+        op each, and each layer is one ``autodiff.message_layer`` op, its
+        ``relu`` included on every layer but the last: it maps every row
+        below by the source half of its message map and every edge type by
+        the edge half, adds the two rows on each directed edge into a
+        message, sums the messages onto the destination rows and maps each
+        row's own row below with its message sum.
         """
         p = self.params
+        depth = self.config.num_layers
+        if isinstance(rows, GraphIndex):
+            rows = Levels.per_atom(rows, depth)
         h = ad.embed(
-            [p["embed.element"], p["embed.chirality"], p["embed.hybridization"]], index.ids
+            [p["embed.element"], p["embed.chirality"], p["embed.hybridization"]], rows.ids
         )
         edge_table = ad.embed([p["embed.bond_type"], p["embed.direction"]], _EDGE_IDS)
         layers = [h]
-        for layer in range(1, self.config.num_layers + 1):
+        for layer, index in enumerate(rows.layers, 1):
             h = ad.message_layer(
                 h, edge_table,
                 p[f"layer{layer}.msg.w"], p[f"layer{layer}.msg.b"],
                 p[f"layer{layer}.upd.w"], p[f"layer{layer}.upd.b"],
-                index, activate=layer < self.config.num_layers,
+                index, activate=layer < depth,
             )
             layers.append(h)
         return layers
@@ -614,16 +659,19 @@ class CrossPeakModel:
         """One forward pass: the raw carbon outputs (k, 1) and raw
         proton-pair outputs (k, 2) of the k carbons of ``rows``.
 
-        The encoder runs on the molecule's ``rows``. The carbon head reads
-        the carbon's final embedding; the proton head reads the carbon
-        embedding, the mean embedding of its bonded hydrogens, and the
-        solvent vector. Each head is one ``autodiff.mlp_head`` op.
+        The encoder runs on the molecule's levels, and the heads read its
+        last layer through the last level's row of each atom. The carbon
+        head reads the carbon's final embedding; the proton head reads the
+        carbon embedding, the mean embedding of its bonded hydrogens, and
+        the solvent vector. Each head is one ``autodiff.mlp_head`` op.
         """
-        final = self.encode_atoms(molecule.rows)[-1]
-        h_c = ad.gather(final, rows.carbons)
+        levels = molecule.levels(self.config.num_layers)
+        final = self.encode_atoms(levels)[-1]
+        h_c = ad.gather(final, levels.atom_row.take(rows.carbons.array))
         raw_c = self._mlp("c_head", [h_c])
         h_mean = ad.scale(
-            ad.segment_sum(ad.gather(final, rows.h_index), rows.h_row, rows.h_row.bound),
+            ad.segment_sum(ad.gather(final, levels.atom_row.take(rows.h_index.array)),
+                           rows.h_row, rows.h_row.bound),
             rows.h_weight,
         )
         raw_h = self._mlp("h_head", [h_c, h_mean, self.encode_solvent(solvent)])

@@ -1,10 +1,14 @@
 """Typed molecular graphs and the structural analyses the predictor needs:
 explicit-hydrogen expansion, hybridization (``set_hybridization`` fills it
 in place, on a graph the caller owns), symmetry equivalence classes, C-H
-unit enumeration, and molecular weight."""
+unit enumeration, and molecular weight. ``refinement`` is the one colour
+refinement: run to its fixed point it gives the symmetry classes and the
+canonical writer's ranks, and its first rounds give the rows of each
+encoder layer (``model.Molecule.levels``)."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -251,36 +255,70 @@ def canonical_equivalence_classes(graph: MolecularGraph) -> EquivalenceClasses:
 
 
 def refine_labels(graph: MolecularGraph, seeds: list) -> tuple[list[int], int]:
-    """Refine per-atom ``seeds`` to their fixed point; (labels, rounds).
+    """Refine per-atom ``seeds`` to their fixed point; (labels, rounds), the
+    round that splits nothing counted: ``refinement`` keyed by bond type."""
+    for rounds, labels in enumerate(refinement(seeds, edges_into(graph, _bond_rank))):
+        pass
+    return labels, rounds
+
+
+# bond types numbered in the sorted order of their values, the order in
+# which refinement has always compared them
+_BOND_RANK = {t: i for i, t in enumerate(sorted(BondType, key=lambda t: t.value))}
+
+
+def _bond_rank(bond: BondSpec) -> int:
+    return _BOND_RANK[bond.bond_type]
+
+
+def edges_into(graph: MolecularGraph, edge_key) -> list[list[tuple[int, int]]]:
+    """Each atom's (``edge_key(bond)``, neighbour) over its bonds, in bond
+    order (its adjacency order), with an integer key. Read from the bond
+    list, not the adjacency lists."""
+    into: list[list[tuple[int, int]]] = [[] for _ in graph.atoms]
+    for bond in graph.bonds:
+        a, b = bond.endpoints
+        key = edge_key(bond)
+        into[a].append((key, b))
+        into[b].append((key, a))
+    return into
+
+
+def refinement(seeds: list, into: list[list[tuple[int, int]]]) -> Iterator[list[int]]:
+    """The labels of ``seeds`` (one per atom), then of each round of
+    refinement over the edges ``into`` each atom (``edges_into``: its
+    (key, neighbour) pairs, keys non-negative integers), up to the first
+    round that splits no class, whose labels equal those of the round
+    before: the fixed point.
 
     Each round extends every label with the sorted multiset of
-    (bond type, neighbor label) pairs and re-densifies in sorted order.
+    (edge key, neighbour label) pairs and re-densifies in sorted order, so
+    a round that splits no class changes no label. A pair is one integer,
+    ``key * n + label`` for n atoms, which sorts as the pair does.
     """
-    n = len(graph.atoms)
-    # bond types never change between rounds: pair them once per call
-    neighbours = [
-        [(graph.bond_between(i, j).bond_type.value, j) for j in graph.adjacency[i]]
-        for i in range(n)
-    ]
+    n = len(seeds)
+    into = [[(key * n, j) for key, j in pairs] for pairs in into]
+    # an atom of one bond, a hydrogen most often, has a one-pair multiset
+    single = [pairs[0] if len(pairs) == 1 else None for pairs in into]
     labels = _dense_labels(seeds)
-    iterations = 0
-    while True:
-        signatures = [
-            (labels[i], tuple(sorted((bond, labels[j]) for bond, j in pairs)))
-            for i, pairs in enumerate(neighbours)
-        ]
-        new_labels = _dense_labels(signatures)
-        iterations += 1
+    yield labels
+    for _ in range(n + 1):  # refinement must fix within |V| rounds
+        # (label, *pairs) sorts as (label, tuple(pairs)) does, one tuple fewer
+        new_labels = _dense_labels([
+            (label, pair[0] + labels[pair[1]]) if pair
+            else (label, *sorted([key + labels[j] for key, j in pairs]))
+            for label, pairs, pair in zip(labels, into, single)
+        ])
+        yield new_labels
         if new_labels == labels:
-            return labels, iterations
+            return
         labels = new_labels
-        if iterations > n + 1:  # refinement must fix within |V| rounds
-            raise RuntimeError("equivalence refinement failed to converge")
+    raise RuntimeError("equivalence refinement failed to converge")
 
 
 def _dense_labels(keys: list) -> list[int]:
-    order = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [order[k] for k in keys]
+    order = dict(zip(sorted(set(keys)), range(len(keys))))
+    return list(map(order.__getitem__, keys))
 
 
 def enumerate_ch_units(

@@ -126,8 +126,11 @@ class TrainConfig:
             raise ValueError("validation_split must lie in [0, 1)")
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainResult:
+    """A pre-training run's outcome. Instances compare by identity: the
+    states hold numpy arrays, which no generated ``__eq__`` can compare."""
+
     best_state: dict[str, np.ndarray]
     final_state: dict[str, np.ndarray]
     history: list[dict]
@@ -293,8 +296,11 @@ def mtt_pretrain(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class FinetuneResult:
+    """A fine-tuning run's outcome. Instances compare by identity, as a
+    ``TrainResult``'s do."""
+
     best_state: dict[str, np.ndarray]
     final_state: dict[str, np.ndarray]
     history: list[dict]

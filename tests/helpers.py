@@ -10,14 +10,12 @@ textbook order it replaced), the affine and relu ops that ``mlp_head`` and
 per-edge message map that the factored one replaced, the heads with their
 joined input, the per-carbon C-H walk and the hand-built reads of
 pseudo-labels that ``ShiftReads.at`` replaced, the canonical writer's
-tetrahedral parity by cycle sorting, a molecule encoded one row per atom
-as before the encoder ran on symmetry classes, and the full check that a
-partition is equitable for what the layers read; and a checkpoint header
-rewriter with the malformed headers it is given."""
+tetrahedral parity by cycle sorting, and a molecule encoded one row per
+atom at every level, as before the encoder ran on classes of atoms; and a
+checkpoint header rewriter with the malformed headers it is given."""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -28,7 +26,9 @@ from hypothesis import strategies as st
 
 from hsqcnet import autodiff as ad
 from hsqcnet.assign import PseudoLabel, PseudoLabels, cost_matrix, hungarian, shift_cost
-from hsqcnet.model import SOLVENT_INDEX, HeadRows, ProtonReads, ShiftReads, graph_index
+from hsqcnet.model import (
+    SOLVENT_INDEX, HeadRows, Levels, Molecule, ProtonReads, ShiftReads, graph_index,
+)
 from hsqcnet.molgraph import (
     BondDirection,
     BondType,
@@ -418,28 +418,17 @@ def reference_encode(model, index) -> list:
     return layers
 
 
+class _AtomLevel(Molecule):
+    """A molecule whose encoder runs one row per atom at every level."""
+
+    def levels(self, depth: int) -> Levels:
+        return Levels.per_atom(graph_index(self.graph), depth)
+
+
 def atom_level(molecule):
-    """``molecule`` with one encoder row per atom, as before the encoder ran
-    on symmetry classes."""
-    atoms = len(molecule.graph.atoms)
-    return dataclasses.replace(molecule, rows=graph_index(molecule.graph),
-                               atom_row=ad.Ids(np.arange(atoms), atoms))
-
-
-def equitable_for_the_layers(molecule) -> bool:
-    """Whether the symmetry classes of ``molecule`` are equitable for all a
-    layer reads, checked in full: the atoms of a class agree on element,
-    chirality and hybridization, and on the multiset of (edge type, source
-    class) over their incoming edges."""
-    index, classes = graph_index(molecule.graph), molecule.classes.class_id
-    edges = list(zip(index.src.tolist(), index.dst.tolist(), index.edge_type.tolist()))
-    seen = {}
-    for atom, label in enumerate(classes):
-        incoming = sorted((kind, classes[src]) for src, dst, kind in edges if dst == atom)
-        key = (index.element[atom], index.chirality[atom], index.hybridization[atom], incoming)
-        if seen.setdefault(label, key) != key:
-            return False
-    return True
+    """``molecule`` with one encoder row per atom at every level, as before
+    the encoder ran on classes of atoms."""
+    return _AtomLevel(molecule.smiles, molecule.graph, molecule.classes, molecule.units)
 
 
 def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from hsqcnet import autodiff as ad
+from hsqcnet import model as model_module
 from hsqcnet.assign import ObservedPeak, pseudo_annotate
 from hsqcnet.elements import SYMBOL_INDEX
 from hsqcnet.model import (
@@ -14,6 +15,7 @@ from hsqcnet.model import (
     CrossPeakModel,
     GraphIndex,
     HeadRows,
+    LayerIndex,
     ModelConfig,
     ProtonReads,
     SolventClass,
@@ -29,7 +31,6 @@ from hsqcnet.smiles import parse_smiles
 from hsqcnet.train import LabelTarget, Sample1D, SampleHSQC, TrainConfig, _loss, mtt_pretrain
 from helpers import (
     atom_level,
-    equitable_for_the_layers,
     reference_ch_bonds,
     reference_edge_arrays,
     reference_embed,
@@ -356,9 +357,9 @@ def test_prepare_molecule_rejects_a_malformed_caller_graph(atoms, bonds, message
 
 
 def test_shared_molecule_serves_models_of_two_widths():
-    # the scatter slots are cached per (edge array, width) on the index the
-    # encoder runs on, the molecule's rows; alternating widths must read the
-    # right ones
+    # the scatter slots are cached per (index array, width) on each layer's
+    # index, which the molecule's levels hold; alternating widths must read
+    # the right ones
     narrow = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=16, seed=1))
     wide = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=64, seed=2))
     smiles = "CC(=O)OCc1ccccc1"
@@ -366,7 +367,8 @@ def test_shared_molecule_serves_models_of_two_widths():
     for _ in range(2):
         for model in (narrow, wide):
             assert _peaks(model, shared) == _peaks(model, prepare_molecule(smiles))
-    assert {width for _, width in shared.rows._slots} == {16, 64}
+    for layer in shared.levels(2).layers:
+        assert {width for _, width in layer._slots} == {16, 64}
 
 
 @pytest.mark.parametrize("field", ["src", "dst", "edge_type"])
@@ -419,50 +421,107 @@ def _lifting_corpus(parser_corpus, large_smiles, data_dir) -> list[str]:
     return list(dict.fromkeys(corpus + toy + list(large_smiles.values())))
 
 
-def test_lifted_encode_equals_the_atom_level_encode(parser_corpus, large_smiles, data_dir):
-    # every layer's rows, read through atom_row, against the one-row-per-atom
-    # encode, and the peaks from them: bit for bit, or within 1e-12 where an
-    # atom's message sum runs in another order than its representative's
-    model = CrossPeakModel(ModelConfig(seed=3))
+def _assert_peaks_match_atom_level(model, molecule, text):
+    """The peaks of ``molecule`` against those of its one-row-per-atom
+    encode: the same keys, shifts within 1e-12 relative."""
+    lifted, flat = _peaks(model, molecule), _peaks(model, atom_level(molecule))
+    assert [p[:2] for p in lifted] == [p[:2] for p in flat], text
+    for (*_, c, h), (*_, want_c, want_h) in zip(lifted, flat):
+        assert abs(c - want_c) <= 1e-12 * abs(want_c), text
+        assert abs(h - want_h) <= 1e-12 * abs(want_h), text
+
+
+def _assert_lifted_encode_matches_atom_level(depth, molecules) -> tuple[int, int]:
+    """Every layer's rows, read through its level's atom map, against the
+    one-row-per-atom encode, and the peaks from them: bit for bit, or
+    within 1e-12 where an atom's message sum runs in another order than
+    its class's atom's. Returns how many layers matched bit for bit and
+    how many within 1e-12 only."""
+    model = CrossPeakModel(ModelConfig(num_layers=depth, atom_dim=64 if depth <= 5 else 16,
+                                       seed=3))
     bitwise = reordered = 0
-    for smiles in _lifting_corpus(parser_corpus, large_smiles, data_dir):
+    for smiles in molecules:
         molecule = prepare_molecule(smiles)
         flat = model.encode_atoms(graph_index(molecule.graph))
-        for got, want in zip(model.encode_atoms(molecule.rows), flat, strict=True):
-            got = got.values[molecule.atom_row.array]
+        got_layers = model.encode_atoms(molecule.levels(depth))
+        for level, (got, want) in enumerate(zip(got_layers, flat, strict=True)):
+            got = got.values[molecule.levels(level).atom_row.array]
             if np.array_equal(got, want.values):
                 bitwise += 1
             else:
                 reordered += 1
                 assert _relative(got, want.values) <= 1e-12, smiles
-        lifted, flat = _peaks(model, molecule), _peaks(model, atom_level(molecule))
-        assert [p[:2] for p in lifted] == [p[:2] for p in flat], smiles
-        for (*_, c, h), (*_, want_c, want_h) in zip(lifted, flat):
-            assert abs(c - want_c) <= 1e-12 * abs(want_c) and abs(h - want_h) <= 1e-12 * abs(want_h)
+        _assert_peaks_match_atom_level(model, molecule, smiles)
+    return bitwise, reordered
+
+
+def test_lifted_encode_equals_the_atom_level_encode(parser_corpus, large_smiles, data_dir):
+    # a large molecule's low levels join atoms whose bonds run in different
+    # orders (a peptide's backbone carbons), so most of its layers match
+    # within 1e-12 only; the small molecules' layers mostly match bit for bit
+    large = list(large_smiles.values())
+    small = [s for s in _lifting_corpus(parser_corpus, large_smiles, data_dir) if s not in large]
+    bitwise, reordered = _assert_lifted_encode_matches_atom_level(5, small)
     assert bitwise > 10 * reordered
+    _assert_lifted_encode_matches_atom_level(5, large)
+
+
+# 45 layers run past the C80 chain's fixed point, 40 rounds of refinement
+@pytest.mark.parametrize("depth", [1, 2, 45])
+def test_lifted_encode_equals_the_atom_level_encode_at_other_depths(
+        depth, parser_corpus, large_smiles, data_dir):
+    large = list(large_smiles.values())
+    if depth < 45:
+        small = [s for s in _lifting_corpus(parser_corpus, large_smiles, data_dir)
+                 if s not in large]
+        bitwise, reordered = _assert_lifted_encode_matches_atom_level(depth, small)
+        assert bitwise > 10 * reordered
+    _assert_lifted_encode_matches_atom_level(depth, large)
+
+
+def test_levels_past_the_fixed_point_reuse_the_last_one(large_smiles):
+    molecule = prepare_molecule(large_smiles["c80_chain"])
+    layers = molecule.levels(45).layers
+    rows = [molecule.levels(k).atom_row.bound for k in range(46)]
+    fixed = rows.index(80)  # the C80 chain's 80 symmetry classes
+    assert fixed == 40 and rows[fixed:] == [80] * (46 - fixed)
+    # the layer reading the fixed point maps each row to itself, and every
+    # layer above it is that layer again
+    assert layers[fixed].own.tolist() == list(range(80))
+    assert all(layer is layers[fixed] for layer in layers[fixed:])
+    assert len({id(layer) for layer in layers[:fixed]}) == fixed
 
 
 def test_rows_hold_the_atom_level_edges_into_the_representatives(parser_corpus, large_smiles,
                                                                  data_dir):
-    # the row index, built from the bond list for the representatives only,
-    # against the atom-level index: the same edges in the same order
+    # each layer's index, built from the bond list for its level's
+    # representatives only, against the atom-level index: the same edges,
+    # row by row, each row's in the same order, sources one level below, and
+    # each row's own row below
     for smiles in _lifting_corpus(parser_corpus, large_smiles, data_dir):
         molecule = prepare_molecule(smiles)
-        index, rows, atom_row = graph_index(molecule.graph), molecule.rows, molecule.atom_row.array
-        reps = np.unique(atom_row, return_index=True)[1]  # each row's lowest atom
-        assert np.all(np.diff(reps) > 0), smiles  # rows run in atom order
-        into = np.isin(index.dst, reps)
-        assert rows.src.tolist() == atom_row[index.src[into]].tolist(), smiles
-        assert rows.dst.tolist() == atom_row[index.dst[into]].tolist(), smiles
-        assert rows.edge_type.tolist() == index.edge_type[into].tolist(), smiles
-        for name in ("element", "chirality", "hybridization"):
-            assert getattr(rows, name).tolist() == getattr(index, name)[reps].tolist(), smiles
+        index = graph_index(molecule.graph)
+        levels = molecule.levels(5)
+        maps = [molecule.levels(k).atom_row.array for k in range(6)]
+        reps = np.unique(maps[0], return_index=True)[1]  # each row's lowest atom
+        for ids, name in zip(levels.ids, ("element", "chirality", "hybridization")):
+            assert ids.array.tolist() == getattr(index, name)[reps].tolist(), smiles
+        for layer, below, above in zip(levels.layers, maps, maps[1:]):
+            reps = np.unique(above, return_index=True)[1]
+            into = np.flatnonzero(np.isin(index.dst, reps))
+            into = into[np.argsort(above[index.dst[into]], kind="stable")]  # by row
+            assert layer.src.tolist() == below[index.src[into]].tolist(), smiles
+            assert layer.dst.tolist() == above[index.dst[into]].tolist(), smiles
+            assert layer.edge_type.tolist() == index.edge_type[into].tolist(), smiles
+            assert layer.own.tolist() == below[reps].tolist(), smiles
 
 
-def test_large_molecules_encode_one_row_per_symmetry_class(large_smiles):
-    rows = {name: len(prepare_molecule(large_smiles[name]).rows.element)
+def test_large_molecules_encode_one_row_per_class_of_each_level(large_smiles):
+    rows = {name: [prepare_molecule(large_smiles[name]).levels(k).atom_row.bound
+                   for k in range(6)]
             for name in ("pep10", "pep30", "triglyceride", "c80_chain")}
-    assert rows == {"pep10": 122, "pep30": 362, "triglyceride": 113, "c80_chain": 80}
+    assert rows == {"pep10": [7, 25, 60, 98, 118, 122], "pep30": [7, 25, 62, 111, 175, 237],
+                    "triglyceride": [5, 15, 30, 44, 61, 77], "c80_chain": [2, 3, 5, 7, 9, 11]}
 
 
 @pytest.mark.parametrize("smiles", [
@@ -470,17 +529,18 @@ def test_large_molecules_encode_one_row_per_symmetry_class(large_smiles):
     "F/C=C\\F",  # one class of carbons, each with its own '/' or '\\' neighbour
     "CC/C=C\\CC",
 ])
-def test_classes_the_layers_tell_apart_keep_one_row_per_atom(smiles):
+def test_atoms_the_layers_tell_apart_get_rows_of_their_own(smiles):
+    # the symmetry classes join atoms that the layers read apart; the
+    # levels, refined over what the layers read, keep them apart
     molecule = prepare_molecule(smiles)
     atoms = len(molecule.graph.atoms)
-    assert molecule.classes.num_classes < atoms and not equitable_for_the_layers(molecule)
-    assert len(molecule.rows.element) == atoms
-    assert molecule.atom_row.array.tolist() == list(range(atoms))
-    model = CrossPeakModel(ModelConfig(seed=4))
-    assert _peaks(model, molecule) == _peaks(model, atom_level(molecule))
+    assert molecule.classes.num_classes < atoms
+    assert molecule.levels(5).atom_row.bound > molecule.classes.num_classes
+    _assert_peaks_match_atom_level(CrossPeakModel(ModelConfig(seed=4)), molecule, smiles)
 
 
 _MIRROR = str.maketrans({"/": "\\", "\\": "/"})
+MIRRORED = CrossPeakModel(ModelConfig(seed=4))
 
 
 @given(smiles_strings())
@@ -488,24 +548,20 @@ _MIRROR = str.maketrans({"/": "\\", "\\": "/"})
 @example("F/C=C\\F")
 @example("F/C=C/F")
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_short_lifting_check_agrees_with_the_full_one(smiles):
-    # a drawn molecule alone nearly always lifts; beside a copy of itself
-    # with every tetrahedral mark and bond direction flipped, two of three
-    # fail the check: the copies' atoms share classes but not chirality or
-    # edge types
+def test_lifted_peaks_equal_the_atom_level_ones_beside_a_mirrored_copy(smiles):
+    # beside a copy of itself with every tetrahedral mark and bond direction
+    # flipped, a molecule's atoms share symmetry classes with the copy's but
+    # not chirality or edge types
     flipped = smiles.replace("@@", "\0").replace("@", "@@").replace("\0", "@").translate(_MIRROR)
     for text in (smiles, f"{smiles}.{smiles}", f"{smiles}.{flipped}"):
-        molecule = prepare_molecule(text)
-        lifted = len(molecule.rows.element) < len(molecule.graph.atoms)
-        several = molecule.classes.num_classes < len(molecule.graph.atoms)
-        assert lifted == (several and equitable_for_the_layers(molecule)), text
+        _assert_peaks_match_atom_level(MIRRORED, prepare_molecule(text), text)
 
 
-@pytest.mark.parametrize("smiles", ["Cc1ccc(C)cc1", "CCCCCCCCCC"])
-def test_lifted_gradients_equal_the_atom_level_ones(smiles):
-    model = CrossPeakModel(ModelConfig(seed=8))
+def _assert_lifted_gradients_match_atom_level(smiles, depth):
+    model = CrossPeakModel(ModelConfig(num_layers=depth, atom_dim=64 if depth <= 5 else 16,
+                                       seed=8))
     molecule = prepare_molecule(smiles)
-    assert len(molecule.rows.element) < len(molecule.graph.atoms)
+    assert molecule.levels(depth).atom_row.bound < len(molecule.graph.atoms)
     carbons = [a.index for a in molecule.graph.atoms if a.element == "C"]
     targets = np.full(3 * len(carbons), -10.0)  # below every output: no kink
 
@@ -522,6 +578,17 @@ def test_lifted_gradients_equal_the_atom_level_ones(smiles):
     for name, grad in want.items():
         assert _relative(got[name], grad) <= 1e-12, name
     assert all(grad.any() for grad in got.values())
+
+
+@pytest.mark.parametrize("smiles", ["Cc1ccc(C)cc1", "CCCCCCCCCC"])
+def test_lifted_gradients_equal_the_atom_level_ones(smiles):
+    _assert_lifted_gradients_match_atom_level(smiles, 5)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 45])
+@pytest.mark.parametrize("smiles", ["Cc1ccc(C)cc1", "CCCCCCCCCC"])
+def test_lifted_gradients_equal_the_atom_level_ones_at_other_depths(smiles, depth):
+    _assert_lifted_gradients_match_atom_level(smiles, depth)
 
 
 def test_each_encoder_layer_adds_one_tape_step():
@@ -628,7 +695,7 @@ def test_carbon_keeps_its_hydrogens_in_adjacency_order():
 
 def test_a_1d_sample_of_a_lifted_molecule_builds_no_atom_level_index(monkeypatch):
     molecule = prepare_molecule("Cc1ccc(C)cc1")  # p-xylene
-    assert len(molecule.rows.element) < len(molecule.graph.atoms)
+    assert molecule.levels(5).atom_row.bound < len(molecule.graph.atoms)
     built = []
     original = GraphIndex.__post_init__
 
@@ -643,11 +710,55 @@ def test_a_1d_sample_of_a_lifted_molecule_builds_no_atom_level_index(monkeypatch
     assert built == []
 
 
+def _count_level_builds(monkeypatch) -> list[int]:
+    """Patches the level builder's ``LayerIndex`` to record the rows of
+    every layer index it builds, in order."""
+    built = []
+
+    def counted(*arrays):
+        built.append(len(arrays[3]))
+        return LayerIndex(*arrays)
+
+    monkeypatch.setattr(model_module, "LayerIndex", counted)
+    return built
+
+
+def test_prepare_and_a_second_prediction_build_no_encoder_index(monkeypatch):
+    built = _count_level_builds(monkeypatch)
+    model = CrossPeakModel(ModelConfig(seed=5))
+    molecule = prepare_molecule("CC(=O)OCc1ccccc1")
+    assert built == [] and molecule._levels == []
+    model.predict_cross_peaks(molecule, SolventClass.DMSO)
+    first = list(built)
+    assert first  # the first forward pass builds the levels
+    model.predict_cross_peaks(molecule, SolventClass.WATER)
+    model.atom_shift_tensors(molecule, SolventClass.DMSO, [0, 1], [])
+    assert built == first
+
+
+def test_one_molecule_serves_a_shallow_and_then_a_deep_model(monkeypatch):
+    # the levels depend on k alone: a depth-5 model refines on from the
+    # levels a depth-2 model built, and each level is built once
+    built = _count_level_builds(monkeypatch)
+    smiles = "CCCCCCCCCC"  # decane: each of five rounds splits a class
+    shared = prepare_molecule(smiles)
+    for depth, layers_built in ((2, [3, 5]), (5, [3, 5, 7, 9, 10])):
+        model = CrossPeakModel(ModelConfig(num_layers=depth, seed=depth))
+        _assert_peaks_match_atom_level(model, shared, smiles)
+        assert built == layers_built
+        assert _peaks(model, shared) == _peaks(model, prepare_molecule(smiles))
+        del built[len(layers_built):]  # the fresh molecule's
+    shallow, deep = shared.levels(2), shared.levels(5)
+    assert deep.layers[:2] == shallow.layers  # the same objects
+    assert [level.atom_row.bound for level in map(shared.levels, range(6))] == [2, 3, 5, 7, 9, 10]
+
+
 def test_molecules_indexes_and_proton_reads_compare_by_identity():
     # their fields hold numpy arrays, which no generated __eq__ can compare
     a, b = prepare_molecule("CCO"), prepare_molecule("CCO")
     reads = [ProtonReads.of([0, 1], [1, 2], [False, True]) for _ in range(2)]
-    for x, y in ((a, b), (a.rows, b.rows), (graph_index(a.graph), graph_index(a.graph)), reads):
+    for x, y in ((a, b), (a.levels(5), b.levels(5)), (a.levels(5).layers[0], b.levels(5).layers[0]),
+                 (graph_index(a.graph), graph_index(a.graph)), reads):
         assert x == x and x != y
     sample = Sample1D(a, SolventClass.DMSO, {0: 18.0}, {})
     assert sample == Sample1D(a, SolventClass.DMSO, {0: 18.0}, {})

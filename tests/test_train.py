@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hsqcnet import autodiff as ad
 from hsqcnet import train
+from hsqcnet.dataio import Checkpoint
 from hsqcnet.assign import MatchSettings, ObservedPeak, PseudoLabel, PseudoLabels
 from hsqcnet.model import (
     C_PPM_PER_UNIT, H_PPM_PER_UNIT, CrossPeakModel, HeadRows, ModelConfig, SolventClass,
@@ -17,10 +18,12 @@ from hsqcnet.model import (
 )
 from hsqcnet.train import (
     ConvergenceError,
+    FinetuneResult,
     LabelTarget,
     Sample1D,
     SampleHSQC,
     TrainConfig,
+    TrainResult,
     _loss,
     annotate_dataset,
     dataset_mae,
@@ -614,3 +617,17 @@ def test_one_head_path_for_prediction_1d_targets_and_finetuning(merge_tolerance_
     assert loss.item() == 0.0
     # a self-label is a fixed point: rounding in ppm conversions adds no gradient
     assert all(np.all(p.grad == 0.0) for p in model.parameters())
+
+
+def test_results_and_checkpoints_compare_by_identity():
+    # their states hold numpy arrays: a generated __eq__ raised numpy's
+    # "truth value of an array is ambiguous" on two equal states
+    config = ModelConfig(seed=0)
+    states = [CrossPeakModel(config).state_arrays() for _ in range(2)]
+    pairs = [
+        [TrainResult(state, state, [], 0) for state in states],
+        [FinetuneResult(state, state, [], 1, True) for state in states],
+        [Checkpoint(config, state, {}) for state in states],
+    ]
+    for x, y in pairs:
+        assert x == x and x != y
