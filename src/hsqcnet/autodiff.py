@@ -352,7 +352,8 @@ def message_layer(
     the messages are summed onto ``dst`` and row r of the result is
     ``[h[own[r]], sums[r]] @ upd_w.T + upd_b`` (its ``relu`` with
     ``activate``, bit for bit that of a ``relu`` op), one row per entry of
-    ``own``. ``edge_table`` has one row per edge type. ``index`` carries
+    ``own``; with ``own`` None, row r reads ``h[r]``, one row per row of
+    ``h``. ``edge_table`` has one row per edge type. ``index`` carries
     the per-edge ``src``, ``dst`` and ``edge_type`` arrays and the per-row
     ``own``, all in range, and ``slots(name, width)``, the cached
     flat ``bincount`` slots of one of them at a row width.
@@ -361,6 +362,11 @@ def message_layer(
     whole ``msg_w`` applied to each edge's ``[h[src]; edge_table[t]]``,
     ``relu``, ``segment_sum``, then ``affine`` of ``[h[own], sums]``) to
     rounding: within 1e-12 relative in values and 1e-10 in gradients.
+    Both products by a weight read their rows Fortran-ordered, so a row
+    of the result does not depend on how many rows it is computed with
+    (OpenBLAS on x86-64 computes C-ordered rows by another kernel below 19
+    rows): a class's row equals the row of each of its atoms bit for bit
+    when both sum the same messages in the same order.
     """
     below, d = len(h.values), h.values.shape[-1]
     if (h.values.ndim != 2 or msg_w.values.shape != (d, 2 * d) or msg_b.values.shape != (d,)
@@ -370,17 +376,20 @@ def message_layer(
             f"message_layer shapes do not fit: h {h.shape}, edge table {edge_table.shape}, "
             f"msg {msg_w.shape} + {msg_b.shape}, upd {upd_w.shape} + {upd_b.shape}"
         )
-    n = len(index.own)
+    own = index.own
+    n = below if own is None else len(own)
     w_source = msg_w.values[:, :d]
     w_edge = msg_w.values[:, d:]
-    source = h.values @ w_source.T
+    source = np.asfortranarray(h.values) @ w_source.T
     source += msg_b.values
     edge = edge_table.values @ w_edge.T
     pre_message = source.take(index.src, axis=0) + edge.take(index.edge_type, axis=0)
     summed = np.bincount(
         index.slots("dst", d), weights=np.maximum(pre_message, 0.0).reshape(-1), minlength=n * d
     ).reshape(n, d)
-    joined = np.concatenate([h.values.take(index.own, axis=0), summed], axis=-1)
+    joined = np.empty((n, 2 * d), order="F")
+    joined[:, :d] = h.values if own is None else h.values.take(own, axis=0)
+    joined[:, d:] = summed
     values = joined @ upd_w.values.T
     values += upd_b.values
     if activate:
@@ -397,8 +406,9 @@ def message_layer(
             acc(upd_w, g.T @ joined)
             acc(upd_b, g.sum(axis=0))
             g_joined = g @ upd_w.values
-            acc(h, np.bincount(index.slots("own", d), weights=g_joined[:, :d].reshape(-1),
-                               minlength=below * d).reshape(below, d))
+            acc(h, g_joined[:, :d] if own is None else np.bincount(
+                index.slots("own", d), weights=g_joined[:, :d].reshape(-1), minlength=below * d
+            ).reshape(below, d))
             g_message = (g_joined[:, d:].take(index.dst, axis=0) * mask).reshape(-1)
             g_edge = np.bincount(
                 index.slots("edge_type", d), weights=g_message, minlength=edge.size

@@ -46,11 +46,14 @@ class of k rounds of colour refinement (``molgraph.refinement``), seeded
 with what the layers read of an atom (element, chirality, hybridization)
 and keyed by edge type with direction: level k. Level 0 embeds only the
 distinct feature rows; layer k's messages and its update read level
-k - 1's rows through the ``LayerIndex`` of level k, whose rows are each
-class's lowest-index atom, with that atom's edges in bond order and its
-own row one level below. ``Molecule.levels(depth)`` builds the levels on
-the first forward pass, not at prepare, and keeps them for models of any
-depth; levels past refinement's fixed point are the last level again.
+k - 1's rows through the ``LayerIndex`` of level k, built from the key
+refinement gives each class: its row one level below and its edges,
+sorted by edge type and then by source row. Every atom of the class has
+those edges, so an atom-level encode that sums each atom's messages in
+that order gives each atom its class's row bit for bit.
+``Molecule.levels(depth)`` builds the levels on the first forward pass,
+not at prepare, and keeps them for models of any depth; levels past
+refinement's fixed point are the last level again.
 ``HeadRows`` hold atoms, and each head evaluation maps them to the last
 level's rows, so prediction, evaluation, annotation and both training
 stages share one path, forward and backward. ``Molecule.heads`` holds the
@@ -188,18 +191,20 @@ class PredictedPeak:
 class LayerIndex:
     """The integer arrays one message-passing layer reads, from the rows of
     the level below it to the rows of its own level: the directed edges
-    into each row's atom, ``src`` (a row below) -> ``dst`` (a row of this
-    level), each with its type ``bond * len(BondDirection) + direction``
+    into each row, ``src`` (a row below) -> ``dst`` (a row of this level),
+    each with its type ``bond * len(BondDirection) + direction``
     (``edge_type``), and ``own``, the row below that each row's update
-    reads. ``Molecule.levels`` builds each from refinement labels, which
-    lie in range by construction, so it checks nothing. ``slots`` caches
-    the flat ``bincount`` slots of an index array per row width: models of
-    different widths may share one index. Instances compare by identity."""
+    reads, or None where every row reads its own row below (a level that
+    splits nothing, or one row per atom). ``Molecule.levels`` builds each
+    from refinement's classes, which lie in range by construction, so it
+    checks nothing. ``slots`` caches the flat ``bincount`` slots of an
+    index array per row width: models of different widths may share one
+    index. Instances compare by identity."""
 
     src: np.ndarray
     dst: np.ndarray
     edge_type: np.ndarray
-    own: np.ndarray
+    own: np.ndarray | None
     _slots: dict = field(default_factory=dict, init=False, repr=False)
 
     def slots(self, name: str, width: int) -> np.ndarray:
@@ -218,8 +223,8 @@ class LayerIndex:
 class GraphIndex(LayerIndex):
     """The ``LayerIndex`` of a graph with one row per atom at every level:
     the directed edges (every atom's adjacency in atom order, as ``src`` ->
-    ``dst``), each atom its own row (``own``), and the embedding-table row
-    of each atom feature.
+    ``dst``), each atom its own row (``own`` None), and the embedding-table
+    row of each atom feature.
 
     Construction checks every array once per graph, an IndexError naming
     the array otherwise: that ``src`` and ``dst`` name atoms and
@@ -233,7 +238,7 @@ class GraphIndex(LayerIndex):
     element: np.ndarray
     chirality: np.ndarray
     hybridization: np.ndarray
-    own: np.ndarray = field(init=False, repr=False)
+    own: None = field(default=None, init=False, repr=False)
     ids: tuple[ad.Ids, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -252,7 +257,6 @@ class GraphIndex(LayerIndex):
             object.__setattr__(self, name, ids.array)
             features.append(ids)
         object.__setattr__(self, "ids", tuple(features))
-        object.__setattr__(self, "own", np.arange(atoms))
 
 
 def _atom_features(graph: MolecularGraph) -> list[tuple[int, int, int]]:
@@ -278,17 +282,16 @@ def _edge_type(bond) -> int:
 def graph_index(graph: MolecularGraph) -> GraphIndex:
     """Edge and embedding-id arrays of a graph whose hybridization has been
     inferred, one row per atom; an uninferred atom raises ValueError. The
-    edges into each atom run in bond order (``molgraph.edges_into``)."""
+    edges into each atom run in bond order (``molgraph.edges_into``):
+    ``_layer_index`` of one class per atom, each keyed by its own pairs."""
     features = _atom_features(graph)
     into = edges_into(graph, _edge_type)
-    ids = lambda values: np.array(values, dtype=np.intp)
-    element, chirality, hybridization = ids(features).reshape(len(features), 3).T
-    return GraphIndex(
-        src=ids([u for pairs in into for _, u in pairs]),
-        dst=ids([atom for atom, pairs in enumerate(into) for _ in pairs]),
-        edge_type=ids([kind for pairs in into for kind, _ in pairs]),
-        element=element, chirality=chirality, hybridization=hybridization,
-    )
+    n = len(into)
+    edges = _layer_index([(atom, *[kind * n + u for kind, u in pairs])
+                          for atom, pairs in enumerate(into)], n, n)
+    element, chirality, hybridization = np.array(features, dtype=np.intp).reshape(n, 3).T
+    return GraphIndex(src=edges.src, dst=edges.dst, edge_type=edges.edge_type,
+                      element=element, chirality=chirality, hybridization=hybridization)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,14 +312,27 @@ class Levels:
         return cls(index.ids, (index,) * depth, ad.Ids(np.arange(atoms), atoms, "row"))
 
 
+def _layer_index(classes: list[tuple[int, ...]], atoms: int, below: int) -> LayerIndex:
+    """The index of the layer that writes one row per class of a round of
+    ``molgraph.refinement`` over ``atoms`` atoms, from the ``below`` rows
+    of the round before. Class r is ``(its label below, *pairs)``, each
+    pair ``edge_type * atoms + source label below``: row r reads that row
+    below and the edges of its pairs, in their order. Refinement sorts
+    them, so every atom of the class has them in that order."""
+    pairs = np.array([pair for key in classes for pair in key[1:]], dtype=np.intp)
+    edge_type, src = np.divmod(pairs, atoms)
+    dst = np.arange(len(classes)).repeat([len(key) - 1 for key in classes])
+    own = None if len(classes) == below else np.array([key[0] for key in classes], dtype=np.intp)
+    return LayerIndex(src, dst, edge_type, own)
+
+
 class _Level(NamedTuple):
     """Level k of a molecule's encoder rows: each atom's row, the class of
-    k rounds of refinement it belongs to (``labels``), the number of rows,
-    and what the level's layer reads (``index``: level 0's embedding ids,
-    a level above it the ``LayerIndex`` of layer k)."""
+    k rounds of refinement it belongs to (``atom_row``, bounded by the
+    number of rows), and what the level's layer reads (``index``: level
+    0's embedding ids, a level above it the ``LayerIndex`` of layer k)."""
 
-    labels: list[int]
-    rows: int
+    atom_row: ad.Ids
     index: tuple[ad.Ids, ...] | LayerIndex
 
 
@@ -335,7 +351,6 @@ class Molecule:
     units: list[CHUnit]
     heads: "HeadRows" = field(init=False)
     _levels: list[_Level] = field(default_factory=list, init=False, repr=False)
-    _by_depth: dict[int, Levels] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.heads = HeadRows.of(self, [u.carbon_index for u in self.units if u.is_representative])
@@ -344,53 +359,34 @@ class Molecule:
         """The rows an encoder of ``depth`` layers runs on. Level k has one
         row per class of k rounds of ``molgraph.refinement``, seeded with
         element, chirality and hybridization and keyed by edge type with
-        direction; row r is class r and reads its lowest-index atom. The
-        levels depend on k alone, so one list serves every depth: it grows
-        on first request, each level built once, and the levels past the
-        fixed point are the last level again."""
-        encoder = self._by_depth.get(depth)
-        if encoder is None:
-            levels = self._levels
-            if len(levels) <= depth:
-                self._extend(depth)
-            last = levels[depth]
-            encoder = Levels(levels[0].index, tuple(level.index for level in levels[1:depth + 1]),
-                             ad.Ids(last.labels, last.rows, "row"))
-            self._by_depth[depth] = encoder
-        return encoder
+        direction, in the order of their labels. The levels depend on k
+        alone, so one list serves every depth: it grows on first request,
+        each level built once, and the levels past the fixed point are the
+        last level again."""
+        levels = self._levels
+        if len(levels) <= depth:
+            self._extend(depth)
+        return Levels(levels[0].index, tuple(level.index for level in levels[1:depth + 1]),
+                      levels[depth].atom_row)
 
     def _extend(self, depth: int) -> None:
         levels = self._levels
-        if len(levels) > 1 and levels[-1].rows == levels[-2].rows:
+        if len(levels) > 1 and levels[-1].atom_row.bound == levels[-2].atom_row.bound:
             # refinement split nothing: every level above is the last one again
             levels.extend([levels[-1]] * (depth + 1 - len(levels)))
             return
-        features = _atom_features(self.graph)
         into = edges_into(self.graph, _edge_type)
-        if levels:  # refine on from the last level: its classes come first
-            below = levels[-1].labels
-            rounds = refinement(below, into)
-            next(rounds)
+        if levels:  # refine on from the last level, whose classes its labels are
+            rounds = islice(refinement(levels[-1].atom_row.array.tolist(), into), 1, None)
         else:
-            below = None
-            rounds = refinement(features, into)
-        for labels in islice(rounds, depth + 1 - len(levels)):
-            # each class's lowest atom: the last write of each label, atoms descending
-            first = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
-            reps = [first[row] for row in range(len(first))]
-            if below is None:
-                index = tuple(rows.take(ids) for rows, ids in zip(_FEATURE_ROWS, np.array(
-                    [features[atom] for atom in reps], dtype=np.intp).reshape(len(reps), 3).T))
-            else:  # the edges into each row's atom, rows in order
-                edges = [into[atom] for atom in reps]
-                src = [below[u] for pairs in edges for _, u in pairs]
-                dst = [row for row, pairs in enumerate(edges) for _ in pairs]
-                kinds = [kind for pairs in edges for kind, _ in pairs]
-                ids = np.array(src + dst + kinds + [below[atom] for atom in reps], dtype=np.intp)
-                e = len(src)
-                index = LayerIndex(ids[:e], ids[e:2 * e], ids[2 * e:3 * e], ids[3 * e:])
-            levels.append(_Level(labels, len(reps), index))
-            below = labels
+            rounds = refinement(_atom_features(self.graph), into)
+        for labels, classes in islice(rounds, depth + 1 - len(levels)):
+            if levels:
+                index = _layer_index(classes, len(labels), levels[-1].atom_row.bound)
+            else:  # the distinct feature rows, as subsets of checked table rows
+                index = tuple(rows.take(ids) for rows, ids in zip(
+                    _FEATURE_ROWS, np.array(classes, dtype=np.intp).reshape(len(classes), 3).T))
+            levels.append(_Level(ad.Ids(labels, len(classes), "row"), index))
         # if a round split nothing before ``depth``, every level above it is
         # the last one again
         levels.extend([levels[-1]] * (depth + 1 - len(levels)))
@@ -611,12 +607,12 @@ class CrossPeakModel:
 
     # -- forward pass -------------------------------------------------------
 
-    def encode_atoms(self, rows: Levels | GraphIndex) -> list[Tensor]:
+    def encode_atoms(self, rows: Levels) -> list[Tensor]:
         """Node embeddings of layers 0..L, each a (rows, atom_dim) batch
         with one row per row of its level; hydrogens are nodes. A
         molecule's ``Molecule.levels`` give layer k one row per class of k
-        rounds of refinement, and a ``graph_index`` one row per atom at
-        every level (``Levels.per_atom``).
+        rounds of refinement, and ``Levels.per_atom`` of a ``graph_index``
+        one row per atom at every level.
 
         Level 0's rows and the edge-type table are one ``autodiff.embed``
         op each, and each layer is one ``autodiff.message_layer`` op, its
@@ -628,8 +624,6 @@ class CrossPeakModel:
         """
         p = self.params
         depth = self.config.num_layers
-        if isinstance(rows, GraphIndex):
-            rows = Levels.per_atom(rows, depth)
         h = ad.embed(
             [p["embed.element"], p["embed.chirality"], p["embed.hybridization"]], rows.ids
         )

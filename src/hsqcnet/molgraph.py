@@ -257,7 +257,7 @@ def canonical_equivalence_classes(graph: MolecularGraph) -> EquivalenceClasses:
 def refine_labels(graph: MolecularGraph, seeds: list) -> tuple[list[int], int]:
     """Refine per-atom ``seeds`` to their fixed point; (labels, rounds), the
     round that splits nothing counted: ``refinement`` keyed by bond type."""
-    for rounds, labels in enumerate(refinement(seeds, edges_into(graph, _bond_rank))):
+    for rounds, (labels, _) in enumerate(refinement(seeds, edges_into(graph, _bond_rank))):
         pass
     return labels, rounds
 
@@ -284,41 +284,48 @@ def edges_into(graph: MolecularGraph, edge_key) -> list[list[tuple[int, int]]]:
     return into
 
 
-def refinement(seeds: list, into: list[list[tuple[int, int]]]) -> Iterator[list[int]]:
+def refinement(
+    seeds: list, into: list[list[tuple[int, int]]]
+) -> Iterator[tuple[list[int], list]]:
     """The labels of ``seeds`` (one per atom), then of each round of
     refinement over the edges ``into`` each atom (``edges_into``: its
     (key, neighbour) pairs, keys non-negative integers), up to the first
     round that splits no class, whose labels equal those of the round
-    before: the fixed point.
+    before: the fixed point. Each round comes as (labels, classes), with
+    ``classes[c]`` the key that every atom of label c shares.
 
     Each round extends every label with the sorted multiset of
     (edge key, neighbour label) pairs and re-densifies in sorted order, so
-    a round that splits no class changes no label. A pair is one integer,
-    ``key * n + label`` for n atoms, which sorts as the pair does.
+    a round that splits no class changes no label, and a label's order
+    follows its label of the round before. A pair is one integer,
+    ``key * n + label`` for n atoms, which sorts as the pair does; a class
+    of a round is ``(label before, *pairs)``, a class of the seeds the seed.
     """
     n = len(seeds)
     into = [[(key * n, j) for key, j in pairs] for pairs in into]
     # an atom of one bond, a hydrogen most often, has a one-pair multiset
     single = [pairs[0] if len(pairs) == 1 else None for pairs in into]
-    labels = _dense_labels(seeds)
-    yield labels
+    labels, classes = _dense_labels(seeds)
+    yield labels, classes
     for _ in range(n + 1):  # refinement must fix within |V| rounds
         # (label, *pairs) sorts as (label, tuple(pairs)) does, one tuple fewer
-        new_labels = _dense_labels([
+        new_labels, classes = _dense_labels([
             (label, pair[0] + labels[pair[1]]) if pair
             else (label, *sorted([key + labels[j] for key, j in pairs]))
             for label, pairs, pair in zip(labels, into, single)
         ])
-        yield new_labels
+        yield new_labels, classes
         if new_labels == labels:
             return
         labels = new_labels
     raise RuntimeError("equivalence refinement failed to converge")
 
 
-def _dense_labels(keys: list) -> list[int]:
-    order = dict(zip(sorted(set(keys)), range(len(keys))))
-    return list(map(order.__getitem__, keys))
+def _dense_labels(keys: list) -> tuple[list[int], list]:
+    """Each key's rank among the distinct keys, and those keys in order."""
+    classes = sorted(set(keys))
+    order = dict(zip(classes, range(len(keys))))
+    return list(map(order.__getitem__, keys)), classes
 
 
 def enumerate_ch_units(

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 from hsqcnet import autodiff as ad
 from hsqcnet.assign import PseudoLabel, PseudoLabels, cost_matrix, hungarian, shift_cost
 from hsqcnet.model import (
-    SOLVENT_INDEX, HeadRows, Levels, Molecule, ProtonReads, ShiftReads, graph_index,
+    SOLVENT_INDEX, GraphIndex, HeadRows, Levels, Molecule, ProtonReads, ShiftReads,
+    _atom_features, _edge_type, graph_index,
 )
 from hsqcnet.molgraph import (
     BondDirection,
@@ -35,6 +36,8 @@ from hsqcnet.molgraph import (
     Chirality,
     MolecularGraph,
     canonical_equivalence_classes,
+    edges_into,
+    refinement,
     relabel_atoms,
     set_hybridization,
 )
@@ -418,17 +421,38 @@ def reference_encode(model, index) -> list:
     return layers
 
 
+def class_ordered_index(graph: MolecularGraph) -> GraphIndex:
+    """``graph_index`` with each atom's edges sorted by edge type, then by
+    the source's class at the fixed point of the encoder's refinement. Each
+    round's classes coarsen the fixed point's in label order, so at every
+    level an atom sums its messages in the order the row of its class
+    does, and an encode by classes can match this one bit for bit."""
+    index = graph_index(graph)
+    *_, (finest, _) = refinement(_atom_features(graph), edges_into(graph, _edge_type))
+    order = np.lexsort((np.array(finest)[index.src], index.edge_type, index.dst))
+    return GraphIndex(src=index.src[order], dst=index.dst[order],
+                      edge_type=index.edge_type[order], element=index.element,
+                      chirality=index.chirality, hybridization=index.hybridization)
+
+
 class _AtomLevel(Molecule):
     """A molecule whose encoder runs one row per atom at every level."""
 
     def levels(self, depth: int) -> Levels:
-        return Levels.per_atom(graph_index(self.graph), depth)
+        return Levels.per_atom(class_ordered_index(self.graph), depth)
 
 
 def atom_level(molecule):
     """``molecule`` with one encoder row per atom at every level, as before
-    the encoder ran on classes of atoms."""
+    the encoder ran on classes of atoms, each atom's edges in class order
+    (``class_ordered_index``)."""
     return _AtomLevel(molecule.smiles, molecule.graph, molecule.classes, molecule.units)
+
+
+def encode_per_atom(model, graph: MolecularGraph) -> list:
+    """``model``'s encode of ``graph`` with one row per atom at every
+    level, each atom's edges in bond order (``graph_index``)."""
+    return model.encode_atoms(Levels.per_atom(graph_index(graph), model.config.num_layers))
 
 
 def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.ndarray]:
@@ -438,7 +462,7 @@ def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.n
     hydrogen embeddings and the solvent row repeated k times, then three
     dense layers. Raw carbon outputs (k, 1) and proton pairs (k, 2)."""
     p = {name: param.values for name, param in model.params.items()}
-    final = model.encode_atoms(graph_index(molecule.graph))[-1].values
+    final = encode_per_atom(model, molecule.graph)[-1].values
     graph = molecule.graph
     k = len(carbons)
     h_c = final[np.asarray(carbons, dtype=np.intp)]

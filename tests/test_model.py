@@ -15,7 +15,7 @@ from hsqcnet.model import (
     CrossPeakModel,
     GraphIndex,
     HeadRows,
-    LayerIndex,
+    Levels,
     ModelConfig,
     ProtonReads,
     SolventClass,
@@ -31,6 +31,8 @@ from hsqcnet.smiles import parse_smiles
 from hsqcnet.train import LabelTarget, Sample1D, SampleHSQC, TrainConfig, _loss, mtt_pretrain
 from helpers import (
     atom_level,
+    class_ordered_index,
+    encode_per_atom,
     reference_ch_bonds,
     reference_edge_arrays,
     reference_embed,
@@ -112,7 +114,7 @@ def test_init_deterministic_by_seed(tiny_config):
 def test_benzene_embeddings_identical(tiny_config):
     model = CrossPeakModel(tiny_config)
     mol = prepare_molecule("c1ccccc1")
-    layers = model.encode_atoms(graph_index(mol.graph))
+    layers = encode_per_atom(model, mol.graph)
     for layer in layers:
         first = layer.values[0]
         for i in range(1, 6):
@@ -122,7 +124,7 @@ def test_benzene_embeddings_identical(tiny_config):
 def test_single_atom_graph_message_is_zero(tiny_config):
     model = CrossPeakModel(tiny_config)
     mol = prepare_molecule("[Na+]")
-    layers = model.encode_atoms(graph_index(mol.graph))
+    layers = encode_per_atom(model, mol.graph)
     assert len(layers) == tiny_config.num_layers + 1
     assert np.all(np.isfinite(layers[-1].values[0]))
 
@@ -139,11 +141,11 @@ def test_permutation_equivariance_embeddings(tiny_config):
     model = CrossPeakModel(tiny_config)
     mol = prepare_molecule("CCO")
     rng = np.random.default_rng(5)
-    base = model.encode_atoms(graph_index(mol.graph))[-1]
+    base = encode_per_atom(model, mol.graph)[-1]
     n = len(mol.graph.atoms)
     perm = list(rng.permutation(n))
     permuted = relabel_atoms(mol.graph, perm)
-    layers = model.encode_atoms(graph_index(permuted))[-1]
+    layers = encode_per_atom(model, permuted)[-1]
     for v in range(n):
         assert np.allclose(
             layers.values[perm[v]], base.values[v], atol=1e-12, rtol=0
@@ -313,7 +315,9 @@ def test_factored_message_map_matches_per_edge_reference(smiles):
         return [t.values for t in layers], grads, targets
 
     want_layers, want_grads, targets = run(reference_encode)
-    got_layers, got_grads, _ = run(CrossPeakModel.encode_atoms, targets)
+    got_layers, got_grads, _ = run(
+        lambda model, index: model.encode_atoms(Levels.per_atom(index, config.num_layers)),
+        targets)
     for got, want in zip(got_layers, want_layers, strict=True):
         assert _relative(got, want) <= 1e-12
     for name, want in want_grads.items():
@@ -433,16 +437,16 @@ def _assert_peaks_match_atom_level(model, molecule, text):
 
 def _assert_lifted_encode_matches_atom_level(depth, molecules) -> tuple[int, int]:
     """Every layer's rows, read through its level's atom map, against the
-    one-row-per-atom encode, and the peaks from them: bit for bit, or
-    within 1e-12 where an atom's message sum runs in another order than
-    its class's atom's. Returns how many layers matched bit for bit and
-    how many within 1e-12 only."""
+    one-row-per-atom encode with each atom's edges in class order, and the
+    peaks from them: bit for bit, or within 1e-12 where the two differ in
+    rounding. Returns how many layers matched bit for bit and how many
+    within 1e-12 only."""
     model = CrossPeakModel(ModelConfig(num_layers=depth, atom_dim=64 if depth <= 5 else 16,
                                        seed=3))
     bitwise = reordered = 0
     for smiles in molecules:
         molecule = prepare_molecule(smiles)
-        flat = model.encode_atoms(graph_index(molecule.graph))
+        flat = model.encode_atoms(Levels.per_atom(class_ordered_index(molecule.graph), depth))
         got_layers = model.encode_atoms(molecule.levels(depth))
         for level, (got, want) in enumerate(zip(got_layers, flat, strict=True)):
             got = got.values[molecule.levels(level).atom_row.array]
@@ -456,27 +460,18 @@ def _assert_lifted_encode_matches_atom_level(depth, molecules) -> tuple[int, int
 
 
 def test_lifted_encode_equals_the_atom_level_encode(parser_corpus, large_smiles, data_dir):
-    # a large molecule's low levels join atoms whose bonds run in different
-    # orders (a peptide's backbone carbons), so most of its layers match
-    # within 1e-12 only; the small molecules' layers mostly match bit for bit
-    large = list(large_smiles.values())
-    small = [s for s in _lifting_corpus(parser_corpus, large_smiles, data_dir) if s not in large]
-    bitwise, reordered = _assert_lifted_encode_matches_atom_level(5, small)
+    bitwise, reordered = _assert_lifted_encode_matches_atom_level(
+        5, _lifting_corpus(parser_corpus, large_smiles, data_dir))
     assert bitwise > 10 * reordered
-    _assert_lifted_encode_matches_atom_level(5, large)
 
 
 # 45 layers run past the C80 chain's fixed point, 40 rounds of refinement
 @pytest.mark.parametrize("depth", [1, 2, 45])
 def test_lifted_encode_equals_the_atom_level_encode_at_other_depths(
         depth, parser_corpus, large_smiles, data_dir):
-    large = list(large_smiles.values())
-    if depth < 45:
-        small = [s for s in _lifting_corpus(parser_corpus, large_smiles, data_dir)
-                 if s not in large]
-        bitwise, reordered = _assert_lifted_encode_matches_atom_level(depth, small)
-        assert bitwise > 10 * reordered
-    _assert_lifted_encode_matches_atom_level(depth, large)
+    bitwise, reordered = _assert_lifted_encode_matches_atom_level(
+        depth, _lifting_corpus(parser_corpus, large_smiles, data_dir))
+    assert bitwise > 10 * reordered
 
 
 def test_levels_past_the_fixed_point_reuse_the_last_one(large_smiles):
@@ -487,17 +482,18 @@ def test_levels_past_the_fixed_point_reuse_the_last_one(large_smiles):
     assert fixed == 40 and rows[fixed:] == [80] * (46 - fixed)
     # the layer reading the fixed point maps each row to itself, and every
     # layer above it is that layer again
-    assert layers[fixed].own.tolist() == list(range(80))
+    assert layers[fixed].own is None and layers[fixed].dst.max() == 79
     assert all(layer is layers[fixed] for layer in layers[fixed:])
     assert len({id(layer) for layer in layers[:fixed]}) == fixed
 
 
 def test_rows_hold_the_atom_level_edges_into_the_representatives(parser_corpus, large_smiles,
                                                                  data_dir):
-    # each layer's index, built from the bond list for its level's
-    # representatives only, against the atom-level index: the same edges,
-    # row by row, each row's in the same order, sources one level below, and
-    # each row's own row below
+    # each layer's index, built from refinement's classes, against the
+    # atom-level index: every atom of a row's class, its lowest one
+    # included, has the row's edges, sources one level below, sorted by
+    # edge type and then source row, and its row below is the row's own
+    # (None where the level split nothing)
     for smiles in _lifting_corpus(parser_corpus, large_smiles, data_dir):
         molecule = prepare_molecule(smiles)
         index = graph_index(molecule.graph)
@@ -507,13 +503,20 @@ def test_rows_hold_the_atom_level_edges_into_the_representatives(parser_corpus, 
         for ids, name in zip(levels.ids, ("element", "chirality", "hybridization")):
             assert ids.array.tolist() == getattr(index, name)[reps].tolist(), smiles
         for layer, below, above in zip(levels.layers, maps, maps[1:]):
-            reps = np.unique(above, return_index=True)[1]
-            into = np.flatnonzero(np.isin(index.dst, reps))
-            into = into[np.argsort(above[index.dst[into]], kind="stable")]  # by row
-            assert layer.src.tolist() == below[index.src[into]].tolist(), smiles
-            assert layer.dst.tolist() == above[index.dst[into]].tolist(), smiles
-            assert layer.edge_type.tolist() == index.edge_type[into].tolist(), smiles
-            assert layer.own.tolist() == below[reps].tolist(), smiles
+            rows = int(above.max()) + 1
+            edges = [sorted(zip(layer.edge_type[layer.dst == row].tolist(),
+                                layer.src[layer.dst == row].tolist())) for row in range(rows)]
+            assert all(layer.src[layer.dst == row].tolist() == [u for _, u in edges[row]]
+                       for row in range(rows)), smiles
+            for atom, row in enumerate(above.tolist()):
+                into = index.dst == atom
+                assert sorted(zip(index.edge_type[into].tolist(),
+                                  below[index.src[into]].tolist())) == edges[row], smiles
+            own = below[np.unique(above, return_index=True)[1]]
+            if layer.own is None:
+                assert rows == int(below.max()) + 1 and own.tolist() == list(range(rows))
+            else:
+                assert layer.own.tolist() == own.tolist(), smiles
 
 
 def test_large_molecules_encode_one_row_per_class_of_each_level(large_smiles):
@@ -711,15 +714,16 @@ def test_a_1d_sample_of_a_lifted_molecule_builds_no_atom_level_index(monkeypatch
 
 
 def _count_level_builds(monkeypatch) -> list[int]:
-    """Patches the level builder's ``LayerIndex`` to record the rows of
+    """Wraps the level builder's ``_layer_index`` to record the rows of
     every layer index it builds, in order."""
     built = []
+    original = model_module._layer_index
 
-    def counted(*arrays):
-        built.append(len(arrays[3]))
-        return LayerIndex(*arrays)
+    def counted(classes, atoms, below):
+        built.append(len(classes))
+        return original(classes, atoms, below)
 
-    monkeypatch.setattr(model_module, "LayerIndex", counted)
+    monkeypatch.setattr(model_module, "_layer_index", counted)
     return built
 
 
@@ -744,10 +748,11 @@ def test_one_molecule_serves_a_shallow_and_then_a_deep_model(monkeypatch):
     shared = prepare_molecule(smiles)
     for depth, layers_built in ((2, [3, 5]), (5, [3, 5, 7, 9, 10])):
         model = CrossPeakModel(ModelConfig(num_layers=depth, seed=depth))
-        _assert_peaks_match_atom_level(model, shared, smiles)
+        peaks = _peaks(model, shared)
         assert built == layers_built
-        assert _peaks(model, shared) == _peaks(model, prepare_molecule(smiles))
-        del built[len(layers_built):]  # the fresh molecule's
+        _assert_peaks_match_atom_level(model, shared, smiles)
+        assert peaks == _peaks(model, prepare_molecule(smiles))
+        del built[len(layers_built):]  # the atom-level index's and the fresh molecule's
     shallow, deep = shared.levels(2), shared.levels(5)
     assert deep.layers[:2] == shallow.layers  # the same objects
     assert [level.atom_row.bound for level in map(shared.levels, range(6))] == [2, 3, 5, 7, 9, 10]
