@@ -3,9 +3,11 @@
 Equal cardinalities go through an exact one-to-one assignment (minimum
 total cost, deterministic lexicographic tie-break): one
 ``linear_sum_assignment`` solve, optimal dual potentials from shortest
-paths on its residual graph, and a tie-break search confined to the
+paths on its residual graph, and a tie-break confined to the
 zero-reduced-cost edges, whose perfect matchings are exactly the optimal
-assignments (Jonker & Volgenant 1987). Mismatched
+assignments (Jonker & Volgenant 1987): rows that tie over the same
+columns take them in order, and an alternating-path search settles the
+rest. Mismatched
 cardinalities go through graduated assignment: a softassign at one
 temperature (alternating row/column normalization of exp(beta * similarity)),
 hardened row by row into a one-to-many matching where every predicted peak
@@ -24,6 +26,7 @@ import logging
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,9 +138,8 @@ def shift_cost(pred, obs, c_scale: float = DEFAULT_C_SCALE) -> float:
 
 def _shifts(peaks) -> tuple[np.ndarray, np.ndarray]:
     """(proton, carbon) shift arrays of a peak list."""
-    pairs = np.array([(p.delta_h, p.delta_c) for p in peaks], dtype=np.float64)
-    pairs = pairs.reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
+    return (np.fromiter((p.delta_h for p in peaks), np.float64, len(peaks)),
+            np.fromiter((p.delta_c for p in peaks), np.float64, len(peaks)))
 
 
 def cost_matrix(preds, observations, c_scale: float = DEFAULT_C_SCALE) -> np.ndarray:
@@ -173,7 +175,8 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     its columns give optimal dual potentials, and by complementary slackness
     the optimal assignments are exactly the perfect matchings inside the
     tight edges (reduced cost at most tol = 1e-9 * max(1, |optimum|),
-    so costs closer than that tie). The tie-break moves
+    so costs closer than that tie). The tie-break gives each group of rows
+    that owns its tight columns those columns in order, and moves the other
     rows, in order, to smaller tight columns along alternating paths.
     """
     cost = np.asarray(cost, dtype=np.float64)
@@ -221,15 +224,45 @@ def _lexicographic_first(tight: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Lexicographically smallest perfect matching inside ``tight``,
     starting from the perfect matching ``cols``.
 
-    Rows are fixed in order. Row r moves to the smallest tight column j below
-    its own whose owner can pass its column on, along tight edges of rows
-    after r, until one takes r's old column; the path is then rotated.
+    Rows are grouped by their smallest tight column. A group whose rows all
+    have the tight columns of its first row, as many as the group has rows,
+    owns those columns in every perfect matching (no other row can take
+    one), so its rows take them in ascending order. Every complete
+    bipartite component of the tight graph is such a group. Each other
+    row, in order, moves to the smallest tight column j below its own
+    whose owner can pass its column on, along tight edges of rows after
+    it, until one takes its old column; the path is then rotated.
     """
     n = len(cols)
+    edge_row, edge_col = np.nonzero(tight)  # each row's columns ascending
+    if len(edge_row) == n:  # one tight edge per row: ``cols`` is the only matching
+        return cols
+    degree = np.bincount(edge_row, minlength=n)
+    first_edge = np.cumsum(degree) - degree
+    smallest = edge_col[first_edge]
+    size = np.bincount(smallest, minlength=n)
+    by_group = np.argsort(smallest, kind="stable")
+    group_start = (np.cumsum(size) - size)[smallest[by_group]]
+    leader = np.empty(n, dtype=np.intp)
+    leader[by_group] = by_group[group_start]
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_group] = np.arange(n) - group_start
+    # each edge against the edge at the same offset in its group's first row
+    # (out of range only where the degrees differ, which fails the group anyway)
+    same = edge_col == edge_col[np.minimum(
+        first_edge[leader[edge_row]] + np.arange(len(edge_row)) - first_edge[edge_row],
+        len(edge_row) - 1,
+    )]
+    fits = degree == size[smallest]
+    fits[edge_row[~same]] = False
+    closed = np.ones(n, dtype=bool)
+    closed[smallest[~fits]] = False
+    closed = closed[smallest]
     cols = cols.copy()
+    cols[closed] = edge_col[first_edge[leader[closed]] + rank[closed]]
     owner = np.empty(n, dtype=np.intp)
     owner[cols] = np.arange(n)
-    for r in np.flatnonzero(tight.sum(axis=1) > 1):
+    for r in np.flatnonzero(~closed & (degree > 1)):
         below = np.flatnonzero(tight[r, : cols[r]])
         below = below[owner[below] > r]
         if below.size == 0:
@@ -330,10 +363,10 @@ def softassign(cost: np.ndarray, settings: GASettings, on_sweep=None) -> np.ndar
     return _exp(log_q, np.empty_like(log_q), live)
 
 
-@dataclass(frozen=True)
-class PseudoLabel:
+class PseudoLabel(NamedTuple):
     """One matched (carbon, slot): the observed peak it is assigned to and
-    the predicted shifts that were matched."""
+    the predicted shifts that were matched. An immutable record that
+    compares and hashes by value."""
 
     carbon_index: int
     slot: int
@@ -416,23 +449,21 @@ def pseudo_annotate(
     else:
         provenance = "graduated"
         assignment = graduated_assignment(predictions, observations, settings)
-    entries = []
-    total = 0.0
-    for pred, j in zip(predictions, assignment.argmax(axis=1).tolist()):
-        obs = observations[j]
-        total += shift_cost(pred, obs, settings.c_scale)
-        entries.append(
-            PseudoLabel(
-                carbon_index=pred.ch_unit.carbon_index,
-                slot=pred.peak_slot,
-                obs_index=obs.index,
-                delta_c=obs.delta_c,
-                delta_h=obs.delta_h,
-                pred_delta_c=pred.delta_c,
-                pred_delta_h=pred.delta_h,
-            )
-        )
-    mean_cost = total / n
+    picked = [observations[j] for j in assignment.argmax(axis=1).tolist()]
+    pred_c = [p.delta_c for p in predictions]
+    pred_h = [p.delta_h for p in predictions]
+    obs_c = [o.delta_c for o in picked]
+    obs_h = [o.delta_h for o in picked]
+    # shift_cost's operations on every matched pair, added left to right as
+    # a running float would add them: np.sum adds pairwise
+    costs = (np.abs(np.subtract(pred_h, obs_h))
+             + np.abs(np.subtract(pred_c, obs_c)) / settings.c_scale)
+    mean_cost = float(np.add.accumulate(costs)[-1]) / n
+    entries = list(map(
+        PseudoLabel, [p.ch_unit.carbon_index for p in predictions],
+        [p.peak_slot for p in predictions], [o.index for o in picked],
+        obs_c, obs_h, pred_c, pred_h,
+    ))
     return PseudoLabels(
         entries=entries,
         provenance=provenance,

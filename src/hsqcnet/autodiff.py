@@ -333,6 +333,14 @@ def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
     return out
 
 
+def _even_rows(rows: int, width: int) -> np.ndarray:
+    """A Fortran-ordered (r, width) array of zeros, r the even number of
+    rows at or above ``rows``, at least 2. A product by a weight over these
+    rows computes each of the first ``rows`` rows by the same kernel
+    whatever ``rows`` is."""
+    return np.zeros((max(2, rows + rows % 2), width), order="F")
+
+
 def message_layer(
     h: Tensor,
     edge_table: Tensor,
@@ -362,11 +370,16 @@ def message_layer(
     whole ``msg_w`` applied to each edge's ``[h[src]; edge_table[t]]``,
     ``relu``, ``segment_sum``, then ``affine`` of ``[h[own], sums]``) to
     rounding: within 1e-12 relative in values and 1e-10 in gradients.
-    Both products by a weight read their rows Fortran-ordered, so a row
-    of the result does not depend on how many rows it is computed with
-    (OpenBLAS on x86-64 computes C-ordered rows by another kernel below 19
-    rows): a class's row equals the row of each of its atoms bit for bit
-    when both sum the same messages in the same order.
+    Both products by a weight read their rows Fortran-ordered and over an
+    even number of rows, at least 2 (``_even_rows``), so a row of the
+    result does not depend on how many rows it is computed with under
+    OpenBLAS's SkylakeX, Haswell (which Zen also runs), Prescott and
+    Sandybridge kernels. Without that, SkylakeX computes C-ordered rows
+    by another kernel below 19 rows at width 64 (76 at width 16), Haswell
+    and Prescott the last row of an odd count in either order, and
+    SkylakeX and Sandybridge a single row. A class's row therefore equals
+    the row of each of its atoms bit for bit when both sum the same
+    messages in the same order.
     """
     below, d = len(h.values), h.values.shape[-1]
     if (h.values.ndim != 2 or msg_w.values.shape != (d, 2 * d) or msg_b.values.shape != (d,)
@@ -380,17 +393,20 @@ def message_layer(
     n = below if own is None else len(own)
     w_source = msg_w.values[:, :d]
     w_edge = msg_w.values[:, d:]
-    source = np.asfortranarray(h.values) @ w_source.T
+    rows_below = _even_rows(below, d)
+    rows_below[:below] = h.values
+    source = (rows_below @ w_source.T)[:below]
     source += msg_b.values
     edge = edge_table.values @ w_edge.T
     pre_message = source.take(index.src, axis=0) + edge.take(index.edge_type, axis=0)
     summed = np.bincount(
         index.slots("dst", d), weights=np.maximum(pre_message, 0.0).reshape(-1), minlength=n * d
     ).reshape(n, d)
-    joined = np.empty((n, 2 * d), order="F")
+    padded = _even_rows(n, 2 * d)
+    joined = padded[:n]
     joined[:, :d] = h.values if own is None else h.values.take(own, axis=0)
     joined[:, d:] = summed
-    values = joined @ upd_w.values.T
+    values = (padded @ upd_w.values.T)[:n]
     values += upd_b.values
     if activate:
         np.maximum(values, 0.0, out=values)

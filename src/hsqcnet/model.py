@@ -179,8 +179,10 @@ class ModelConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class PredictedPeak:
+class PredictedPeak(NamedTuple):
+    """One predicted cross peak of a C-H unit: an immutable record that
+    compares and hashes by value."""
+
     ch_unit: CHUnit
     delta_c: float
     delta_h: float
@@ -694,11 +696,8 @@ class CrossPeakModel:
         if not finite.all():
             bad = units[rows[int(np.argmin(finite))]]
             raise FloatingPointError(f"non-finite prediction for carbon {bad.carbon_index}")
-        return [
-            PredictedPeak(units[row], c, h, slot)
-            for row, slot, c, h in zip(rows.tolist(), slots.tolist(), delta_c.tolist(),
-                                       delta_h.tolist())
-        ]
+        return list(map(PredictedPeak, map(units.__getitem__, rows.tolist()), delta_c.tolist(),
+                        delta_h.tolist(), slots.tolist()))
 
     def atom_shift_tensors(
         self,

@@ -1,6 +1,8 @@
 """Independent oracles used by the tests: attribute-aware graph isomorphism
 (with tetrahedral parity), brute-force automorphism orbits, the
-brute-force lexicographically smallest optimal assignment, the copying
+brute-force lexicographically smallest optimal assignment, the exact
+matcher's alternating-path tie-break run over every row (as before tight
+groups took their columns in closed form), the copying
 form of ``set_hybridization`` (``infer_hybridization``), the annealed
 graduated assignment that the one-temperature softassign replaced, the
 softassign that evaluated exp on every entry, the per-row labelling loop
@@ -25,7 +27,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from hsqcnet import autodiff as ad
-from hsqcnet.assign import PseudoLabel, PseudoLabels, cost_matrix, hungarian, shift_cost
+from hsqcnet.assign import (
+    PseudoLabel, PseudoLabels, _reduced_costs, cost_matrix, hungarian, linear_sum_assignment,
+    shift_cost,
+)
 from hsqcnet.model import (
     SOLVENT_INDEX, GraphIndex, HeadRows, Levels, Molecule, ProtonReads, ShiftReads,
     _atom_features, _edge_type, graph_index,
@@ -225,6 +230,49 @@ def lexicographic_optimum(cost) -> list[int]:
         if best is None or total < best:
             best, choice = total, perm
     return list(choice)
+
+
+def searched_tie_break(cost) -> list[int]:
+    """Row -> column map of ``hungarian`` when the alternating-path search
+    visits every row with more than one tight edge: the same solve and
+    tight edges, then each such row in order moves to the smallest tight
+    column below its own whose owner can pass its column on, along tight
+    edges of later rows, until one takes its old column."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n = len(cost)
+    _, cols = linear_sum_assignment(cost)
+    tol = 1e-9 * max(1.0, abs(float(cost[np.arange(n), cols].sum())))
+    tight = _reduced_costs(cost, cols, tol) <= tol
+    owner = np.empty(n, dtype=np.intp)
+    owner[cols] = np.arange(n)
+    for r in np.flatnonzero(tight.sum(axis=1) > 1):
+        below = np.flatnonzero(tight[r, : cols[r]])
+        below = below[owner[below] > r]
+        if below.size == 0:
+            continue
+        target = np.full(n, -1)
+        open_rows = np.arange(n) > r
+        frontier = cols[r : r + 1]
+        while frontier.size:
+            hits = tight[:, frontier] & open_rows[:, None]
+            reached = np.flatnonzero(hits.any(axis=1))
+            target[reached] = frontier[hits[reached].argmax(axis=1)]
+            open_rows[reached] = False
+            frontier = cols[reached]
+        below = below[target[owner[below]] >= 0]
+        if below.size == 0:
+            continue
+        j = below[0]
+        row, freed = owner[j], cols[r]
+        cols[r], owner[j] = j, r
+        while True:
+            col = target[row]
+            nxt = owner[col]
+            cols[row], owner[col] = col, row
+            if col == freed:
+                break
+            row = nxt
+    return cols.tolist()
 
 
 def _log_normalize(log_q, axis):

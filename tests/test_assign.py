@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsqcnet.assign import (
@@ -13,6 +14,7 @@ from hsqcnet.assign import (
     MatchSettings,
     MatchingError,
     ObservedPeak,
+    PseudoLabel,
     cost_matrix,
     graduated_assignment,
     hungarian,
@@ -28,7 +30,10 @@ from helpers import (
     lexicographic_optimum,
     reference_pseudo_annotate,
     reference_softassign,
+    searched_tie_break,
 )
+from hsqcnet.model import PredictedPeak
+from hsqcnet.molgraph import CHUnit
 
 
 class FakePeak:
@@ -182,6 +187,53 @@ def test_hungarian_empty_and_single():
     assert hungarian(np.zeros((0, 0))).shape == (0, 0)
     single = hungarian(np.array([[3.5]]))
     assert single.dtype == np.int8 and single.tolist() == [[1]]
+
+
+# the tight edges of a 3 x 3 six-cycle: every row has two, no two rows the same
+SIX_CYCLE = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+
+
+@st.composite
+def planted_levels(draw, min_n, max_n):
+    """Integer costs of levels 0..3 on a k x k base whose rows and columns
+    are repeated, so identical rows and columns plant groups of tied rows
+    over tied columns; some draws raise scattered entries by one level,
+    which leaves groups whose rows share only some tight columns, and some
+    embed ``SIX_CYCLE`` at zero cost amid dearer entries."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    k = int(rng.integers(1, n + 1))
+    base = rng.integers(0, 4, size=(k, k))
+    levels = base[rng.integers(0, k, n)][:, rng.integers(0, k, n)]
+    if draw(st.booleans()):
+        levels = levels + (rng.random((n, n)) < 0.15)
+    if n >= 3 and draw(st.booleans()):
+        at = rng.choice(n, 3, replace=False)
+        levels[np.ix_(at, at)] = np.array(SIX_CYCLE) * 4
+    return levels.astype(np.float64)
+
+
+@given(planted_levels(2, 7), st.sampled_from([0.0, 1e-12]), st.integers(0, 2**32 - 1))
+@example(np.array(SIX_CYCLE, dtype=np.float64), 0.0, 0)
+@example(np.array([[0, 0, 1, 1], [1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 1, 0]], dtype=np.float64),
+         0.0, 0)
+@example(np.zeros((7, 7)), 1e-12, 3)
+@settings(max_examples=300, deadline=None)
+def test_hungarian_groups_and_near_tie_chains_match_brute_force(levels, jitter, seed):
+    # a jitter of up to 3e-12 per entry chains near-equal totals that all
+    # lie inside the tie tolerance (1e-9), so the oracle reads the integers
+    rng = np.random.default_rng(seed)
+    cost = levels + jitter * rng.integers(0, 4, size=levels.shape)
+    assignment = hungarian(cost)
+    assert np.all(assignment.sum(axis=0) == 1) and np.all(assignment.sum(axis=1) == 1)
+    assert assignment.argmax(axis=1).tolist() == lexicographic_optimum(levels)
+
+
+@given(planted_levels(20, 60), st.floats(min_value=0.01, max_value=100.0))
+@settings(max_examples=60, deadline=None)
+def test_hungarian_on_planted_groups_equals_the_search_over_every_row(levels, factor):
+    cost = levels * factor
+    assert hungarian(cost).argmax(axis=1).tolist() == searched_tie_break(cost)
 
 
 def make_peaks(values):
@@ -505,7 +557,54 @@ def long_peak_lists(draw):
 def test_pseudo_annotate_equals_the_per_row_loop(lists, match):
     preds = [FakePeak(c, h, carbon=i, slot=1 + i % 2) for i, (c, h) in enumerate(lists[0])]
     obs = [ObservedPeak(c, h, j) for j, (c, h) in enumerate(lists[1])]
-    got = pseudo_annotate(FakeMol(), preds, obs, match)
-    want = reference_pseudo_annotate(preds, obs, match)
-    assert got == want
+    assert_same_labels(pseudo_annotate(FakeMol(), preds, obs, match),
+                       reference_pseudo_annotate(preds, obs, match))
+
+
+def assert_same_labels(got, want):
+    """Field by field, each float by its bits."""
+    assert (got.provenance, got.rejected) == (want.provenance, want.rejected)
     assert type(got.mean_cost) is float and got.mean_cost.hex() == want.mean_cost.hex()
+    assert len(got.entries) == len(want.entries)
+    for g, w in zip(got.entries, want.entries):
+        assert type(g) is PseudoLabel and g._fields == w._fields
+        for name in g._fields:
+            a, b = getattr(g, name), getattr(w, name)
+            assert type(a) is type(b), name
+            assert (a.hex() == b.hex()) if isinstance(a, float) else a == b, name
+
+
+@pytest.mark.parametrize("predicted", [16, 17])  # the exact branch, then the graduated one
+def test_pseudo_annotate_sums_costs_left_to_right(predicted):
+    # matched costs 1.0, then 2**-53 (one ulp at 0.5) for every other peak.
+    # Added left to right each small cost rounds away, while numpy's
+    # pairwise sum adds them to one another first and moves the total off
+    # 1.0. A 17th peak lies one ulp from the first observed peak.
+    preds = [FakePeak(20.0 * (i % 16), 0.5 + math.ulp(0.5) + (i == 0), carbon=i)
+             for i in range(predicted)]
+    obs = [ObservedPeak(20.0 * i, 0.5, i) for i in range(16)]
+    want = reference_pseudo_annotate(preds, obs, MatchSettings())
+    costs = [shift_cost(p, obs[e.obs_index]) for p, e in zip(preds, want.entries)]
+    sequential = 0.0
+    for cost in costs:
+        sequential += cost
+    assert sequential == 1.0 and float(np.sum(costs)) != sequential
+    assert_same_labels(pseudo_annotate(FakeMol(), preds, obs), want)
+
+
+def test_peak_and_label_records_are_immutable_values():
+    unit = CHUnit(3, (7, 8), 2, 1, True)
+    peak = PredictedPeak(unit, 31.5, 1.25, 2)
+    label = PseudoLabel(3, 2, 5, 30.0, 1.2, 31.5, 1.25)
+    assert (peak.ch_unit, peak.delta_c, peak.delta_h, peak.peak_slot) == (unit, 31.5, 1.25, 2)
+    assert (label.carbon_index, label.slot, label.obs_index, label.delta_c, label.delta_h,
+            label.pred_delta_c, label.pred_delta_h) == (3, 2, 5, 30.0, 1.2, 31.5, 1.25)
+    for record, field_name, copy, other in [
+        (peak, "delta_h", PredictedPeak(unit, 31.5, 1.25, 2), PredictedPeak(unit, 31.5, 1.25, 1)),
+        (label, "obs_index", PseudoLabel(3, 2, 5, 30.0, 1.2, 31.5, 1.25),
+         PseudoLabel(3, 2, 4, 30.0, 1.2, 31.5, 1.25)),
+    ]:
+        assert record == copy and hash(record) == hash(copy) and record != other
+        assert len({record, copy, other}) == 2
+        with pytest.raises(AttributeError):
+            setattr(record, field_name, 0)
