@@ -164,7 +164,7 @@ class Ids:
     ``gather``, ``embed`` and ``segment_sum`` take one wherever they take
     an index array and compare only ``bound`` with the size they index; a
     plain array gets a pass over its values at every call. Objects that
-    build their index arrays once (``model.GraphIndex``,
+    build their index arrays once (``model.Levels``,
     ``model.HeadRows``) hold them as ``Ids``."""
 
     __slots__ = ("array", "bound")

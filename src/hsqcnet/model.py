@@ -51,9 +51,10 @@ refinement gives each class: its row one level below and its edges,
 sorted by edge type and then by source row. Every atom of the class has
 those edges, so an atom-level encode that sums each atom's messages in
 that order gives each atom its class's row bit for bit.
-``Molecule.levels(depth)`` builds the levels on the first forward pass,
-not at prepare, and keeps them for models of any depth; levels past
-refinement's fixed point are the last level again.
+``Molecule.levels(depth)`` builds levels 0..depth in one pass of
+refinement on the first forward pass at that depth, not at prepare, and
+keeps them for the next; levels past refinement's fixed point are the
+last level again.
 ``HeadRows`` hold atoms, and each head evaluation maps them to the last
 level's rows, so prediction, evaluation, annotation and both training
 stages share one path, forward and backward. ``Molecule.heads`` holds the
@@ -197,11 +198,11 @@ class LayerIndex:
     each with its type ``bond * len(BondDirection) + direction``
     (``edge_type``), and ``own``, the row below that each row's update
     reads, or None where every row reads its own row below (a level that
-    splits nothing, or one row per atom). ``Molecule.levels`` builds each
-    from refinement's classes, which lie in range by construction, so it
-    checks nothing. ``slots`` caches the flat ``bincount`` slots of an
-    index array per row width: models of different widths may share one
-    index. Instances compare by identity."""
+    splits nothing). ``Molecule.levels`` builds each from refinement's
+    classes, which lie in range by construction, so it checks nothing.
+    ``slots`` caches the flat ``bincount`` slots of an index array per row
+    width: models of different widths may share one index. Instances
+    compare by identity."""
 
     src: np.ndarray
     dst: np.ndarray
@@ -219,46 +220,6 @@ class LayerIndex:
             flat = (getattr(self, name)[:, None] * width + np.arange(width)).reshape(-1)
             self._slots[key] = flat
         return flat
-
-
-@dataclass(frozen=True, eq=False)
-class GraphIndex(LayerIndex):
-    """The ``LayerIndex`` of a graph with one row per atom at every level:
-    the directed edges (every atom's adjacency in atom order, as ``src`` ->
-    ``dst``), each atom its own row (``own`` None), and the embedding-table
-    row of each atom feature.
-
-    Construction checks every array once per graph, an IndexError naming
-    the array otherwise: that ``src`` and ``dst`` name atoms and
-    ``edge_type`` one of the ``EDGE_TYPES`` rows, so
-    ``autodiff.message_layer`` reads them unchecked; and that ``element``,
-    ``chirality`` and ``hybridization`` name rows of their embedding
-    tables. Those three become read-only, and ``ids`` holds them as
-    ``autodiff.Ids`` that ``autodiff.embed`` reads unchecked.
-    """
-
-    element: np.ndarray
-    chirality: np.ndarray
-    hybridization: np.ndarray
-    own: None = field(default=None, init=False, repr=False)
-    ids: tuple[ad.Ids, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        atoms = len(self.element)
-        for name, bound in (("src", atoms), ("dst", atoms), ("edge_type", EDGE_TYPES)):
-            ids = getattr(self, name)
-            if ids.shape != self.src.shape:
-                raise ValueError(f"{name} has shape {ids.shape}, src {self.src.shape}")
-            if ad.beyond(ids, bound):
-                raise IndexError(f"{name} out of range [0, {bound})")
-        features = []
-        for name, bound in _ATOM_FEATURES:
-            ids = ad.Ids(getattr(self, name), bound, name)
-            if ids.array.shape != (atoms,):
-                raise ValueError(f"{name} has shape {ids.array.shape}, element ({atoms},)")
-            object.__setattr__(self, name, ids.array)
-            features.append(ids)
-        object.__setattr__(self, "ids", tuple(features))
 
 
 def _atom_features(graph: MolecularGraph) -> list[tuple[int, int, int]]:
@@ -281,21 +242,6 @@ def _edge_type(bond) -> int:
     return _EDGE_TYPE[bond.bond_type, bond.direction]
 
 
-def graph_index(graph: MolecularGraph) -> GraphIndex:
-    """Edge and embedding-id arrays of a graph whose hybridization has been
-    inferred, one row per atom; an uninferred atom raises ValueError. The
-    edges into each atom run in bond order (``molgraph.edges_into``):
-    ``_layer_index`` of one class per atom, each keyed by its own pairs."""
-    features = _atom_features(graph)
-    into = edges_into(graph, _edge_type)
-    n = len(into)
-    edges = _layer_index([(atom, *[kind * n + u for kind, u in pairs])
-                          for atom, pairs in enumerate(into)], n, n)
-    element, chirality, hybridization = np.array(features, dtype=np.intp).reshape(n, 3).T
-    return GraphIndex(src=edges.src, dst=edges.dst, edge_type=edges.edge_type,
-                      element=element, chirality=chirality, hybridization=hybridization)
-
-
 @dataclass(frozen=True, eq=False)
 class Levels:
     """The rows an encoder of depth L runs on: the embedding ids of level
@@ -306,12 +252,6 @@ class Levels:
     ids: tuple[ad.Ids, ...]
     layers: tuple[LayerIndex, ...]
     atom_row: ad.Ids
-
-    @classmethod
-    def per_atom(cls, index: GraphIndex, depth: int) -> "Levels":
-        """One row per atom at every level: every layer reads ``index``."""
-        atoms = len(index.element)
-        return cls(index.ids, (index,) * depth, ad.Ids(np.arange(atoms), atoms, "row"))
 
 
 def _layer_index(classes: list[tuple[int, ...]], atoms: int, below: int) -> LayerIndex:
@@ -328,16 +268,6 @@ def _layer_index(classes: list[tuple[int, ...]], atoms: int, below: int) -> Laye
     return LayerIndex(src, dst, edge_type, own)
 
 
-class _Level(NamedTuple):
-    """Level k of a molecule's encoder rows: each atom's row, the class of
-    k rounds of refinement it belongs to (``atom_row``, bounded by the
-    number of rows), and what the level's layer reads (``index``: level
-    0's embedding ids, a level above it the ``LayerIndex`` of layer k)."""
-
-    atom_row: ad.Ids
-    index: tuple[ad.Ids, ...] | LayerIndex
-
-
 @dataclass(eq=False)
 class Molecule:
     """A parsed structure with everything the model needs precomputed.
@@ -352,46 +282,38 @@ class Molecule:
     classes: EquivalenceClasses
     units: list[CHUnit]
     heads: "HeadRows" = field(init=False)
-    _levels: list[_Level] = field(default_factory=list, init=False, repr=False)
+    _levels: dict[int, Levels] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.heads = HeadRows.of(self, [u.carbon_index for u in self.units if u.is_representative])
 
     def levels(self, depth: int) -> Levels:
-        """The rows an encoder of ``depth`` layers runs on. Level k has one
-        row per class of k rounds of ``molgraph.refinement``, seeded with
-        element, chirality and hybridization and keyed by edge type with
-        direction, in the order of their labels. The levels depend on k
-        alone, so one list serves every depth: it grows on first request,
-        each level built once, and the levels past the fixed point are the
-        last level again."""
-        levels = self._levels
-        if len(levels) <= depth:
-            self._extend(depth)
-        return Levels(levels[0].index, tuple(level.index for level in levels[1:depth + 1]),
-                      levels[depth].atom_row)
+        """The rows an encoder of ``depth`` layers runs on, built on the
+        first request for ``depth`` (``_build_levels``) and kept for the
+        next."""
+        levels = self._levels.get(depth)
+        if levels is None:
+            levels = self._levels[depth] = _build_levels(self.graph, depth)
+        return levels
 
-    def _extend(self, depth: int) -> None:
-        levels = self._levels
-        if len(levels) > 1 and levels[-1].atom_row.bound == levels[-2].atom_row.bound:
-            # refinement split nothing: every level above is the last one again
-            levels.extend([levels[-1]] * (depth + 1 - len(levels)))
-            return
-        into = edges_into(self.graph, _edge_type)
-        if levels:  # refine on from the last level, whose classes its labels are
-            rounds = islice(refinement(levels[-1].atom_row.array.tolist(), into), 1, None)
-        else:
-            rounds = refinement(_atom_features(self.graph), into)
-        for labels, classes in islice(rounds, depth + 1 - len(levels)):
-            if levels:
-                index = _layer_index(classes, len(labels), levels[-1].atom_row.bound)
-            else:  # the distinct feature rows, as subsets of checked table rows
-                index = tuple(rows.take(ids) for rows, ids in zip(
-                    _FEATURE_ROWS, np.array(classes, dtype=np.intp).reshape(len(classes), 3).T))
-            levels.append(_Level(ad.Ids(labels, len(classes), "row"), index))
-        # if a round split nothing before ``depth``, every level above it is
-        # the last one again
-        levels.extend([levels[-1]] * (depth + 1 - len(levels)))
+
+def _build_levels(graph: MolecularGraph, depth: int) -> Levels:
+    """Levels 0..``depth`` of ``graph``, from one pass of
+    ``molgraph.refinement`` seeded with element, chirality and
+    hybridization and keyed by edge type with direction: level k has one
+    row per class of k rounds, in the order of their labels. Past
+    refinement's fixed point every layer is the last one again."""
+    rounds = refinement(_atom_features(graph), edges_into(graph, _edge_type))
+    labels, classes = next(rounds)
+    # the distinct feature rows, as subsets of checked table rows
+    ids = tuple(rows.take(column) for rows, column in zip(
+        _FEATURE_ROWS, np.array(classes, dtype=np.intp).reshape(len(classes), 3).T))
+    layers = []
+    for labels, above in islice(rounds, depth):
+        layers.append(_layer_index(above, len(labels), len(classes)))
+        classes = above
+    layers += layers[-1:] * (depth - len(layers))
+    return Levels(ids, tuple(layers), ad.Ids(labels, len(classes), "row"))
 
 
 def prepare_molecule(source: str | MolecularGraph) -> Molecule:
@@ -613,8 +535,7 @@ class CrossPeakModel:
         """Node embeddings of layers 0..L, each a (rows, atom_dim) batch
         with one row per row of its level; hydrogens are nodes. A
         molecule's ``Molecule.levels`` give layer k one row per class of k
-        rounds of refinement, and ``Levels.per_atom`` of a ``graph_index``
-        one row per atom at every level.
+        rounds of refinement.
 
         Level 0's rows and the edge-type table are one ``autodiff.embed``
         op each, and each layer is one ``autodiff.message_layer`` op, its

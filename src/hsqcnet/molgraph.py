@@ -15,10 +15,11 @@ from enum import Enum
 from .elements import ATOMIC_MASS
 
 
-# Atom and bond enums key dicts on hot paths (``model.graph_index`` looks one
-# up per atom and per bond). Members are singletons and Enum equality is
-# identity, so each hashes by identity, in C, not by ``Enum.__hash__``'s
-# Python-level hash of the member name.
+# Atom and bond enums key dicts on hot paths (the level build's
+# ``model._atom_features`` and ``model._edge_type`` look one up per atom and
+# per bond). Members are singletons and Enum equality is identity, so each
+# hashes by identity, in C, not by ``Enum.__hash__``'s Python-level hash of
+# the member name.
 class Chirality(Enum):
     NONE = "none"
     CLOCKWISE = "clockwise"

@@ -12,9 +12,11 @@ textbook order it replaced), the affine and relu ops that ``mlp_head`` and
 per-edge message map that the factored one replaced, the heads with their
 joined input, the per-carbon C-H walk and the hand-built reads of
 pseudo-labels that ``ShiftReads.at`` replaced, the canonical writer's
-tetrahedral parity by cycle sorting, and a molecule encoded one row per
-atom at every level, as before the encoder ran on classes of atoms; and a
-checkpoint header rewriter with the malformed headers it is given."""
+tetrahedral parity by cycle sorting, and the encoder's levels with one
+row per atom at every level (``atom_levels``, built from ``model``'s own
+level parts), the reference that the encode by classes of atoms is
+checked against; and a checkpoint header rewriter with the malformed
+headers it is given."""
 
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ from hsqcnet.assign import (
     shift_cost,
 )
 from hsqcnet.model import (
-    SOLVENT_INDEX, GraphIndex, HeadRows, Levels, Molecule, ProtonReads, ShiftReads,
-    _atom_features, _edge_type, graph_index,
+    _FEATURE_ROWS, SOLVENT_INDEX, HeadRows, Levels, Molecule, ProtonReads, ShiftReads,
+    _atom_features, _edge_type, _layer_index,
 )
 from hsqcnet.molgraph import (
     BondDirection,
@@ -446,17 +448,19 @@ def reference_mlp_head(parts, w1, b1, w2, b2, w3, b3):
     return reference_affine(h2, w3, b3)
 
 
-def reference_encode(model, index) -> list:
+def reference_encode(model, levels: Levels) -> list:
     """The per-edge message map the factored one replaced: every layer maps
     each directed edge's source row and edge features, read as one
     (edges, 2 * atom_dim) input, by the whole ``msg.w``. Node embeddings of
-    layers 0..L, on the active record."""
+    layers 0..L of one-row-per-atom ``levels`` (``atom_levels``), on the
+    active record."""
     p = model.params
-    n = len(index.element)
+    index = levels.layers[0]  # every layer's
+    n = levels.atom_row.bound
     bond, direction = np.divmod(index.edge_type, len(BondDirection))
 
     h = reference_embed([p["embed.element"], p["embed.chirality"], p["embed.hybridization"]],
-                        [index.element, index.chirality, index.hybridization])
+                        [ids.array for ids in levels.ids])
     edge = reference_embed([p["embed.bond_type"], p["embed.direction"]], [bond, direction])
     layers = [h]
     for layer in range(1, model.config.num_layers + 1):
@@ -469,38 +473,53 @@ def reference_encode(model, index) -> list:
     return layers
 
 
-def class_ordered_index(graph: MolecularGraph) -> GraphIndex:
-    """``graph_index`` with each atom's edges sorted by edge type, then by
+def atom_levels(graph: MolecularGraph, depth: int, order=None) -> Levels:
+    """The ``Levels`` of ``graph`` with one row per atom at every level, as
+    before the encoder ran on classes of atoms: every layer reads
+    ``_layer_index`` of one class per atom, keyed by its own pairs. Each
+    atom's edges run in bond order (``molgraph.edges_into``), or sorted by
+    edge type and then by ``order[source]``; an uninferred atom raises
+    ValueError (``_atom_features``)."""
+    features = _atom_features(graph)
+    into = edges_into(graph, _edge_type)
+    if order is not None:
+        into = [sorted(pairs, key=lambda pair: (pair[0], order[pair[1]])) for pairs in into]
+    n = len(into)
+    layer = _layer_index([(atom, *[kind * n + u for kind, u in pairs])
+                          for atom, pairs in enumerate(into)], n, n)
+    ids = tuple(rows.take(column) for rows, column in
+                zip(_FEATURE_ROWS, np.array(features, dtype=np.intp).reshape(n, 3).T))
+    return Levels(ids, (layer,) * depth, ad.Ids(np.arange(n), n, "row"))
+
+
+def class_ordered_levels(graph: MolecularGraph, depth: int) -> Levels:
+    """``atom_levels`` with each atom's edges sorted by edge type, then by
     the source's class at the fixed point of the encoder's refinement. Each
     round's classes coarsen the fixed point's in label order, so at every
     level an atom sums its messages in the order the row of its class
     does, and an encode by classes can match this one bit for bit."""
-    index = graph_index(graph)
     *_, (finest, _) = refinement(_atom_features(graph), edges_into(graph, _edge_type))
-    order = np.lexsort((np.array(finest)[index.src], index.edge_type, index.dst))
-    return GraphIndex(src=index.src[order], dst=index.dst[order],
-                      edge_type=index.edge_type[order], element=index.element,
-                      chirality=index.chirality, hybridization=index.hybridization)
+    return atom_levels(graph, depth, finest)
 
 
 class _AtomLevel(Molecule):
     """A molecule whose encoder runs one row per atom at every level."""
 
     def levels(self, depth: int) -> Levels:
-        return Levels.per_atom(class_ordered_index(self.graph), depth)
+        return class_ordered_levels(self.graph, depth)
 
 
 def atom_level(molecule):
     """``molecule`` with one encoder row per atom at every level, as before
     the encoder ran on classes of atoms, each atom's edges in class order
-    (``class_ordered_index``)."""
+    (``class_ordered_levels``)."""
     return _AtomLevel(molecule.smiles, molecule.graph, molecule.classes, molecule.units)
 
 
 def encode_per_atom(model, graph: MolecularGraph) -> list:
     """``model``'s encode of ``graph`` with one row per atom at every
-    level, each atom's edges in bond order (``graph_index``)."""
-    return model.encode_atoms(Levels.per_atom(graph_index(graph), model.config.num_layers))
+    level, each atom's edges in bond order (``atom_levels``)."""
+    return model.encode_atoms(atom_levels(graph, model.config.num_layers))
 
 
 def reference_heads(model, molecule, solvent, carbons) -> tuple[np.ndarray, np.ndarray]:

@@ -23,10 +23,9 @@ from hsqcnet.autodiff import (
 from hsqcnet.model import (
     EDGE_TYPES,
     CrossPeakModel,
-    GraphIndex,
+    LayerIndex,
     ModelConfig,
     SolventClass,
-    graph_index,
     prepare_molecule,
 )
 from helpers import (
@@ -134,10 +133,9 @@ def test_embed_rejects_bad_indices_and_shapes():
 
 # atoms 0-2 joined by five directed edges, atom 0 the source of three;
 # atom 3 has no edges; edge types 0, 5, 5, 2, 7 of the twelve rows
-SMALL_GRAPH = GraphIndex(
+SMALL_GRAPH = LayerIndex(
     src=np.array([0, 0, 1, 2, 0]), dst=np.array([1, 2, 0, 0, 1]),
-    element=np.zeros(4, np.intp), chirality=np.zeros(4, np.intp),
-    hybridization=np.zeros(4, np.intp), edge_type=np.array([0, 5, 5, 2, 7]),
+    edge_type=np.array([0, 5, 5, 2, 7]), own=None,
 )
 
 
@@ -300,12 +298,23 @@ def test_ids_are_checked_once_and_read_by_their_bound():
         ad.Ids([0, 5], 5, "element")
     with pytest.raises(IndexError, match=r"\[0, 5\)"):
         ad.Ids([-1], 5)  # no silent wrap-around
+    # any integer width is read as intp: int32 ids in range, -1 and the bound
+    assert ad.Ids(np.array([0, 4], np.int32), 5).array.dtype == np.intp
+    for bad in (-1, 5):
+        with pytest.raises(IndexError, match=r"\[0, 5\)"):
+            ad.Ids(np.array([0, bad], np.int32), 5)
     source = np.array([0, 2])
     ids = ad.Ids(source, 3)
     source[0] = -1  # a copy, read-only: the checked values cannot change
     assert ids.array.tolist() == [0, 2] and not ids.array.flags.writeable
     table = p(np.arange(6.0).reshape(3, 2), "t")
     assert np.array_equal(ad.gather(table, ids).values, [[0.0, 1.0], [4.0, 5.0]])
+    # a plain int32 array gets the same pass over its values
+    assert np.array_equal(ad.gather(table, np.array([0, 2], np.int32)).values,
+                          [[0.0, 1.0], [4.0, 5.0]])
+    for bad in (-1, 3):
+        with pytest.raises(IndexError, match=r"\[0, 3\)"):
+            ad.gather(table, np.array([0, bad], np.int32))
     assert np.array_equal(ad.gather(table, (ids, ad.Ids([1, 0], 2))).values, [1.0, 4.0])
     assert np.array_equal(ad.embed([table], [ids]).values, [[0.0, 1.0], [4.0, 5.0]])
     assert np.array_equal(ad.segment_sum(Tensor(np.ones((2, 1))), ids, 3).values,
@@ -527,7 +536,7 @@ def test_one_atom_molecule_backward():
     model = CrossPeakModel(ModelConfig(num_layers=2, atom_dim=8, solvent_dim_h=4,
                                        mlp_hidden=(6, 5), seed=1))
     molecule = prepare_molecule("[C]")
-    assert graph_index(molecule.graph).src.size == 0
+    assert all(layer.src.size == 0 for layer in molecule.levels(2).layers)
     with ComputeRecord() as rec:
         c_out, _ = model.atom_shift_tensors(molecule, SolventClass.DMSO, [0], [])
         loss = ad.mean_abs_error([c_out], [5.0])

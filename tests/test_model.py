@@ -9,29 +9,27 @@ from hypothesis import example, given, settings
 from hsqcnet import autodiff as ad
 from hsqcnet import model as model_module
 from hsqcnet.assign import ObservedPeak, pseudo_annotate
-from hsqcnet.elements import SYMBOL_INDEX
 from hsqcnet.model import (
-    EDGE_TYPES,
     CrossPeakModel,
-    GraphIndex,
     HeadRows,
-    Levels,
     ModelConfig,
+    Molecule,
     ProtonReads,
     SolventClass,
     _parameter_shapes,
     count_parameters,
-    graph_index,
     prepare_molecule,
 )
 from hsqcnet.molgraph import (
-    AtomSpec, BondSpec, BondType, Chirality, Hybridization, MolecularGraph, relabel_atoms,
+    AtomSpec, BondSpec, BondType, MolecularGraph, canonical_equivalence_classes,
+    enumerate_ch_units, relabel_atoms,
 )
 from hsqcnet.smiles import parse_smiles
 from hsqcnet.train import LabelTarget, Sample1D, SampleHSQC, TrainConfig, _loss, mtt_pretrain
 from helpers import (
     atom_level,
-    class_ordered_index,
+    atom_levels,
+    class_ordered_levels,
     encode_per_atom,
     reference_ch_bonds,
     reference_edge_arrays,
@@ -133,8 +131,10 @@ def test_uninferred_hybridization_rejected(tiny_config):
     from hsqcnet.molgraph import add_explicit_hydrogens
 
     graph = add_explicit_hydrogens(parse_smiles("C"))  # no inference step
+    classes = canonical_equivalence_classes(graph)
+    molecule = Molecule("C", graph, classes, enumerate_ch_units(graph, classes))
     with pytest.raises(ValueError, match="hybridization"):
-        graph_index(graph)
+        molecule.levels(1)
 
 
 def test_permutation_equivariance_embeddings(tiny_config):
@@ -299,13 +299,13 @@ def _relative(got, want):
 def test_factored_message_map_matches_per_edge_reference(smiles):
     config = ModelConfig(num_layers=3, atom_dim=16, solvent_dim_h=4, mlp_hidden=(6, 5), seed=9)
     model = CrossPeakModel(config)
-    index = graph_index(prepare_molecule(smiles).graph)
+    levels = atom_levels(prepare_molecule(smiles).graph, config.num_layers)
     rng = np.random.default_rng(13)
 
     def run(encode, targets=None):
         ad.zero_gradients(model.parameters())
         with ad.ComputeRecord() as rec:
-            layers = encode(model, index)
+            layers = encode(model, levels)
             if targets is None:  # every residual at least 0.5 from its kink
                 values = np.concatenate([t.values.reshape(-1) for t in layers])
                 targets = values + rng.choice([-1.0, 1.0], values.size) * rng.uniform(
@@ -315,15 +315,13 @@ def test_factored_message_map_matches_per_edge_reference(smiles):
         return [t.values for t in layers], grads, targets
 
     want_layers, want_grads, targets = run(reference_encode)
-    got_layers, got_grads, _ = run(
-        lambda model, index: model.encode_atoms(Levels.per_atom(index, config.num_layers)),
-        targets)
+    got_layers, got_grads, _ = run(CrossPeakModel.encode_atoms, targets)
     for got, want in zip(got_layers, want_layers, strict=True):
         assert _relative(got, want) <= 1e-12
     for name, want in want_grads.items():
         assert _relative(got_grads[name], want) <= 1e-10, name
     d = config.atom_dim
-    has_edges = index.src.size > 0
+    has_edges = levels.layers[0].src.size > 0
     for layer in range(1, config.num_layers + 1):
         w = got_grads[f"layer{layer}.msg.w"]
         assert w[:, :d].any() == has_edges and w[:, d:].any() == has_edges
@@ -375,48 +373,6 @@ def test_shared_molecule_serves_models_of_two_widths():
         assert {width for _, width in layer._slots} == {16, 64}
 
 
-@pytest.mark.parametrize("field", ["src", "dst", "edge_type"])
-@pytest.mark.parametrize("bad", [-1, "bound"])
-def test_graph_index_rejects_out_of_range_edges(field, bad):
-    index = graph_index(prepare_molecule("CCO").graph)
-    arrays = {name: getattr(index, name).copy() for name in
-              ("src", "dst", "element", "chirality", "hybridization", "edge_type")}
-    bound = EDGE_TYPES if field == "edge_type" else len(index.element)
-    arrays[field][1] = bound if bad == "bound" else bad
-    with pytest.raises(IndexError, match=field):
-        GraphIndex(**arrays)
-
-
-@pytest.mark.parametrize("field, bound", [("element", len(SYMBOL_INDEX)),
-                                          ("chirality", len(Chirality)),
-                                          ("hybridization", len(Hybridization))])
-@pytest.mark.parametrize("bad", [-1, "bound"])
-def test_graph_index_rejects_out_of_range_atom_ids(field, bound, bad):
-    # checked once where the index is built, no longer by every embed call
-    index = graph_index(prepare_molecule("CCO").graph)
-    assert all(not ids.array.flags.writeable for ids in index.ids)
-    assert not getattr(index, field).flags.writeable
-    arrays = {name: getattr(index, name).copy() for name in
-              ("src", "dst", "element", "chirality", "hybridization", "edge_type")}
-    arrays[field][1] = bound if bad == "bound" else bad
-    with pytest.raises(IndexError, match=rf"{field} out of range \[0, {bound}\)"):
-        GraphIndex(**arrays)
-
-
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
-def test_graph_index_checks_arrays_of_any_integer_width(dtype):
-    index = graph_index(prepare_molecule("CCO").graph)
-    arrays = {name: getattr(index, name).astype(dtype) for name in
-              ("src", "dst", "element", "chirality", "hybridization", "edge_type")}
-    built = GraphIndex(**arrays)
-    assert all(np.array_equal(getattr(built, name), want) for name, want in arrays.items())
-    for name, bad in (("src", -1), ("edge_type", EDGE_TYPES), ("element", -1)):
-        broken = dict(arrays, **{name: arrays[name].copy()})
-        broken[name][0] = bad
-        with pytest.raises(IndexError, match=name):
-            GraphIndex(**broken)
-
-
 def _lifting_corpus(parser_corpus, large_smiles, data_dir) -> list[str]:
     """The parser corpus, the toy sets and the benchmark's large molecules."""
     toy = [json.loads(line)["smiles"] for name in ("toy_1d", "toy_hsqc", "toy_expert")
@@ -446,7 +402,7 @@ def _assert_lifted_encode_matches_atom_level(depth, molecules) -> tuple[int, int
     bitwise = reordered = 0
     for smiles in molecules:
         molecule = prepare_molecule(smiles)
-        flat = model.encode_atoms(Levels.per_atom(class_ordered_index(molecule.graph), depth))
+        flat = model.encode_atoms(class_ordered_levels(molecule.graph, depth))
         got_layers = model.encode_atoms(molecule.levels(depth))
         for level, (got, want) in enumerate(zip(got_layers, flat, strict=True)):
             got = got.values[molecule.levels(level).atom_row.array]
@@ -496,12 +452,13 @@ def test_rows_hold_the_atom_level_edges_into_the_representatives(parser_corpus, 
     # (None where the level split nothing)
     for smiles in _lifting_corpus(parser_corpus, large_smiles, data_dir):
         molecule = prepare_molecule(smiles)
-        index = graph_index(molecule.graph)
+        flat = atom_levels(molecule.graph, 1)
+        index = flat.layers[0]
         levels = molecule.levels(5)
         maps = [molecule.levels(k).atom_row.array for k in range(6)]
         reps = np.unique(maps[0], return_index=True)[1]  # each row's lowest atom
-        for ids, name in zip(levels.ids, ("element", "chirality", "hybridization")):
-            assert ids.array.tolist() == getattr(index, name)[reps].tolist(), smiles
+        for ids, atom_ids in zip(levels.ids, flat.ids, strict=True):
+            assert ids.array.tolist() == atom_ids.array[reps].tolist(), smiles
         for layer, below, above in zip(levels.layers, maps, maps[1:]):
             rows = int(above.max()) + 1
             edges = [sorted(zip(layer.edge_type[layer.dst == row].tolist(),
@@ -608,7 +565,7 @@ def test_each_encoder_layer_adds_one_tape_step():
 
 
 def _assert_edges_match_walk(graph):
-    index = graph_index(graph)
+    index = atom_levels(graph, 1).layers[0]
     src, dst, types = reference_edge_arrays(graph)
     for name, want in (("src", src), ("dst", dst), ("edge_type", types)):
         got = getattr(index, name)
@@ -696,23 +653,6 @@ def test_carbon_keeps_its_hydrogens_in_adjacency_order():
     assert _ch_bonds(molecule, [2]) == ([2, 2, 2, 2], [1, 0, 3, 4])
 
 
-def test_a_1d_sample_of_a_lifted_molecule_builds_no_atom_level_index(monkeypatch):
-    molecule = prepare_molecule("Cc1ccc(C)cc1")  # p-xylene
-    assert molecule.levels(5).atom_row.bound < len(molecule.graph.atoms)
-    built = []
-    original = GraphIndex.__post_init__
-
-    def counted(index):
-        built.append(len(index.element))
-        original(index)
-
-    monkeypatch.setattr(GraphIndex, "__post_init__", counted)
-    hydrogens = [h for u in molecule.units for h in u.hydrogen_indices]
-    Sample1D(molecule, SolventClass.CHLOROFORM, {0: 21.0, 1: 134.8},
-             {hydrogens[0]: 2.3, hydrogens[-1]: 7.0})
-    assert built == []
-
-
 def _count_level_builds(monkeypatch) -> list[int]:
     """Wraps the level builder's ``_layer_index`` to record the rows of
     every layer index it builds, in order."""
@@ -727,11 +667,21 @@ def _count_level_builds(monkeypatch) -> list[int]:
     return built
 
 
+def test_a_1d_sample_of_a_lifted_molecule_builds_no_atom_level_index(monkeypatch):
+    molecule = prepare_molecule("Cc1ccc(C)cc1")  # p-xylene
+    assert molecule.levels(5).atom_row.bound < len(molecule.graph.atoms)
+    built = _count_level_builds(monkeypatch)
+    hydrogens = [h for u in molecule.units for h in u.hydrogen_indices]
+    Sample1D(molecule, SolventClass.CHLOROFORM, {0: 21.0, 1: 134.8},
+             {hydrogens[0]: 2.3, hydrogens[-1]: 7.0})
+    assert built == []
+
+
 def test_prepare_and_a_second_prediction_build_no_encoder_index(monkeypatch):
     built = _count_level_builds(monkeypatch)
     model = CrossPeakModel(ModelConfig(seed=5))
     molecule = prepare_molecule("CC(=O)OCc1ccccc1")
-    assert built == [] and molecule._levels == []
+    assert built == [] and molecule._levels == {}
     model.predict_cross_peaks(molecule, SolventClass.DMSO)
     first = list(built)
     assert first  # the first forward pass builds the levels
@@ -740,22 +690,49 @@ def test_prepare_and_a_second_prediction_build_no_encoder_index(monkeypatch):
     assert built == first
 
 
+def _layer_values(layer) -> tuple:
+    """A layer index's arrays as lists, to compare two indexes by value."""
+    own = None if layer.own is None else layer.own.tolist()
+    return layer.src.tolist(), layer.dst.tolist(), layer.edge_type.tolist(), own
+
+
 def test_one_molecule_serves_a_shallow_and_then_a_deep_model(monkeypatch):
-    # the levels depend on k alone: a depth-5 model refines on from the
-    # levels a depth-2 model built, and each level is built once
+    # each depth builds its levels once, in one pass of refinement, and
+    # keeps them: a second forward pass at that depth builds nothing
     built = _count_level_builds(monkeypatch)
     smiles = "CCCCCCCCCC"  # decane: each of five rounds splits a class
     shared = prepare_molecule(smiles)
     for depth, layers_built in ((2, [3, 5]), (5, [3, 5, 7, 9, 10])):
         model = CrossPeakModel(ModelConfig(num_layers=depth, seed=depth))
+        del built[:]
         peaks = _peaks(model, shared)
         assert built == layers_built
+        assert _peaks(model, shared) == peaks and built == layers_built
         _assert_peaks_match_atom_level(model, shared, smiles)
         assert peaks == _peaks(model, prepare_molecule(smiles))
-        del built[len(layers_built):]  # the atom-level index's and the fresh molecule's
     shallow, deep = shared.levels(2), shared.levels(5)
-    assert deep.layers[:2] == shallow.layers  # the same objects
+    assert list(map(_layer_values, shallow.layers)) == list(map(_layer_values, deep.layers[:2]))
     assert [level.atom_row.bound for level in map(shared.levels, range(6))] == [2, 3, 5, 7, 9, 10]
+
+
+@given(smiles_strings())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_levels_of_each_depth_equal_the_first_levels_of_a_deep_build(smiles):
+    # each depth refines from the seeds in a pass of its own, and a deeper
+    # build starts with the same levels, by value
+    shallow, deep = prepare_molecule(smiles), prepare_molecule(smiles).levels(45)
+    rows = [deep.atom_row.array]  # each atom's row, read down level by level
+    for layer in reversed(deep.layers):
+        rows.insert(0, rows[0] if layer.own is None else layer.own[rows[0]])
+    for depth in range(1, 6):
+        levels = shallow.levels(depth)
+        assert not any(ids.array.flags.writeable for ids in (*levels.ids, levels.atom_row))
+        assert ([(ids.array.tolist(), ids.bound) for ids in levels.ids]
+                == [(ids.array.tolist(), ids.bound) for ids in deep.ids])
+        assert list(map(_layer_values, levels.layers)) == list(map(_layer_values,
+                                                                   deep.layers[:depth]))
+        assert levels.atom_row.array.tolist() == rows[depth].tolist()
+        assert levels.atom_row.bound == int(rows[depth].max()) + 1
 
 
 def test_molecules_indexes_and_proton_reads_compare_by_identity():
@@ -763,7 +740,7 @@ def test_molecules_indexes_and_proton_reads_compare_by_identity():
     a, b = prepare_molecule("CCO"), prepare_molecule("CCO")
     reads = [ProtonReads.of([0, 1], [1, 2], [False, True]) for _ in range(2)]
     for x, y in ((a, b), (a.levels(5), b.levels(5)), (a.levels(5).layers[0], b.levels(5).layers[0]),
-                 (graph_index(a.graph), graph_index(a.graph)), reads):
+                 reads):
         assert x == x and x != y
     sample = Sample1D(a, SolventClass.DMSO, {0: 18.0}, {})
     assert sample == Sample1D(a, SolventClass.DMSO, {0: 18.0}, {})
