@@ -129,11 +129,17 @@ def ingest_peaks(pairs) -> list[ObservedPeak]:
     return peaks
 
 
-def shift_cost(pred, obs, c_scale: float = DEFAULT_C_SCALE) -> float:
-    """|proton difference| + |carbon difference| / c_scale."""
+def _pair_cost(pred_h, pred_c, obs_h, obs_c, c_scale):
+    """|proton difference| + |carbon difference| / c_scale, of numbers or
+    of arrays that broadcast: the one cost rule of the matchers."""
     if c_scale <= 0:
         raise ValueError("c_scale must be positive")
-    return abs(pred.delta_h - obs.delta_h) + abs(pred.delta_c - obs.delta_c) / c_scale
+    return abs(pred_h - obs_h) + abs(pred_c - obs_c) / c_scale
+
+
+def shift_cost(pred, obs, c_scale: float = DEFAULT_C_SCALE) -> float:
+    """The cost of one (prediction, observation) pair."""
+    return _pair_cost(pred.delta_h, pred.delta_c, obs.delta_h, obs.delta_c, c_scale)
 
 
 def _shifts(peaks) -> tuple[np.ndarray, np.ndarray]:
@@ -144,14 +150,9 @@ def _shifts(peaks) -> tuple[np.ndarray, np.ndarray]:
 
 def cost_matrix(preds, observations, c_scale: float = DEFAULT_C_SCALE) -> np.ndarray:
     """``shift_cost`` of every (prediction, observation) pair."""
-    if c_scale <= 0:
-        raise ValueError("c_scale must be positive")
     pred_h, pred_c = _shifts(preds)
     obs_h, obs_c = _shifts(observations)
-    mat = (
-        np.abs(pred_h[:, None] - obs_h[None, :])
-        + np.abs(pred_c[:, None] - obs_c[None, :]) / c_scale
-    )
+    mat = _pair_cost(pred_h[:, None], pred_c[:, None], obs_h[None, :], obs_c[None, :], c_scale)
     if not np.all(np.isfinite(mat)):
         raise MatchingError("non-finite entries in cost matrix")
     return mat
@@ -430,17 +431,11 @@ def pseudo_annotate(
     Equal counts route through the exact matcher, anything else through
     graduated assignment. A molecule whose mean matched cost exceeds the
     rejection threshold is flagged (kept, but skipped by the next training
-    round). Empty observation lists skip the molecule with a warning.
+    round). An empty list of either skips the molecule with a warning.
     """
-    if not observations:
-        log.warning(
-            "skipping %s: no observed peaks", getattr(molecule, "smiles", "molecule")
-        )
-        return None
-    if not predictions:
-        log.warning(
-            "skipping %s: no predicted peaks", getattr(molecule, "smiles", "molecule")
-        )
+    if not observations or not predictions:
+        log.warning("skipping %s: no %s peaks", getattr(molecule, "smiles", "molecule"),
+                    "predicted" if observations else "observed")
         return None
     n, m = len(predictions), len(observations)
     if n == m:
@@ -450,19 +445,16 @@ def pseudo_annotate(
         provenance = "graduated"
         assignment = graduated_assignment(predictions, observations, settings)
     picked = [observations[j] for j in assignment.argmax(axis=1).tolist()]
-    pred_c = [p.delta_c for p in predictions]
-    pred_h = [p.delta_h for p in predictions]
-    obs_c = [o.delta_c for o in picked]
-    obs_h = [o.delta_h for o in picked]
-    # shift_cost's operations on every matched pair, added left to right as
-    # a running float would add them: np.sum adds pairwise
-    costs = (np.abs(np.subtract(pred_h, obs_h))
-             + np.abs(np.subtract(pred_c, obs_c)) / settings.c_scale)
+    pred_h, pred_c = _shifts(predictions)
+    obs_h, obs_c = _shifts(picked)
+    # the cost of every matched pair, added left to right as a running float
+    # would add them: np.sum adds pairwise
+    costs = _pair_cost(pred_h, pred_c, obs_h, obs_c, settings.c_scale)
     mean_cost = float(np.add.accumulate(costs)[-1]) / n
     entries = list(map(
         PseudoLabel, [p.ch_unit.carbon_index for p in predictions],
         [p.peak_slot for p in predictions], [o.index for o in picked],
-        obs_c, obs_h, pred_c, pred_h,
+        obs_c.tolist(), obs_h.tolist(), pred_c.tolist(), pred_h.tolist(),
     ))
     return PseudoLabels(
         entries=entries,

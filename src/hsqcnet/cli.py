@@ -141,8 +141,11 @@ def _read_peaks(spec: str):
     return ingest_peaks(parse_json(spec))
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=False))
+def _emit(obj, indent: int | None = 2) -> None:
+    """Print ``obj`` as strict JSON: a non-finite float (an empty bucket's
+    mean, an absent modality's MAE) prints as null, not as NaN."""
+    finite = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    print(json.dumps(finite, indent=indent, allow_nan=False), flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -286,7 +289,7 @@ def _train_command(args) -> int:
 
     def log_line(line: dict) -> None:
         if not quiet:
-            print(json.dumps(line), flush=True)
+            _emit(line, indent=None)
 
     dataset = load_dataset(args.data, "1d" if args.command == "pretrain" else "hsqc")
     if not dataset:

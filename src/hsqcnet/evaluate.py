@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assign import MatchSettings, ObservedPeak, pseudo_annotate, shift_cost
+from .assign import MatchSettings, MatchingError, ObservedPeak, pseudo_annotate, shift_cost
 from .model import (
     NAMED_SOLVENTS,
     CrossPeakModel,
@@ -245,7 +245,7 @@ def export_overlay(
     if fmt not in ("svg", "csv"):
         raise ValueError(f"format must be svg or csv, got {fmt!r}")
     if not predictions or not observations:
-        raise ValueError("need at least one predicted and one observed peak")
+        raise MatchingError("nothing to assign (no peaks)")
     match = match or MatchSettings()
     labels = pseudo_annotate(None, predictions, observations, match)
     # one entry per prediction, in prediction order

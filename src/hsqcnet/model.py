@@ -64,7 +64,6 @@ head rows of the representative units, built when the molecule is.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import islice
@@ -621,27 +620,12 @@ class CrossPeakModel:
                         delta_h.tolist(), slots.tolist()))
 
     def atom_shift_tensors(
-        self,
-        molecule: Molecule,
-        solvent: SolventClass,
-        need_c: Sequence[int] = (),
-        need_h: Sequence[int] = (),
-        *,
-        reads: ShiftReads | None = None,
+        self, molecule: Molecule, solvent: SolventClass, reads: ShiftReads
     ) -> tuple[Tensor, Tensor]:
-        """Raw outputs for 1D supervision from one head evaluation, in
-        argument order: the carbon outputs ``(len(need_c),)`` and the proton
-        outputs ``(len(need_h),)``, by the rules of ``ShiftReads``; a target
-        atom the model cannot cover raises ValueError.
-
-        ``reads`` replaces the two target lists with their
-        ``ShiftReads.of(molecule, need_c, need_h)``, built once by the caller
-        (a ``Sample1D`` keeps its own).
-        """
-        if reads is None:
-            reads = ShiftReads.of(molecule, need_c, need_h)
-        elif len(need_c) or len(need_h):
-            raise TypeError("give the target lists or their reads, not both")
+        """Raw outputs for 1D supervision from one head evaluation: the
+        carbon and the proton outputs that ``reads`` names, in its target
+        order (``ShiftReads.of`` builds them from target lists; a
+        ``Sample1D`` keeps its own)."""
         raw_c, raw_h = self.head_outputs(molecule, solvent, reads.heads)
         return ad.gather(raw_c, reads.carbon), reads.protons.outputs(raw_h)
 

@@ -164,7 +164,7 @@ def masked_mtt_loss(sample: Sample1D | LabelTarget, predictions: tuple[Tensor, T
 
 def _loss(model: CrossPeakModel, item: Sample1D | LabelTarget) -> Tensor:
     """The training loss of a ``Sample1D`` or a ``LabelTarget``."""
-    outputs = model.atom_shift_tensors(item.molecule, item.solvent, reads=item.reads)
+    outputs = model.atom_shift_tensors(item.molecule, item.solvent, item.reads)
     return masked_mtt_loss(item, outputs)
 
 
@@ -173,8 +173,7 @@ def dataset_mae(model: CrossPeakModel, dataset: list[Sample1D]) -> tuple[float, 
     c_err: list[float] = []
     h_err: list[float] = []
     for sample in dataset:
-        raw_c, raw_h = model.atom_shift_tensors(sample.molecule, sample.solvent,
-                                                reads=sample.reads)
+        raw_c, raw_h = model.atom_shift_tensors(sample.molecule, sample.solvent, sample.reads)
         c_err.extend(np.abs(model.ppm_c(raw_c.values) - sample.c_ppm))
         h_err.extend(np.abs(model.ppm_h(raw_h.values) - sample.h_ppm))
     return _mae(c_err), _mae(h_err)

@@ -64,9 +64,7 @@ def test_criterion_01_gradient_check(desk_config):
     sample = Sample1D(molecule, solvent, targets_c, targets_h)
 
     def loss() -> ad.Tensor:
-        preds = model.atom_shift_tensors(
-            molecule, solvent, sorted(targets_c), sorted(targets_h)
-        )
+        preds = model.atom_shift_tensors(molecule, solvent, sample.reads)
         return masked_mtt_loss(sample, preds)
 
     def loss_value() -> float:
@@ -294,9 +292,7 @@ def test_criterion_08_masked_loss_exactness(desk_config):
     ad.zero_gradients(model.parameters())
     for sample in carbon_batch:
         with ad.ComputeRecord() as record:
-            preds = model.atom_shift_tensors(
-                sample.molecule, sample.solvent,
-                sorted(sample.c_targets), sorted(sample.h_targets))
+            preds = model.atom_shift_tensors(sample.molecule, sample.solvent, sample.reads)
             loss = masked_mtt_loss(sample, preds)
         ad.backward(loss, record)
     for name, param in model.params.items():
@@ -305,9 +301,7 @@ def test_criterion_08_masked_loss_exactness(desk_config):
     ad.zero_gradients(model.parameters())
     for sample in (proton_only, proton_only):
         with ad.ComputeRecord() as record:
-            preds = model.atom_shift_tensors(
-                sample.molecule, sample.solvent,
-                sorted(sample.c_targets), sorted(sample.h_targets))
+            preds = model.atom_shift_tensors(sample.molecule, sample.solvent, sample.reads)
             loss = masked_mtt_loss(sample, preds)
         ad.backward(loss, record)
     for name, param in model.params.items():

@@ -68,6 +68,30 @@ def test_shift_cost_requires_positive_scale():
         shift_cost(FakePeak(1, 1), ObservedPeak(1, 1, 0), c_scale=0.0)
 
 
+# finite shifts whose differences, over any drawn c_scale, stay finite
+_SHIFTS = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@given(st.lists(st.tuples(_SHIFTS, _SHIFTS), min_size=1, max_size=4),
+       st.lists(st.tuples(_SHIFTS, _SHIFTS), min_size=1, max_size=4),
+       st.floats(1e-6, 1e6))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example([(0.1, 1e300)], [(-0.2, -1e300)], 1e-6)
+def test_cost_matrix_entries_are_shift_cost_bit_for_bit(preds, observed, c_scale):
+    preds = [FakePeak(c, h) for c, h in preds]
+    observed = [ObservedPeak(c, h, k) for k, (c, h) in enumerate(observed)]
+    got = cost_matrix(preds, observed, c_scale)
+    assert [[v.hex() for v in row] for row in got.tolist()] == [
+        [shift_cost(p, o, c_scale).hex() for o in observed] for p in preds]
+
+
+@pytest.mark.parametrize("big", [2**53, 10**30])
+def test_shift_cost_keeps_integer_arithmetic(big):
+    # as floats, big + 1 and big are one number; as integers they differ by 1
+    assert shift_cost(FakePeak(big + 1, 0), ObservedPeak(big, 0, 0)) == 0.1
+    assert shift_cost(FakePeak(0, big + 1), ObservedPeak(0, big, 0), c_scale=3.0) == 1
+
+
 def test_ingest_peaks_warns_but_keeps_out_of_range(caplog):
     with caplog.at_level(logging.WARNING):
         peaks = ingest_peaks([[300.0, 5.0], [100.0, 5.0]])
@@ -492,6 +516,15 @@ def test_pseudo_annotate_empty_observations_warns(caplog):
     with caplog.at_level(logging.WARNING):
         assert pseudo_annotate(FakeMol(), preds, []) is None
     assert "no observed peaks" in caplog.text
+
+
+def test_pseudo_annotate_empty_predictions_warns(caplog):
+    _, obs = make_peaks([(10.0, 1.0)])
+    with caplog.at_level(logging.WARNING):
+        assert pseudo_annotate(FakeMol(), [], obs) is None
+        assert pseudo_annotate(FakeMol(), [], []) is None  # observations are named first
+    assert caplog.messages == [f"skipping {FakeMol.smiles}: no predicted peaks",
+                               f"skipping {FakeMol.smiles}: no observed peaks"]
 
 
 def test_pseudo_annotate_rejection_flag():

@@ -25,6 +25,7 @@ from hsqcnet.model import (
     CrossPeakModel,
     LayerIndex,
     ModelConfig,
+    ShiftReads,
     SolventClass,
     prepare_molecule,
 )
@@ -538,7 +539,8 @@ def test_one_atom_molecule_backward():
     molecule = prepare_molecule("[C]")
     assert all(layer.src.size == 0 for layer in molecule.levels(2).layers)
     with ComputeRecord() as rec:
-        c_out, _ = model.atom_shift_tensors(molecule, SolventClass.DMSO, [0], [])
+        c_out, _ = model.atom_shift_tensors(molecule, SolventClass.DMSO,
+                                            ShiftReads.of(molecule, [0], []))
         loss = ad.mean_abs_error([c_out], [5.0])
     backward(loss, rec)
     grads = {name: p.grad for name, p in model.params.items()}

@@ -338,6 +338,62 @@ def test_eval_smoke(tiny_checkpoint):
     assert "mae_c" in report and "segments" in report
 
 
+def _strict_json(text):
+    """``json.loads`` that rejects the NaN and Infinity tokens RFC 8259 lacks."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_eval_output_is_strict_json(tiny_checkpoint, capsys):
+    # toy_expert has only small non-saccharides: three buckets are empty
+    code = cli.main(["--quiet", "eval", "--checkpoint", str(tiny_checkpoint),
+                     "--test", str(REPO / "data" / "toy_expert.jsonl")])
+    assert code == 0
+    report = _strict_json(capsys.readouterr().out)
+    empty = [report["segments"][name] for name in ("medium", "large", "saccharide")]
+    assert all(bucket["count"] == 0 for bucket in empty)
+    assert [v for bucket in empty for k, v in bucket.items() if k != "count"] == [None] * 9
+
+
+def test_pretrain_progress_is_strict_json(tmp_path, capsys):
+    # carbon targets only: the proton MAE of every epoch is NaN
+    data = tmp_path / "carbons.jsonl"
+    data.write_text("\n".join(json.dumps({"smiles": smiles, "solvent": "CDCl3",
+                                          "c_shifts": shifts, "h_shifts": {}})
+                              for smiles, shifts in (("CC(=O)O", {"0": 20.8, "1": 178.1}),
+                                                     ("CC#N", {"0": 1.9, "1": 118.0}))))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "model": {"num_layers": 1, "atom_dim": 8, "solvent_dim_h": 4, "mlp_hidden": [6, 5]},
+        "train": {"epochs": 2, "batch_size": 2, "oversample_factor": 1,
+                  "validation_split": 0.0},
+    }))
+    code = cli.main(["--config", str(cfg), "pretrain", "--data", str(data),
+                     "--checkpoint-out", str(tmp_path / "model.ckpt")])
+    assert code == 0
+    *progress, wrote = capsys.readouterr().out.splitlines()
+    assert wrote.startswith("wrote ")
+    lines = [_strict_json(line) for line in progress]
+    assert [line["epoch"] for line in lines] == [0, 1]
+    assert all(line["mae_h"] is None and line["mae_c"] >= 0.0 for line in lines)
+
+
+@pytest.mark.parametrize("smiles, peaks", [("CCO", "[]"), ("O", "[[50.0, 3.3]]")],
+                         ids=["no observed peaks", "no C-H peaks"])
+def test_assign_and_export_fail_alike_on_an_empty_match(tiny_checkpoint, tmp_path, capsys,
+                                                       smiles, peaks):
+    outcomes = []
+    for extra in (["assign"], ["export", "--out", str(tmp_path / "x.svg")]):
+        code = cli.main(["--quiet", extra[0], smiles, "--checkpoint", str(tiny_checkpoint),
+                         "--peaks", peaks, *extra[1:]])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        outcomes.append((code, errors))
+    assert outcomes == [(3, ["error: nothing to assign (no peaks)"])] * 2
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_resume_with_changed_config_rejected(tmp_path):
     data = REPO / "data" / "toy_1d.jsonl"
     out = tmp_path / "model.ckpt"

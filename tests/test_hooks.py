@@ -14,7 +14,7 @@ import numpy as np
 
 from hsqcnet import assign, autodiff, dataio, model, train
 from hsqcnet.assign import MatchSettings, ObservedPeak
-from hsqcnet.model import CrossPeakModel, ModelConfig, SolventClass, prepare_molecule
+from hsqcnet.model import CrossPeakModel, ModelConfig, ShiftReads, SolventClass, prepare_molecule
 from hsqcnet.train import Sample1D, SampleHSQC, TrainConfig
 
 # by import path: the package attribute ``hsqcnet.evaluate`` is the function
@@ -58,7 +58,7 @@ def test_encode_atoms_reached_from_prediction_and_1d_targets(monkeypatch):
     molecule = prepare_molecule("CCO")
     net.predict_cross_peaks(molecule, SolventClass.DMSO)
     assert len(calls) == 1
-    net.atom_shift_tensors(molecule, SolventClass.DMSO, [0], [3])
+    net.atom_shift_tensors(molecule, SolventClass.DMSO, ShiftReads.of(molecule, [0], [3]))
     assert len(calls) == 2
 
 

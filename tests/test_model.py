@@ -15,6 +15,7 @@ from hsqcnet.model import (
     ModelConfig,
     Molecule,
     ProtonReads,
+    ShiftReads,
     SolventClass,
     _parameter_shapes,
     count_parameters,
@@ -625,7 +626,8 @@ def test_ch_bonds_and_proton_carbons_match_walks_on_drawn_smiles(smiles):
     _assert_ch_bonds_match_walk(molecule)
     graph = molecule.graph
     for hydrogen in sorted({h for u in molecule.units for h in u.hydrogen_indices}):
-        RECORDING.atom_shift_tensors(molecule, SolventClass.DMSO, [], [hydrogen])
+        RECORDING.atom_shift_tensors(molecule, SolventClass.DMSO,
+                                     ShiftReads.of(molecule, [], [hydrogen]))
         first = next(nb for nb in graph.adjacency[hydrogen] if graph.atoms[nb].element == "C")
         assert RECORDING.carbons == [first]
 
@@ -637,7 +639,8 @@ def test_ch_bonds_and_proton_carbons_match_walks_on_drawn_smiles(smiles):
 def test_proton_target_reads_the_first_carbon_in_its_adjacency(smiles, hydrogen, carbon, other):
     model = _RecordingModel(ModelConfig())
     molecule = atom_level(prepare_molecule(smiles))
-    _, protons = model.atom_shift_tensors(molecule, SolventClass.DMSO, [], [hydrogen])
+    _, protons = model.atom_shift_tensors(molecule, SolventClass.DMSO,
+                                          ShiftReads.of(molecule, [], [hydrogen]))
     assert model.carbons == [carbon]
 
     def slot_mean(c):
@@ -686,7 +689,7 @@ def test_prepare_and_a_second_prediction_build_no_encoder_index(monkeypatch):
     first = list(built)
     assert first  # the first forward pass builds the levels
     model.predict_cross_peaks(molecule, SolventClass.WATER)
-    model.atom_shift_tensors(molecule, SolventClass.DMSO, [0, 1], [])
+    model.atom_shift_tensors(molecule, SolventClass.DMSO, ShiftReads.of(molecule, [0, 1], []))
     assert built == first
 
 
@@ -768,8 +771,11 @@ def test_forward_passes_never_read_the_adjacency():
     peaks = model.predict_cross_peaks(plain, solvent)
     assert model.predict_cross_peaks(blind, solvent) == peaks
     need_c, need_h = [0, 1, 4, 5, 6], sorted({h for u in plain.units for h in u.hydrogen_indices})
-    for got, want in zip(model.atom_shift_tensors(blind, solvent, need_c, need_h),
-                         model.atom_shift_tensors(plain, solvent, need_c, need_h), strict=True):
+    for got, want in zip(
+        model.atom_shift_tensors(blind, solvent, ShiftReads.of(blind, need_c, need_h)),
+        model.atom_shift_tensors(plain, solvent, ShiftReads.of(plain, need_c, need_h)),
+        strict=True,
+    ):
         assert np.array_equal(got.values, want.values)
     observed = [ObservedPeak(p.delta_c + 1.0, p.delta_h - 0.1, k) for k, p in enumerate(peaks)]
     labels = pseudo_annotate(plain, peaks, observed)

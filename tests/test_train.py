@@ -13,8 +13,8 @@ from hsqcnet import train
 from hsqcnet.dataio import Checkpoint
 from hsqcnet.assign import MatchSettings, ObservedPeak, PseudoLabel, PseudoLabels
 from hsqcnet.model import (
-    C_PPM_PER_UNIT, H_PPM_PER_UNIT, CrossPeakModel, HeadRows, ModelConfig, SolventClass,
-    prepare_molecule,
+    C_PPM_PER_UNIT, H_PPM_PER_UNIT, CrossPeakModel, HeadRows, ModelConfig, ShiftReads,
+    SolventClass, prepare_molecule,
 )
 from hsqcnet.train import (
     ConvergenceError,
@@ -73,7 +73,7 @@ def test_sample_requires_targets():
 def test_masked_loss_hand_computed():
     model = CrossPeakModel(TINY)
     sample = sample_1d("CO", {0: 50.0}, {2: 3.3})
-    preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0], [2])
+    preds = model.atom_shift_tensors(sample.molecule, sample.solvent, sample.reads)
     loss = masked_mtt_loss(sample, preds)
     c_raw, h_raw = preds[0].values[0], preds[1].values[0]
     expected = 0.5 * (
@@ -91,7 +91,8 @@ def test_masked_loss_perfect_predictions_zero():
         molecule = prepare_molecule(smiles)
         carbons = [a.index for a in molecule.graph.atoms if a.element == "C"]
         hydrogens = [h for u in molecule.units for h in u.hydrogen_indices]
-        raw_c, raw_h = model.atom_shift_tensors(molecule, SolventClass.DMSO, carbons, hydrogens)
+        reads = ShiftReads.of(molecule, carbons, hydrogens)
+        raw_c, raw_h = model.atom_shift_tensors(molecule, SolventClass.DMSO, reads)
         sample = Sample1D(
             molecule, SolventClass.DMSO,
             dict(zip(carbons, model.ppm_c(raw_c.values).tolist())),
@@ -99,7 +100,7 @@ def test_masked_loss_perfect_predictions_zero():
         )
         ad.zero_gradients(model.parameters())
         with ad.ComputeRecord() as rec:
-            preds = model.atom_shift_tensors(molecule, sample.solvent, carbons, hydrogens)
+            preds = model.atom_shift_tensors(molecule, sample.solvent, sample.reads)
             loss = masked_mtt_loss(sample, preds)
         ad.backward(loss, rec)
         assert loss.item() == 0.0, smiles
@@ -109,10 +110,12 @@ def test_masked_loss_perfect_predictions_zero():
 def test_masked_loss_missing_prediction_is_contract_error():
     model = CrossPeakModel(TINY)
     sample = sample_1d("CO", {0: 50.0}, {2: 3.3})
-    preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0], [])
+    preds = model.atom_shift_tensors(sample.molecule, sample.solvent,
+                                     ShiftReads.of(sample.molecule, [0], []))
     with pytest.raises(ad.DimensionError, match=r"outputs \[1, 0\] vs targets \[1, 1\]"):
         masked_mtt_loss(sample, preds)
-    preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0, 0], [2])
+    preds = model.atom_shift_tensors(sample.molecule, sample.solvent,
+                                     ShiftReads.of(sample.molecule, [0, 0], [2]))
     with pytest.raises(ad.DimensionError):  # three outputs, three targets, split 2 + 1
         masked_mtt_loss(sample_1d("CO", {0: 50.0}, {2: 3.3, 3: 3.3}), preds)
 
@@ -122,7 +125,7 @@ def test_c_only_sample_gives_zero_h_head_gradient():
     sample = sample_1d("CC", {0: 6.5, 1: 6.5}, {})
     ad.zero_gradients(model.parameters())
     with ad.ComputeRecord() as rec:
-        preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [0, 1], [])
+        preds = model.atom_shift_tensors(sample.molecule, sample.solvent, sample.reads)
         loss = masked_mtt_loss(sample, preds)
     ad.backward(loss, rec)
     for name, param in model.params.items():
@@ -136,7 +139,7 @@ def test_h_only_sample_gives_zero_c_head_gradient():
     sample = sample_1d("CO", {}, {2: 3.3, 3: 3.3})
     ad.zero_gradients(model.parameters())
     with ad.ComputeRecord() as rec:
-        preds = model.atom_shift_tensors(sample.molecule, sample.solvent, [], [2, 3])
+        preds = model.atom_shift_tensors(sample.molecule, sample.solvent, sample.reads)
         loss = masked_mtt_loss(sample, preds)
     ad.backward(loss, rec)
     for name, param in model.params.items():
@@ -146,16 +149,15 @@ def test_h_only_sample_gives_zero_c_head_gradient():
 
 
 def test_atom_shift_targets_validated():
-    model = CrossPeakModel(TINY)
     mol = prepare_molecule("CO")
     for carbon in (1, -6, 6):  # -6 names carbon 0 by Python indexing
         with pytest.raises(ValueError, match="not a carbon"):
-            model.atom_shift_tensors(mol, SolventClass.UNKNOWN, [carbon], [])
+            ShiftReads.of(mol, [carbon], [])
     for hydrogen in (0, -2, 6):
         with pytest.raises(ValueError, match="not a hydrogen"):
-            model.atom_shift_tensors(mol, SolventClass.UNKNOWN, [], [hydrogen])
+            ShiftReads.of(mol, [], [hydrogen])
     with pytest.raises(ValueError, match="not bonded to carbon"):
-        model.atom_shift_tensors(mol, SolventClass.UNKNOWN, [], [5])  # the OH proton
+        ShiftReads.of(mol, [], [5])  # the OH proton
 
 
 def _per_call_and_per_sample(model, sample):
@@ -168,15 +170,16 @@ def _per_call_and_per_sample(model, sample):
         with ad.ComputeRecord() as rec:
             if per_call:
                 c_atoms, h_atoms = sorted(sample.c_targets), sorted(sample.h_targets)
-                outputs = model.atom_shift_tensors(sample.molecule, sample.solvent,
-                                                   c_atoms, h_atoms)
+                outputs = model.atom_shift_tensors(
+                    sample.molecule, sample.solvent,
+                    ShiftReads.of(sample.molecule, c_atoms, h_atoms))
                 targets = SimpleNamespace(
                     c_ppm=np.array([sample.c_targets[i] for i in c_atoms], dtype=np.float64),
                     h_ppm=np.array([sample.h_targets[i] for i in h_atoms], dtype=np.float64))
                 loss = masked_mtt_loss(targets, outputs)
             else:
                 outputs = model.atom_shift_tensors(sample.molecule, sample.solvent,
-                                                   reads=sample.reads)
+                                                   sample.reads)
                 loss = _loss(model, sample)
         ad.backward(loss, rec)
         runs.append([outputs[0].values, outputs[1].values, loss.values,
@@ -216,7 +219,6 @@ def test_sample_arrays_equal_the_per_call_path_on_drawn_targets(data):
 
 
 def test_sample_rejects_bad_targets_with_the_per_call_messages():
-    model = CrossPeakModel(TINY)
     mol = prepare_molecule("CO")
     for c, h, message in (
         ({1: 50.0}, {}, "carbon target index 1 is not a carbon atom"),
@@ -226,7 +228,7 @@ def test_sample_rejects_bad_targets_with_the_per_call_messages():
         with pytest.raises(ValueError, match=message):
             Sample1D(mol, SolventClass.UNKNOWN, c, h)
         with pytest.raises(ValueError, match=message):
-            model.atom_shift_tensors(mol, SolventClass.UNKNOWN, sorted(c), sorted(h))
+            ShiftReads.of(mol, sorted(c), sorted(h))
 
 
 def test_sample_arrays_cannot_go_stale():
@@ -238,9 +240,6 @@ def test_sample_arrays_cannot_go_stale():
         sample.h_targets[3] = 3.3
     with pytest.raises(FrozenInstanceError):
         sample.c_targets = {0: 10.0}
-    with pytest.raises(TypeError, match="not both"):
-        CrossPeakModel(TINY).atom_shift_tensors(sample.molecule, sample.solvent, [0], [],
-                                                reads=sample.reads)
 
 
 def test_pretrain_rejects_empty_dataset():
@@ -591,7 +590,7 @@ def test_one_head_path_for_prediction_1d_targets_and_finetuning(merge_tolerance_
     pair = raw_h.values[carbons.index(1)]
     slot_mean = (pair[0] + pair[1]) * 0.5
     c_out, h_out = model.atom_shift_tensors(
-        molecule, solvent, carbons, list(methylene.hydrogen_indices)
+        molecule, solvent, ShiftReads.of(molecule, carbons, list(methylene.hydrogen_indices))
     )
     assert h_out.values.tolist() == [slot_mean] * len(methylene.hydrogen_indices)
     for row, carbon in enumerate(carbons):
