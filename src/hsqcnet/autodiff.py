@@ -17,8 +17,8 @@ order. Every scatter-add, a Parameter's gather adjoint included, is one
 ``bincount`` onto zeros, which sums in input order exactly as
 ``np.add.at`` does; the layer reads its flat slots from a cache on its
 index. A desk-scale training step records 20 tape entries. The index
-arguments of ``gather``, ``embed`` and ``segment_sum`` are range-checked at
-every call, unless they come as ``Ids``, checked once when built.
+arguments of ``gather``, ``embed`` and ``segment_sum`` are ``Ids``,
+range-checked once when built; a call compares only their bounds.
 
 ``Adam`` packs its parameters into one flat value buffer and one flat
 gradient buffer and makes each Parameter's ``values`` and ``grad`` views
@@ -161,17 +161,17 @@ class Ids:
     """Integer ids range-checked once: construction copies ``array`` as a
     read-only intp array and raises IndexError, naming ``name``, unless
     every value lies in [0, ``bound``); ``take`` picks a subset unread.
-    ``gather``, ``embed`` and ``segment_sum`` take one wherever they take
-    an index array and compare only ``bound`` with the size they index; a
-    plain array gets a pass over its values at every call. Objects that
-    build their index arrays once (``model.Levels``,
-    ``model.HeadRows``) hold them as ``Ids``."""
+    ``gather``, ``embed`` and ``segment_sum`` take index arrays only as
+    ``Ids`` and compare only ``bound`` with the size they index. Objects
+    that read the same indices at every forward pass (``model.Levels``,
+    ``model.HeadRows``, ``model.ShiftReads``) build them once."""
 
     __slots__ = ("array", "bound")
 
     def __init__(self, array, bound: int, name: str = "index") -> None:
         array = np.array(array, dtype=np.intp)
-        if beyond(array, bound):
+        # one pass: as unsigned, a negative id reads above every bound
+        if array.size and np.maximum.reduce(array.view(np.uintp), axis=None) >= bound:
             raise IndexError(f"{name} out of range [0, {bound})")
         array.flags.writeable = False
         self.array = array
@@ -190,36 +190,21 @@ class Ids:
         return f"Ids({self.array.tolist()}, bound={self.bound})"
 
 
-_UNSIGNED = np.dtype(np.uintp)
-
-
-def beyond(ids, bound: int) -> bool:
-    """Whether an integer array holds an id outside [0, ``bound``), in one
-    pass over it as intp: as unsigned, a negative id reads above every
-    bound."""
-    ids = np.asarray(ids, dtype=np.intp)
-    return ids.size > 0 and np.maximum.reduce(ids.view(_UNSIGNED), axis=None) >= bound
-
-
-def _ids(index, size: int, message: str, **about) -> np.ndarray:
-    """The intp array of ``index``, an ``Ids`` or anything ``np.asarray``
-    takes, after checking that it indexes [0, ``size``): by its bound for
-    ``Ids``, else by a pass over the values. Out of range raises
-    IndexError with ``message`` formatted with ``size`` and ``about``."""
-    if isinstance(index, Ids):
-        if index.bound > size:
-            raise IndexError(message.format(size=size, **about))
-        return index.array
-    index = np.asarray(index, dtype=np.intp)
-    if beyond(index, size):
+def _ids(index, size: int | None = None, message: str = "", **about) -> np.ndarray:
+    """The array of the ``Ids`` ``index``; anything else raises TypeError.
+    A bound above ``size``, where one is given, raises IndexError with
+    ``message`` formatted with ``size`` and ``about``."""
+    if not isinstance(index, Ids):
+        raise TypeError(f"index arrays must be autodiff.Ids, got {type(index).__name__}")
+    if size is not None and index.bound > size:
         raise IndexError(message.format(size=size, **about))
-    return index
+    return index.array
 
 
 def gather(x: Tensor, index) -> Tensor:
-    """Rows of ``x`` at an integer index (scalar, array or ``Ids``), or its
-    elements at a tuple of them, one per leading axis. Repeated indices
-    scatter-add their gradients."""
+    """Rows of ``x`` at ``Ids`` (of a scalar or an array), or its elements
+    at a tuple of them, one per leading axis. Repeated indices scatter-add
+    their gradients."""
     parts = index if isinstance(index, tuple) else (index,)
     if len(parts) > x.values.ndim:
         raise DimensionError(f"{len(parts)} index arrays for a tensor of shape {x.shape}")
@@ -240,8 +225,8 @@ def gather(x: Tensor, index) -> Tensor:
 def embed(tables: list[Tensor], indices) -> Tensor:
     """Row ``i`` is ``tables[0][indices[0][i]] + tables[1][indices[1][i]] + ...``,
     added in table order: the sum of one ``gather`` per table, bit for bit,
-    as one op. Every index (an array or ``Ids``) has one shape and every
-    table one row width; each table's gradient is one scatter-add onto the
+    as one op. Every index (an ``Ids``) has one shape and every table one
+    row width; each table's gradient is one scatter-add onto the
     rows it gave."""
     if len(tables) != len(indices):
         raise DimensionError(f"embed got {len(tables)} tables and {len(indices)} index arrays")
@@ -317,19 +302,19 @@ def _block_adjoint(g, arrays, weight: Parameter, bias: Parameter, columns, acc) 
     return grads
 
 
-def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
-    """Sum the rows of ``x`` into ``num_segments`` rows: row i adds onto row
-    ``segments[i]``, in row order. A segment no row names stays zero (the
-    isolated-node convention)."""
-    segments = _ids(segments, num_segments, "segment id out of range [0, {size})")
-    if segments.shape != x.values.shape[:1]:
+def segment_sum(x: Tensor, segments: Ids) -> Tensor:
+    """Sum the rows of ``x`` into ``segments.bound`` rows: row i adds onto
+    row ``segments.array[i]``, in row order. A segment no row names stays
+    zero (the isolated-node convention)."""
+    ids = _ids(segments)
+    if ids.shape != x.values.shape[:1]:
         raise DimensionError(
-            f"segment_sum needs one segment id per row: {segments.shape} vs {x.shape}"
+            f"segment_sum needs one segment id per row: {ids.shape} vs {x.shape}"
         )
-    out = Tensor(_scatter_add((segments,), x.values, (num_segments,) + x.values.shape[1:]))
+    out = Tensor(_scatter_add((ids,), x.values, (segments.bound,) + x.values.shape[1:]))
     tape = _tape()
     if tape is not None:
-        tape._push(out, lambda g, acc: acc(x, g.take(segments, axis=0)))
+        tape._push(out, lambda g, acc: acc(x, g.take(ids, axis=0)))
     return out
 
 

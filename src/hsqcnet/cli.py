@@ -184,8 +184,8 @@ def _dispatch(args) -> int:
             line = {"line": diag.line, "status": diag.status, "smiles": diag.smiles}
             if diag.reason:
                 line["reason"] = diag.reason
-            _emit(line)
-        _emit({"usable": len(samples), "records": len(diagnostics)})
+            _emit(line, indent=None)
+        _emit({"usable": len(samples), "records": len(diagnostics)}, indent=None)
         return EXIT_OK
 
     if args.command in ("pretrain", "finetune"):

@@ -91,6 +91,8 @@ def normalize_solvent(raw: str | None) -> SolventClass:
 # ---------------------------------------------------------------------------
 
 KINDS = ("1d", "hsqc", "annotated")
+# what a byte that is not UTF-8 decodes to under ``errors="surrogateescape"``
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 @dataclass
@@ -110,8 +112,8 @@ def scan_dataset(path: str | Path, kind: str) -> tuple[list, list[RecordDiagnost
     peak lists, index keys that are not canonical decimals, out-of-range
     target indices, shifts that are not finite numbers, malformed expert
     maps) are skipped and reported; duplicates (same canonical SMILES,
-    solvent, and targets) are dropped and reported; a malformed JSON line
-    is an error, not a skip.
+    solvent, and targets) are dropped and reported; a malformed JSON line,
+    or one that is not UTF-8 whatever the locale, is an error, not a skip.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -119,10 +121,16 @@ def scan_dataset(path: str | Path, kind: str) -> tuple[list, list[RecordDiagnost
     samples: list = []
     diagnostics: list[RecordDiagnostic] = []
     seen: set = set()
-    with path.open() as fh:
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            undecoded = _NOT_UTF8.search(line)
+            if undecoded:
+                raise DataFormatError(
+                    f"{path}:{lineno}: byte 0x{ord(undecoded.group()) - 0xDC00:02x} at "
+                    f"column {undecoded.start() + 1} is not UTF-8"
+                )
             try:
                 record = parse_json(line)
             except json.JSONDecodeError as exc:
@@ -326,8 +334,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if start + header_len > len(blob):
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = parse_json(blob[start : start + header_len])
-    except json.JSONDecodeError as exc:
+        header = parse_json(blob[start : start + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")

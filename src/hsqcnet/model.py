@@ -133,6 +133,9 @@ _ATOM_FEATURES = (
 # one needs no second check
 _FEATURE_ROWS = tuple(ad.Ids(np.arange(bound), bound, name) for name, bound in _ATOM_FEATURES)
 _SOLVENT_IDS = {s: ad.Ids(i, len(SolventClass), "solvent") for s, i in SOLVENT_INDEX.items()}
+# the columns of the carbon head's (k, 1) and the proton head's (k, 2) outputs
+_C_COLUMN = ad.Ids([0], 1, "carbon column")
+_H_COLUMNS = ad.Ids([0, 1], 2, "proton column")
 _HEAD_PARAMETERS = ("w1", "b1", "w2", "b2", "w3", "b3")  # of each head, in mlp_head order
 
 # ppm = center + per_unit * raw output. Centers sit mid-range of common
@@ -424,26 +427,29 @@ class ProtonReads:
     peaks (``two_peak``), else the mean of the pair; ``rows`` picks each
     target's row. As arrays: the (row, column) of the outputs each
     target's two terms read, their weights, and the target each term sums
-    onto. Instances compare by identity."""
+    onto, the index arrays as ``autodiff.Ids``. Instances compare by
+    identity."""
 
-    index: tuple[np.ndarray, np.ndarray]
+    index: tuple[ad.Ids, ad.Ids]
     weight: np.ndarray
-    segments: np.ndarray
+    segments: ad.Ids
 
     @classmethod
-    def of(cls, rows, slots, two_peak) -> "ProtonReads":
-        terms = np.arange(2 * len(rows))
+    def of(cls, rows: ad.Ids, slots, two_peak) -> "ProtonReads":
+        targets = len(rows.array)
+        terms = np.arange(2 * targets)
         columns = terms % 2
         weight = np.where(
             np.asarray(two_peak, dtype=bool).repeat(2),
             columns == (np.asarray(slots, dtype=np.intp) - 1).repeat(2),
             0.5,
         )
-        return cls((np.asarray(rows, dtype=np.intp).repeat(2), columns), weight, terms // 2)
+        return cls((rows.take(terms // 2), _H_COLUMNS.take(columns)), weight,
+                   ad.Ids(terms // 2, targets, "target"))
 
     def outputs(self, raw_h: Tensor) -> Tensor:
         picked = ad.gather(raw_h, self.index)
-        return ad.segment_sum(ad.scale(picked, self.weight), self.segments, len(self.weight) // 2)
+        return ad.segment_sum(ad.scale(picked, self.weight), self.segments)
 
 
 @dataclass(frozen=True)
@@ -451,7 +457,7 @@ class ShiftReads:
     """The arrays one evaluation of shift targets reads, built once per
     target set: the head rows, the (row, 0) element of the carbon head's
     (k, 1) output each carbon target reads (``carbon``), and the proton
-    reads, laid out by ``at``.
+    reads, laid out by ``at``. Every index array is an ``autodiff.Ids``.
 
     ``of`` builds them for 1D targets: the head rows are the carbon
     targets' carbons, then each proton target's carbon, each carbon once,
@@ -463,7 +469,7 @@ class ShiftReads:
     model cannot cover raises ValueError."""
 
     heads: HeadRows
-    carbon: tuple[np.ndarray, np.ndarray]
+    carbon: tuple[ad.Ids, ad.Ids]
     protons: ProtonReads
 
     @classmethod
@@ -495,11 +501,12 @@ class ShiftReads:
         each carbon target reads its row's (row, 0) carbon output."""
         carbons = list(dict.fromkeys([*c_carbons, *h_carbons]))
         row = {carbon: r for r, carbon in enumerate(carbons)}
-        c_rows = np.array([row[c] for c in c_carbons], dtype=np.intp)
+        c_rows, h_rows = (ad.Ids([row[c] for c in targets], len(carbons), "head row")
+                          for targets in (c_carbons, h_carbons))
         return cls(
             HeadRows.of(molecule, carbons),
-            (c_rows, np.zeros(len(c_rows), np.intp)),
-            ProtonReads.of([row[c] for c in h_carbons], slots, split),
+            (c_rows, _C_COLUMN.take(np.zeros(len(c_rows.array), np.intp))),
+            ProtonReads.of(h_rows, slots, split),
         )
 
 
@@ -586,8 +593,7 @@ class CrossPeakModel:
         h_c = ad.gather(final, levels.atom_row.take(rows.carbons.array))
         raw_c = self._mlp("c_head", [h_c])
         h_mean = ad.scale(
-            ad.segment_sum(ad.gather(final, levels.atom_row.take(rows.h_index.array)),
-                           rows.h_row, rows.h_row.bound),
+            ad.segment_sum(ad.gather(final, levels.atom_row.take(rows.h_index.array)), rows.h_row),
             rows.h_weight,
         )
         raw_h = self._mlp("h_head", [h_c, h_mean, self.encode_solvent(solvent)])
@@ -609,9 +615,9 @@ class CrossPeakModel:
         rows = np.arange(len(units)).repeat(peaks)
         # a peak's slot: 1 plus its offset past the first peak of its unit
         slots = np.arange(len(rows)) - (peaks.cumsum() - peaks).repeat(peaks) + 1
-        protons = ProtonReads.of(rows, slots, two[rows]).outputs(raw_h)
+        reads = ProtonReads.of(ad.Ids(rows, len(units), "head row"), slots, two[rows])
         delta_c = self.ppm_c(raw_c.values[rows, 0])
-        delta_h = self.ppm_h(protons.values)
+        delta_h = self.ppm_h(reads.outputs(raw_h).values)
         finite = np.isfinite(delta_c) & np.isfinite(delta_h)
         if not finite.all():
             bad = units[rows[int(np.argmin(finite))]]

@@ -164,7 +164,6 @@ class MolecularGraph:
 class EquivalenceClasses:
     class_id: tuple[int, ...]
     num_classes: int
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -251,16 +250,16 @@ def canonical_equivalence_classes(graph: MolecularGraph) -> EquivalenceClasses:
         )
         for a in graph.atoms
     ]
-    labels, iterations = refine_labels(graph, seeds)
-    return EquivalenceClasses(tuple(labels), len(set(labels)), iterations)
+    labels = refine_labels(graph, seeds)
+    return EquivalenceClasses(tuple(labels), len(set(labels)))
 
 
-def refine_labels(graph: MolecularGraph, seeds: list) -> tuple[list[int], int]:
-    """Refine per-atom ``seeds`` to their fixed point; (labels, rounds), the
-    round that splits nothing counted: ``refinement`` keyed by bond type."""
-    for rounds, (labels, _) in enumerate(refinement(seeds, edges_into(graph, _bond_rank))):
+def refine_labels(graph: MolecularGraph, seeds: list) -> list[int]:
+    """The labels of per-atom ``seeds`` refined to their fixed point:
+    ``refinement`` keyed by bond type."""
+    for labels, _ in refinement(seeds, edges_into(graph, _bond_rank)):
         pass
-    return labels, rounds
+    return labels
 
 
 # bond types numbered in the sorted order of their values, the order in

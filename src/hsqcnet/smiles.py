@@ -319,7 +319,7 @@ def canonical_ranks(graph: MolecularGraph, h_counts: list[int]) -> list[int]:
     """
     set_hybridization(graph)
     classes = canonical_equivalence_classes(graph).class_id
-    labels, _ = refine_labels(
+    labels = refine_labels(
         graph,
         [(c, a.formal_charge, h) for c, a, h in zip(classes, graph.atoms, h_counts)],
     )
@@ -331,7 +331,7 @@ def canonical_ranks(graph: MolecularGraph, h_counts: list[int]) -> list[int]:
         target = min(lab for lab, c in counts.items() if c > 1)
         chosen = min(i for i, lab in enumerate(labels) if lab == target)
         seeds = [(lab, 1 if i == chosen else 2) for i, lab in enumerate(labels)]
-        labels, _ = refine_labels(graph, seeds)
+        labels = refine_labels(graph, seeds)
     return labels
 
 

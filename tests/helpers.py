@@ -460,13 +460,15 @@ def reference_encode(model, levels: Levels) -> list:
     bond, direction = np.divmod(index.edge_type, len(BondDirection))
 
     h = reference_embed([p["embed.element"], p["embed.chirality"], p["embed.hybridization"]],
-                        [ids.array for ids in levels.ids])
-    edge = reference_embed([p["embed.bond_type"], p["embed.direction"]], [bond, direction])
+                        levels.ids)
+    edge = reference_embed([p["embed.bond_type"], p["embed.direction"]],
+                           [ad.Ids(bond, len(BondType)), ad.Ids(direction, len(BondDirection))])
+    src, dst = ad.Ids(index.src, n), ad.Ids(index.dst, n)
     layers = [h]
     for layer in range(1, model.config.num_layers + 1):
         messages = reference_relu(reference_affine(
-            [ad.gather(h, index.src), edge], p[f"layer{layer}.msg.w"], p[f"layer{layer}.msg.b"]))
-        pre = reference_affine([h, ad.segment_sum(messages, index.dst, n)],
+            [ad.gather(h, src), edge], p[f"layer{layer}.msg.w"], p[f"layer{layer}.msg.b"]))
+        pre = reference_affine([h, ad.segment_sum(messages, dst)],
                                p[f"layer{layer}.upd.w"], p[f"layer{layer}.upd.b"])
         h = pre if layer == model.config.num_layers else reference_relu(pre)
         layers.append(h)
@@ -560,10 +562,10 @@ def reference_label_reads(molecule, labels) -> ShiftReads:
     carbons = sorted({e.carbon_index for e in entries})
     split = {e.carbon_index for e in entries if e.slot == 2}
     row = {carbon: r for r, carbon in enumerate(carbons)}
-    rows = np.array([row[e.carbon_index] for e in entries], dtype=np.intp)
+    rows = ad.Ids([row[e.carbon_index] for e in entries], len(carbons))
     return ShiftReads(
         HeadRows.of(molecule, carbons),
-        (rows, np.zeros(len(rows), np.intp)),
+        (rows, ad.Ids(np.zeros(len(entries), np.intp), 1)),
         ProtonReads.of(rows, [e.slot for e in entries],
                        [e.carbon_index in split for e in entries]),
     )
@@ -581,20 +583,19 @@ def reference_edge_arrays(graph: MolecularGraph) -> tuple[list[int], list[int], 
     return src, dst, types
 
 
-def reference_refine_labels(graph: MolecularGraph, seeds: list) -> tuple[list[int], int]:
+def reference_refine_labels(graph: MolecularGraph, seeds: list) -> list[int]:
     """Label refinement that looks every bond type up again in each round."""
     def dense(keys):
         order = {k: i for i, k in enumerate(sorted(set(keys)))}
         return [order[k] for k in keys]
 
-    labels, rounds = dense(seeds), 0
+    labels = dense(seeds)
     while True:
-        rounds += 1
         new = dense([(labels[i], tuple(sorted((graph.bond_between(i, j).bond_type.value, labels[j])
                                              for j in graph.adjacency[i])))
                      for i in range(len(graph.atoms))])
         if new == labels:
-            return labels, rounds
+            return labels
         labels = new
 
 

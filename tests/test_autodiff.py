@@ -81,7 +81,8 @@ def test_affine_shape_error_names_both_shapes():
 def test_embed_equals_the_gather_add_chain_bit_for_bit():
     # three tables, repeated and unused rows, and an intermediate tensor
     # among the tables: values, tape length and every table gradient
-    indices = [np.array([0, 2, 2, 1, 0, 2]), np.array([3, 3, 3, 0, 1, 3]), np.full(6, 1)]
+    indices = [ad.Ids([0, 2, 2, 1, 0, 2], 3), ad.Ids([3, 3, 3, 0, 1, 3], 5),
+               ad.Ids(np.full(6, 1), 2)]
     runs = []
     for op in (ad.embed, reference_embed):
         rng = np.random.default_rng(21)
@@ -109,7 +110,7 @@ def test_embed_equals_the_gather_add_chain_bit_for_bit():
     a = p([[1.0, -2.0], [3.0, 0.5]], "a")
     b = p([[0.25, 4.0], [-3.0, 1.0]], "b")
     with ComputeRecord() as rec:
-        total = ad.embed([a, b], [[0, 1], [0, 1]])
+        total = ad.embed([a, b], [ad.Ids([0, 1], 2)] * 2)
         loss = ad.mean_abs_error([ad.scale(total, [[1.0, 2.0]])], np.full(4, -10.0))
     assert np.array_equal(total.values, [[1.25, 2.0], [0.0, 1.5]])
     backward(loss, rec)
@@ -121,15 +122,17 @@ def test_embed_rejects_bad_indices_and_shapes():
     a, b = p(np.zeros((3, 2)), "a"), p(np.zeros((4, 2)), "b")
     for bad in (3, -1):
         with pytest.raises(IndexError, match=r"\[0, 3\)"):
-            ad.embed([a, b], [[0, bad], [0, 1]])
+            ad.Ids([0, bad], 3)
     with pytest.raises(IndexError, match=r"\[0, 4\)"):
-        ad.embed([a, b], [[0, 1], [0, 4]])
+        ad.Ids([0, 4], 4)
+    with pytest.raises(IndexError, match=r"\[0, 3\)"):
+        ad.embed([a, b], [ad.Ids([0, 3], 4)] * 2)  # a bound above a's rows
     with pytest.raises(DimensionError, match=r"\(3, 2\).*\(4, 3\)"):
-        ad.embed([a, p(np.zeros((4, 3)), "wide")], [[0], [0]])
+        ad.embed([a, p(np.zeros((4, 3)), "wide")], [ad.Ids([0], 3), ad.Ids([0], 4)])
     with pytest.raises(DimensionError, match=r"\(2,\).*\(3,\)"):
-        ad.embed([a, b], [[0, 1], [0, 1, 2]])
+        ad.embed([a, b], [ad.Ids([0, 1], 3), ad.Ids([0, 1, 2], 4)])
     with pytest.raises(DimensionError):
-        ad.embed([a, b], [[0, 1]])
+        ad.embed([a, b], [ad.Ids([0, 1], 3)])
 
 
 # atoms 0-2 joined by five directed edges, atom 0 the source of three;
@@ -249,7 +252,7 @@ def test_backward_dot_product_gradient_is_input():
     w = Parameter(np.array([[0.5, -1.0, 2.0]]), "w")
     b = p([0.0], "b")
     with ComputeRecord() as rec:
-        loss = ad.gather(reference_affine(Tensor(x), w, b), 0)
+        loss = ad.gather(reference_affine(Tensor(x), w, b), ad.Ids(0, 1))
     backward(loss, rec)
     assert np.allclose(w.grad, x.reshape(1, 3))
     assert np.allclose(b.grad, [1.0])
@@ -258,7 +261,7 @@ def test_backward_dot_product_gradient_is_input():
 def test_relu_blocks_gradient():
     x = p([-5.0], "x")
     with ComputeRecord() as rec:
-        loss = ad.gather(reference_relu(x), 0)
+        loss = ad.gather(reference_relu(x), ad.Ids(0, 1))
     backward(loss, rec)
     assert x.grad[0] == 0.0
     assert float(reference_relu(Tensor([-5.0])).values[0]) == 0.0
@@ -266,12 +269,12 @@ def test_relu_blocks_gradient():
 
 def test_embedding_lookup_row_and_scatter():
     table = p(np.arange(12.0).reshape(4, 3), "table")
-    row = ad.gather(table, 2)
+    row = ad.gather(table, ad.Ids(2, 4))
     assert np.array_equal(row.values, [6.0, 7.0, 8.0])
-    rows = ad.gather(table, [3, 0])
+    rows = ad.gather(table, ad.Ids([3, 0], 4))
     assert np.array_equal(rows.values, [[9.0, 10.0, 11.0], [0.0, 1.0, 2.0]])
     with ComputeRecord() as rec:
-        both = ad.gather(table, [1, 1])  # a repeated row scatter-adds
+        both = ad.gather(table, ad.Ids([1, 1], 4))  # a repeated row scatter-adds
         loss = ad.mean_abs_error([both], np.full(6, -100.0))
     backward(loss, rec)
     assert np.allclose(table.grad[1], 2.0 / 6.0)  # two reads double the row grad
@@ -279,19 +282,36 @@ def test_embedding_lookup_row_and_scatter():
     assert np.all(table.grad[2:] == 0.0)
     backward(loss, rec)  # the scatter adds onto the grad already there
     assert np.allclose(table.grad[1], 4.0 / 6.0) and not table.grad[[0, 2, 3]].any()
-    assert np.array_equal(ad.gather(table, ([1, 0], [0, 1])).values, [3.0, 1.0])
+    elements = (ad.Ids([1, 0], 4), ad.Ids([0, 1], 3))
+    assert np.array_equal(ad.gather(table, elements).values, [3.0, 1.0])
 
 
 def test_embedding_lookup_out_of_range():
-    table = p(np.zeros((2, 3)), "t")
+    # a table of (2, 3): ids out of its rows or columns fail where built
     with pytest.raises(IndexError):
-        ad.gather(table, 2)
+        ad.Ids(2, 2)
     with pytest.raises(IndexError):
-        ad.gather(table, [0, -1])  # no silent wrap-around
+        ad.Ids([0, -1], 2)  # no silent wrap-around
     with pytest.raises(IndexError):
-        ad.gather(table, ([0], [3]))
+        ad.Ids([3], 3)
     with pytest.raises(IndexError):
-        ad.segment_sum(Tensor(np.ones((2, 3))), [0, 2], 2)
+        ad.Ids([0, 2], 2)  # segments of a sum onto two rows
+
+
+def test_ops_take_index_arrays_only_as_ids():
+    table = p(np.arange(6.0).reshape(3, 2), "t")
+    rows = Tensor(np.ones((2, 2)))
+    for index in ([0, 1], np.array([0, 1]), np.array([0, 1], np.int32)):
+        with pytest.raises(TypeError, match="autodiff.Ids"):
+            ad.gather(table, index)
+        with pytest.raises(TypeError, match="autodiff.Ids"):
+            ad.gather(table, (ad.Ids([0, 1], 3), index))
+        with pytest.raises(TypeError, match="autodiff.Ids"):
+            ad.embed([table], [index])
+        with pytest.raises(TypeError, match="autodiff.Ids"):
+            ad.segment_sum(rows, index)
+    with pytest.raises(TypeError, match="autodiff.Ids"):
+        ad.gather(table, 0)
 
 
 def test_ids_are_checked_once_and_read_by_their_bound():
@@ -310,15 +330,15 @@ def test_ids_are_checked_once_and_read_by_their_bound():
     assert ids.array.tolist() == [0, 2] and not ids.array.flags.writeable
     table = p(np.arange(6.0).reshape(3, 2), "t")
     assert np.array_equal(ad.gather(table, ids).values, [[0.0, 1.0], [4.0, 5.0]])
-    # a plain int32 array gets the same pass over its values
-    assert np.array_equal(ad.gather(table, np.array([0, 2], np.int32)).values,
+    # int32 ids get the same pass over their values at construction
+    assert np.array_equal(ad.gather(table, ad.Ids(np.array([0, 2], np.int32), 3)).values,
                           [[0.0, 1.0], [4.0, 5.0]])
     for bad in (-1, 3):
         with pytest.raises(IndexError, match=r"\[0, 3\)"):
-            ad.gather(table, np.array([0, bad], np.int32))
+            ad.Ids(np.array([0, bad], np.int32), 3)
     assert np.array_equal(ad.gather(table, (ids, ad.Ids([1, 0], 2))).values, [1.0, 4.0])
     assert np.array_equal(ad.embed([table], [ids]).values, [[0.0, 1.0], [4.0, 5.0]])
-    assert np.array_equal(ad.segment_sum(Tensor(np.ones((2, 1))), ids, 3).values,
+    assert np.array_equal(ad.segment_sum(Tensor(np.ones((2, 1))), ids).values,
                           [[1.0], [0.0], [1.0]])
     # ids whose bound exceeds what they index are refused, values unread
     short = p(np.zeros((2, 2)), "short")
@@ -326,21 +346,22 @@ def test_ids_are_checked_once_and_read_by_their_bound():
         ad.gather(short, ad.Ids([0], 3))
     with pytest.raises(IndexError, match=r"\[0, 2\)"):
         ad.embed([short], [ad.Ids([0], 3)])
-    with pytest.raises(IndexError, match=r"\[0, 2\)"):
-        ad.segment_sum(Tensor(np.ones((1, 1))), ad.Ids([0], 3), 2)
 
 
 def test_neighbor_sum_conventions():
     width = 4
-    zero = ad.segment_sum(Tensor(np.zeros((0, width))), [], 3)
+    zero = ad.segment_sum(Tensor(np.zeros((0, width))), ad.Ids([], 3))
     assert np.array_equal(zero.values, np.zeros((3, width)))
     v = Tensor([[1.0, -2.0]])
-    assert np.array_equal(ad.segment_sum(v, [0], 1).values, v.values)
+    assert np.array_equal(ad.segment_sum(v, ad.Ids([0], 1)).values, v.values)
     rows = Tensor([[1.0, -2.0], [5.0, 5.0], [-1.0, 2.0]])
-    summed = ad.segment_sum(rows, [0, 2, 0], 3)  # node 1 has no neighbours
+    summed = ad.segment_sum(rows, ad.Ids([0, 2, 0], 3))  # node 1 has no neighbours
     assert np.array_equal(summed.values, [[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
+    # one row per segment the bound allows, past the highest id named too
+    wide = ad.segment_sum(rows, ad.Ids([0, 2, 0], 5))
+    assert np.array_equal(wide.values, np.vstack([summed.values, np.zeros((2, 2))]))
     with pytest.raises(DimensionError):
-        ad.segment_sum(rows, [0, 1], 3)  # one segment id per row
+        ad.segment_sum(rows, ad.Ids([0, 1], 3))  # one segment id per row
     with pytest.raises(DimensionError):
         ad.mean_abs_error([Tensor([1.0, 2.0])], [0.0])
     # no entries to average: an error, not a NaN with a RuntimeWarning
@@ -374,9 +395,9 @@ def test_finite_difference_on_composed_function():
         # constant rows and one row shared by the batch, a segment sum
         # onto three nodes, a per-row scale, a second affine map, and the
         # L1 loss against targets in output units
-        x = [ad.gather(table, [2, 0, 2, 1]), Tensor(rows[[0, 1, 1, 0]]), shared]
+        x = [ad.gather(table, ad.Ids([2, 0, 2, 1], 4)), Tensor(rows[[0, 1, 1, 0]]), shared]
         hidden = reference_relu(reference_affine(x, w1, b1))
-        nodes = ad.segment_sum(hidden, [0, 2, 0, 1], 3)
+        nodes = ad.segment_sum(hidden, ad.Ids([0, 2, 0, 1], 3))
         out = reference_affine(ad.scale(nodes, [[1.0], [0.5], [2.0]]), w2, b2)
         return ad.mean_abs_error([out], targets, scale=2.0, center=0.5)
 
@@ -428,7 +449,7 @@ def test_gradients_accumulate_across_backwards():
     b = p(np.zeros(1), "b")
     for _ in range(2):
         with ComputeRecord() as rec:
-            loss = ad.gather(reference_affine(Tensor([3.0]), w, b), 0)
+            loss = ad.gather(reference_affine(Tensor([3.0]), w, b), ad.Ids(0, 1))
         backward(loss, rec)
     assert w.grad[0, 0] == pytest.approx(6.0)
 
@@ -462,7 +483,7 @@ def test_affine_of_parts_matches_the_joined_input(k):
     g = rng.normal(size=(k, 5))
     with ComputeRecord() as rec:
         out = reference_affine(parts, w, b)
-        column_sums = ad.segment_sum(ad.scale(out, g), np.zeros(k, np.intp), 1)
+        column_sums = ad.segment_sum(ad.scale(out, g), ad.Ids(np.zeros(k, np.intp), 1))
         backward(ad.mean_abs_error([column_sums], np.full(5, -100.0)), rec)
     want = _joined_affine([x.values for x in parts], w.values, b.values, k)
     assert out.shape == (k, 5)
@@ -524,7 +545,7 @@ def test_scatter_add_scalar_and_empty_index():
 def test_edge_free_segment_sum_backward():
     rows = Parameter(np.zeros((0, 3)), "rows")
     with ComputeRecord() as rec:
-        summed = ad.segment_sum(ad.gather(rows, np.zeros(0, np.intp)), [], 2)
+        summed = ad.segment_sum(ad.gather(rows, ad.Ids([], 0)), ad.Ids([], 2))
         loss = ad.mean_abs_error([summed], np.ones(6))
     backward(loss, rec)
     assert np.array_equal(summed.values, np.zeros((2, 3)))

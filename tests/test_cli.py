@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,55 @@ def test_validate_data_malformed_line_fails(tmp_path):
     proc = run_cli("--quiet", "validate-data", "--data", str(data), "--kind", "1d")
     assert proc.returncode == 2
     assert "malformed" in proc.stderr
+
+
+# a C locale without UTF-8 mode or locale coercion: open() would read ASCII
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_dataset_reads_as_utf8_under_an_ascii_locale(tmp_path):
+    data = tmp_path / "d.jsonl"
+    data.write_text('{"smiles": "CCO", "solvent": "D\u2082O", "c_shifts": {"0": 18.0}}\n',
+                    encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsqcnet", "--quiet", "validate-data", "--data", str(data),
+         "--kind", "1d"],
+        capture_output=True, text=True, cwd=REPO, env={**os.environ, **ASCII_LOCALE},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"status": "ok"' in proc.stdout
+
+
+def test_dataset_byte_that_is_not_utf8_is_data_error_naming_its_line(tmp_path):
+    data = tmp_path / "d.jsonl"
+    data.write_bytes(b'{"smiles": "C", "c_shifts": {"0": 1.0}}\n'
+                     b'{"smiles": "CCO", "solvent": "D\xb2O", "c_shifts": {"0": 18.0}}\n')
+    proc = run_cli("--quiet", "validate-data", "--data", str(data), "--kind", "1d")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {data}:2: byte 0xb2 at column 32 is not UTF-8\n"
+
+
+def test_checkpoint_header_that_is_not_utf8_is_data_error(tiny_checkpoint, tmp_path):
+    blob = bytearray(tiny_checkpoint.read_bytes())
+    header_len = int.from_bytes(blob[8:12], "little")
+    blob[12 + header_len // 2] = 0xFF
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(bytes(blob))
+    proc = run_cli("--quiet", "predict", "CCO", "--checkpoint", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: corrupt header\n"
+
+
+@pytest.mark.parametrize("name, kind", [("toy_1d.jsonl", "1d"), ("toy_hsqc.jsonl", "hsqc"),
+                                        ("toy_expert.jsonl", "annotated")])
+def test_validate_data_writes_json_lines(capsys, name, kind):
+    code = cli.main(["--quiet", "validate-data", "--data", str(REPO / "data" / name),
+                     "--kind", kind])
+    assert code == 0
+    *records, summary = map(_strict_json, capsys.readouterr().out.splitlines())
+    assert summary == {"usable": summary["usable"], "records": len(records)}
+    assert summary["usable"] == sum(record["status"] == "ok" for record in records) > 0
+    assert [record["line"] for record in records] == sorted(record["line"] for record in records)
 
 
 def test_predict_json(tiny_checkpoint):

@@ -645,7 +645,7 @@ def test_proton_target_reads_the_first_carbon_in_its_adjacency(smiles, hydrogen,
 
     def slot_mean(c):
         _, raw_h = _heads(model, molecule, SolventClass.DMSO, [c])
-        return ProtonReads.of([0], [1], [False]).outputs(raw_h).values[0]
+        return ProtonReads.of(ad.Ids([0], 1), [1], [False]).outputs(raw_h).values[0]
 
     assert protons.values[0] == slot_mean(carbon)
     assert protons.values[0] != slot_mean(other)  # the other carbon would be a different target
@@ -741,7 +741,7 @@ def test_levels_of_each_depth_equal_the_first_levels_of_a_deep_build(smiles):
 def test_molecules_indexes_and_proton_reads_compare_by_identity():
     # their fields hold numpy arrays, which no generated __eq__ can compare
     a, b = prepare_molecule("CCO"), prepare_molecule("CCO")
-    reads = [ProtonReads.of([0, 1], [1, 2], [False, True]) for _ in range(2)]
+    reads = [ProtonReads.of(ad.Ids([0, 1], 2), [1, 2], [False, True]) for _ in range(2)]
     for x, y in ((a, b), (a.levels(5), b.levels(5)), (a.levels(5).layers[0], b.levels(5).layers[0]),
                  reads):
         assert x == x and x != y

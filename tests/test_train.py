@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -288,9 +288,10 @@ def _butyric_labels(shifts) -> PseudoLabels:
 
 def _read_arrays(reads) -> list[np.ndarray]:
     heads, protons = reads.heads, reads.protons
-    return [heads.carbons.array, heads.h_index.array, heads.h_row.array, heads.h_weight,
-            *reads.carbon,
-            *protons.index, protons.weight, protons.segments]
+    ids = [heads.carbons, heads.h_index, heads.h_row, *reads.carbon, *protons.index,
+           protons.segments]
+    return [*(i.array for i in ids), np.array([i.bound for i in ids]), heads.h_weight,
+            protons.weight]
 
 
 def test_label_target_reads_equal_the_hand_built_layout(toy_hsqc_samples):
@@ -309,6 +310,39 @@ def test_label_target_reads_equal_the_hand_built_layout(toy_hsqc_samples):
         want = reference_label_reads(molecule, lab)
         for g, w in zip(_read_arrays(got), _read_arrays(want), strict=True):
             assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def _read_leaves(value):
+    """Every array a ``ShiftReads`` holds, through its nested records and
+    tuples."""
+    if isinstance(value, tuple):
+        for part in value:
+            yield from _read_leaves(part)
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from _read_leaves(getattr(value, f.name))
+    else:
+        yield value
+
+
+def test_reads_hold_their_index_arrays_as_ids():
+    # checked once when built: every index array of a sample's or a label
+    # target's reads is an Ids, bounded by the head rows or the targets;
+    # the rest are the float weights
+    sample = sample_1d("CCO", {0: 18.0, 1: 58.0}, {3: 1.2, 6: 3.6, 7: 3.6})
+    labels = _butyric_labels([(14.0, 0.9), (18.0, 1.6), (18.0, 1.7), (36.0, 2.3)])
+    target = LabelTarget.of(SampleHSQC(prepare_molecule("CCCC(=O)O"), SolventClass.DMSO, []),
+                            labels)
+    for item, head_rows in ((sample, 2), (target, 3)):
+        reads = item.reads
+        assert all(isinstance(leaf, ad.Ids) or leaf.dtype == np.float64
+                   for leaf in _read_leaves(reads))
+        (c_rows, c_column), (h_rows, h_column) = reads.carbon, reads.protons.index
+        assert len(reads.heads.carbons.array) == head_rows
+        assert (c_rows.bound, h_rows.bound, reads.heads.h_row.bound) == (head_rows,) * 3
+        assert (c_column.bound, h_column.bound) == (1, 2)
+        assert len(c_rows.array) == len(item.c_ppm)
+        assert reads.protons.segments.bound == len(item.h_ppm)
 
 
 def test_finetune_tape_length_equals_pretraining(monkeypatch, desk_config):
