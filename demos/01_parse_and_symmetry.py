@@ -26,10 +26,11 @@ print(f"benzene: {len(graph.atoms)} heavy atoms, {len(graph.bonds)} bonds, "
 # add_explicit_hydrogens builds a new graph; set_hybridization fills it in place
 expanded = add_explicit_hydrogens(graph)
 set_hybridization(expanded)
+# one symmetry class id per atom, at the atom's position in expanded.atoms
 classes = canonical_equivalence_classes(expanded)
 units = enumerate_ch_units(expanded, classes)
 print(f"after H expansion: {len(expanded.atoms)} atoms; "
-      f"{classes.num_classes} equivalence classes")
+      f"{len(set(classes))} equivalence classes")
 print(f"C-H units: {len(units)}, representatives: "
       f"{sum(u.is_representative for u in units)}")
 

@@ -40,7 +40,7 @@ print(json.dumps(report.segments["overall_equal_weight"], indent=2))
 # matched pairs linked; ppm axes run in the conventional reversed sense.
 molecule = prepare_molecule("c1ccccc1")
 preds = model.predict_cross_peaks(molecule, SolventClass.CHLOROFORM)
-observed = [ObservedPeak(128.4, 7.34, 0)]
+observed = [ObservedPeak(128.4, 7.34)]
 out = Path(__file__).resolve().parent / "benzene_overlay.svg"
 export_overlay(preds, observed, out, fmt="svg")
 print(f"\nwrote {out}")

@@ -52,7 +52,6 @@ from .molgraph import (
     BondType,
     CHUnit,
     Chirality,
-    EquivalenceClasses,
     Hybridization,
     MolecularGraph,
     add_explicit_hydrogens,

@@ -41,9 +41,11 @@ class MatchingError(ValueError):
 
 @dataclass(frozen=True)
 class ObservedPeak:
+    """One observed cross peak; its index is its position in the peak list
+    it came in."""
+
     delta_c: float
     delta_h: float
-    index: int
 
 
 def is_finite_real(value) -> bool:
@@ -125,7 +127,7 @@ def ingest_peaks(pairs) -> list[ObservedPeak]:
                 "observed peak %d (%.2f, %.2f) outside the usual shift range",
                 i, dc, dh,
             )
-        peaks.append(ObservedPeak(dc, dh, i))
+        peaks.append(ObservedPeak(dc, dh))
     return peaks
 
 
@@ -365,8 +367,9 @@ def softassign(cost: np.ndarray, settings: GASettings, on_sweep=None) -> np.ndar
 
 
 class PseudoLabel(NamedTuple):
-    """One matched (carbon, slot): the observed peak it is assigned to and
-    the predicted shifts that were matched. An immutable record that
+    """One matched (carbon, slot): the observed peak it is assigned to
+    (``obs_index``, that peak's position in the observed list), its shifts,
+    and the predicted shifts that were matched. An immutable record that
     compares and hashes by value."""
 
     carbon_index: int
@@ -444,18 +447,16 @@ def pseudo_annotate(
     else:
         provenance = "graduated"
         assignment = graduated_assignment(predictions, observations, settings)
-    picked = [observations[j] for j in assignment.argmax(axis=1).tolist()]
-    pred_h, pred_c = _shifts(predictions)
-    obs_h, obs_c = _shifts(picked)
-    # the cost of every matched pair, added left to right as a running float
-    # would add them: np.sum adds pairwise
-    costs = _pair_cost(pred_h, pred_c, obs_h, obs_c, settings.c_scale)
-    mean_cost = float(np.add.accumulate(costs)[-1]) / n
-    entries = list(map(
-        PseudoLabel, [p.ch_unit.carbon_index for p in predictions],
-        [p.peak_slot for p in predictions], [o.index for o in picked],
-        obs_c.tolist(), obs_h.tolist(), pred_c.tolist(), pred_h.tolist(),
-    ))
+    entries = []
+    total = 0.0  # matched costs added left to right
+    for pred, j in zip(predictions, assignment.argmax(axis=1).tolist()):
+        obs = observations[j]
+        total += shift_cost(pred, obs, settings.c_scale)
+        entries.append(PseudoLabel(
+            pred.ch_unit.carbon_index, pred.peak_slot, j, float(obs.delta_c),
+            float(obs.delta_h), float(pred.delta_c), float(pred.delta_h),
+        ))
+    mean_cost = float(total) / n
     return PseudoLabels(
         entries=entries,
         provenance=provenance,

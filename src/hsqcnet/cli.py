@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> tuple[ModelConfig, TrainConfig, MatchSettings]:
-    raw = parse_json(args.config.read_text()) if args.config is not None else {}
+    raw = _read_json_file(args.config) if args.config is not None else {}
     seed = {} if args.seed is None else {"seed": args.seed}
     try:
         if not isinstance(raw, dict):
@@ -133,11 +133,24 @@ def _load_config(args) -> tuple[ModelConfig, TrainConfig, MatchSettings]:
         raise ValueError(f"{args.config}: {exc}") from exc
 
 
+def _read_json_file(path) -> object:
+    """The JSON value in the file at ``path``, decoded as UTF-8 whatever the
+    locale; a byte that is not UTF-8 or malformed JSON is a ValueError
+    naming the file."""
+    try:
+        return parse_json(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte 0x{exc.object[exc.start]:02x} at position "
+                         f"{exc.start} is not UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: bad JSON ({exc})") from None
+
+
 def _read_peaks(spec: str):
     """Peaks from the file named ``spec`` if there is one, else from ``spec``
     as inline JSON (which may be longer than any file name can be)."""
     if os.path.exists(spec):
-        return ingest_peaks(parse_json(Path(spec).read_text()))
+        return ingest_peaks(_read_json_file(spec))
     return ingest_peaks(parse_json(spec))
 
 

@@ -16,6 +16,7 @@ import math
 import os
 import re
 import struct
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -64,11 +65,19 @@ _SYNONYMS = _load_synonyms()
 
 def parse_json(text: str | bytes):
     """``json.loads``, with input nested too deeply for the parser's
-    recursion reported as malformed JSON (a ``json.JSONDecodeError``)."""
+    recursion, or an integer longer than ``int`` converts
+    (``sys.get_int_max_str_digits``), reported as malformed JSON (a
+    ``json.JSONDecodeError``)."""
     try:
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", "", 0) from None
+    except ValueError as exc:
+        if type(exc) is not ValueError:  # a JSONDecodeError or UnicodeDecodeError
+            raise
+        raise json.JSONDecodeError(
+            f"integer of more than {sys.get_int_max_str_digits()} digits", "", 0
+        ) from None
 
 
 def normalize_solvent(raw: str | None) -> SolventClass:

@@ -249,8 +249,7 @@ def export_overlay(
     match = match or MatchSettings()
     labels = pseudo_annotate(None, predictions, observations, match)
     # one entry per prediction, in prediction order
-    obs_by_index = {o.index: o for o in observations}
-    pairs = [(pred, obs_by_index[e.obs_index]) for pred, e in zip(predictions, labels.entries)]
+    pairs = [(pred, observations[e.obs_index]) for pred, e in zip(predictions, labels.entries)]
     path = Path(path)
     if fmt == "csv":
         _write_csv(pairs, path, match.c_scale)

@@ -80,7 +80,6 @@ from .molgraph import (
     BondType,
     CHUnit,
     Chirality,
-    EquivalenceClasses,
     Hybridization,
     MolecularGraph,
     add_explicit_hydrogens,
@@ -229,10 +228,10 @@ def _atom_features(graph: MolecularGraph) -> list[tuple[int, int, int]]:
     graph whose hybridization has been inferred; an uninferred atom raises
     ValueError."""
     features = []
-    for atom in graph.atoms:
+    for i, atom in enumerate(graph.atoms):
         if atom.hybridization is Hybridization.UNSPECIFIED:
             raise ValueError(
-                f"atom {atom.index} has uninferred hybridization; run "
+                f"atom {i} has uninferred hybridization; run "
                 "set_hybridization first"
             )
         features.append((SYMBOL_INDEX[atom.element], _CHIRALITY_INDEX[atom.chirality],
@@ -281,7 +280,7 @@ class Molecule:
 
     smiles: str
     graph: MolecularGraph  # hydrogens explicit, hybridization inferred
-    classes: EquivalenceClasses
+    classes: tuple[int, ...]  # each atom's symmetry class id
     units: list[CHUnit]
     heads: "HeadRows" = field(init=False)
     _levels: dict[int, Levels] = field(default_factory=dict, init=False, repr=False)

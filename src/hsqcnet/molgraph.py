@@ -9,7 +9,7 @@ encoder layer (``model.Molecule.levels``)."""
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 from enum import Enum
 
 from .elements import ATOMIC_MASS
@@ -61,8 +61,10 @@ BOND_ORDER = {BondType.SINGLE: 1, BondType.DOUBLE: 2, BondType.TRIPLE: 3}
 
 @dataclass
 class AtomSpec:
+    """One atom; its index is its position in ``MolecularGraph.atoms``."""
+
     element: str
-    index: int
+    _: KW_ONLY
     formal_charge: int = 0
     chirality: Chirality = Chirality.NONE
     hybridization: Hybridization = Hybridization.UNSPECIFIED
@@ -79,7 +81,9 @@ class BondSpec:
 
 @dataclass
 class MolecularGraph:
-    """Undirected molecular graph; atoms indexed 0..n-1.
+    """Undirected molecular graph. An atom's index is its position in
+    ``atoms``: bonds, ``chiral_order`` and every per-atom list name atoms by
+    it, and no atom stores it.
 
     Construction checks that every bond endpoint names an atom (ValueError
     otherwise) and derives ``adjacency``, which is not a parameter;
@@ -130,8 +134,6 @@ class MolecularGraph:
                         f"aromatic bond between non-aromatic atoms {a}, {b}"
                     )
         for i, atom in enumerate(self.atoms):
-            if atom.index != i:
-                raise ValueError(f"atom {i} carries index {atom.index}")
             if atom.element not in ATOMIC_MASS:
                 raise ValueError(f"unknown element {atom.element!r} at atom {i}")
 
@@ -161,12 +163,6 @@ class MolecularGraph:
 
 
 @dataclass(frozen=True)
-class EquivalenceClasses:
-    class_id: tuple[int, ...]
-    num_classes: int
-
-
-@dataclass(frozen=True)
 class CHUnit:
     carbon_index: int
     hydrogen_indices: tuple[int, ...]
@@ -182,19 +178,15 @@ def add_explicit_hydrogens(graph: MolecularGraph) -> MolecularGraph:
     grouped by their heavy atom, in heavy-atom index order. A graph whose
     atoms all have implicit_h == 0 round-trips unchanged in size.
     """
-    atoms = [
-        AtomSpec(a.element, a.index, a.formal_charge, a.chirality, a.hybridization,
-                 a.is_aromatic)
-        for a in graph.atoms
-    ]
+    atoms = [replace(a, implicit_h=0) for a in graph.atoms]
     bonds = [BondSpec(b.endpoints, b.bond_type, b.direction) for b in graph.bonds]
     chiral_order = {k: list(v) for k, v in graph.chiral_order.items()}
-    for heavy in graph.atoms:
-        order = chiral_order.get(heavy.index)
+    for i, heavy in enumerate(graph.atoms):
+        order = chiral_order.get(i)
         for _ in range(heavy.implicit_h):
             hydrogen = len(atoms)
-            atoms.append(AtomSpec(element="H", index=hydrogen))
-            bonds.append(BondSpec((heavy.index, hydrogen), BondType.SINGLE))
+            atoms.append(AtomSpec("H"))
+            bonds.append(BondSpec((i, hydrogen), BondType.SINGLE))
             if order is not None and -1 in order:
                 order[order.index(-1)] = hydrogen
     return MolecularGraph(atoms, bonds, graph.source_smiles, chiral_order)
@@ -206,7 +198,7 @@ def set_hybridization(graph: MolecularGraph) -> None:
     Aromatic -> SP2; a triple bond or two double bonds -> SP; exactly one
     double bond -> SP2; everything else (hydrogens included) -> SP3.
     """
-    for atom in graph.atoms:
+    for i, atom in enumerate(graph.atoms):
         if atom.element == "H":
             atom.hybridization = Hybridization.SP3
             continue
@@ -214,8 +206,8 @@ def set_hybridization(graph: MolecularGraph) -> None:
             atom.hybridization = Hybridization.SP2
             continue
         doubles = triples = 0
-        for nb in graph.adjacency[atom.index]:
-            btype = graph.bond_between(atom.index, nb).bond_type
+        for nb in graph.adjacency[i]:
+            btype = graph.bond_between(i, nb).bond_type
             if btype is BondType.DOUBLE:
                 doubles += 1
             elif btype is BondType.TRIPLE:
@@ -233,8 +225,9 @@ def _hydrogen_count(graph: MolecularGraph, atom: int) -> int:
     return explicit + graph.atoms[atom].implicit_h
 
 
-def canonical_equivalence_classes(graph: MolecularGraph) -> EquivalenceClasses:
-    """Morgan-style neighborhood refinement to its fixed point.
+def canonical_equivalence_classes(graph: MolecularGraph) -> tuple[int, ...]:
+    """Each atom's symmetry class id: Morgan-style neighborhood refinement
+    to its fixed point.
 
     Seeds with (element, aromaticity, hybridization, hydrogen count), then
     repeatedly extends each label with the sorted multiset of
@@ -242,16 +235,10 @@ def canonical_equivalence_classes(graph: MolecularGraph) -> EquivalenceClasses:
     sorted signature order, so they are stable under atom relabeling.
     """
     seeds = [
-        (
-            a.element,
-            a.is_aromatic,
-            a.hybridization.value,
-            _hydrogen_count(graph, a.index),
-        )
-        for a in graph.atoms
+        (a.element, a.is_aromatic, a.hybridization.value, _hydrogen_count(graph, i))
+        for i, a in enumerate(graph.atoms)
     ]
-    labels = refine_labels(graph, seeds)
-    return EquivalenceClasses(tuple(labels), len(set(labels)))
+    return tuple(refine_labels(graph, seeds))
 
 
 def refine_labels(graph: MolecularGraph, seeds: list) -> list[int]:
@@ -328,10 +315,9 @@ def _dense_labels(keys: list) -> tuple[list[int], list]:
     return list(map(order.__getitem__, keys)), classes
 
 
-def enumerate_ch_units(
-    graph: MolecularGraph, classes: EquivalenceClasses
-) -> list[CHUnit]:
-    """One unit per hydrogen-bearing carbon, flagged for symmetry collapse.
+def enumerate_ch_units(graph: MolecularGraph, classes: tuple[int, ...]) -> list[CHUnit]:
+    """One unit per hydrogen-bearing carbon, flagged for symmetry collapse;
+    ``classes`` holds each atom's symmetry class id.
 
     The representative of each equivalence key is the member with the
     smallest carbon index; downstream peak emission only emits
@@ -339,18 +325,16 @@ def enumerate_ch_units(
     """
     units: list[CHUnit] = []
     seen_keys: set[int] = set()
-    for atom in graph.atoms:
+    for i, atom in enumerate(graph.atoms):
         if atom.element != "C":
             continue
-        hydrogens = tuple(
-            nb for nb in graph.adjacency[atom.index] if graph.atoms[nb].element == "H"
-        )
+        hydrogens = tuple(nb for nb in graph.adjacency[i] if graph.atoms[nb].element == "H")
         if not hydrogens:
             continue
-        key = classes.class_id[atom.index]
+        key = classes[i]
         units.append(
             CHUnit(
-                carbon_index=atom.index,
+                carbon_index=i,
                 hydrogen_indices=hydrogens,
                 max_peaks=2 if len(hydrogens) == 2 else 1,
                 equivalence_key=key,
@@ -377,9 +361,7 @@ def relabel_atoms(graph: MolecularGraph, permutation: list[int]) -> MolecularGra
         raise ValueError("not a permutation of atom indices")
     atoms: list[AtomSpec] = [None] * n  # type: ignore[list-item]
     for old, new in enumerate(permutation):
-        moved = replace(graph.atoms[old])
-        moved.index = new
-        atoms[new] = moved
+        atoms[new] = replace(graph.atoms[old])
     bonds = [
         BondSpec(
             (permutation[b.endpoints[0]], permutation[b.endpoints[1]]),
@@ -398,16 +380,17 @@ def relabel_atoms(graph: MolecularGraph, permutation: list[int]) -> MolecularGra
 
 
 def graph_to_dict(
-    graph: MolecularGraph, classes: EquivalenceClasses, units: list[CHUnit]
+    graph: MolecularGraph, classes: tuple[int, ...], units: list[CHUnit]
 ) -> dict:
-    """JSON-ready dump used by the CLI ``parse`` subcommand."""
+    """JSON-ready dump used by the CLI ``parse`` subcommand; ``classes``
+    holds each atom's symmetry class id."""
     return {
         "smiles": graph.source_smiles,
         "num_atoms": len(graph.atoms),
         "num_bonds": len(graph.bonds),
         "atoms": [
             {
-                "index": a.index,
+                "index": i,
                 "element": a.element,
                 "charge": a.formal_charge,
                 "aromatic": a.is_aromatic,
@@ -415,7 +398,7 @@ def graph_to_dict(
                 "hybridization": a.hybridization.value,
                 "implicit_h": a.implicit_h,
             }
-            for a in graph.atoms
+            for i, a in enumerate(graph.atoms)
         ],
         "bonds": [
             {
@@ -427,8 +410,8 @@ def graph_to_dict(
         ],
         "molecular_weight": molecular_weight(graph),
         "equivalence": {
-            "class_id": list(classes.class_id),
-            "num_classes": classes.num_classes,
+            "class_id": list(classes),
+            "num_classes": len(set(classes)),
         },
         "ch_units": [
             {

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from dataclasses import replace
 from itertools import combinations
 
 from .elements import (
@@ -122,7 +123,6 @@ def parse_smiles(text: str) -> MolecularGraph:
     def new_atom(spec: AtomSpec, pos: int, was_bracket: bool, h_hint: int) -> None:
         nonlocal prev, pending
         idx = len(atoms)
-        spec.index = idx
         atoms.append(spec)
         bracketed.append(was_bracket)
         positions.append(pos)
@@ -223,12 +223,12 @@ def parse_smiles(text: str) -> MolecularGraph:
                 )
             else:
                 raise SmilesParseError(f"unknown element symbol {ch!r}", i)
-            new_atom(AtomSpec(element=symbol, index=0), i, False, 0)
+            new_atom(AtomSpec(symbol), i, False, 0)
             i += len(symbol)
         elif ch.islower():
             if ch not in AROMATIC_ORGANIC:
                 raise SmilesParseError(f"unknown element symbol {ch!r}", i)
-            spec = AtomSpec(element=ch.upper(), index=0, is_aromatic=True)
+            spec = AtomSpec(ch.upper(), is_aromatic=True)
             new_atom(spec, i, False, 0)
             i += 1
         else:
@@ -296,8 +296,7 @@ def _parse_bracket(body: str, offset: int) -> tuple[AtomSpec, int]:
             charge = int(raw_charge)
 
     spec = AtomSpec(
-        element=symbol,
-        index=0,
+        symbol,
         formal_charge=charge,
         chirality=chiral,
         is_aromatic=aromatic,
@@ -318,7 +317,7 @@ def canonical_ranks(graph: MolecularGraph, h_counts: list[int]) -> list[int]:
     Fills the graph's hybridization in place, so the caller must own it.
     """
     set_hybridization(graph)
-    classes = canonical_equivalence_classes(graph).class_id
+    classes = canonical_equivalence_classes(graph)
     labels = refine_labels(
         graph,
         [(c, a.formal_charge, h) for c, a, h in zip(classes, graph.atoms, h_counts)],
@@ -359,33 +358,26 @@ def _fold_hydrogens(graph: MolecularGraph) -> tuple[MolecularGraph, list[int]]:
     keep: list[int] = []
     fold_to: dict[int, int] = {}
     folded = [0] * len(graph.atoms)  # hydrogens folded into each atom
-    for atom in graph.atoms:
+    for i, atom in enumerate(graph.atoms):
         if (
             atom.element == "H"
             and atom.formal_charge == 0
             and atom.chirality is Chirality.NONE
-            and len(graph.adjacency[atom.index]) == 1
-            and graph.atoms[graph.adjacency[atom.index][0]].element != "H"
+            and len(graph.adjacency[i]) == 1
+            and graph.atoms[graph.adjacency[i][0]].element != "H"
         ):
-            heavy = graph.adjacency[atom.index][0]
-            fold_to[atom.index] = heavy
+            heavy = graph.adjacency[i][0]
+            fold_to[i] = heavy
             folded[heavy] += 1
         else:
-            keep.append(atom.index)
+            keep.append(i)
     remap = {old: new for new, old in enumerate(keep)}
     atoms = []
     h_counts = []
     for old in keep:
-        spec = AtomSpec(
-            element=graph.atoms[old].element,
-            index=remap[old],
-            formal_charge=graph.atoms[old].formal_charge,
-            chirality=graph.atoms[old].chirality,
-            hybridization=Hybridization.UNSPECIFIED,
-            is_aromatic=graph.atoms[old].is_aromatic,
-            implicit_h=0,
-        )
-        atoms.append(spec)
+        atoms.append(replace(
+            graph.atoms[old], hybridization=Hybridization.UNSPECIFIED, implicit_h=0
+        ))
         h_counts.append(graph.atoms[old].implicit_h + folded[old])
     bonds = [
         BondSpec(

@@ -142,8 +142,8 @@ def graphs_isomorphic(g1: MolecularGraph, g2: MolecularGraph) -> bool:
     implicit hydrogen counts, bond types/directions, and tetrahedral parity."""
     if len(g1.atoms) != len(g2.atoms) or len(g1.bonds) != len(g2.bonds):
         return False
-    c1 = canonical_equivalence_classes(infer_hybridization(g1)).class_id
-    c2 = canonical_equivalence_classes(infer_hybridization(g2)).class_id
+    c1 = canonical_equivalence_classes(infer_hybridization(g1))
+    c2 = canonical_equivalence_classes(infer_hybridization(g2))
     if sorted(c1) != sorted(c2):
         return False
     n = len(g1.atoms)
@@ -346,7 +346,7 @@ def reference_pseudo_annotate(predictions, observations, settings) -> PseudoLabe
         total += shift_cost(pred, obs, settings.c_scale)
         entries.append(PseudoLabel(
             carbon_index=pred.ch_unit.carbon_index, slot=pred.peak_slot,
-            obs_index=obs.index, delta_c=obs.delta_c, delta_h=obs.delta_h,
+            obs_index=j, delta_c=obs.delta_c, delta_h=obs.delta_h,
             pred_delta_c=pred.delta_c, pred_delta_h=pred.delta_h,
         ))
     mean_cost = total / n
@@ -602,8 +602,8 @@ def reference_refine_labels(graph: MolecularGraph, seeds: list) -> list[int]:
 def reference_ch_bonds(graph: MolecularGraph) -> tuple[list[int], list[int]]:
     """The C-H bonds by a walk over every carbon's adjacency, in atom order:
     (carbon of each bond, hydrogen of each bond)."""
-    bonds = [(atom.index, nb) for atom in graph.atoms if atom.element == "C"
-             for nb in graph.adjacency[atom.index] if graph.atoms[nb].element == "H"]
+    bonds = [(i, nb) for i, atom in enumerate(graph.atoms) if atom.element == "C"
+             for nb in graph.adjacency[i] if graph.atoms[nb].element == "H"]
     return [c for c, _ in bonds], [h for _, h in bonds]
 
 

@@ -142,8 +142,7 @@ def test_criterion_03_graduated_assignment_consistency():
         preds = [_Peak(c + rng.normal(0, 0.02), h + rng.normal(0, 0.002), i)
                  for i, (c, h) in enumerate(centers)]
         order = rng.permutation(n)
-        obs = [ObservedPeak(centers[k][0], centers[k][1], j)
-               for j, k in enumerate(order)]
+        obs = [ObservedPeak(centers[k][0], centers[k][1]) for k in order]
         soft = graduated_assignment(preds, obs)
         exact = hungarian(cost_matrix(preds, obs))
         assert np.array_equal(soft, exact)
@@ -152,7 +151,7 @@ def test_criterion_03_graduated_assignment_consistency():
         base_c, base_h = 40.0 + trial, 2.0 + 0.1 * trial
         preds = [_Peak(base_c, base_h, 0), _Peak(base_c, base_h, 1),
                  _Peak(base_c + 60, base_h + 3, 2)]
-        obs = [ObservedPeak(base_c, base_h, 0), ObservedPeak(base_c + 60, base_h + 3, 1)]
+        obs = [ObservedPeak(base_c, base_h), ObservedPeak(base_c + 60, base_h + 3)]
         assignment = graduated_assignment(preds, obs)
         assert np.all(assignment.sum(axis=1) == 1)
         assert assignment[0, 0] == 1 and assignment[1, 0] == 1
@@ -247,7 +246,7 @@ def test_criterion_07_teacher_student(overfit_run, parser_corpus, desk_config):
         peaks = [None] * len(preds)
         mapping = {}
         for i, j in enumerate(order):
-            peaks[j] = ObservedPeak(preds[i].delta_c, preds[i].delta_h, j)
+            peaks[j] = ObservedPeak(preds[i].delta_c, preds[i].delta_h)
             mapping[(preds[i].ch_unit.carbon_index, preds[i].peak_slot)] = j
         dataset.append(SampleHSQC(mol, SolventClass.CHLOROFORM, peaks))
         truth.append(mapping)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -56,16 +57,22 @@ def brute_force_min(cost: np.ndarray) -> float:
     )
 
 
+def test_an_observed_peak_index_is_its_position_in_the_list():
+    assert [f.name for f in dataclasses.fields(ObservedPeak)] == ["delta_c", "delta_h"]
+    with pytest.raises(TypeError):
+        ObservedPeak(100.0, 5.0, 0)
+
+
 def test_shift_cost_examples():
     a = FakePeak(100.0, 5.0)
-    assert shift_cost(a, ObservedPeak(100.0, 5.0, 0)) == 0.0
-    assert shift_cost(FakePeak(110.0, 5.0), ObservedPeak(100.0, 5.0, 0)) == pytest.approx(1.0)
-    assert shift_cost(FakePeak(102.0, 5.3), ObservedPeak(100.0, 5.0, 0)) == pytest.approx(0.5)
+    assert shift_cost(a, ObservedPeak(100.0, 5.0)) == 0.0
+    assert shift_cost(FakePeak(110.0, 5.0), ObservedPeak(100.0, 5.0)) == pytest.approx(1.0)
+    assert shift_cost(FakePeak(102.0, 5.3), ObservedPeak(100.0, 5.0)) == pytest.approx(0.5)
 
 
 def test_shift_cost_requires_positive_scale():
     with pytest.raises(ValueError):
-        shift_cost(FakePeak(1, 1), ObservedPeak(1, 1, 0), c_scale=0.0)
+        shift_cost(FakePeak(1, 1), ObservedPeak(1, 1), c_scale=0.0)
 
 
 # finite shifts whose differences, over any drawn c_scale, stay finite
@@ -79,7 +86,7 @@ _SHIFTS = st.floats(-1e300, 1e300, allow_nan=False)
 @example([(0.1, 1e300)], [(-0.2, -1e300)], 1e-6)
 def test_cost_matrix_entries_are_shift_cost_bit_for_bit(preds, observed, c_scale):
     preds = [FakePeak(c, h) for c, h in preds]
-    observed = [ObservedPeak(c, h, k) for k, (c, h) in enumerate(observed)]
+    observed = [ObservedPeak(c, h) for c, h in observed]
     got = cost_matrix(preds, observed, c_scale)
     assert [[v.hex() for v in row] for row in got.tolist()] == [
         [shift_cost(p, o, c_scale).hex() for o in observed] for p in preds]
@@ -88,8 +95,8 @@ def test_cost_matrix_entries_are_shift_cost_bit_for_bit(preds, observed, c_scale
 @pytest.mark.parametrize("big", [2**53, 10**30])
 def test_shift_cost_keeps_integer_arithmetic(big):
     # as floats, big + 1 and big are one number; as integers they differ by 1
-    assert shift_cost(FakePeak(big + 1, 0), ObservedPeak(big, 0, 0)) == 0.1
-    assert shift_cost(FakePeak(0, big + 1), ObservedPeak(0, big, 0), c_scale=3.0) == 1
+    assert shift_cost(FakePeak(big + 1, 0), ObservedPeak(big, 0)) == 0.1
+    assert shift_cost(FakePeak(0, big + 1), ObservedPeak(0, big), c_scale=3.0) == 1
 
 
 def test_ingest_peaks_warns_but_keeps_out_of_range(caplog):
@@ -262,7 +269,7 @@ def test_hungarian_on_planted_groups_equals_the_search_over_every_row(levels, fa
 
 def make_peaks(values):
     preds = [FakePeak(c, h, carbon=i) for i, (c, h) in enumerate(values)]
-    obs = [ObservedPeak(c, h, i) for i, (c, h) in enumerate(values)]
+    obs = [ObservedPeak(c, h) for c, h in values]
     return preds, obs
 
 
@@ -276,7 +283,7 @@ def test_graduated_matches_hungarian_when_well_separated():
         preds = [FakePeak(c + rng.normal(0, 0.05), h + rng.normal(0, 0.005), carbon=i)
                  for i, (c, h) in enumerate(centers)]
         order = rng.permutation(n)
-        obs = [ObservedPeak(centers[k][0], centers[k][1], j) for j, k in enumerate(order)]
+        obs = [ObservedPeak(centers[k][0], centers[k][1]) for k in order]
         ga = graduated_assignment(preds, obs)
         hung = hungarian(cost_matrix(preds, obs))
         assert np.array_equal(ga, hung)
@@ -284,7 +291,7 @@ def test_graduated_matches_hungarian_when_well_separated():
 
 def test_graduated_symmetric_pair_one_to_many():
     preds = [FakePeak(100.0, 5.0, carbon=0), FakePeak(100.0, 5.0, carbon=1)]
-    obs = [ObservedPeak(100.0, 5.0, 0)]
+    obs = [ObservedPeak(100.0, 5.0)]
     assignment = graduated_assignment(preds, obs)
     assert assignment.shape == (2, 1)
     assert np.all(assignment[:, 0] == 1)
@@ -292,7 +299,7 @@ def test_graduated_symmetric_pair_one_to_many():
 
 def test_graduated_single_pair_matches():
     assignment = graduated_assignment(
-        [FakePeak(10.0, 1.0)], [ObservedPeak(180.0, 9.0, 0)]
+        [FakePeak(10.0, 1.0)], [ObservedPeak(180.0, 9.0)]
     )
     assert assignment[0, 0] == 1
 
@@ -302,7 +309,7 @@ def test_graduated_reads_c_scale_from_match_settings():
     # the carbon weight 1 / c_scale decides which is nearer
     preds = [FakePeak(100.0, 5.0, carbon=0), FakePeak(60.0, 2.0, carbon=1),
              FakePeak(20.0, 1.0, carbon=2)]
-    obs = [ObservedPeak(100.0, 5.5, 0), ObservedPeak(103.0, 5.0, 1)]
+    obs = [ObservedPeak(100.0, 5.5), ObservedPeak(103.0, 5.0)]
     default = graduated_assignment(preds, obs)
     assert np.array_equal(default, graduated_assignment(preds, obs, MatchSettings()))
     assert default[0].argmax() == 1
@@ -319,7 +326,7 @@ def test_graduated_rejects_empty_observations():
 def test_graduated_rows_covered_exactly_once():
     rng = np.random.default_rng(7)
     preds = [FakePeak(rng.uniform(0, 200), rng.uniform(0, 10), carbon=i) for i in range(8)]
-    obs = [ObservedPeak(rng.uniform(0, 200), rng.uniform(0, 10), j) for j in range(5)]
+    obs = [ObservedPeak(rng.uniform(0, 200), rng.uniform(0, 10)) for _ in range(5)]
     assignment = graduated_assignment(preds, obs)
     assert np.all(assignment.sum(axis=1) == 1)
 
@@ -327,7 +334,7 @@ def test_graduated_rows_covered_exactly_once():
 def test_graduated_more_observations_than_predictions():
     rng = np.random.default_rng(9)
     preds = [FakePeak(rng.uniform(0, 200), rng.uniform(0, 10), carbon=i) for i in range(3)]
-    obs = [ObservedPeak(rng.uniform(0, 200), rng.uniform(0, 10), j) for j in range(6)]
+    obs = [ObservedPeak(rng.uniform(0, 200), rng.uniform(0, 10)) for _ in range(6)]
     assignment = graduated_assignment(preds, obs)
     assert np.all(assignment.sum(axis=1) == 1)  # noise peaks may stay unmatched
 
@@ -484,7 +491,7 @@ def test_graduated_equals_the_annealed_schedule(lists, case, beta0, rate, span, 
     # each annealing round restarted from beta * similarity, so only the last
     # temperature ever reached the result
     preds = [FakePeak(c, h, carbon=i) for i, (c, h) in enumerate(lists[0])]
-    obs = [ObservedPeak(c, h, j) for j, (c, h) in enumerate(lists[1])]
+    obs = [ObservedPeak(c, h) for c, h in lists[1]]
     if case == "default":
         match, schedule = MatchSettings(), {}
     elif case == "c_scale 1":
@@ -529,11 +536,11 @@ def test_pseudo_annotate_empty_predictions_warns(caplog):
 
 def test_pseudo_annotate_rejection_flag():
     preds, _ = make_peaks([(10.0, 1.0)])
-    far = [ObservedPeak(200.0, 9.0, 0)]
+    far = [ObservedPeak(200.0, 9.0)]
     labels = pseudo_annotate(FakeMol(), preds, far, MatchSettings(reject_threshold=1.0))
     assert labels.rejected
     assert labels.mean_cost > 1.0
-    near = [ObservedPeak(10.5, 1.01, 0)]
+    near = [ObservedPeak(10.5, 1.01)]
     labels = pseudo_annotate(FakeMol(), preds, near, MatchSettings(reject_threshold=1.0))
     assert not labels.rejected
 
@@ -546,7 +553,7 @@ def test_pseudo_annotate_recovers_generating_permutation():
         truth = [(c + 30 * i, h + 1.5 * i) for i, (c, h) in enumerate(truth)]
         preds = [FakePeak(c, h, carbon=i) for i, (c, h) in enumerate(truth)]
         perm = list(rng.permutation(n))
-        obs = [ObservedPeak(truth[perm[j]][0], truth[perm[j]][1], j) for j in range(n)]
+        obs = [ObservedPeak(*truth[k]) for k in perm]
         labels = pseudo_annotate(FakeMol(), preds, obs)
         for entry in labels.entries:
             assert perm[entry.obs_index] == entry.carbon_index
@@ -562,7 +569,7 @@ def test_pseudo_annotate_deterministic():
 
 def test_cost_matrix_rejects_non_finite():
     with pytest.raises(MatchingError):
-        cost_matrix([FakePeak(np.inf, 1.0)], [ObservedPeak(1.0, 1.0, 0)])
+        cost_matrix([FakePeak(np.inf, 1.0)], [ObservedPeak(1.0, 1.0)])
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (40, 40)])
@@ -589,7 +596,7 @@ def long_peak_lists(draw):
 @settings(max_examples=120, deadline=None)
 def test_pseudo_annotate_equals_the_per_row_loop(lists, match):
     preds = [FakePeak(c, h, carbon=i, slot=1 + i % 2) for i, (c, h) in enumerate(lists[0])]
-    obs = [ObservedPeak(c, h, j) for j, (c, h) in enumerate(lists[1])]
+    obs = [ObservedPeak(c, h) for c, h in lists[1]]
     assert_same_labels(pseudo_annotate(FakeMol(), preds, obs, match),
                        reference_pseudo_annotate(preds, obs, match))
 
@@ -615,7 +622,7 @@ def test_pseudo_annotate_sums_costs_left_to_right(predicted):
     # 1.0. A 17th peak lies one ulp from the first observed peak.
     preds = [FakePeak(20.0 * (i % 16), 0.5 + math.ulp(0.5) + (i == 0), carbon=i)
              for i in range(predicted)]
-    obs = [ObservedPeak(20.0 * i, 0.5, i) for i in range(16)]
+    obs = [ObservedPeak(20.0 * i, 0.5) for i in range(16)]
     want = reference_pseudo_annotate(preds, obs, MatchSettings())
     costs = [shift_cost(p, obs[e.obs_index]) for p, e in zip(preds, want.entries)]
     sequential = 0.0

@@ -351,6 +351,81 @@ def test_deeply_nested_peaks_is_usage_error(tiny_checkpoint, tmp_path, capsys, w
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# an integer literal past the digits ``int`` converts (sys.get_int_max_str_digits)
+LONG_INT = "1" + "0" * (sys.get_int_max_str_digits() + 700)
+TOO_LONG = f"integer of more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("command", ["validate-data", "pretrain"])
+def test_dataset_integer_past_the_digit_limit_is_a_malformed_line(tmp_path, capsys, command):
+    data, out = tmp_path / "d.jsonl", tmp_path / "unused.ckpt"
+    data.write_text('{"smiles": "C", "c_shifts": {"0": 1.0}}\n'
+                    f'{{"smiles": "C", "c_shifts": {{"0": {LONG_INT}}}}}\n')
+    rest = ["--kind", "1d"] if command == "validate-data" else ["--checkpoint-out", str(out)]
+    assert cli.main(["--quiet", command, "--data", str(data), *rest]) == 2
+    assert capsys.readouterr().err == f"error: {data}:2: malformed JSON line ({TOO_LONG})\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["file", "inline"])
+def test_peaks_integer_past_the_digit_limit_is_bad_json(tiny_checkpoint, tmp_path, capsys,
+                                                        where):
+    peaks, named = f"[[{LONG_INT}, 1.0]]", "bad JSON input"
+    if where == "file":
+        path = tmp_path / "peaks.json"
+        path.write_text(peaks)
+        peaks, named = str(path), f"{path}: bad JSON"
+    code = cli.main(["--quiet", "assign", "CCO", "--checkpoint", str(tiny_checkpoint),
+                     "--peaks", peaks])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {named} ({TOO_LONG}")
+
+
+def _json_file_argv(flag, path, checkpoint):
+    """An assign command reading ``path`` as its --peaks or --config file."""
+    if flag == "--peaks":
+        return ["--quiet", "assign", "CCO", "--checkpoint", str(checkpoint), "--peaks", str(path)]
+    return ["--quiet", "--config", str(path), "assign", "CCO", "--checkpoint", str(checkpoint),
+            "--peaks", "[[18.0, 1.2]]"]
+
+
+@pytest.mark.parametrize("flag, text", [("--peaks", b"[[18.0, 1.2]]"),
+                                        ("--config", b'{"match": {"c_scale": 10.0}}')],
+                         ids=["peaks", "config"])
+def test_json_file_byte_that_is_not_utf8_names_the_file(tiny_checkpoint, tmp_path, capsys,
+                                                        flag, text):
+    path = tmp_path / "in.json"
+    path.write_bytes(text + b"\xff")
+    assert cli.main(_json_file_argv(flag, path, tiny_checkpoint)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: byte 0xff at position {len(text)} is not UTF-8\n")
+
+
+@pytest.mark.parametrize("flag, text", [("--peaks", "[[18.0, 1.2]"), ("--config", '{"match"}')],
+                         ids=["peaks", "config"])
+def test_json_file_malformed_names_the_file(tiny_checkpoint, tmp_path, capsys, flag, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert cli.main(_json_file_argv(flag, path, tiny_checkpoint)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: bad JSON (")
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--peaks", '[["\u00e9", 1.2]]', "observed peak 0 is not a [delta_c, delta_h] pair"),
+    ("--config", '{"match": {"c_scal\u00e9": 1.0}}', "in.json: unknown key(s) ['c_scal"),
+], ids=["peaks", "config"])
+def test_json_files_read_as_utf8_under_an_ascii_locale(tiny_checkpoint, tmp_path, flag, text,
+                                                       message):
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsqcnet", *_json_file_argv(flag, path, tiny_checkpoint)],
+        capture_output=True, text=True, cwd=REPO, env={**os.environ, **ASCII_LOCALE},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("smiles", ["", ".", ".."])
 def test_predict_without_atoms_is_data_error(tiny_checkpoint, capsys, smiles):
     code = cli.main(["--quiet", "predict", smiles, "--checkpoint", str(tiny_checkpoint)])

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from hsqcnet.assign import ObservedPeak
+from hsqcnet.assign import ObservedPeak, pseudo_annotate
 from hsqcnet.evaluate import (
     AnnotatedTestRecord,
     evaluate,
@@ -27,7 +27,7 @@ def records_from_model(model, smiles_list, solvent=SolventClass.CHLOROFORM,
     for k, smiles in enumerate(smiles_list):
         mol = prepare_molecule(smiles)
         preds = model.predict_cross_peaks(mol, solvent)
-        peaks = [ObservedPeak(p.delta_c, p.delta_h, j) for j, p in enumerate(preds)]
+        peaks = [ObservedPeak(p.delta_c, p.delta_h) for p in preds]
         expert = {
             j: [(p.ch_unit.carbon_index, p.peak_slot)] for j, p in enumerate(preds)
         }
@@ -51,6 +51,25 @@ def test_identity_case_all_perfect(model):
     assert report.all_correct_fraction == 1.0
     assert report.peak_agreement_on_disagreeing == 1.0
     assert report.molecules_all_correct == 3
+
+
+def test_a_peak_is_named_by_its_position_in_the_list_given(model):
+    # the observed peaks in the reverse of prediction order: the labels and
+    # the expert map both name a peak by its position, so a perfect match
+    # scores all-correct
+    mol = prepare_molecule("CC(C)O")
+    preds = model.predict_cross_peaks(mol, SolventClass.CHLOROFORM)
+    order = list(reversed(range(len(preds))))  # peak j is prediction order[j]
+    assert len(order) == 2
+    peaks = [ObservedPeak(preds[k].delta_c, preds[k].delta_h) for k in order]
+    labels = pseudo_annotate(mol, preds, peaks)
+    assert [e.obs_index for e in labels.entries] == [order.index(i) for i in range(len(preds))]
+    expert = {j: [(preds[k].ch_unit.carbon_index, preds[k].peak_slot)]
+              for j, k in enumerate(order)}
+    record = AnnotatedTestRecord(SampleHSQC(mol, SolventClass.CHLOROFORM, peaks), expert)
+    report = evaluate(model, [record], solvent_mode="true")
+    assert report.mae_c == 0.0 and report.mae_h == 0.0
+    assert report.molecules_all_correct == 1
 
 
 def test_single_wrong_expert_entry(model):
@@ -180,7 +199,7 @@ class _Pk:
 
 def test_svg_glyph_and_link_counts(tmp_path):
     preds = [_Pk(100.0, 5.0, 0)]
-    obs = [ObservedPeak(101.0, 5.1, 0)]
+    obs = [ObservedPeak(101.0, 5.1)]
     path = export_overlay(preds, obs, tmp_path / "o.svg", fmt="svg")
     root = ET.fromstring(path.read_text())
     ns = "{http://www.w3.org/2000/svg}"
@@ -192,7 +211,7 @@ def test_svg_glyph_and_link_counts(tmp_path):
 
 def test_svg_axis_margins(tmp_path):
     preds = [_Pk(20.0, 1.0, 0), _Pk(150.0, 8.0, 1)]
-    obs = [ObservedPeak(21.0, 1.05, 0), ObservedPeak(149.0, 7.9, 1)]
+    obs = [ObservedPeak(21.0, 1.05), ObservedPeak(149.0, 7.9)]
     path = export_overlay(preds, obs, tmp_path / "o.svg", fmt="svg")
     root = ET.fromstring(path.read_text())
     h_lo, h_hi = float(root.get("data-h-min")), float(root.get("data-h-max"))
@@ -205,7 +224,7 @@ def test_svg_axis_margins(tmp_path):
 
 def test_csv_round_trip(tmp_path):
     preds = [_Pk(100.123456789, 5.000000001, 3), _Pk(55.5, 2.25, 7)]
-    obs = [ObservedPeak(100.2, 5.01, 0), ObservedPeak(55.4, 2.26, 1)]
+    obs = [ObservedPeak(100.2, 5.01), ObservedPeak(55.4, 2.26)]
     path = export_overlay(preds, obs, tmp_path / "o.csv", fmt="csv")
     with path.open() as fh:
         rows = list(csv.DictReader(fh))
@@ -217,7 +236,7 @@ def test_csv_round_trip(tmp_path):
 
 def test_export_requires_peaks(tmp_path):
     with pytest.raises(ValueError):
-        export_overlay([], [ObservedPeak(1, 1, 0)], tmp_path / "x.svg")
+        export_overlay([], [ObservedPeak(1, 1)], tmp_path / "x.svg")
     with pytest.raises(ValueError):
-        export_overlay([_Pk(1, 1, 0)], [ObservedPeak(1, 1, 0)], tmp_path / "x.bmp",
+        export_overlay([_Pk(1, 1, 0)], [ObservedPeak(1, 1)], tmp_path / "x.bmp",
                        fmt="bmp")

@@ -88,7 +88,7 @@ def test_training_reaches_backward_and_adam_step(monkeypatch):
     pre = train.mtt_pretrain(samples, config, model_config=TINY)
     assert len(tapes) == 2 and len(steps) == 2
     hsqc = [SampleHSQC(prepare_molecule("CC"), SolventClass.UNKNOWN,
-                       [ObservedPeak(7.0, 0.9, 0)])]
+                       [ObservedPeak(7.0, 0.9)])]
     train.finetune_unsupervised(pre.final_state, hsqc, None, config, model_config=TINY,
                                 match=MatchSettings(reject_threshold=1e9))
     assert len(tapes) == 3 and len(steps) == 3
@@ -115,9 +115,9 @@ def test_pseudo_annotate_reaches_the_matchers(monkeypatch):
     molecule = prepare_molecule("c1ccccc1")
     preds = net.predict_cross_peaks(molecule, SolventClass.UNKNOWN)
     assert len(preds) == 1
-    assign.pseudo_annotate(molecule, preds, [ObservedPeak(128.0, 7.3, 0)])
+    assign.pseudo_annotate(molecule, preds, [ObservedPeak(128.0, 7.3)])
     assert (len(costs), len(exact), len(graduated)) == (1, 1, 0)
-    two = [ObservedPeak(128.0, 7.3, 0), ObservedPeak(120.0, 7.1, 1)]
+    two = [ObservedPeak(128.0, 7.3), ObservedPeak(120.0, 7.1)]
     labels = assign.pseudo_annotate(molecule, preds, two)
     assert labels.provenance == "graduated"
     assert (len(costs), len(exact), len(graduated)) == (2, 1, 1)
@@ -128,8 +128,7 @@ def test_graduated_reports_one_temperature_of_sweeps():
     # one softassign at one temperature: on_sweep fires once per sweep, so the
     # traced assign.softassign_sweeps count is ga.sweeps per call
     rng = np.random.default_rng(11)
-    preds = [ObservedPeak(float(c), float(h), i)
-             for i, (c, h) in enumerate(rng.uniform(0, 10, (9, 2)))]
+    preds = [ObservedPeak(float(c), float(h)) for c, h in rng.uniform(0, 10, (9, 2))]
     for match in (MatchSettings(), MatchSettings(ga=assign.GASettings(sweeps=7))):
         sweeps: list = []
         assign.graduated_assignment(preds, preds[:5], match, on_sweep=sweeps.append)
@@ -160,7 +159,7 @@ def test_finetune_sweeps_the_training_set_once_per_iteration(monkeypatch):
         preds = teacher.predict_cross_peaks(molecule, SolventClass.UNKNOWN)
         order = rng.permutation(len(preds))
         return SampleHSQC(molecule, SolventClass.UNKNOWN, [
-            ObservedPeak(preds[k].delta_c, preds[k].delta_h, j) for j, k in enumerate(order)
+            ObservedPeak(preds[k].delta_c, preds[k].delta_h) for k in order
         ])
 
     samples = [peak_list(s) for s in ("CO", "CCO", "CC", "c1ccccc1", "CCC", "CC(C)O")]
@@ -201,9 +200,9 @@ def test_finetune_loss_runs_only_on_the_tape(monkeypatch):
         molecule = prepare_molecule(smiles)
         preds = teacher.predict_cross_peaks(molecule, SolventClass.UNKNOWN)
         samples.append(SampleHSQC(molecule, SolventClass.UNKNOWN, [
-            ObservedPeak(p.delta_c, p.delta_h, j) for j, p in enumerate(preds)]))
+            ObservedPeak(p.delta_c, p.delta_h) for p in preds]))
     samples.append(SampleHSQC(prepare_molecule("CCC"), SolventClass.UNKNOWN,
-                              [ObservedPeak(400.0, 40.0, 0)]))  # rejected
+                              [ObservedPeak(400.0, 40.0)]))  # rejected
     config = TrainConfig(epochs=3, batch_size=2, learning_rate=1e-2, max_iterations=2,
                          convergence_fraction=1e-9, seed=0)
     result = train.finetune_unsupervised(teacher.state_arrays(), samples, None, config,

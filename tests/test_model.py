@@ -336,27 +336,35 @@ def _peaks(model, molecule):
 
 
 S, A = BondType.SINGLE, BondType.AROMATIC
-CC = [("C", 0), ("C", 1)]
+CC = ["C", "C"]
 
 
 @pytest.mark.parametrize("atoms, bonds, message", [
     (CC, [((0, 1), S), ((1, 1), S)], "self-bond on atom 1"),
     (CC, [((0, 1), S), ((1, 0), S)], "duplicate bond between 1 and 0"),
     (CC, [((0, 1), A)], "aromatic bond between non-aromatic atoms 0, 1"),
-    ([("C", 5), ("C", 1)], [((0, 1), S)], "atom 0 carries index 5"),
-    ([("C", 0), ("Xx", 1)], [((0, 1), S)], "unknown element 'Xx' at atom 1"),
+    (["C", "Xx"], [((0, 1), S)], "unknown element 'Xx' at atom 1"),
     (CC, [((0, 1), S), ((1, -1), S)], r"endpoints \(1, -1\) out of range"),
     (CC, [((0, 2), S)], r"endpoints \(0, 2\) out of range"),
-], ids=["self-bond", "duplicate", "aromatic", "index", "element", "endpoint",
-        "endpoint-past-end"])
+], ids=["self-bond", "duplicate", "aromatic", "element", "endpoint", "endpoint-past-end"])
 def test_prepare_molecule_rejects_a_malformed_caller_graph(atoms, bonds, message):
     # a graph built without the parser is checked where it is built (bond
     # endpoints) or where it enters the model (the rest); each of these once
     # predicted peaks or escaped as a bare KeyError or IndexError
     with pytest.raises(ValueError, match=message):
-        graph = MolecularGraph(atoms=[AtomSpec(element, index) for element, index in atoms],
+        graph = MolecularGraph(atoms=[AtomSpec(element) for element in atoms],
                                bonds=[BondSpec(ends, kind) for ends, kind in bonds])
         prepare_molecule(graph)
+
+
+def test_a_caller_graph_built_without_indices_prepares(tiny_config):
+    graph = MolecularGraph(atoms=[AtomSpec("C", implicit_h=3), AtomSpec("O", implicit_h=1)],
+                           bonds=[BondSpec((0, 1), S)])
+    built, parsed = prepare_molecule(graph), prepare_molecule("CO")
+    assert built.graph.atoms == parsed.graph.atoms
+    assert (built.classes, built.units) == (parsed.classes, parsed.units)
+    model = CrossPeakModel(tiny_config)
+    assert _peaks(model, built) == _peaks(model, parsed)
 
 
 def test_shared_molecule_serves_models_of_two_widths():
@@ -495,8 +503,8 @@ def test_atoms_the_layers_tell_apart_get_rows_of_their_own(smiles):
     # levels, refined over what the layers read, keep them apart
     molecule = prepare_molecule(smiles)
     atoms = len(molecule.graph.atoms)
-    assert molecule.classes.num_classes < atoms
-    assert molecule.levels(5).atom_row.bound > molecule.classes.num_classes
+    assert len(set(molecule.classes)) < atoms
+    assert molecule.levels(5).atom_row.bound > len(set(molecule.classes))
     _assert_peaks_match_atom_level(CrossPeakModel(ModelConfig(seed=4)), molecule, smiles)
 
 
@@ -523,7 +531,7 @@ def _assert_lifted_gradients_match_atom_level(smiles, depth):
                                        seed=8))
     molecule = prepare_molecule(smiles)
     assert molecule.levels(depth).atom_row.bound < len(molecule.graph.atoms)
-    carbons = [a.index for a in molecule.graph.atoms if a.element == "C"]
+    carbons = [i for i, a in enumerate(molecule.graph.atoms) if a.element == "C"]
     targets = np.full(3 * len(carbons), -10.0)  # below every output: no kink
 
     def gradients(mol):
@@ -594,7 +602,7 @@ def _ch_bonds(molecule, carbons):
 
 
 def _assert_ch_bonds_match_walk(molecule):
-    carbons = [a.index for a in molecule.graph.atoms if a.element == "C"]
+    carbons = [i for i, a in enumerate(molecule.graph.atoms) if a.element == "C"]
     assert _ch_bonds(molecule, carbons) == reference_ch_bonds(molecule.graph)
 
 
@@ -777,7 +785,7 @@ def test_forward_passes_never_read_the_adjacency():
         strict=True,
     ):
         assert np.array_equal(got.values, want.values)
-    observed = [ObservedPeak(p.delta_c + 1.0, p.delta_h - 0.1, k) for k, p in enumerate(peaks)]
+    observed = [ObservedPeak(p.delta_c + 1.0, p.delta_h - 0.1) for p in peaks]
     labels = pseudo_annotate(plain, peaks, observed)
     grads = []
     for molecule in (plain, blind):

@@ -89,7 +89,7 @@ def test_masked_loss_perfect_predictions_zero():
     model = CrossPeakModel(TINY)
     for smiles in ("CO", "Cc1ccc(C)cc1"):
         molecule = prepare_molecule(smiles)
-        carbons = [a.index for a in molecule.graph.atoms if a.element == "C"]
+        carbons = [i for i, a in enumerate(molecule.graph.atoms) if a.element == "C"]
         hydrogens = [h for u in molecule.units for h in u.hydrogen_indices]
         reads = ShiftReads.of(molecule, carbons, hydrogens)
         raw_c, raw_h = model.atom_shift_tensors(molecule, SolventClass.DMSO, reads)
@@ -207,7 +207,7 @@ _DRAWN_MOLECULES = {smiles: prepare_molecule(smiles) for smiles in (
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_sample_arrays_equal_the_per_call_path_on_drawn_targets(data):
     molecule = _DRAWN_MOLECULES[data.draw(st.sampled_from(sorted(_DRAWN_MOLECULES)))]
-    carbons = [a.index for a in molecule.graph.atoms if a.element == "C"]
+    carbons = [i for i, a in enumerate(molecule.graph.atoms) if a.element == "C"]
     hydrogens = sorted({h for u in molecule.units for h in u.hydrogen_indices})
     shifts = st.floats(-10.0, 250.0, allow_nan=False)
     c = data.draw(st.dictionaries(st.sampled_from(carbons), shifts))
@@ -262,7 +262,7 @@ def test_pretrain_tape_length_does_not_grow_with_targets(monkeypatch, desk_confi
     xylene = prepare_molecule("Cc1ccc(C)cc1")
     targets = Sample1D(
         xylene, SolventClass.CHLOROFORM,
-        {a.index: 100.0 for a in xylene.graph.atoms if a.element == "C"},
+        {i: 100.0 for i, a in enumerate(xylene.graph.atoms) if a.element == "C"},
         {h: 4.0 for u in xylene.units for h in u.hydrogen_indices},
     )
     assert (len(targets.c_targets), len(targets.h_targets)) == (8, 10)
@@ -459,7 +459,7 @@ def hsqc_from_model(model, smiles_list, solvent=SolventClass.UNKNOWN, shuffle_se
         peaks = [None] * len(preds)
         mapping = {}
         for i, j in enumerate(order):
-            peaks[j] = ObservedPeak(preds[i].delta_c, preds[i].delta_h, j)
+            peaks[j] = ObservedPeak(preds[i].delta_c, preds[i].delta_h)
             mapping[(preds[i].ch_unit.carbon_index, preds[i].peak_slot)] = j
         samples.append(SampleHSQC(mol, solvent, peaks))
         truth.append(mapping)
@@ -540,7 +540,7 @@ def test_initial_loss_is_the_finetune_loss_at_the_labels_weights(monkeypatch, wi
     teacher = CrossPeakModel(replace(TINY, seed=9))
     samples, _ = hsqc_from_model(teacher, ["CO", "CCO", "CC", "c1ccccc1", "CCC"])
     samples.append(SampleHSQC(prepare_molecule("CC(C)O"), SolventClass.UNKNOWN,
-                              [ObservedPeak(400.0, 40.0, 0), ObservedPeak(390.0, 45.0, 1)]))
+                              [ObservedPeak(400.0, 40.0), ObservedPeak(390.0, 45.0)]))
     valset = hsqc_from_model(teacher, ["CCCC", "OCCO"], shuffle_seed=1)[0] if with_valset else None
     sweeps = []  # (weights, labels) of every training-set annotation, in order
     original = train.annotate_dataset
